@@ -300,12 +300,13 @@ def _cmd_extract(args) -> int:
             f"PCA retains {pca_model.channels} channels but the network "
             f"expects {spec.input_channels}"
         )
-    rows = []
-    for vid in manifest.video_ids():
-        series = pca.transform(pca_model, sequences[vid])
-        series = corpus.align_to_length(series, spec.input_length)
-        vec = cnn.extract_features(spec, state, series.data)
-        rows.append((vid, manifest.entry(vid).label, vec))
+    ids = manifest.video_ids()
+    batch = np.stack([
+        corpus.align_to_length(pca.transform(pca_model, sequences[vid]), spec.input_length).data
+        for vid in ids
+    ])
+    vectors = cnn.extract_features(spec, state, batch)
+    rows = [(vid, manifest.entry(vid).label, vec) for vid, vec in zip(ids, vectors)]
     write_features_csv(args.out, rows)
     print(f"wrote {len(rows)} feature vectors of dimension {len(rows[0][2])} to {args.out}")
     return 0

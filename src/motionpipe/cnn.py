@@ -10,13 +10,14 @@ model files store parameters as float32.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataFormatError
+from .errors import ConvergenceError, DataFormatError
 
 CNN_MAGIC = b"CNN1"
 
@@ -150,14 +151,7 @@ class NetworkSpec:
 
 
 def _flat_size(shape: tuple) -> int:
-    return int(np.prod(shape))
-
-
-def _linear_in_size(spec: NetworkSpec, index: int) -> int:
-    """Flattened input size of the linear layer at ``index``."""
-    if index == 0:
-        return spec.input_channels * spec.input_length
-    return _flat_size(spec.layer_shapes()[index - 1])
+    return math.prod(shape)  # exact for any declared size, unlike np.prod
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +170,25 @@ class NetworkState:
         )
 
 
+def _param_shapes(spec: NetworkSpec) -> list:
+    """Per layer: (weight shape, bias shape) for conv/fc/softmax, None otherwise.
+
+    Computed from the spec alone, so callers can size parameters before
+    allocating any of them.
+    """
+    shapes = []
+    shape: tuple = (spec.input_channels, spec.input_length)
+    for layer, out_shape in zip(spec.layers, spec.layer_shapes()):
+        if isinstance(layer, Conv1D):
+            shapes.append(((layer.out_channels, shape[0], layer.filter_size), (layer.out_channels,)))
+        elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
+            shapes.append(((out_shape[0], _flat_size(shape)), (out_shape[0],)))
+        else:
+            shapes.append(None)
+        shape = out_shape
+    return shapes
+
+
 def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
     """Glorot-uniform weights, zero biases, drawn in layer order."""
     rng = (
@@ -184,28 +197,16 @@ def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
         else np.random.default_rng(seed_or_rng)
     )
     params = []
-    shape: tuple = (spec.input_channels, spec.input_length)
-    for layer in spec.layers:
-        if isinstance(layer, Conv1D):
-            c_in = shape[0]
-            fan_in = c_in * layer.filter_size
-            fan_out = layer.out_channels * layer.filter_size
-            lim = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-lim, lim, size=(layer.out_channels, c_in, layer.filter_size))
-            params.append((w, np.zeros(layer.out_channels)))
-            shape = (layer.out_channels, conv_output_length(shape[1], layer.filter_size, layer.stride))
-        elif isinstance(layer, Max1D):
+    for shapes in _param_shapes(spec):
+        if shapes is None:
             params.append(None)
-            shape = (shape[0], conv_output_length(shape[1], layer.window, layer.stride))
-        elif isinstance(layer, ReLU):
-            params.append(None)
-        elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
-            units = layer.units if isinstance(layer, FullyConnected) else layer.classes
-            fan_in = _flat_size(shape)
-            lim = np.sqrt(6.0 / (fan_in + units))
-            w = rng.uniform(-lim, lim, size=(units, fan_in))
-            params.append((w, np.zeros(units)))
-            shape = (units,)
+            continue
+        w_shape, b_shape = shapes
+        # conv (O, C, X): fan_in C*X, fan_out O*X; linear (U, F): fan_in F, fan_out U
+        fan_in = _flat_size(w_shape[1:])
+        fan_out = w_shape[0] * _flat_size(w_shape[2:])
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append((rng.uniform(-lim, lim, size=w_shape), np.zeros(b_shape)))
     return NetworkState(params=params)
 
 
@@ -218,7 +219,7 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, biases: np.ndarray, strid
 
     out[o, t] = b[o] + sum_c sum_k W[o, c, k] * x[c, t*stride + k]
     """
-    out = _conv_forward(x[None], weights, biases, stride)
+    out, _ = _conv_forward(x[None], weights, biases, stride)
     return out[0]
 
 
@@ -233,15 +234,39 @@ def max1d_forward(x: np.ndarray, window: int, stride: int):
 
 
 def _conv_forward(x, weights, biases, stride):
-    windows = sliding_window_view(x, weights.shape[2], axis=2)[:, :, ::stride, :]
-    out = np.einsum("ocx,nclx->nol", weights, windows, optimize=True)
-    return out + biases[None, :, None]
+    """Valid cross-correlation as one GEMM; returns (output, patch matrix).
+
+    The im2col patch matrix is (N, L_out, C*X): row t of sample n holds
+    x[n, :, t*stride : t*stride + X] flattened channel-major, the order
+    of W.reshape(O, C*X).  The backward pass reuses it for dW.
+    """
+    o, c, taps = weights.shape
+    windows = sliding_window_view(x, taps, axis=2)[:, :, ::stride, :]
+    n, _, l_out, _ = windows.shape
+    patches = windows.transpose(0, 2, 1, 3).reshape(n, l_out, c * taps)
+    out = patches.reshape(n * l_out, c * taps) @ weights.reshape(o, c * taps).T
+    out = np.ascontiguousarray(out.reshape(n, l_out, o).transpose(0, 2, 1))
+    out += biases[None, :, None]
+    return out, patches
 
 
 def _max_forward(x, window, stride):
-    windows = sliding_window_view(x, window, axis=2)[:, :, ::stride, :]
-    amax = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, amax[..., None], axis=3)[..., 0]
+    l_out = conv_output_length(x.shape[2], window, stride)
+    if stride == window:
+        # disjoint windows: a plain reshape of the covered prefix
+        windows = x[:, :, : l_out * window].reshape(x.shape[0], x.shape[1], l_out, window)
+    else:
+        windows = sliding_window_view(x, window, axis=2)[:, :, ::stride, :]
+    # running max over the window offsets: one vectorised step per offset,
+    # where argmax over a short trailing axis pays per-window overhead.
+    # An offset wins when it is larger, or is the first NaN, as in np.argmax.
+    out = windows[..., 0]
+    amax = np.zeros(out.shape, dtype=np.intp)
+    for k in range(1, window):
+        v = windows[..., k]
+        better = ~(v <= out) & (out == out)
+        out = np.where(better, v, out)
+        amax = np.where(better, k, amax)
     return out, amax
 
 
@@ -256,8 +281,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray):
-    """Run a (N, m, L) batch through the network; returns (probs, cache)."""
+def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: int | None = None):
+    """Run a (N, m, L) batch through layers [0, stop); returns (activations, cache).
+
+    With the default stop every layer runs and the activations are the
+    class probabilities.
+    """
     if x.ndim != 3 or x.shape[1] != spec.input_channels or x.shape[2] != spec.input_length:
         raise ValueError(
             f"input shape {x.shape[1:]} does not match spec "
@@ -265,11 +294,12 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray):
         )
     act = x
     cache = []
-    for layer, params in zip(spec.layers, state.params):
+    for layer, params in list(zip(spec.layers, state.params))[:stop]:
         if isinstance(layer, Conv1D):
             w, b = params
-            cache.append({"x": act})
-            act = _conv_forward(act, w, b, layer.stride)
+            in_len = act.shape[2]
+            act, patches = _conv_forward(act, w, b, layer.stride)
+            cache.append({"patches": patches, "in_len": in_len})
         elif isinstance(layer, Max1D):
             out, amax = _max_forward(act, layer.window, layer.stride)
             cache.append({"amax": amax, "in_len": act.shape[2], "channels": act.shape[1]})
@@ -327,31 +357,34 @@ def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.nd
             lp = grad.shape[2]
             dx = np.zeros((n, c, entry["in_len"]))
             pos = np.arange(lp)[None, None, :] * layer.stride + entry["amax"]
-            np.add.at(
-                dx,
-                (np.arange(n)[:, None, None], np.arange(c)[None, :, None], pos),
-                grad,
-            )
+            if layer.stride >= layer.window:
+                # windows do not overlap, so no two outputs route to one input
+                np.put_along_axis(dx, pos, grad, axis=2)
+            else:
+                np.add.at(
+                    dx,
+                    (np.arange(n)[:, None, None], np.arange(c)[None, :, None], pos),
+                    grad,
+                )
             grad = dx
         elif isinstance(layer, Conv1D):
             w, _ = state.params[i]
-            x_in = entry["x"]
-            windows = sliding_window_view(x_in, layer.filter_size, axis=2)[:, :, :: layer.stride, :]
-            dw = np.einsum("nol,nclx->ocx", grad, windows, optimize=True)
-            db = grad.sum(axis=(0, 2))
-            lp = grad.shape[2]
-            dx = np.zeros_like(x_in)
-            for kk in range(layer.filter_size):
-                contrib = np.einsum("nol,oc->ncl", grad, w[:, :, kk])
-                dx[:, :, kk : kk + layer.stride * (lp - 1) + 1 : layer.stride] += contrib
-            grads[i] = (dw, db)
+            o, c, taps = w.shape
+            patches = entry["patches"]
+            lp = patches.shape[1]
+            g2 = grad.transpose(0, 2, 1).reshape(n * lp, o)
+            dw = (g2.T @ patches.reshape(n * lp, c * taps)).reshape(o, c, taps)
+            grads[i] = (dw, grad.sum(axis=(0, 2)))
+            if i == 0:
+                break  # nothing reads the input gradient of the first layer
+            # col2im: scatter each tap's patch gradient back onto the input
+            dpatch = (g2 @ w.reshape(o, c * taps)).reshape(n, lp, c, taps)
+            dx = np.zeros((n, c, entry["in_len"]))
+            span = layer.stride * (lp - 1) + 1
+            for kk in range(taps):
+                dx[:, :, kk : kk + span : layer.stride] += dpatch[:, :, :, kk].transpose(0, 2, 1)
             grad = dx
     return grads
-
-
-def backward(spec: NetworkSpec, state: NetworkState, cache, true_label: int):
-    """Gradients of -log p[true_label] for the cached single-sample forward."""
-    return _backward_batch(spec, state, cache, np.array([true_label]))
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -402,7 +435,9 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
     ``samples`` is a sequence of m x L arrays, ``labels`` integer class
     indices.  Shuffling and initialisation derive from config.seed, so
     the returned (state, per-epoch mean loss) is deterministic.  Weight
-    decay applies to weight matrices, not biases.
+    decay applies to weight matrices, not biases.  Raises
+    ConvergenceError once an epoch ends with a non-finite loss or
+    parameter.
     """
     x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
     y = np.asarray(labels, dtype=np.int64)
@@ -427,7 +462,7 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
 
     n = x.shape[0]
     loss_history = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -446,34 +481,28 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
                 vb -= config.learning_rate * g[1]
                 w += vw
                 b += vb
-        loss_history.append(epoch_loss / n)
+        epoch_loss /= n
+        finite = np.isfinite(epoch_loss) and all(
+            np.isfinite(a).all() for p in state.params if p is not None for a in p
+        )
+        if not finite:
+            raise ConvergenceError(
+                f"CNN training diverged in epoch {epoch + 1}: non-finite loss or parameters"
+            )
+        loss_history.append(epoch_loss)
     return state, loss_history
 
 
 def extract_features(spec: NetworkSpec, state: NetworkState, x: np.ndarray) -> np.ndarray:
-    """Activations of the feature layer (last FC before the output).
+    """Feature-layer activations (last FC before the output) of a (N, m, L) batch.
 
-    When a ReLU follows that layer the rectified values are returned,
-    keeping features nonnegative for the chi-squared kernel downstream.
+    Returns an (N, F) array.  When a ReLU follows that layer the
+    rectified values are returned, keeping features nonnegative for the
+    chi-squared kernel downstream.
     """
-    cutoff = spec.feature_cutoff()
-    act = np.asarray(x, dtype=np.float64)[None]
-    if act.ndim != 3 or act.shape[1] != spec.input_channels or act.shape[2] != spec.input_length:
-        raise ValueError(
-            f"input shape {np.asarray(x).shape} does not match spec "
-            f"({spec.input_channels}, {spec.input_length})"
-        )
-    for layer, params in list(zip(spec.layers, state.params))[: cutoff + 1]:
-        if isinstance(layer, Conv1D):
-            act = _conv_forward(act, params[0], params[1], layer.stride)
-        elif isinstance(layer, Max1D):
-            act, _ = _max_forward(act, layer.window, layer.stride)
-        elif isinstance(layer, ReLU):
-            act = np.maximum(act, 0.0)
-        elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
-            flat = act.reshape(act.shape[0], -1)
-            act = flat @ params[0].T + params[1]
-    return act.reshape(-1)
+    x = np.asarray(x, dtype=np.float64)
+    features, _ = _forward_batch(spec, state, x, stop=spec.feature_cutoff() + 1)
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +616,23 @@ def load_model(path):
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed spec block") from exc
 
-    reference = init_state(spec, 0)
+    shapes = _param_shapes(spec)
+    need = 4 * sum(_flat_size(shape) for p in shapes if p is not None for shape in p)
+    if len(blob) < text_end + need:
+        raise DataFormatError(f"{path}: truncated parameters")
+    if len(blob) > text_end + need:
+        raise DataFormatError(f"{path}: trailing bytes after parameters")
     params = []
     off = text_end
-    for p in reference.params:
+    for p in shapes:
         if p is None:
             params.append(None)
             continue
-        w_count = p[0].size
-        b_count = p[1].size
-        need = 4 * (w_count + b_count)
-        if len(blob) < off + need:
-            raise DataFormatError(f"{path}: truncated parameters")
-        w = np.frombuffer(blob, dtype="<f4", count=w_count, offset=off)
-        off += 4 * w_count
-        b = np.frombuffer(blob, dtype="<f4", count=b_count, offset=off)
-        off += 4 * b_count
-        params.append((w.astype(np.float64).reshape(p[0].shape), b.astype(np.float64)))
-    if off != len(blob):
-        raise DataFormatError(f"{path}: trailing bytes after parameters")
+        arrays = []
+        for shape in p:
+            count = _flat_size(shape)
+            values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
+            arrays.append(values.astype(np.float64).reshape(shape))
+            off += 4 * count
+        params.append(tuple(arrays))
     return spec, NetworkState(params=params)

@@ -299,12 +299,10 @@ def _load_cnn_sidecar(path):
             input_length=int(l_str),
             layers=cnn.parse_architecture("\n".join(lines[1:])),
         )
-        params = []
-        for i, layer in enumerate(spec.layers):
-            if isinstance(layer, (cnn.Conv1D, cnn.FullyConnected, cnn.SoftmaxOutput)):
-                params.append((data[f"w{i}"], data[f"b{i}"]))
-            else:
-                params.append(None)
+        params = [
+            None if shapes is None else (data[f"w{i}"], data[f"b{i}"])
+            for i, shapes in enumerate(cnn._param_shapes(spec))
+        ]
         losses = [float(x) for x in data["loss"]]
     return spec, cnn.NetworkState(params=params), losses
 
@@ -464,9 +462,8 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             cnn.save_model(spec, state, cnn_path)
             _save_cnn_sidecar(sidecar, spec, state, loss_history)
             _write_key(cnn_path + ".key", cnn_key)
-        features = {
-            vid: cnn.extract_features(spec, state, aligned[vid].data) for vid in fold_ids
-        }
+        batch = np.stack([aligned[vid].data for vid in fold_ids])
+        features = dict(zip(fold_ids, cnn.extract_features(spec, state, batch)))
     except StageError:
         raise
     except Exception as exc:

@@ -63,6 +63,8 @@ class SvmModel:
 
 
 def _check_nonneg(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("chi-squared kernel requires finite features")
     if np.any(x < 0):
         raise ValueError("chi-squared kernel requires nonnegative features")
 

@@ -295,6 +295,25 @@ def test_convergence_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and "stage svm" in err
 
 
+def test_diverged_cnn_fails_at_cnn_stage_with_exit_3(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": manifest_path,
+        "output_dir": str(out_dir),
+        "cnn": {"architecture": str(arch_path), "epochs": 10, "batch_size": 4},
+    }))
+    with np.errstate(all="ignore"):
+        code, _, err = _run(capsys, "run", "--config", str(config_path),
+                            "--cnn.learning_rate", "1e6")
+    assert code == 3, err
+    assert "fold 0, stage cnn" in err and "diverged" in err
+    assert not os.path.exists(out_dir / "fold_000" / "model.cnn.key")
+
+
 def test_stage_failures_without_convergence_exit_2(tmp_path, capsys, monkeypatch):
     from motionpipe import cnn
 

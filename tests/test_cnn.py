@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from motionpipe import cnn
-from motionpipe.errors import DataFormatError
+from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
 
@@ -64,6 +66,15 @@ def test_max_pool_ties_take_first_offset():
     out, arg = cnn.max1d_forward(x, window=2, stride=2)
     assert np.array_equal(out, [[2.0, 1.0, 3.0]])
     assert np.array_equal(arg, [[0, 0, 0]])
+
+
+def test_max_pool_nan_routes_like_argmax():
+    x = np.array([[1.0, np.nan, 3.0, 2.0, np.nan, np.nan, 0.0, 5.0, np.nan]])
+    for window, stride in ((2, 2), (3, 1), (2, 3)):
+        windows = np.lib.stride_tricks.sliding_window_view(x, window, axis=1)[:, ::stride]
+        out, arg = cnn.max1d_forward(x, window, stride)
+        assert np.array_equal(arg, windows.argmax(axis=2))
+        assert np.array_equal(out, windows.max(axis=2), equal_nan=True)
 
 
 def test_conv_hand_example():
@@ -131,21 +142,23 @@ def test_spec_validation():
 # Gradients
 # ---------------------------------------------------------------------------
 
-def _gradcheck(spec, seed, atol=1e-6):
+def _gradcheck(spec, seed, atol=1e-6, batch=1):
     rng = np.random.default_rng(seed)
     state = cnn.init_state(spec, rng)
-    x = rng.normal(size=(spec.input_channels, spec.input_length))
-    label = int(rng.integers(spec.num_classes()))
+    x = rng.normal(size=(batch, spec.input_channels, spec.input_length))
+    labels = rng.integers(spec.num_classes(), size=batch)
 
-    _, grads = cnn.batch_gradients(spec, state, x[None], np.array([label]))
+    _, grads = cnn.batch_gradients(spec, state, x, labels)
 
     arrays = [a for p in state.params if p is not None for a in p]
     analytic = [g for g in grads if g is not None]
     analytic = [a for pair in analytic for a in pair]
 
     def loss_fn():
-        probs, _ = cnn.forward(spec, state, x)
-        return -float(np.log(probs[label]))
+        # mean cross-entropy, one single-sample forward per row
+        return -float(np.mean([
+            np.log(cnn.forward(spec, state, xi)[0][label]) for xi, label in zip(x, labels)
+        ]))
 
     numeric = oracles.finite_difference_gradients(loss_fn, arrays)
     worst = 0.0
@@ -178,6 +191,32 @@ def test_gradients_match_finite_differences():
         _spec([cnn.FullyConnected(5), cnn.ReLU(), cnn.SoftmaxOutput(2)], channels=2, length=6),
         seed=5,
     )
+
+
+def test_gradients_through_pool_with_stride_above_window():
+    # conv output length 8; Max1D(2, 3) reads 3 windows, and
+    # L_out * stride = 9 > 8, so the last input position is never routed
+    spec = _spec(
+        [cnn.Conv1D(3, 3, 1), cnn.ReLU(), cnn.Max1D(2, 3), cnn.FullyConnected(4),
+         cnn.ReLU(), cnn.SoftmaxOutput(2)],
+        channels=2,
+        length=10,
+    )
+    assert spec.layer_shapes()[2] == (3, 3)
+    _gradcheck(spec, seed=11)
+
+
+def test_gradients_two_conv_layers_batched():
+    # the second conv has stride 2 and leaves its last input position
+    # unread, so col2im must scatter with a stride and leave a zero column
+    spec = _spec(
+        [cnn.Conv1D(3, 4, 2), cnn.ReLU(), cnn.Max1D(2, 2), cnn.Conv1D(2, 3, 2),
+         cnn.ReLU(), cnn.FullyConnected(5), cnn.ReLU(), cnn.SoftmaxOutput(3)],
+        channels=3,
+        length=22,
+    )
+    assert spec.layer_shapes()[2:4] == ((4, 5), (3, 2))
+    _gradcheck(spec, seed=12, batch=4)
 
 
 def test_tie_gradient_routes_to_first_position():
@@ -270,6 +309,17 @@ def test_train_is_deterministic_and_learns():
         assert int(np.argmax(probs)) == label
 
 
+def test_train_raises_on_divergence():
+    spec = _spec(
+        [cnn.Conv1D(3, 4, 1), cnn.ReLU(), cnn.Max1D(2, 2), cnn.FullyConnected(8),
+         cnn.ReLU(), cnn.SoftmaxOutput(2)]
+    )
+    samples, labels = _toy_problem()
+    config = cnn.TrainConfig(learning_rate=1e6, epochs=10, batch_size=4, seed=7)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="diverged"):
+        cnn.train(spec, samples, labels, config)
+
+
 def test_train_validation():
     spec = _small_spec()
     samples = [np.zeros((2, 16)), np.zeros((2, 16))]
@@ -303,22 +353,38 @@ def test_extract_features_cutoff_and_sign():
     spec = _small_spec()
     state = cnn.init_state(spec, 8)
     x = np.random.default_rng(8).normal(size=(2, 16))
-    feats = cnn.extract_features(spec, state, x)
-    assert feats.shape == (5,)
+    feats = cnn.extract_features(spec, state, x[None])
+    assert feats.shape == (1, 5)
     assert feats.min() >= 0.0  # trailing ReLU keeps features nonnegative
     # equals the forward activations just before the softmax layer
     probs, _ = cnn.forward(spec, state, x)
     w, b = state.params[-1]
-    assert np.allclose(cnn.softmax((feats @ w.T + b)[None])[0], probs, atol=1e-12)
+    assert np.allclose(cnn.softmax(feats @ w.T + b)[0], probs, atol=1e-12)
 
 
 def test_extract_features_without_trailing_relu():
     spec = _spec([cnn.FullyConnected(4), cnn.SoftmaxOutput(2)], channels=1, length=5)
     state = cnn.init_state(spec, 9)
-    feats = cnn.extract_features(spec, state, np.ones((1, 5)))
-    assert feats.shape == (4,)
+    feats = cnn.extract_features(spec, state, np.ones((1, 1, 5)))
+    assert feats.shape == (1, 4)
     with pytest.raises(ValueError, match="does not match spec"):
-        cnn.extract_features(spec, state, np.ones((2, 5)))
+        cnn.extract_features(spec, state, np.ones((1, 2, 5)))
+
+
+def test_extract_features_batch_matches_single_rows():
+    spec = _spec(
+        [cnn.Conv1D(3, 4, 2), cnn.ReLU(), cnn.Max1D(2, 2), cnn.Conv1D(2, 3, 1),
+         cnn.ReLU(), cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(3)],
+        channels=2,
+        length=24,
+    )
+    state = cnn.init_state(spec, 13)
+    x = np.random.default_rng(13).normal(size=(7, 2, 24))
+    batch = cnn.extract_features(spec, state, x)
+    assert batch.shape == (7, 6)
+    for row, xi in zip(batch, x):
+        single = cnn.extract_features(spec, state, xi[None])[0]
+        assert np.abs(row - single).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +458,20 @@ def test_load_model_errors(tmp_path):
     nospec.write_bytes(b"CNN1" + np.array([5], dtype="<u4").tobytes() + b"hello")
     with pytest.raises(DataFormatError, match="input line"):
         cnn.load_model(nospec)
+
+
+def test_load_model_checks_size_before_allocating(tmp_path):
+    # a few hundred bytes declaring a 4096 x 4096 fc layer: 64 MB of f32
+    spec_text = b"input 1 4096\nfc 4096\nrelu\nsoftmax 2\n"
+    path = tmp_path / "huge.cnn"
+    path.write_bytes(b"CNN1" + np.array([len(spec_text)], dtype="<u4").tobytes()
+                     + spec_text + bytes(256))
+    assert path.stat().st_size < 512
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="truncated parameters"):
+            cnn.load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak} bytes"

@@ -59,6 +59,21 @@ def test_kernel_rejects_bad_inputs():
         svm.KernelParams(gamma=0.0)
 
 
+def test_kernel_rejects_nan_features():
+    x = np.array([[0.5, np.nan], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        svm.chi2_gram(x, x, svm.KernelParams(gamma=1.0))
+    with pytest.raises(ValueError, match="finite"):
+        svm.default_gamma(x)
+
+
+def test_kernel_rejects_infinite_features():
+    params = svm.KernelParams(gamma=1.0)
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            svm.chi2_kernel(np.array([bad, 1.0]), np.array([1.0, 1.0]), params)
+
+
 def test_gram_matrix_is_psd():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, size=(30, 8))
