@@ -252,18 +252,15 @@ def _conv_forward(x, weights, biases, stride):
 
 def _max_forward(x, window, stride):
     l_out = conv_output_length(x.shape[2], window, stride)
-    if stride == window:
-        # disjoint windows: a plain reshape of the covered prefix
-        windows = x[:, :, : l_out * window].reshape(x.shape[0], x.shape[1], l_out, window)
-    else:
-        windows = sliding_window_view(x, window, axis=2)[:, :, ::stride, :]
-    # running max over the window offsets: one vectorised step per offset,
-    # where argmax over a short trailing axis pays per-window overhead.
-    # An offset wins when it is larger, or is the first NaN, as in np.argmax.
-    out = windows[..., 0]
+    span = stride * (l_out - 1) + 1
+    # running max over the window offsets: one vectorised step per offset
+    # on the strided slice x[..., k::stride], where argmax over a short
+    # trailing axis pays per-window overhead.  An offset wins when it is
+    # larger, or is the first NaN, as in np.argmax.
+    out = x[:, :, :span:stride]
     amax = np.zeros(out.shape, dtype=np.intp)
     for k in range(1, window):
-        v = windows[..., k]
+        v = x[:, :, k : k + span : stride]
         better = ~(v <= out) & (out == out)
         out = np.where(better, v, out)
         amax = np.where(better, k, amax)
@@ -353,19 +350,13 @@ def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.nd
         elif isinstance(layer, ReLU):
             grad = grad * (entry["out"] > 0.0)
         elif isinstance(layer, Max1D):
-            c = entry["channels"]
-            lp = grad.shape[2]
-            dx = np.zeros((n, c, entry["in_len"]))
-            pos = np.arange(lp)[None, None, :] * layer.stride + entry["amax"]
-            if layer.stride >= layer.window:
-                # windows do not overlap, so no two outputs route to one input
-                np.put_along_axis(dx, pos, grad, axis=2)
-            else:
-                np.add.at(
-                    dx,
-                    (np.arange(n)[:, None, None], np.arange(c)[None, :, None], pos),
-                    grad,
-                )
+            # route each output's gradient to its argmax offset, one strided
+            # add per offset, so overlapping windows accumulate
+            amax = entry["amax"]
+            dx = np.zeros((n, entry["channels"], entry["in_len"]))
+            span = layer.stride * (grad.shape[2] - 1) + 1
+            for kk in range(layer.window):
+                dx[:, :, kk : kk + span : layer.stride] += np.where(amax == kk, grad, 0.0)
             grad = dx
         elif isinstance(layer, Conv1D):
             w, _ = state.params[i]
@@ -436,8 +427,8 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
     indices.  Shuffling and initialisation derive from config.seed, so
     the returned (state, per-epoch mean loss) is deterministic.  Weight
     decay applies to weight matrices, not biases.  Raises
-    ConvergenceError once an epoch ends with a non-finite loss or
-    parameter.
+    ConvergenceError as soon as a batch loss is non-finite, or when an
+    epoch ends with a non-finite parameter.
     """
     x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
     y = np.asarray(labels, dtype=np.int64)
@@ -462,34 +453,37 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
 
     n = x.shape[0]
     loss_history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = batch_gradients(spec, state, x[idx], y[idx])
-            epoch_loss += loss * idx.size
-            for li, g in enumerate(grads):
-                if g is None:
-                    continue
-                w, b = state.params[li]
-                vw, vb = velocity[li]
-                dw = g[0] + config.weight_decay * w
-                vw *= config.momentum
-                vw -= config.learning_rate * dw
-                vb *= config.momentum
-                vb -= config.learning_rate * g[1]
-                w += vw
-                b += vb
-        epoch_loss /= n
-        finite = np.isfinite(epoch_loss) and all(
-            np.isfinite(a).all() for p in state.params if p is not None for a in p
-        )
-        if not finite:
-            raise ConvergenceError(
-                f"CNN training diverged in epoch {epoch + 1}: non-finite loss or parameters"
-            )
-        loss_history.append(epoch_loss)
+    # divergence overflows before it shows; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grads = batch_gradients(spec, state, x[idx], y[idx])
+                if not math.isfinite(loss):
+                    raise ConvergenceError(
+                        f"CNN training diverged in epoch {epoch + 1}: non-finite loss"
+                    )
+                epoch_loss += loss * idx.size
+                for li, g in enumerate(grads):
+                    if g is None:
+                        continue
+                    w, b = state.params[li]
+                    vw, vb = velocity[li]
+                    dw = g[0] + config.weight_decay * w
+                    vw *= config.momentum
+                    vw -= config.learning_rate * dw
+                    vb *= config.momentum
+                    vb -= config.learning_rate * g[1]
+                    w += vw
+                    b += vb
+            epoch_loss /= n
+            if not all(np.isfinite(a).all() for p in state.params if p is not None for a in p):
+                raise ConvergenceError(
+                    f"CNN training diverged in epoch {epoch + 1}: non-finite parameters"
+                )
+            loss_history.append(epoch_loss)
     return state, loss_history
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cnn, corpus, flow, pca, svm
-from .errors import StageError
+from .errors import DataFormatError, StageError
 
 # Test hook: when set, called as fit_audit(stage, fold_index, video_ids)
 # for every model-fitting call with the ids whose data the fit saw.
@@ -299,10 +299,18 @@ def _load_cnn_sidecar(path):
             input_length=int(l_str),
             layers=cnn.parse_architecture("\n".join(lines[1:])),
         )
-        params = [
-            None if shapes is None else (data[f"w{i}"], data[f"b{i}"])
-            for i, shapes in enumerate(cnn._param_shapes(spec))
-        ]
+        params = []
+        for i, shapes in enumerate(cnn._param_shapes(spec)):
+            if shapes is None:
+                params.append(None)
+                continue
+            w, b = data[f"w{i}"], data[f"b{i}"]
+            if (w.shape, b.shape) != shapes:
+                raise DataFormatError(
+                    f"{path}: layer {i} parameters have shapes {w.shape}, {b.shape}, "
+                    f"the spec declares {shapes[0]}, {shapes[1]}"
+                )
+            params.append((w, b))
         losses = [float(x) for x in data["loss"]]
     return spec, cnn.NetworkState(params=params), losses
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,8 +317,11 @@ def test_train_raises_on_divergence():
     )
     samples, labels = _toy_problem()
     config = cnn.TrainConfig(learning_rate=1e6, epochs=10, batch_size=4, seed=7)
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="diverged"):
-        cnn.train(spec, samples, labels, config)
+    # training stops at the first non-finite batch loss, without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="diverged in epoch"):
+            cnn.train(spec, samples, labels, config)
 
 
 def test_train_validation():

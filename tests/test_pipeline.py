@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motionpipe import cnn, corpus, flow, pipeline, svm
-from motionpipe.errors import ConvergenceError, StageError
+from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
 
@@ -447,6 +447,26 @@ def test_stage_error_tags_stage_and_fold(mini_run, tmp_path, monkeypatch):
     assert info.value.fold == 0
     assert str(info.value).startswith("fold 0, stage svm:")
     assert isinstance(info.value.__cause__, ConvergenceError)
+
+
+def test_cnn_sidecar_rejects_wrong_parameter_shapes(tmp_path):
+    spec = cnn.NetworkSpec(
+        input_channels=2, input_length=12,
+        layers=(cnn.Conv1D(3, 4, 1), cnn.ReLU(), cnn.Max1D(2, 2),
+                cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(2)),
+    )
+    state = cnn.init_state(spec, 0)
+    path = str(tmp_path / "model.cnn.npz")
+    pipeline._save_cnn_sidecar(path, spec, state, [1.0])
+    loaded_spec, loaded, _ = pipeline._load_cnn_sidecar(path)
+    assert loaded_spec == spec
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(state.params, loaded.params) if a)
+
+    w, b = state.params[3]
+    state.params[3] = (w[:, :-1], b)  # fc layer one input short
+    pipeline._save_cnn_sidecar(path, spec, state, [1.0])
+    with pytest.raises(DataFormatError, match="layer 3"):
+        pipeline._load_cnn_sidecar(path)
 
 
 def test_missing_video_source_raises(tmp_path):
