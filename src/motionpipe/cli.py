@@ -252,18 +252,11 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _prepare_series(manifest, sequences, pca_model):
-    series = {
-        vid: pca.transform(pca_model, sequences[vid]) for vid in manifest.video_ids()
-    }
-    aligned_list, l_max = corpus.align_lengths([series[vid] for vid in manifest.video_ids()])
-    return dict(zip(manifest.video_ids(), aligned_list)), l_max
-
-
 def _cmd_train(args) -> int:
     manifest, sequences = _read_corpus(args.manifest, args)
     pca_model = pca.load_model(args.pca)
-    aligned, l_max = _prepare_series(manifest, sequences, pca_model)
+    ids = manifest.video_ids()
+    batch, l_max = pipeline.project_videos(pca_model, sequences, ids)
     labels = manifest.labels()
     label_index = {label: i for i, label in enumerate(labels)}
     if args.arch is None:
@@ -279,10 +272,9 @@ def _cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, weight_decay=args.weight_decay,
     )
-    ids = manifest.video_ids()
     state, losses = cnn.train(
         spec,
-        [aligned[vid].data for vid in ids],
+        batch,
         [label_index[manifest.entry(vid).label] for vid in ids],
         config,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...]
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -96,6 +97,7 @@ class Manifest:
         if with_split and len(with_split) != len(entries):
             raise ValueError("split_id must be present on all entries or none")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_id", dict(zip(ids, entries)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -108,10 +110,7 @@ class Manifest:
         return sorted({e.label for e in self.entries})
 
     def entry(self, video_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.video_id == video_id:
-                return e
-        raise KeyError(video_id)
+        return self._by_id[video_id]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """PCA channel reduction with Proportion-of-Variance selection.
 
-The covariance of the pooled training descriptors is diagonalised with a
-cyclic Jacobi eigensolver (dependency-free, robust for the moderate
-dimensionalities seen here).  The retained channel count m is the
-smallest k whose top-k eigenvalue mass reaches the requested proportion
-of total variance.
+The covariance of the pooled training descriptors is diagonalised with
+LAPACK's symmetric eigensolver (``np.linalg.eigh``).  The retained
+channel count m is the smallest k whose top-k eigenvalue mass reaches
+the requested proportion of total variance.
 """
 
 from __future__ import annotations
@@ -18,69 +17,6 @@ from .corpus import DescriptorSequence, MultiChannelSeries
 from .errors import ConvergenceError, DataFormatError
 
 PCA_MAGIC = b"PCA1"
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps zero out every off-diagonal pair until the off-diagonal
-    Frobenius norm falls below ``tol`` relative to the matrix scale.
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns,
-    unsorted.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-
-    scale = np.sqrt((a * a).sum())
-    if scale == 0.0:
-        return np.zeros(n), v
-    threshold = tol * scale
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return np.sqrt((off * off).sum())
-
-    for sweep in range(max_sweeps + 1):
-        if off_norm() <= threshold:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceError(f"Jacobi did not converge within {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                app, aqq = a[p, p], a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p - s * (col_q + tau * col_p)
-                a[:, q] = col_q + s * (col_p - tau * col_q)
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    return np.diag(a).copy(), v
 
 
 def _normalize_signs(components: np.ndarray) -> np.ndarray:
@@ -149,7 +85,10 @@ def fit(samples: np.ndarray, pov_threshold: float) -> PcaModel:
     centered = x - mean
     cov = centered.T @ centered / (s - 1)
 
-    eigvals, eigvecs = jacobi_eigh(cov)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     eigvals = np.maximum(eigvals, 0.0)  # round-off can leave tiny negatives
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]

@@ -236,6 +236,24 @@ def frames_to_sequence(frame_dir, alpha: float = 1.0, iterations: int = 100,
     )
 
 
+def project_videos(model: pca.PcaModel, sequences, ids) -> tuple[np.ndarray, int]:
+    """Project the videos ``ids`` in one GEMM and zero-pad them to the longest.
+
+    Returns the (N, m, L) batch in ``ids`` order and L; row i holds what
+    ``pca.transform`` gives for video i, followed by trailing zeros.
+    """
+    lengths = [sequences[vid].frames for vid in ids]
+    stacked = corpus.DescriptorSequence(
+        video_id="batch", data=np.vstack([sequences[vid].data for vid in ids])
+    )
+    projected = pca.transform(model, stacked).data  # m x sum(lengths)
+    l_max = max(lengths)
+    batch = np.zeros((len(ids), model.channels, l_max))
+    for row, part in zip(batch, np.split(projected, np.cumsum(lengths)[:-1], axis=1)):
+        row[:, : part.shape[1]] = part
+    return batch, l_max
+
+
 # ---------------------------------------------------------------------------
 # Content-hash cache keys
 # ---------------------------------------------------------------------------
@@ -430,9 +448,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             pca_model = pca.fit(samples, config.pov_threshold)
             pca.save_model(pca_model, pca_path)
             _write_key(pca_path + ".key", pca_key)
-        series = {vid: pca.transform(pca_model, sequences[vid]) for vid in fold_ids}
-        aligned_list, l_max = corpus.align_lengths([series[vid] for vid in fold_ids])
-        aligned = dict(zip(fold_ids, aligned_list))
+        batch, l_max = project_videos(pca_model, sequences, fold_ids)
     except StageError:
         raise
     except Exception as exc:
@@ -463,14 +479,13 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             _audit(stage, fold_index, train_ids)
             state, loss_history = cnn.train(
                 spec,
-                [aligned[vid].data for vid in train_ids],
+                batch[: len(train_ids)],
                 [label_index[manifest.entry(vid).label] for vid in train_ids],
                 train_cfg,
             )
             cnn.save_model(spec, state, cnn_path)
             _save_cnn_sidecar(sidecar, spec, state, loss_history)
             _write_key(cnn_path + ".key", cnn_key)
-        batch = np.stack([aligned[vid].data for vid in fold_ids])
         features = dict(zip(fold_ids, cnn.extract_features(spec, state, batch)))
     except StageError:
         raise

@@ -22,6 +22,7 @@ DEFAULT_TOL = 1e-3
 MAX_SMO_STEPS = 10**6
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
+_BLOCK_ELEMENTS = 2**20  # values per chi-squared temporary (8 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,24 @@ def _check_nonneg(x: np.ndarray) -> None:
 
 
 def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
-    """Pairwise chi-squared distances between rows of x and rows of y."""
+    """Pairwise chi-squared distances between rows of x and rows of y.
+
+    Rows of x are taken in blocks, so each temporary holds about
+    _BLOCK_ELEMENTS values (never less than one row of x against all of
+    y) instead of growing with the row count of x.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_nonneg(x)
     _check_nonneg(y)
-    diff = x[:, None, :] - y[None, :, :]
-    denom = x[:, None, :] + y[None, :, :] + eps
-    return np.sum(diff * diff / denom, axis=2)
+    out = np.empty((x.shape[0], y.shape[0]))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    for start in range(0, x.shape[0], rows):
+        xb = x[start : start + rows, None, :]
+        diff = xb - y[None, :, :]
+        denom = xb + y[None, :, :] + eps
+        np.sum(diff * diff / denom, axis=2, out=out[start : start + rows])
+    return out
 
 
 def chi2_kernel(x: np.ndarray, y: np.ndarray, params: KernelParams) -> float:

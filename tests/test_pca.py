@@ -1,10 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from motionpipe import corpus, pca
-from motionpipe.errors import DataFormatError
-
-import oracles
+from motionpipe.errors import ConvergenceError, DataFormatError
 
 
 def _random_spd_samples(rng, s, n, spread=None):
@@ -13,49 +13,6 @@ def _random_spd_samples(rng, s, n, spread=None):
         spread = np.linspace(4.0, 0.5, n)
     basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
     return rng.normal(size=(s, n)) * np.sqrt(spread) @ basis.T + rng.normal(size=n)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-def test_jacobi_matches_power_iteration_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        n = int(rng.integers(3, 10))
-        m = rng.normal(size=(n, n))
-        sym = (m + m.T) / 2.0 + n * np.eye(n)  # shift keeps eigenvalues positive
-        vals, vecs = pca.jacobi_eigh(sym)
-        order = np.argsort(-vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
-        ref_vals, ref_vecs = oracles.power_iteration_eigh(sym, count=n)
-        assert np.allclose(vals, ref_vals, atol=1e-8)
-        for k in range(n):
-            # eigenvectors match up to sign
-            assert min(
-                np.abs(vecs[:, k] - ref_vecs[k]).max(),
-                np.abs(vecs[:, k] + ref_vecs[k]).max(),
-            ) < 1e-6
-
-
-def test_jacobi_reconstructs_and_is_orthonormal():
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(12, 12))
-    sym = (m + m.T) / 2.0
-    vals, vecs = pca.jacobi_eigh(sym)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
-    assert np.allclose(vecs.T @ vecs, np.eye(12), atol=1e-10)
-
-
-def test_jacobi_handles_diagonal_and_scalar():
-    vals, vecs = pca.jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(sorted(vals), [1.0, 2.0, 3.0])
-    assert np.allclose(vecs, np.eye(3))
-    vals, vecs = pca.jacobi_eigh(np.array([[7.0]]))
-    assert vals[0] == 7.0
-    with pytest.raises(ValueError, match="square"):
-        pca.jacobi_eigh(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +53,32 @@ def test_fit_sign_convention_is_stable():
         assert row[np.argmax(np.abs(row))] > 0.0
     again = pca.fit(x.copy(), pov_threshold=1.0)
     assert np.array_equal(model.components, again.components)
+
+
+def test_fit_rank_deficient_samples():
+    # S < n: the covariance has rank S - 1, so most eigenvalues are round-off
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = pca.fit(x, pov_threshold=1.0)
+        again = pca.fit(x, pov_threshold=1.0)
+    assert np.all(model.eigenvalues >= 0.0)
+    assert np.all(np.diff(model.eigenvalues) <= 0.0)
+    comp = model.components
+    assert np.abs(comp @ comp.T - np.eye(model.channels)).max() < 1e-12
+    assert np.array_equal(model.eigenvalues, again.eigenvalues)
+    assert np.array_equal(model.components, again.components)
+
+
+def test_fit_reports_solver_failure_as_convergence_error(monkeypatch):
+    def failing_eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    x = np.random.default_rng(6).normal(size=(10, 3))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        pca.fit(x, 0.9)
 
 
 def test_fit_validation():

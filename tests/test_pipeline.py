@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from motionpipe import cnn, corpus, flow, pipeline, svm
+from motionpipe import cnn, corpus, flow, pca, pipeline, svm
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
@@ -254,6 +254,23 @@ def test_frames_to_sequence_rejects_size_mismatch(tmp_path):
     flow.write_pgm(flow.Frame(intensity=np.full((12, 12), 0.5)), frame_dir / "b.pgm")
     with pytest.raises(ValueError, match="expected"):
         pipeline.frames_to_sequence(frame_dir)
+
+
+def test_project_videos_matches_per_video_transform():
+    manifest, sequences, _ = corpus.generate_synthetic_corpus(
+        classes=2, per_class=3, channels=5, min_len=16, max_len=30, seed=7
+    )
+    by_id = {seq.video_id: seq for seq in sequences}
+    ids = manifest.video_ids()[::-1]
+    model = pca.fit(np.vstack([seq.data for seq in sequences]).astype(np.float64), 0.9)
+    batch, l_max = pipeline.project_videos(model, by_id, ids)
+
+    aligned, expected_len = corpus.align_lengths([pca.transform(model, by_id[v]) for v in ids])
+    assert l_max == expected_len
+    assert batch.shape == (len(ids), model.channels, l_max)
+    for row, series, vid in zip(batch, aligned, ids):
+        assert np.abs(row - series.data).max() <= 1e-12
+        assert not row[:, by_id[vid].frames :].any()  # padding stays exactly zero
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from motionpipe import pca, svm
+from motionpipe import svm
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
@@ -79,8 +81,37 @@ def test_gram_matrix_is_psd():
     x = rng.uniform(0, 1, size=(30, 8))
     gram = svm.chi2_gram(x, x, svm.KernelParams(gamma=0.9))
     assert np.allclose(gram, gram.T, atol=1e-15)
-    eigvals, _ = pca.jacobi_eigh(gram)
+    eigvals = np.linalg.eigvalsh(gram)
     assert eigvals.min() >= -1e-8
+
+
+def _broadcast_chi2(x, y, eps):
+    diff = x[:, None, :] - y[None, :, :]
+    denom = x[:, None, :] + y[None, :, :] + eps
+    return np.sum(diff * diff / denom, axis=2)
+
+
+def test_blocked_chi2_distances_match_broadcast_formula():
+    rng = np.random.default_rng(3)
+    y = rng.uniform(0, 2, size=(960, 64))
+    x = rng.uniform(0, 2, size=(50, 64))
+    rows = svm._BLOCK_ELEMENTS // y.size
+    assert 1 < rows < x.shape[0] and x.shape[0] % rows != 0  # several blocks, last one short
+    assert np.array_equal(svm.chi2_distance_matrix(x, y, 1e-12), _broadcast_chi2(x, y, 1e-12))
+    small = x[:3, :5]
+    assert np.array_equal(svm.chi2_distance_matrix(small, small, 1e-12),
+                          _broadcast_chi2(small, small, 1e-12))
+
+
+def test_chi2_distances_memory_stays_blocked():
+    x = np.random.default_rng(4).uniform(0, 2, size=(960, 64))
+    tracemalloc.start()
+    try:
+        svm.chi2_distance_matrix(x, x, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the S x S x d broadcast needs about 470 MB here
 
 
 # ---------------------------------------------------------------------------
