@@ -9,10 +9,10 @@ error, 2 data or format error, 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,11 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Flag defaults are the pipeline config's, so each default is written once.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(pipeline.PipelineConfig)}
+
+
 def _add_flow_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1.0, help="smoothness weight")
-    p.add_argument("--iterations", type=int, default=100, help="solver iterations")
-    p.add_argument("--grid", type=int, default=4, help="pooling grid size G")
-    p.add_argument("--bins", type=int, default=8, help="orientation bins B")
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"], help="smoothness weight")
+    p.add_argument("--iterations", type=int, default=_DEFAULTS["iterations"],
+                   help="solver iterations")
+    p.add_argument("--grid", type=int, default=_DEFAULTS["grid"], help="pooling grid size G")
+    p.add_argument("--bins", type=int, default=_DEFAULTS["bins"], help="orientation bins B")
 
 
 def build_parser() -> _Parser:
@@ -65,7 +70,8 @@ def build_parser() -> _Parser:
                        help="fit a PCA model on every descriptor row of a corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output .pca path")
-    p.add_argument("--pov", type=float, default=0.8, help="proportion of variance to retain")
+    p.add_argument("--pov", type=float, default=_DEFAULTS["pov_threshold"],
+                   help="proportion of variance to retain")
     _add_flow_params(p)
     p.set_defaults(func=_cmd_pca_fit)
 
@@ -82,12 +88,12 @@ def build_parser() -> _Parser:
     p.add_argument("--pca", required=True, help=".pca model path")
     p.add_argument("--out", required=True, help="output .cnn path")
     p.add_argument("--arch", default=None, help="architecture file (default built in)")
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--learning-rate", type=float, default=_DEFAULTS["learning_rate"])
+    p.add_argument("--momentum", type=float, default=_DEFAULTS["momentum"])
+    p.add_argument("--epochs", type=int, default=_DEFAULTS["epochs"])
+    p.add_argument("--batch-size", type=int, default=_DEFAULTS["batch_size"])
+    p.add_argument("--weight-decay", type=float, default=_DEFAULTS["weight_decay"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     _add_flow_params(p)
     p.set_defaults(func=_cmd_train)
 
@@ -104,10 +110,10 @@ def build_parser() -> _Parser:
                        help="train the chi-squared SVM on a feature table")
     p.add_argument("--features", required=True, help="features .csv")
     p.add_argument("--out", required=True, help="output .svm path")
-    p.add_argument("--c-box", type=float, default=svm.DEFAULT_C_BOX)
-    p.add_argument("--gamma", default="auto", help="kernel gamma, or 'auto'")
-    p.add_argument("--tol", type=float, default=svm.DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c-box", type=float, default=_DEFAULTS["c_box"])
+    p.add_argument("--gamma", default=_DEFAULTS["gamma"], help="kernel gamma, or 'auto'")
+    p.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.set_defaults(func=_cmd_svm_fit)
 
     p = sub.add_parser("predict",
@@ -135,26 +141,17 @@ def build_parser() -> _Parser:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _read_corpus(manifest_path, args):
+def _flow_params(args) -> dict:
+    return {"alpha": args.alpha, "iterations": args.iterations,
+            "grid": args.grid, "bins": args.bins}
+
+
+def _read_corpus(args):
     """Manifest and sequences for standalone stage commands (no caching)."""
-    manifest = corpus.load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    sequences = {}
-    for entry in manifest.entries:
-        path = entry.path if os.path.isabs(entry.path) else os.path.join(base, entry.path)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"video source {path!r} not found")
-        if os.path.isdir(path):
-            sequences[entry.video_id] = pipeline.frames_to_sequence(
-                path, alpha=args.alpha, iterations=args.iterations,
-                grid=args.grid, bins=args.bins, video_id=entry.video_id,
-            )
-        else:
-            sequences[entry.video_id] = corpus.read_sequence(path, video_id=entry.video_id)
-    dims = {seq.dim for seq in sequences.values()}
-    if len(dims) > 1:
-        raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
-    return manifest, sequences
+    def describe(path, video_id):
+        return pipeline.frames_to_sequence(path, video_id=video_id, **_flow_params(args))
+
+    return pipeline.read_corpus(args.manifest, describe)
 
 
 def write_features_csv(path, rows) -> None:
@@ -202,10 +199,7 @@ def read_features_csv(path):
 # ---------------------------------------------------------------------------
 
 def _cmd_flow(args) -> int:
-    seq = pipeline.frames_to_sequence(
-        args.frames, alpha=args.alpha, iterations=args.iterations,
-        grid=args.grid, bins=args.bins,
-    )
+    seq = pipeline.frames_to_sequence(args.frames, **_flow_params(args))
     corpus.write_sequence(seq, args.out)
     print(f"wrote {seq.frames} descriptors of dimension {seq.dim} to {args.out}")
     return 0
@@ -223,7 +217,7 @@ def _cmd_synth(args) -> int:
         for entry in manifest.entries:
             k = position.get(entry.label, 0)
             position[entry.label] = k + 1
-            entries.append(replace(entry, split_id=k % args.splits))
+            entries.append(dataclasses.replace(entry, split_id=k % args.splits))
         manifest = corpus.Manifest(entries=tuple(entries))
     path = corpus.save_corpus(manifest, sequences, args.out)
     print(f"wrote {len(manifest)} videos and {path}")
@@ -231,7 +225,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pca_fit(args) -> int:
-    _, sequences = _read_corpus(args.manifest, args)
+    _, sequences = _read_corpus(args)
     samples = np.vstack([seq.data for seq in sequences.values()]).astype(np.float64)
     model = pca.fit(samples, args.pov)
     pca.save_model(model, args.out)
@@ -253,7 +247,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    manifest, sequences = _read_corpus(args.manifest, args)
+    manifest, sequences = _read_corpus(args)
     pca_model = pca.load_model(args.pca)
     ids = manifest.video_ids()
     batch, l_max = pipeline.project_videos(pca_model, sequences, ids)
@@ -284,7 +278,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    manifest, sequences = _read_corpus(args.manifest, args)
+    manifest, sequences = _read_corpus(args)
     pca_model = pca.load_model(args.pca)
     spec, state = cnn.load_model(args.cnn)
     if pca_model.channels != spec.input_channels:
@@ -293,10 +287,7 @@ def _cmd_extract(args) -> int:
             f"expects {spec.input_channels}"
         )
     ids = manifest.video_ids()
-    batch = np.stack([
-        corpus.align_to_length(pca.transform(pca_model, sequences[vid]), spec.input_length).data
-        for vid in ids
-    ])
+    batch, _ = pipeline.project_videos(pca_model, sequences, ids, spec.input_length)
     vectors = cnn.extract_features(spec, state, batch)
     rows = [(vid, manifest.entry(vid).label, vec) for vid, vec in zip(ids, vectors)]
     write_features_csv(args.out, rows)

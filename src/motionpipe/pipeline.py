@@ -1,19 +1,24 @@
 """End-to-end evaluation: flow descriptors, PCA, 1D-CNN, chi-squared SVM.
 
 Each fold fits every model on its training videos only, predicts the
-held-out ones, and leaves its artifacts under the output directory:
-the exchange formats (.pca/.cnn/.svm) for interoperability, plus .npz
-sidecars carrying exact float64 parameters so cached reruns reproduce
-a cold run bit for bit.  Stage caching is keyed by content hashes that
-chain upstream, so changing any input invalidates everything below it.
+held-out ones, and leaves its artifacts under the output directory: the
+exchange formats (.pca/.cnn/.svm) for interoperability, plus the stage
+outputs a rerun needs (model.cnn.npz: every fold video's CNN features
+and the epoch losses; model.svm.npz: the test predictions as label
+indices).  A cached rerun reads those outputs instead of rebuilding the
+network or the SVM, so it reproduces a cold run bit for bit.  Stage
+caching is keyed by content hashes that chain upstream, so changing any
+input invalidates everything below it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,14 +49,14 @@ class PipelineConfig:
     bins: int = 8
     pov_threshold: float = 0.8
     architecture: str | None = None
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 30
-    batch_size: int = 16
-    weight_decay: float = 1e-4
-    c_box: float = 10.0
+    learning_rate: float = cnn.TrainConfig.learning_rate
+    momentum: float = cnn.TrainConfig.momentum
+    epochs: int = cnn.TrainConfig.epochs
+    batch_size: int = cnn.TrainConfig.batch_size
+    weight_decay: float = cnn.TrainConfig.weight_decay
+    c_box: float = svm.DEFAULT_C_BOX
     gamma: object = "auto"
-    tol: float = 1e-3
+    tol: float = svm.DEFAULT_TOL
     split: str = "loocv"
     seed: int = 0
 
@@ -76,16 +81,17 @@ _CONFIG_SECTIONS = {
 }
 _CONFIG_TOPLEVEL = {"manifest", "output_dir", "split", "seed"}
 
-_INT_FIELDS = {"iterations", "grid", "bins", "epochs", "batch_size", "seed"}
-_FLOAT_FIELDS = {"alpha", "pov_threshold", "learning_rate", "momentum",
-                 "weight_decay", "c_box", "tol"}
+# The cast of each int or float field, from its annotation (a string here,
+# since annotations are not evaluated).
+_CASTS = {f.name: {"int": int, "float": float}[f.type]
+          for f in fields(PipelineConfig) if f.type in ("int", "float")}
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a PipelineConfig from the nested JSON document shape."""
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
-    fields: dict = {}
+    values: dict = {}
     for key, value in doc.items():
         if key in _CONFIG_SECTIONS:
             if not isinstance(value, dict):
@@ -93,20 +99,17 @@ def config_from_dict(doc: dict) -> PipelineConfig:
             for sub, subval in value.items():
                 if sub not in _CONFIG_SECTIONS[key]:
                     raise ValueError(f"unknown config field {key}.{sub}")
-                fields[sub] = subval
+                values[sub] = subval
         elif key in _CONFIG_TOPLEVEL:
-            fields[key] = value
+            values[key] = value
         else:
             raise ValueError(f"unknown config field {key}")
     for name in ("manifest", "output_dir"):
-        if name not in fields:
+        if name not in values:
             raise ValueError(f"config is missing required field {name!r}")
-    for name in list(fields):
-        if name in _INT_FIELDS:
-            fields[name] = int(fields[name])
-        elif name in _FLOAT_FIELDS:
-            fields[name] = float(fields[name])
-    return PipelineConfig(**fields)
+    for name in values.keys() & _CASTS.keys():
+        values[name] = _CASTS[name](values[name])
+    return PipelineConfig(**values)
 
 
 def config_field_for(dotted: str) -> str:
@@ -127,10 +130,8 @@ def apply_override(config: PipelineConfig, dotted: str, raw: str) -> PipelineCon
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    if name in _INT_FIELDS:
-        value = int(value)
-    elif name in _FLOAT_FIELDS:
-        value = float(value)
+    if name in _CASTS:
+        value = _CASTS[name](value)
     return replace(config, **{name: value})
 
 
@@ -209,11 +210,12 @@ def evaluate(predictions, labels) -> tuple[float, ConfusionMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Frame directories
+# Frame directories and corpora
 # ---------------------------------------------------------------------------
 
-def frames_to_sequence(frame_dir, alpha: float = 1.0, iterations: int = 100,
-                       grid: int = 4, bins: int = 8,
+def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
+                       iterations: int = PipelineConfig.iterations,
+                       grid: int = PipelineConfig.grid, bins: int = PipelineConfig.bins,
                        video_id: str | None = None) -> corpus.DescriptorSequence:
     """Flow descriptors for consecutive PGM frames, sorted by filename."""
     names = sorted(n for n in os.listdir(frame_dir) if n.lower().endswith(".pgm"))
@@ -236,26 +238,59 @@ def frames_to_sequence(frame_dir, alpha: float = 1.0, iterations: int = 100,
     )
 
 
-def project_videos(model: pca.PcaModel, sequences, ids) -> tuple[np.ndarray, int]:
-    """Project the videos ``ids`` in one GEMM and zero-pad them to the longest.
+def read_corpus(manifest_path, describe):
+    """The manifest plus each video's descriptor sequence, by video id.
 
-    Returns the (N, m, L) batch in ``ids`` order and L; row i holds what
-    ``pca.transform`` gives for video i, followed by trailing zeros.
+    ``.fds`` sources are read as they are; ``describe(path, video_id)``
+    turns a frame directory into its descriptor sequence.
+    """
+    manifest = corpus.load_manifest(manifest_path)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    sequences = {}
+    for entry in manifest.entries:
+        path = os.path.join(base, entry.path)  # an absolute entry path stands
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"video source {path!r} not found")
+        if os.path.isdir(path):
+            sequences[entry.video_id] = describe(path, entry.video_id)
+        else:
+            sequences[entry.video_id] = corpus.read_sequence(path, video_id=entry.video_id)
+    dims = {seq.dim for seq in sequences.values()}
+    if len(dims) > 1:
+        raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
+    return manifest, sequences
+
+
+def project_videos(model: pca.PcaModel, sequences, ids,
+                   length: int | None = None) -> tuple[np.ndarray, int]:
+    """Project the videos ``ids`` in one GEMM and zero-pad them to ``length``.
+
+    ``length`` defaults to the longest video's; a longer video is cut to
+    it with a warning.  Returns the (N, m, L) batch in ``ids`` order and
+    L; row i holds what ``pca.transform`` gives for video i, followed by
+    trailing zeros.
     """
     lengths = [sequences[vid].frames for vid in ids]
     stacked = corpus.DescriptorSequence(
         video_id="batch", data=np.vstack([sequences[vid].data for vid in ids])
     )
     projected = pca.transform(model, stacked).data  # m x sum(lengths)
-    l_max = max(lengths)
-    batch = np.zeros((len(ids), model.channels, l_max))
-    for row, part in zip(batch, np.split(projected, np.cumsum(lengths)[:-1], axis=1)):
-        row[:, : part.shape[1]] = part
-    return batch, l_max
+    if length is None:
+        length = max(lengths)
+    batch = np.zeros((len(ids), model.channels, length))
+    parts = np.split(projected, np.cumsum(lengths)[:-1], axis=1)
+    for vid, row, part in zip(ids, batch, parts):
+        if part.shape[1] > length:
+            warnings.warn(
+                f"series {vid!r} truncated from {part.shape[1]} to {length} frames",
+                stacklevel=2,
+            )
+        row[:, : part.shape[1]] = part[:, :length]
+    return batch, length
 
 
 # ---------------------------------------------------------------------------
-# Content-hash cache keys
+# Stage cache
 # ---------------------------------------------------------------------------
 
 def _digest(*parts) -> str:
@@ -268,106 +303,66 @@ def _digest(*parts) -> str:
 
 
 def _source_digest(path: str) -> str:
-    """Hash of a video source: one .fds file or a directory of frames."""
-    if os.path.isdir(path):
-        parts: list = []
-        for name in sorted(os.listdir(path)):
-            full = os.path.join(path, name)
-            if os.path.isfile(full):
-                with open(full, "rb") as fh:
-                    parts.extend([name, fh.read()])
-        return _digest("dir", *parts)
-    with open(path, "rb") as fh:
-        return _digest("file", fh.read())
+    """Hash of a directory of frames."""
+    parts: list = []
+    for name in sorted(os.listdir(path)):
+        full = os.path.join(path, name)
+        if os.path.isfile(full):
+            with open(full, "rb") as fh:
+                parts.extend([name, fh.read()])
+    return _digest("dir", *parts)
 
 
-def _cache_fresh(artifact: str, key_path: str, key: str) -> bool:
-    if not (os.path.exists(artifact) and os.path.exists(key_path)):
-        return False
-    with open(key_path, "r", encoding="utf-8") as fh:
-        return fh.read().strip() == key
+def _cached(key: str, artifacts, load, fit):
+    """``load()`` if every artifact exists under ``key``, otherwise ``fit()``.
 
-
-def _write_key(key_path: str, key: str) -> None:
+    The key lives in the first artifact's path plus ``.key``.  A stale key
+    is removed before ``fit`` writes anything and the new one is written
+    only after it returns, so an interrupted write never reads as a hit.
+    """
+    key_path = artifacts[0] + ".key"
+    try:
+        with open(key_path, "r", encoding="utf-8") as fh:
+            stored = fh.read().strip()
+    except FileNotFoundError:
+        stored = None
+    if stored == key and all(os.path.exists(path) for path in artifacts):
+        return load()
+    if stored is not None:
+        os.remove(key_path)
+    value = fit()
     with open(key_path, "w", encoding="utf-8") as fh:
         fh.write(key + "\n")
+    return value
 
 
-# ---------------------------------------------------------------------------
-# npz sidecars (exact float64 copies of the lossy exchange formats)
-# ---------------------------------------------------------------------------
+def _load_arrays(path, **expected) -> dict:
+    """The arrays of an .npz stage output, checked as ``name=(dtype kinds, shape)``.
 
-def _save_cnn_sidecar(path, spec: cnn.NetworkSpec, state: cnn.NetworkState, losses) -> None:
-    arrays = {"loss": np.asarray(losses, dtype=np.float64)}
-    for i, p in enumerate(state.params):
-        if p is None:
-            continue
-        arrays[f"w{i}"] = p[0]
-        arrays[f"b{i}"] = p[1]
-    spec_text = f"input {spec.input_channels} {spec.input_length}\n" + cnn.format_architecture(spec.layers)
-    np.savez(path, spec_text=np.array(spec_text), **arrays)
-
-
-def _load_cnn_sidecar(path):
+    A ``None`` in a shape matches any size.
+    """
+    arrays = {}
     with np.load(path) as data:
-        lines = str(data["spec_text"]).splitlines()
-        _, m_str, l_str = lines[0].split()
-        spec = cnn.NetworkSpec(
-            input_channels=int(m_str),
-            input_length=int(l_str),
-            layers=cnn.parse_architecture("\n".join(lines[1:])),
-        )
-        params = []
-        for i, shapes in enumerate(cnn._param_shapes(spec)):
-            if shapes is None:
-                params.append(None)
-                continue
-            w, b = data[f"w{i}"], data[f"b{i}"]
-            if (w.shape, b.shape) != shapes:
+        for name, (kinds, shape) in expected.items():
+            if name not in data.files:
+                raise DataFormatError(f"{path}: no array {name!r}")
+            array = data[name]
+            if (array.dtype.kind not in kinds or array.ndim != len(shape)
+                    or any(want not in (None, got) for want, got in zip(shape, array.shape))):
                 raise DataFormatError(
-                    f"{path}: layer {i} parameters have shapes {w.shape}, {b.shape}, "
-                    f"the spec declares {shapes[0]}, {shapes[1]}"
+                    f"{path}: array {name!r} is {array.dtype} {array.shape}, expected {shape}"
                 )
-            params.append((w, b))
-        losses = [float(x) for x in data["loss"]]
-    return spec, cnn.NetworkState(params=params), losses
+            arrays[name] = array
+    return arrays
 
 
-def _save_svm_sidecar(path, model: svm.SvmModel) -> None:
-    arrays = {
-        "labels": np.array([str(l) for l in model.labels]),
-        "features": model.features,
-        "gamma": np.array(model.params.gamma),
-        "eps": np.array(model.params.epsilon_denominator),
-        "biases": np.array([m.bias for m in model.machines]),
-        "c_box": np.array([m.c_box for m in model.machines]),
-    }
-    for i, machine in enumerate(model.machines):
-        arrays[f"support{i}"] = machine.support_indices
-        arrays[f"coeff{i}"] = machine.coefficients
-    np.savez(path, **arrays)
-
-
-def _load_svm_sidecar(path) -> svm.SvmModel:
-    with np.load(path) as data:
-        labels = tuple(str(l) for l in data["labels"])
-        machines = tuple(
-            svm.BinarySvm(
-                support_indices=data[f"support{i}"],
-                coefficients=data[f"coeff{i}"],
-                bias=float(data["biases"][i]),
-                c_box=float(data["c_box"][i]),
-            )
-            for i in range(len(labels))
-        )
-        return svm.SvmModel(
-            labels=labels,
-            machines=machines,
-            features=data["features"],
-            params=svm.KernelParams(
-                gamma=float(data["gamma"]), epsilon_denominator=float(data["eps"])
-            ),
-        )
+@contextlib.contextmanager
+def _stage(stage: str, fold_index: int):
+    """Re-raise any failure in the block as a StageError naming stage and fold."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(stage, fold_index, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -375,42 +370,40 @@ def _load_svm_sidecar(path) -> svm.SvmModel:
 # ---------------------------------------------------------------------------
 
 def _load_corpus(config: PipelineConfig):
-    """Manifest plus all descriptor sequences, caching computed ones."""
-    manifest = corpus.load_manifest(config.manifest)
-    base = os.path.dirname(os.path.abspath(config.manifest))
+    """Manifest, descriptor sequences and their cache keys.
+
+    Descriptors computed from frame directories are cached; each source
+    is hashed once.
+    """
     desc_dir = os.path.join(config.output_dir, "descriptors")
     flow_cfg = json.dumps(
         {"alpha": config.alpha, "iterations": config.iterations,
          "grid": config.grid, "bins": config.bins},
         sort_keys=True,
     )
-    sequences = {}
     desc_keys = {}
-    for entry in manifest.entries:
-        path = entry.path if os.path.isabs(entry.path) else os.path.join(base, entry.path)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"video source {path!r} not found")
-        key = _digest("desc", flow_cfg, _source_digest(path))
-        desc_keys[entry.video_id] = key
-        if os.path.isdir(path):
-            os.makedirs(desc_dir, exist_ok=True)
-            artifact = os.path.join(desc_dir, f"{entry.video_id}.fds")
-            key_path = artifact + ".key"
-            if _cache_fresh(artifact, key_path, key):
-                seq = corpus.read_sequence(artifact, video_id=entry.video_id)
-            else:
-                seq = frames_to_sequence(
-                    path, alpha=config.alpha, iterations=config.iterations,
-                    grid=config.grid, bins=config.bins, video_id=entry.video_id,
-                )
-                corpus.write_sequence(seq, artifact)
-                _write_key(key_path, key)
-        else:
-            seq = corpus.read_sequence(path, video_id=entry.video_id)
-        sequences[entry.video_id] = seq
-    dims = {seq.dim for seq in sequences.values()}
-    if len(dims) > 1:
-        raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
+
+    def describe(path, video_id):
+        artifact = os.path.join(desc_dir, f"{video_id}.fds")
+        key = desc_keys[video_id] = _digest("desc", flow_cfg, _source_digest(path))
+
+        def compute():
+            seq = frames_to_sequence(
+                path, alpha=config.alpha, iterations=config.iterations,
+                grid=config.grid, bins=config.bins, video_id=video_id,
+            )
+            corpus.write_sequence(seq, artifact)
+            return seq
+
+        os.makedirs(desc_dir, exist_ok=True)
+        return _cached(
+            key, [artifact], lambda: corpus.read_sequence(artifact, video_id=video_id), compute
+        )
+
+    manifest, sequences = read_corpus(config.manifest, describe)
+    for vid, seq in sequences.items():
+        if vid not in desc_keys:  # read from an .fds source
+            desc_keys[vid] = _digest("fds", str(seq.data.shape), seq.data.tobytes())
     return manifest, sequences, desc_keys
 
 
@@ -430,107 +423,113 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
     train_ids = list(fold.train_ids)
     test_ids = list(fold.test_ids)
     fold_ids = train_ids + test_ids
+    n_train = len(train_ids)
     fold_seed = config.seed ^ fold_index
 
     # PCA on training descriptors only
-    stage = "pca"
-    try:
+    with _stage("pca", fold_index):
         pca_key = _digest(
             "pca", repr(config.pov_threshold),
             *[f"{vid}:{desc_keys[vid]}" for vid in sorted(train_ids)],
         )
         pca_path = os.path.join(fold_dir, "model.pca")
-        if _cache_fresh(pca_path, pca_path + ".key", pca_key):
-            pca_model = pca.load_model(pca_path)
-        else:
-            _audit(stage, fold_index, train_ids)
-            samples = np.vstack([sequences[vid].data for vid in train_ids]).astype(np.float64)
-            pca_model = pca.fit(samples, config.pov_threshold)
-            pca.save_model(pca_model, pca_path)
-            _write_key(pca_path + ".key", pca_key)
-        batch, l_max = project_videos(pca_model, sequences, fold_ids)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, fold_index, str(exc)) from exc
 
-    # 1D-CNN on training series only
-    stage = "cnn"
-    try:
+        def fit_pca():
+            _audit("pca", fold_index, train_ids)
+            samples = np.vstack([sequences[vid].data for vid in train_ids]).astype(np.float64)
+            model = pca.fit(samples, config.pov_threshold)
+            pca.save_model(model, pca_path)
+            return model
+
+        pca_model = _cached(pca_key, [pca_path], lambda: pca.load_model(pca_path), fit_pca)
+
+    # 1D-CNN on training series only; its output is every fold video's features
+    with _stage("cnn", fold_index):
         train_cfg = cnn.TrainConfig(
             learning_rate=config.learning_rate, momentum=config.momentum,
             epochs=config.epochs, batch_size=config.batch_size,
             seed=fold_seed, weight_decay=config.weight_decay,
         )
+        l_max = max(sequences[vid].frames for vid in fold_ids)
         cnn_key = _digest(
-            "cnn", pca_key, arch_text, repr(train_cfg), str(l_max),
+            "cnn-features", pca_key, arch_text, repr(train_cfg), str(l_max),
             ",".join(sorted(train_ids)),
             *[f"{vid}:{desc_keys[vid]}" for vid in sorted(fold_ids)],
         )
         cnn_path = os.path.join(fold_dir, "model.cnn")
-        sidecar = os.path.join(fold_dir, "model.cnn.npz")
-        spec = cnn.NetworkSpec(
-            input_channels=pca_model.channels, input_length=l_max,
-            layers=cnn.parse_architecture(arch_text),
-        )
-        if _cache_fresh(sidecar, cnn_path + ".key", cnn_key) and os.path.exists(cnn_path):
-            spec, state, loss_history = _load_cnn_sidecar(sidecar)
-        else:
-            _audit(stage, fold_index, train_ids)
-            state, loss_history = cnn.train(
+        cnn_out = cnn_path + ".npz"
+
+        def fit_cnn():
+            _audit("cnn", fold_index, train_ids)
+            batch, _ = project_videos(pca_model, sequences, fold_ids)
+            spec = cnn.NetworkSpec(
+                input_channels=pca_model.channels, input_length=l_max,
+                layers=cnn.parse_architecture(arch_text),
+            )
+            state, losses = cnn.train(
                 spec,
-                batch[: len(train_ids)],
+                batch[:n_train],
                 [label_index[manifest.entry(vid).label] for vid in train_ids],
                 train_cfg,
             )
             cnn.save_model(spec, state, cnn_path)
-            _save_cnn_sidecar(sidecar, spec, state, loss_history)
-            _write_key(cnn_path + ".key", cnn_key)
-        features = dict(zip(fold_ids, cnn.extract_features(spec, state, batch)))
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, fold_index, str(exc)) from exc
+            features = cnn.extract_features(spec, state, batch)
+            np.savez(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
+            return features, losses
 
-    # SVM on training features only
-    stage = "svm"
-    try:
+        def load_cnn():
+            arrays = _load_arrays(
+                cnn_out, features=("f", (len(fold_ids), None)), loss=("f", (config.epochs,))
+            )
+            return arrays["features"], [float(x) for x in arrays["loss"]]
+
+        features, loss_history = _cached(cnn_key, [cnn_path, cnn_out], load_cnn, fit_cnn)
+
+    # SVM on training features only; its output is the test predictions
+    with _stage("svm", fold_index):
         svm_cfg = json.dumps(
             {"c_box": config.c_box, "gamma": config.gamma, "tol": config.tol},
             sort_keys=True,
         )
-        svm_key = _digest("svm", cnn_key, svm_cfg)
+        svm_key = _digest("svm-predictions", cnn_key, svm_cfg)
         svm_path = os.path.join(fold_dir, "model.svm")
-        sidecar = os.path.join(fold_dir, "model.svm.npz")
-        if _cache_fresh(sidecar, svm_path + ".key", svm_key) and os.path.exists(svm_path):
-            svm_model = _load_svm_sidecar(sidecar)
-        else:
-            train_features = [features[vid] for vid in train_ids]
+        svm_out = svm_path + ".npz"
+
+        def fit_svm():
+            train_features = features[:n_train]
             if config.gamma == "auto":
                 _audit("gamma", fold_index, train_ids)
                 gamma = svm.default_gamma(train_features, seed=fold_seed)
             else:
                 gamma = float(config.gamma)
-            _audit(stage, fold_index, train_ids)
-            svm_model = svm.fit(
+            _audit("svm", fold_index, train_ids)
+            model = svm.fit(
                 train_features,
                 [manifest.entry(vid).label for vid in train_ids],
                 c_box=config.c_box,
                 params=svm.KernelParams(gamma=gamma),
                 tol=config.tol,
             )
-            svm.save_model(svm_model, svm_path)
-            _save_svm_sidecar(sidecar, svm_model)
-            _write_key(svm_path + ".key", svm_key)
-        records = tuple(
-            (vid, manifest.entry(vid).label, svm.predict(svm_model, features[vid])[0])
-            for vid in test_ids
-        )
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, fold_index, str(exc)) from exc
+            svm.save_model(model, svm_path)
+            # label indices, not strings: numpy unicode arrays drop trailing NULs
+            predicted = np.array(
+                [label_index[svm.predict(model, row)[0]] for row in features[n_train:]],
+                dtype=np.int64,
+            )
+            np.savez(svm_out, predicted=predicted)
+            return predicted
 
+        def load_svm():
+            predicted = _load_arrays(svm_out, predicted=("iu", (len(test_ids),)))["predicted"]
+            if np.any(predicted < 0) or np.any(predicted >= len(labels)):
+                raise DataFormatError(f"{svm_out}: predictions are not label indices")
+            return predicted
+
+        predicted = _cached(svm_key, [svm_path, svm_out], load_svm, fit_svm)
+
+    records = tuple(
+        (vid, manifest.entry(vid).label, labels[k]) for vid, k in zip(test_ids, predicted)
+    )
     return FoldResult(index=fold_index, records=records), loss_history
 
 

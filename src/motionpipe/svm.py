@@ -130,15 +130,6 @@ def default_gamma(features, seed: int = 0) -> float:
     return float(1.0 / mean)
 
 
-def concat_features(primary: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
-    """Append an auxiliary descriptor to a learned feature vector."""
-    primary = np.asarray(primary, dtype=np.float64)
-    auxiliary = np.asarray(auxiliary, dtype=np.float64)
-    _check_nonneg(primary)
-    _check_nonneg(auxiliary)
-    return np.concatenate([primary, auxiliary])
-
-
 # ---------------------------------------------------------------------------
 # SMO solver
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from motionpipe import cli, corpus, flow, pca, svm
+from motionpipe import cli, cnn, corpus, flow, pca, svm
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 MINI_ARCH = "conv 3 4 1\nrelu\nmax 2 2\nfc 8\nrelu\nsoftmax 2\n"
@@ -141,6 +141,44 @@ def test_stage_chain_round_trips(tmp_path, capsys):
     assert accuracy == pytest.approx(agree / len(rows))
     assert os.path.exists(os.path.join(eval_dir, "confusion.csv"))
     assert os.path.exists(os.path.join(eval_dir, "confusion.txt"))
+
+
+def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus")  # 17 to 20 frames
+    manifest = corpus.load_manifest(manifest_path)
+    sequences = {
+        e.video_id: corpus.read_sequence(tmp_path / "corpus" / e.path, video_id=e.video_id)
+        for e in manifest.entries
+    }
+    pca_path = str(tmp_path / "model.pca")
+    cnn_path = str(tmp_path / "model.cnn")
+    features_path = str(tmp_path / "features.csv")
+    assert _run(capsys, "pca-fit", "--manifest", manifest_path, "--out", pca_path)[0] == 0
+    model = pca.load_model(pca_path)
+    length = max(seq.frames for seq in sequences.values()) - 1
+    spec = cnn.NetworkSpec(input_channels=model.channels, input_length=length,
+                           layers=cnn.parse_architecture(MINI_ARCH))
+    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+
+    with pytest.warns(UserWarning, match="truncated") as record:
+        code, _, err = _run(capsys, "extract", "--manifest", manifest_path, "--pca", pca_path,
+                            "--cnn", cnn_path, "--out", features_path)
+    assert code == 0, err
+    longer = [vid for vid, seq in sequences.items() if seq.frames > length]
+    assert len(longer) == 1
+    assert [str(w.message) for w in record] == [
+        f"series {longer[0]!r} truncated from {length + 1} to {length} frames"
+    ]
+
+    spec, state = cnn.load_model(cnn_path)
+    ids = manifest.video_ids()
+    with pytest.warns(UserWarning, match="truncated"):
+        per_video = np.stack([
+            corpus.align_to_length(pca.transform(model, sequences[vid]), length).data
+            for vid in ids
+        ])
+    _, _, features = cli.read_features_csv(features_path)
+    assert np.abs(features - cnn.extract_features(spec, state, per_video)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +353,6 @@ def test_diverged_cnn_fails_at_cnn_stage_with_exit_3(tmp_path, capsys):
 
 
 def test_stage_failures_without_convergence_exit_2(tmp_path, capsys, monkeypatch):
-    from motionpipe import cnn
-
     manifest_path = _synth(capsys, tmp_path / "corpus")
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text(MINI_ARCH)
@@ -342,14 +378,18 @@ def test_stage_failures_without_convergence_exit_2(tmp_path, capsys, monkeypatch
 def test_console_script_runs(tmp_path):
     script = shutil.which("motionpipe")
     argv = [script] if script else [sys.executable, "-m", "motionpipe.cli"]
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(argv + ["synth", "--out", str(tmp_path / "c"),
                                     "--classes", "2", "--per-class", "2",
                                     "--channels", "2", "--min-len", "16",
                                     "--max-len", "16", "--seed", "1"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert os.path.exists(tmp_path / "c" / "manifest.json")
 
-    result = subprocess.run(argv + ["--help"], capture_output=True, text=True)
+    result = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "usage" in result.stdout.lower()

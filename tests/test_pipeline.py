@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import shutil
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from motionpipe import cnn, corpus, flow, pca, pipeline, svm
+from motionpipe import cli, corpus, flow, pca, pipeline, svm
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
@@ -466,24 +467,50 @@ def test_stage_error_tags_stage_and_fold(mini_run, tmp_path, monkeypatch):
     assert isinstance(info.value.__cause__, ConvergenceError)
 
 
-def test_cnn_sidecar_rejects_wrong_parameter_shapes(tmp_path):
-    spec = cnn.NetworkSpec(
-        input_channels=2, input_length=12,
-        layers=(cnn.Conv1D(3, 4, 1), cnn.ReLU(), cnn.Max1D(2, 2),
-                cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(2)),
-    )
-    state = cnn.init_state(spec, 0)
-    path = str(tmp_path / "model.cnn.npz")
-    pipeline._save_cnn_sidecar(path, spec, state, [1.0])
-    loaded_spec, loaded, _ = pipeline._load_cnn_sidecar(path)
-    assert loaded_spec == spec
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(state.params, loaded.params) if a)
+@pytest.mark.parametrize("name, arrays, message", [
+    # a CNN cache in the older format (network weights, no features)
+    ("model.cnn.npz", {"loss": np.ones(6)}, "no array 'features'"),
+    ("model.cnn.npz", {"features": np.ones((3, 8)), "loss": np.ones(6)}, "array 'features'"),
+    ("model.svm.npz", {"predicted": np.array([0.0])}, "array 'predicted'"),
+    ("model.svm.npz", {"predicted": np.array([-1])}, "not label indices"),
+])
+def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arrays, message):
+    config = _copy_run(mini_run, tmp_path)
+    np.savez(os.path.join(config.output_dir, "fold_000", name), **arrays)
+    with pytest.raises(StageError) as info:
+        pipeline.run_pipeline(config)
+    assert (info.value.stage, info.value.fold) == (name.split(".")[1], 0)
+    assert isinstance(info.value.__cause__, DataFormatError)
+    assert message in str(info.value)
 
-    w, b = state.params[3]
-    state.params[3] = (w[:, :-1], b)  # fc layer one input short
-    pipeline._save_cnn_sidecar(path, spec, state, [1.0])
-    with pytest.raises(DataFormatError, match="layer 3"):
-        pipeline._load_cnn_sidecar(path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": config.manifest, "output_dir": config.output_dir,
+        "pca": {"pov_threshold": config.pov_threshold},
+        "cnn": {"architecture": config.architecture, "learning_rate": config.learning_rate,
+                "epochs": config.epochs, "batch_size": config.batch_size},
+    }))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):
+    config = _copy_run(mini_run, tmp_path)
+    real_savez = np.savez
+
+    def savez_then_crash(*args, **kwargs):
+        real_savez(*args, **kwargs)
+        raise OSError("interrupted after the write")
+
+    monkeypatch.setattr(np, "savez", savez_then_crash)
+    with pytest.raises(StageError, match="fold 0, stage svm"):
+        pipeline.run_pipeline(dataclasses.replace(config, c_box=0.01, gamma=50.0))
+    monkeypatch.setattr(np, "savez", real_savez)
+
+    audit_log.clear()
+    pipeline.run_pipeline(config)
+    assert {(stage, fold) for stage, fold, _ in audit_log} == {("gamma", 0), ("svm", 0)}
+    assert _read_reports(config.output_dir) == mini_run.reports
 
 
 def test_missing_video_source_raises(tmp_path):

@@ -115,7 +115,7 @@ def test_chi2_distances_memory_stays_blocked():
 
 
 # ---------------------------------------------------------------------------
-# default_gamma / concat_features
+# default_gamma
 # ---------------------------------------------------------------------------
 
 def test_default_gamma_two_points():
@@ -158,28 +158,6 @@ def test_default_gamma_rejects_degenerate_input():
         svm.default_gamma(np.ones((1, 4)))
     with pytest.raises(ValueError, match="identical"):
         svm.default_gamma(np.ones((5, 4)))
-
-
-def test_concat_features():
-    got = svm.concat_features(np.array([1.0, 2.0]), np.array([3.0]))
-    assert np.array_equal(got, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        svm.concat_features(np.array([1.0]), np.array([-1.0]))
-
-
-def test_concat_features_chi2_additivity():
-    rng = np.random.default_rng(5)
-    a, c = rng.uniform(0, 2, size=(2, 6))
-    b, d = rng.uniform(0, 2, size=(2, 3))
-    eps = 1e-12
-    joint = svm.chi2_distance_matrix(
-        svm.concat_features(a, b)[None], svm.concat_features(c, d)[None], eps
-    )[0, 0]
-    parts = (
-        svm.chi2_distance_matrix(a[None], c[None], eps)[0, 0]
-        + svm.chi2_distance_matrix(b[None], d[None], eps)[0, 0]
-    )
-    assert abs(joint - parts) < 1e-12
 
 
 # ---------------------------------------------------------------------------
