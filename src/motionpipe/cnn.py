@@ -596,7 +596,10 @@ def load_model(path):
     text_end = 8 + text_len
     if len(blob) < text_end:
         raise DataFormatError(f"{path}: truncated spec block")
-    spec_text = blob[8:text_end].decode("utf-8")
+    try:
+        spec_text = blob[8:text_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: spec block is not UTF-8") from exc
     lines = spec_text.splitlines()
     if not lines or not lines[0].startswith("input "):
         raise DataFormatError(f"{path}: spec block missing input line")
@@ -616,8 +619,12 @@ def load_model(path):
         raise DataFormatError(f"{path}: truncated parameters")
     if len(blob) > text_end + need:
         raise DataFormatError(f"{path}: trailing bytes after parameters")
+    values = np.frombuffer(blob, dtype="<f4", offset=text_end)
+    if not np.all(np.isfinite(values)):
+        raise DataFormatError(f"{path}: parameters must be finite")
+    values = values.astype(np.float64)
     params = []
-    off = text_end
+    off = 0
     for p in shapes:
         if p is None:
             params.append(None)
@@ -625,8 +632,7 @@ def load_model(path):
         arrays = []
         for shape in p:
             count = _flat_size(shape)
-            values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-            arrays.append(values.astype(np.float64).reshape(shape))
-            off += 4 * count
+            arrays.append(values[off : off + count].reshape(shape))
+            off += count
         params.append(tuple(arrays))
     return spec, NetworkState(params=params)

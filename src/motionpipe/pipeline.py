@@ -361,6 +361,8 @@ def _stage(stage: str, fold_index: int):
     """Re-raise any failure in the block as a StageError naming stage and fold."""
     try:
         yield
+    except StageError:
+        raise  # already tagged by an inner stage
     except Exception as exc:
         raise StageError(stage, fold_index, str(exc)) from exc
 
@@ -441,7 +443,8 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             pca.save_model(model, pca_path)
             return model
 
-        pca_model = _cached(pca_key, [pca_path], lambda: pca.load_model(pca_path), fit_pca)
+        # a hit is read only if the CNN stage misses too (fit_cnn below)
+        fitted_pca = _cached(pca_key, [pca_path], lambda: None, fit_pca)
 
     # 1D-CNN on training series only; its output is every fold video's features
     with _stage("cnn", fold_index):
@@ -460,6 +463,10 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
         cnn_out = cnn_path + ".npz"
 
         def fit_cnn():
+            pca_model = fitted_pca
+            if pca_model is None:
+                with _stage("pca", fold_index):
+                    pca_model = pca.load_model(pca_path)
             _audit("cnn", fold_index, train_ids)
             batch, _ = project_videos(pca_model, sequences, fold_ids)
             spec = cnn.NetworkSpec(

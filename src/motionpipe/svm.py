@@ -22,7 +22,7 @@ DEFAULT_TOL = 1e-3
 MAX_SMO_STEPS = 10**6
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
-_BLOCK_ELEMENTS = 2**20  # values per chi-squared temporary (8 MB of float64)
+_BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,15 @@ class KernelParams:
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValueError("gamma must be positive and finite")
-        if self.epsilon_denominator <= 0:
-            raise ValueError("epsilon_denominator must be positive")
+        if not np.isfinite(self.epsilon_denominator) or self.epsilon_denominator <= 0:
+            raise ValueError("epsilon_denominator must be positive and finite")
 
 
 @dataclass(frozen=True)
 class BinarySvm:
     """One one-vs-rest machine: indices into the shared feature matrix."""
 
-    support_indices: np.ndarray  # int, ascending
+    support_indices: np.ndarray  # int rows of SvmModel.features
     coefficients: np.ndarray     # alpha_i * y_i at the support indices
     bias: float
     c_box: float
@@ -51,7 +51,7 @@ class BinarySvm:
 class SvmModel:
     labels: tuple          # sorted class labels, one machine each
     machines: tuple        # BinarySvm per label
-    features: np.ndarray   # shared training matrix the indices refer to
+    features: np.ndarray   # shared rows the indices refer to
     params: KernelParams
 
     def __post_init__(self):
@@ -73,21 +73,34 @@ def _check_nonneg(x: np.ndarray) -> None:
 def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     """Pairwise chi-squared distances between rows of x and rows of y.
 
-    Rows of x are taken in blocks, so each temporary holds about
-    _BLOCK_ELEMENTS values (never less than one row of x against all of
-    y) instead of growing with the row count of x.
+    Rows of x are taken in blocks, so each of the two temporaries holds
+    about _BLOCK_ELEMENTS values (never less than one row of x against
+    all of y) and stays in cache; the block's arithmetic runs in place in
+    them.  When y is x, each block computes only the columns from its
+    own first row onward and mirrors them into the lower triangle; the
+    chi-squared terms are symmetric bit for bit, so the result equals
+    the full computation.
     """
+    symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = x if symmetric else np.asarray(y, dtype=np.float64)
     _check_nonneg(x)
     _check_nonneg(y)
     out = np.empty((x.shape[0], y.shape[0]))
     rows = max(1, _BLOCK_ELEMENTS // max(1, y.size))
     for start in range(0, x.shape[0], rows):
-        xb = x[start : start + rows, None, :]
-        diff = xb - y[None, :, :]
-        denom = xb + y[None, :, :] + eps
-        np.sum(diff * diff / denom, axis=2, out=out[start : start + rows])
+        stop = start + rows
+        first = start if symmetric else 0
+        xb = x[start:stop, None, :]
+        yb = y[None, first:, :]
+        diff = xb - yb
+        denom = xb + yb
+        denom += eps
+        diff *= diff
+        diff /= denom
+        np.sum(diff, axis=2, out=out[start:stop, first:])
+        if symmetric:
+            out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
 
@@ -182,7 +195,7 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
         eta = np.maximum(gram[i, i] + diag - 2.0 * gram[i], 1e-12)
         score = np.where(cand, diff * diff / eta, -np.inf)
         moved = False
-        for j in np.lexsort((indices, -score)):
+        for j in _partners(score, indices):
             if not cand[j]:
                 break
             steps += 1
@@ -199,6 +212,16 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     if not np.isfinite(b_low):
         b_low = b_up
     return alpha, -0.5 * (b_up + b_low)
+
+
+def _partners(score: np.ndarray, indices: np.ndarray):
+    """Partner candidates by descending score, ties to the lowest index.
+
+    The first is np.argmax (the lowest index among equal maxima); the
+    full sort runs only if the caller asks for a second.
+    """
+    yield int(np.argmax(score))
+    yield from np.lexsort((indices, -score))[1:]
 
 
 def _smo_step(gram, y, alpha, errors, i, j, c_box) -> bool:
@@ -308,10 +331,15 @@ def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature length {x.shape[1]} does not match model dimension {model.feature_dim}"
         )
-    gram = chi2_gram(x, model.features, model.params)
+    # the kernel is evaluated once per support vector, whichever machines use it
+    used = np.zeros(model.features.shape[0], dtype=bool)
+    for machine in model.machines:
+        used[machine.support_indices] = True
+    column = np.cumsum(used) - 1  # a used row's column in the Gram matrix
+    gram = chi2_gram(x, model.features[used], model.params)
     out = np.empty((x.shape[0], len(model.machines)))
     for k, machine in enumerate(model.machines):
-        out[:, k] = gram[:, machine.support_indices] @ machine.coefficients + machine.bias
+        out[:, k] = gram[:, column[machine.support_indices]] @ machine.coefficients + machine.bias
     return out
 
 
@@ -351,6 +379,7 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
+    """Read SVM1; support vectors shared by several machines are stored once."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != SVM_MAGIC:
@@ -359,11 +388,14 @@ def load_model(path) -> SvmModel:
         raise DataFormatError(f"{path}: truncated header")
     n_classes, dim = struct.unpack_from("<II", blob, 4)
     gamma, eps = struct.unpack_from("<dd", blob, 12)
+    try:
+        params = KernelParams(gamma=gamma, epsilon_denominator=eps)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     off = 28
     labels = []
-    blocks = []
-    biases = []
-    coeff_blocks = []
+    rows: dict = {}  # float32 bytes of each distinct support vector -> its row
+    machines = []
     for _ in range(n_classes):
         if len(blob) < off + 4:
             raise DataFormatError(f"{path}: truncated class block")
@@ -371,41 +403,40 @@ def load_model(path) -> SvmModel:
         off += 4
         if len(blob) < off + label_len + 4:
             raise DataFormatError(f"{path}: truncated class block")
-        labels.append(blob[off : off + label_len].decode("utf-8"))
+        try:
+            labels.append(blob[off : off + label_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: class label is not UTF-8") from exc
         off += label_len
         (n_sv,) = struct.unpack_from("<I", blob, off)
         off += 4
         need = 4 * n_sv * dim + 8 * n_sv + 8
         if len(blob) < off + need:
             raise DataFormatError(f"{path}: truncated class block")
-        sv = np.frombuffer(blob, dtype="<f4", count=n_sv * dim, offset=off)
-        off += 4 * n_sv * dim
-        coeffs = np.frombuffer(blob, dtype="<f8", count=n_sv, offset=off)
+        width = 4 * dim
+        support = np.array(
+            [rows.setdefault(blob[off + r * width : off + (r + 1) * width], len(rows))
+             for r in range(n_sv)],
+            dtype=np.int64,
+        )
+        off += n_sv * width
+        coeffs = np.frombuffer(blob, dtype="<f8", count=n_sv, offset=off).copy()
         off += 8 * n_sv
         (bias,) = struct.unpack_from("<d", blob, off)
         off += 8
-        blocks.append(sv.astype(np.float64).reshape(n_sv, dim))
-        coeff_blocks.append(coeffs.copy())
-        biases.append(bias)
+        machines.append(
+            BinarySvm(support_indices=support, coefficients=coeffs, bias=bias, c_box=np.nan)
+        )
     if off != len(blob):
         raise DataFormatError(f"{path}: trailing bytes")
     if len(set(labels)) != len(labels):
         raise DataFormatError(f"{path}: duplicate class labels")
-
-    features = (
-        np.vstack(blocks) if blocks and sum(b.shape[0] for b in blocks) else np.zeros((0, dim))
-    )
-    machines = []
-    start = 0
-    for sv, coeffs, bias in zip(blocks, coeff_blocks, biases):
-        idx = np.arange(start, start + sv.shape[0])
-        start += sv.shape[0]
-        machines.append(
-            BinarySvm(support_indices=idx, coefficients=coeffs, bias=bias, c_box=np.nan)
-        )
+    features = np.frombuffer(b"".join(rows), dtype="<f4")
+    if not np.all(np.isfinite(features)) or np.any(features < 0):
+        raise DataFormatError(f"{path}: support vectors must be finite and nonnegative")
     return SvmModel(
         labels=tuple(labels),
         machines=tuple(machines),
-        features=features,
-        params=KernelParams(gamma=gamma, epsilon_denominator=eps),
+        features=features.astype(np.float64).reshape(len(rows), dim),
+        params=params,
     )

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import warnings
 
@@ -462,6 +463,24 @@ def test_load_model_errors(tmp_path):
     nospec.write_bytes(b"CNN1" + np.array([5], dtype="<u4").tobytes() + b"hello")
     with pytest.raises(DataFormatError, match="input line"):
         cnn.load_model(nospec)
+
+
+def test_load_model_rejects_undecodable_spec_and_nonfinite_parameters(tmp_path):
+    spec = _spec([cnn.FullyConnected(2), cnn.SoftmaxOutput(2)], channels=1, length=3)
+    good = tmp_path / "good.cnn"
+    cnn.save_model(spec, cnn.init_state(spec, 0), good)
+    blob = good.read_bytes()
+    (text_len,) = struct.unpack_from("<I", blob, 4)
+    cases = [
+        ("not UTF-8", blob[:8] + b"\xff" + blob[9:]),
+        ("must be finite", blob[:-4] + struct.pack("<f", np.nan)),
+        ("must be finite", blob[: 8 + text_len] + struct.pack("<f", np.inf) + blob[12 + text_len :]),
+    ]
+    for message, bad_blob in cases:
+        bad = tmp_path / "bad.cnn"
+        bad.write_bytes(bad_blob)
+        with pytest.raises(DataFormatError, match=message):
+            cnn.load_model(bad)
 
 
 def test_load_model_checks_size_before_allocating(tmp_path):

@@ -341,6 +341,27 @@ def _copy_run(mini_run, tmp_path, **overrides):
     return dataclasses.replace(mini_run.config, output_dir=str(out), **overrides)
 
 
+def test_warm_rerun_reads_no_pca_model(mini_run, tmp_path, monkeypatch):
+    config = _copy_run(mini_run, tmp_path)
+    loads = []
+    monkeypatch.setattr(pca, "load_model", lambda path: loads.append(path))
+    pipeline.run_pipeline(config)
+    assert loads == []
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, audit_log):
+    config = _copy_run(mini_run, tmp_path, learning_rate=0.04)
+    with open(os.path.join(config.output_dir, "fold_000", "model.pca"), "r+b") as fh:
+        fh.write(b"XXXX")
+    with pytest.raises(StageError) as info:
+        pipeline.run_pipeline(config)
+    assert (info.value.stage, info.value.fold) == ("pca", 0)
+    assert isinstance(info.value.__cause__, DataFormatError)
+    assert "magic" in str(info.value)
+    assert audit_log == []  # the PCA stage hit; nothing was refit
+
+
 def test_changing_svm_config_refits_only_svm(mini_run, tmp_path, audit_log):
     config = _copy_run(mini_run, tmp_path, c_box=5.0)
     before = _model_mtimes(config.output_dir)

@@ -1,0 +1,88 @@
+"""Fuzzed SVM1 and CNN1 readers: any bytes either load or raise DataFormatError."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from motionpipe import cnn, svm
+from motionpipe.errors import DataFormatError
+
+FUZZ = settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The bytes of a small valid SVM1 and CNN1 file."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(0)
+    model = svm.fit(rng.uniform(0, 2, size=(9, 3)), ["a", "b", "c"] * 3,
+                    params=svm.KernelParams(gamma=0.5))
+    svm.save_model(model, root / "model.svm")
+    spec = cnn.NetworkSpec(
+        input_channels=2, input_length=6,
+        layers=(cnn.Conv1D(3, 2, 1), cnn.ReLU(), cnn.Max1D(2, 2),
+                cnn.FullyConnected(3), cnn.SoftmaxOutput(2)),
+    )
+    cnn.save_model(spec, cnn.init_state(spec, 0), root / "model.cnn")
+    return {
+        "svm": (root / "model.svm").read_bytes(),
+        "cnn": (root / "model.cnn").read_bytes(),
+    }
+
+
+def _mutate(blob: bytes, data) -> bytes:
+    """Overwrite, insert, delete or truncate a few bytes of ``blob``."""
+    kind = data.draw(st.sampled_from(["overwrite", "insert", "delete", "truncate"]))
+    at = data.draw(st.integers(0, len(blob)))
+    if kind == "truncate":
+        return blob[:at]
+    if kind == "delete":
+        return blob[:at] + blob[at + data.draw(st.integers(1, 8)):]
+    chunk = data.draw(st.binary(min_size=1, max_size=8))
+    if kind == "insert":
+        return blob[:at] + chunk + blob[at:]
+    return blob[:at] + chunk + blob[at + len(chunk):]
+
+
+def _loads_or_format_error(load, path, blob):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except DataFormatError:
+        pass
+
+
+def _with_magic(magic):
+    return st.binary(max_size=96).map(lambda tail: magic + tail)
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(svm.SVM_MAGIC)))
+def test_svm1_reader_on_arbitrary_bytes(tmp_path, blob):
+    _loads_or_format_error(svm.load_model, tmp_path / "fuzz.svm", blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_svm1_reader_on_mutated_files(tmp_path, valid_files, data):
+    _loads_or_format_error(
+        svm.load_model, tmp_path / "fuzz.svm", _mutate(valid_files["svm"], data)
+    )
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(cnn.CNN_MAGIC)))
+def test_cnn1_reader_on_arbitrary_bytes(tmp_path, blob):
+    _loads_or_format_error(cnn.load_model, tmp_path / "fuzz.cnn", blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_cnn1_reader_on_mutated_files(tmp_path, valid_files, data):
+    _loads_or_format_error(
+        cnn.load_model, tmp_path / "fuzz.cnn", _mutate(valid_files["cnn"], data)
+    )

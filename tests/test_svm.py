@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -93,14 +94,26 @@ def _broadcast_chi2(x, y, eps):
 
 def test_blocked_chi2_distances_match_broadcast_formula():
     rng = np.random.default_rng(3)
-    y = rng.uniform(0, 2, size=(960, 64))
-    x = rng.uniform(0, 2, size=(50, 64))
+    y = rng.uniform(0, 2, size=(100, 64))
+    x = rng.uniform(0, 2, size=(23, 64))
     rows = svm._BLOCK_ELEMENTS // y.size
     assert 1 < rows < x.shape[0] and x.shape[0] % rows != 0  # several blocks, last one short
     assert np.array_equal(svm.chi2_distance_matrix(x, y, 1e-12), _broadcast_chi2(x, y, 1e-12))
     small = x[:3, :5]
     assert np.array_equal(svm.chi2_distance_matrix(small, small, 1e-12),
                           _broadcast_chi2(small, small, 1e-12))
+
+
+def test_chi2_distances_of_x_with_itself_mirror_exactly():
+    rng = np.random.default_rng(5)
+    x = np.maximum(rng.normal(size=(60, 64)), 0.0)  # about half exact zeros
+    rows = svm._BLOCK_ELEMENTS // x.size
+    assert 1 < rows < x.shape[0] and x.shape[0] % rows != 0  # several blocks, last one short
+    d = svm.chi2_distance_matrix(x, x, 1e-12)
+    assert np.array_equal(d, _broadcast_chi2(x, x, 1e-12))
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(svm.chi2_gram(x, x, svm.KernelParams(gamma=0.2)),
+                          svm.chi2_gram(x, x.copy(), svm.KernelParams(gamma=0.2)))
 
 
 def test_chi2_distances_memory_stays_blocked():
@@ -325,6 +338,67 @@ def test_load_model_errors(tmp_path):
     extra.write_bytes(blob + b"\x00")
     with pytest.raises(DataFormatError, match="trailing"):
         svm.load_model(extra)
+
+
+def test_loaded_model_shares_support_vectors_across_machines(tmp_path):
+    rng = np.random.default_rng(14)
+    feats, labels = _clusters(rng, per_class=8, classes=3, spread=0.4)
+    model = svm.fit(feats, labels)
+    path = tmp_path / "model.svm"
+    svm.save_model(model, path)
+    back = svm.load_model(path)
+
+    entries = sum(m.support_indices.size for m in back.machines)
+    assert back.features.shape[0] < entries  # machines share support vectors
+    assert np.unique(back.features, axis=0).shape[0] == back.features.shape[0]
+
+    # the reference evaluates each machine on its own rows: in memory, and
+    # as SVM1 stores them (float32).  Columns gathered from a Gram matrix
+    # are column-major, and BLAS rounds a column-major product differently,
+    # so the reference takes the same layout.
+    stored = model.features.astype(np.float32).astype(np.float64)
+    probe = rng.uniform(0, 3, size=(7, feats.shape[1]))
+    for m, rows in ((model, model.features), (back, stored)):
+        want = np.column_stack([
+            np.asfortranarray(svm.chi2_gram(probe, rows[k.support_indices], model.params))
+            @ k.coefficients + k.bias
+            for k in model.machines
+        ])
+        assert np.array_equal(svm.decision_values(m, probe), want)
+
+    again = tmp_path / "again.svm"
+    svm.save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_smo_partners_follow_the_sorted_order():
+    score = np.array([-np.inf, 2.0, 5.0, 5.0, 1.0, 5.0])
+    indices = np.arange(score.size)
+    assert list(svm._partners(score, indices)) == list(np.lexsort((indices, -score)))
+
+
+def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
+    rng = np.random.default_rng(15)
+    feats, labels = _clusters(rng, per_class=3)
+    good = tmp_path / "good.svm"
+    svm.save_model(svm.fit(feats, labels), good)
+    blob = good.read_bytes()
+    label_at = 28 + 4  # first label, after the header and its length
+    assert blob[label_at : label_at + 6] == b"class0"
+    sv_at = label_at + 6 + 4  # first support vector, after the label and its count
+    cases = [
+        ("UTF-8", blob[:label_at] + b"\xff" + blob[label_at + 1 :]),
+        ("gamma must be positive", blob[:12] + struct.pack("<d", 0.0) + blob[20:]),
+        ("gamma must be positive", blob[:12] + struct.pack("<d", np.nan) + blob[20:]),
+        ("epsilon_denominator", blob[:20] + struct.pack("<d", -1.0) + blob[28:]),
+        ("finite and nonnegative", blob[:sv_at] + struct.pack("<f", np.nan) + blob[sv_at + 4 :]),
+        ("finite and nonnegative", blob[:sv_at] + struct.pack("<f", -1.0) + blob[sv_at + 4 :]),
+    ]
+    for message, bad_blob in cases:
+        bad = tmp_path / "bad.svm"
+        bad.write_bytes(bad_blob)
+        with pytest.raises(DataFormatError, match=message):
+            svm.load_model(bad)
 
 
 def test_smo_step_cap_raises(monkeypatch):
