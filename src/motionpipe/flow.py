@@ -2,7 +2,9 @@
 
 Flow between consecutive grayscale frames is estimated with the classic
 Horn-Schunck scheme (brightness constancy plus quadratic smoothness,
-solved by Jacobi-style neighbour averaging).  A flow field is then pooled
+solved by Jacobi-style neighbour averaging).  All frame pairs of a video
+are stacked and iterated together, in cache-sized chunks, by one loop;
+a single pair is a stack of one.  Each flow field is then pooled
 over a G x G grid into a fixed-length nonnegative descriptor: per-cell
 axis magnitudes, overall mean magnitude, and a magnitude-weighted
 orientation histogram.
@@ -26,6 +28,7 @@ _AVG_KERNEL = np.array(
 )
 
 MIN_FRAME_SIDE = 8
+_CHUNK_ELEMENTS = 2**14  # values per field in one Horn-Schunck chunk (128 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -109,25 +112,82 @@ def descriptor_length(grid: int, bins: int) -> int:
     return grid * grid * (3 + bins)
 
 
-def _neighbour_average(x: np.ndarray) -> np.ndarray:
-    """Weighted 8-neighbour average with replicated borders."""
-    p = np.pad(x, 1, mode="edge")
-    out = np.zeros_like(x)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            w = _AVG_KERNEL[dy + 1, dx + 1]
-            if w == 0.0:
-                continue
-            out += w * p[1 + dy : 1 + dy + x.shape[0], 1 + dx : 1 + dx + x.shape[1]]
-    return out
+def _replicate_edges(padded: np.ndarray) -> None:
+    """Fill the 1-pixel border of ``padded`` (..., H+2, W+2) from its interior.
+
+    Rows first, then whole columns, so each corner takes the nearest
+    interior corner: the same values as ``np.pad(..., mode="edge")``.
+    """
+    padded[..., 0, 1:-1] = padded[..., 1, 1:-1]
+    padded[..., -1, 1:-1] = padded[..., -2, 1:-1]
+    padded[..., :, 0] = padded[..., :, 1]
+    padded[..., :, -1] = padded[..., :, -2]
 
 
-def _central_diff(img: np.ndarray, axis: int) -> np.ndarray:
-    """Central difference with replicated borders (half slope at edges)."""
-    p = np.pad(img, 1, mode="edge")
-    if axis == 0:
-        return (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    return (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
+def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.ndarray) -> None:
+    """Flow for the consecutive pairs of ``images`` (T+1, H, W) into uv_out (2, T, H, W)."""
+    _, n, h, w = uv_out.shape
+    prev, curr = images[:-1], images[1:]
+    pa = np.empty((n, h + 2, w + 2))  # brightness average with a replicated border
+    np.multiply(prev + curr, 0.5, out=pa[:, 1:-1, 1:-1])
+    _replicate_edges(pa)
+    ix = (pa[:, 1:-1, 2:] - pa[:, 1:-1, :-2]) / 2.0
+    iy = (pa[:, 2:, 1:-1] - pa[:, :-2, 1:-1]) / 2.0
+    it = curr - prev
+
+    denom = alpha * alpha + ix * ix + iy * iy
+    padded = np.zeros((2, n, h + 2, w + 2))  # u and v live in the interior
+    u, v = padded[..., 1:-1, 1:-1]
+    # (weight, shifted view) of the 8-neighbour average, in row-major kernel order
+    terms = [
+        (_AVG_KERNEL[dy + 1, dx + 1], padded[..., 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w])
+        for dy in (-1, 0, 1)
+        for dx in (-1, 0, 1)
+        if _AVG_KERNEL[dy + 1, dx + 1] != 0.0
+    ]
+    bar, scratch = np.empty((2, 2, n, h, w))
+    u_bar, v_bar = bar
+    for _ in range(iterations):
+        bar.fill(0.0)  # the weighted terms are summed onto zeros, one at a time
+        for weight, shifted in terms:
+            np.multiply(shifted, weight, out=scratch)
+            bar += scratch
+        update = (ix * u_bar + iy * v_bar + it) / denom
+        np.subtract(u_bar, ix * update, out=u)
+        np.subtract(v_bar, iy * update, out=v)
+        _replicate_edges(padded)
+    uv_out[...] = padded[..., 1:-1, 1:-1]
+
+
+def estimate_flows(frames: list[Frame], alpha: float = 1.0,
+                   iterations: int = 100) -> list[FlowField]:
+    """Horn-Schunck flow for every consecutive pair of ``frames``, in order.
+
+    All pairs of a video are stacked into (T, H, W) arrays and updated
+    together, in chunks of about _CHUNK_ELEMENTS values per field so the
+    working set stays in cache.  Every pixel sees the same arithmetic,
+    in the same order, as it would in a pair on its own, so the result
+    does not depend on how many pairs share a chunk.
+    """
+    if len(frames) < 2:
+        raise ValueError(f"flow needs at least 2 frames, got {len(frames)}")
+    shape = frames[0].intensity.shape
+    for fr in frames[1:]:
+        if fr.intensity.shape != shape:
+            raise ValueError(f"frame dimensions differ: {shape} vs {fr.intensity.shape}")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+
+    images = np.stack([fr.intensity for fr in frames])
+    pairs = len(frames) - 1
+    uv = np.empty((2, pairs) + shape)
+    step = max(1, _CHUNK_ELEMENTS // (shape[0] * shape[1]))
+    for start in range(0, pairs, step):
+        stop = min(start + step, pairs)
+        _horn_schunck(images[start : stop + 1], alpha, iterations, uv[:, start:stop])
+    return [FlowField(u=u, v=v) for u, v in zip(*uv)]
 
 
 def estimate_flow(prev: Frame, curr: Frame, alpha: float = 1.0, iterations: int = 100) -> FlowField:
@@ -137,30 +197,7 @@ def estimate_flow(prev: Frame, curr: Frame, alpha: float = 1.0, iterations: int 
     (u, v) field minimising brightness constancy plus alpha^2-weighted
     smoothness.  Deterministic: identical inputs give identical output.
     """
-    if prev.intensity.shape != curr.intensity.shape:
-        raise ValueError(
-            f"frame dimensions differ: {prev.intensity.shape} vs {curr.intensity.shape}"
-        )
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-
-    avg = 0.5 * (prev.intensity + curr.intensity)
-    ix = _central_diff(avg, axis=1)
-    iy = _central_diff(avg, axis=0)
-    it = curr.intensity - prev.intensity
-
-    denom = alpha * alpha + ix * ix + iy * iy
-    u = np.zeros_like(avg)
-    v = np.zeros_like(avg)
-    for _ in range(iterations):
-        u_bar = _neighbour_average(u)
-        v_bar = _neighbour_average(v)
-        update = (ix * u_bar + iy * v_bar + it) / denom
-        u = u_bar - ix * update
-        v = v_bar - iy * update
-    return FlowField(u=u, v=v)
+    return estimate_flows([prev, curr], alpha=alpha, iterations=iterations)[0]
 
 
 def _cell_slices(size: int, grid: int) -> list[slice]:
@@ -263,6 +300,10 @@ def read_pgm(path) -> Frame:
         maxval = int(next_token())
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed PGM header") from exc
+    if width < MIN_FRAME_SIDE or height < MIN_FRAME_SIDE:
+        raise DataFormatError(
+            f"{path}: frame must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}, got {width}x{height}"
+        )
     if maxval < 1 or maxval > 255:
         raise DataFormatError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # single whitespace byte after maxval

@@ -167,6 +167,13 @@ def load_model(path) -> PcaModel:
     eigvals = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
     off += 8 * n
     comps = np.frombuffer(blob, dtype="<f8", count=m * n, offset=off).reshape(m, n).copy()
-    total = eigvals.sum()
+    if not (np.isfinite(mean).all() and np.isfinite(eigvals).all() and np.isfinite(comps).all()):
+        raise DataFormatError(f"{path}: model values must be finite")
+    if np.any(eigvals < 0.0) or np.any(np.diff(eigvals) > 0.0):
+        raise DataFormatError(f"{path}: eigenvalues must be nonnegative and non-increasing")
+    with np.errstate(over="ignore"):
+        total = eigvals.sum()
+    if not np.isfinite(total):
+        raise DataFormatError(f"{path}: eigenvalue sum overflows float64")
     pov = float(eigvals[:m].sum() / total) if total > 0 else 1.0
     return PcaModel(mean=mean, eigenvalues=eigvals, components=comps, pov_achieved=pov)

@@ -228,10 +228,8 @@ def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
             raise ValueError(
                 f"{frame_dir}: frame {name} has size {fr.intensity.shape}, expected {shape}"
             )
-    rows = []
-    for prev, curr in zip(frames, frames[1:]):
-        fl = flow.estimate_flow(prev, curr, alpha=alpha, iterations=iterations)
-        rows.append(flow.describe_flow(fl, grid=grid, bins=bins).values)
+    fields = flow.estimate_flows(frames, alpha=alpha, iterations=iterations)
+    rows = [flow.describe_flow(fl, grid=grid, bins=bins).values for fl in fields]
     return corpus.DescriptorSequence(
         video_id=video_id if video_id is not None else os.path.basename(os.path.normpath(frame_dir)),
         data=np.stack(rows),

@@ -73,6 +73,40 @@ def naive_max1d(x, window, stride):
     return out, arg
 
 
+def horn_schunck_pair(prev, curr, alpha, iterations):
+    """Textbook Horn-Schunck on one frame pair, re-padding every iteration.
+
+    Borders replicate (np.pad edge mode); the 8-neighbour average adds
+    its weighted terms onto zeros in row-major kernel order.
+    """
+    kernel = np.array([[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]])
+    height, width = prev.shape
+
+    def average(x):
+        p = np.pad(x, 1, mode="edge")
+        out = np.zeros_like(x)
+        for r in range(3):
+            for c in range(3):
+                if kernel[r, c] != 0.0:
+                    out += kernel[r, c] * p[r : r + height, c : c + width]
+        return out
+
+    p = np.pad(0.5 * (prev + curr), 1, mode="edge")
+    ix = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
+    iy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+    it = curr - prev
+    denom = alpha * alpha + ix * ix + iy * iy
+    u = np.zeros_like(prev)
+    v = np.zeros_like(prev)
+    for _ in range(iterations):
+        u_bar = average(u)
+        v_bar = average(v)
+        update = (ix * u_bar + iy * v_bar + it) / denom
+        u = u_bar - ix * update
+        v = v_bar - iy * update
+    return u, v
+
+
 def naive_descriptor(u, v, grid, bins):
     """Grid-pooled flow descriptor by per-pixel accumulation."""
     height, width = u.shape
@@ -136,11 +170,11 @@ def projected_gradient_qp(gram, y, c_box, iterations=20000):
     lipschitz = max(float(v @ q @ v), 1e-12)
     step = 1.0 / lipschitz
 
+    pos, neg = y > 0, y < 0
+
     def project(alpha):
-        bp = np.sort(np.concatenate([
-            alpha[y > 0] - c_box, alpha[y > 0],
-            -alpha[y < 0], c_box - alpha[y < 0],
-        ]))
+        a_pos, a_neg = alpha[pos], alpha[neg]
+        bp = np.sort(np.concatenate([a_pos - c_box, a_pos, -a_neg, c_box - a_neg]))
         g = np.clip(alpha[None, :] - bp[:, None] * y[None, :], 0.0, c_box) @ y
         k = int(np.searchsorted(-g, 0.0, side="right")) - 1
         if k < 0:
@@ -154,7 +188,10 @@ def projected_gradient_qp(gram, y, c_box, iterations=20000):
     alpha = project(np.zeros(n))
     for _ in range(iterations):
         grad = 1.0 - q @ alpha
-        alpha = project(alpha + step * grad)
+        nxt = project(alpha + step * grad)
+        if np.array_equal(nxt, alpha):
+            break  # a fixed point: every later iteration returns it again
+        alpha = nxt
     return alpha
 
 

@@ -68,6 +68,45 @@ def test_estimate_flow_rejects_bad_arguments():
         flow.estimate_flow(a, a, iterations=0)
 
 
+def _random_video(seed, pairs, height, width):
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, size=(pairs + 1, height, width))
+    images[:, :3, :3] = 0.5  # a still, flat patch: zero gradients, so zeros whose sign must match
+    return [_frame(img) for img in images]
+
+
+@pytest.mark.parametrize("height,width,iterations", [(9, 13, 1), (9, 13, 17), (16, 10, 40)])
+def test_estimate_flow_matches_textbook_oracle_bit_for_bit(height, width, iterations):
+    prev, curr = _random_video(11, 1, height, width)
+    f = flow.estimate_flow(prev, curr, alpha=0.7, iterations=iterations)
+    u, v = oracles.horn_schunck_pair(prev.intensity, curr.intensity, 0.7, iterations)
+    assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
+    assert np.array_equal(np.signbit(f.u), np.signbit(u))
+    assert np.array_equal(np.signbit(f.v), np.signbit(v))
+
+
+@pytest.mark.parametrize("pairs,iterations", [(1, 5), (7, 1), (7, 23), (9, 23)])
+@pytest.mark.parametrize("chunk_pairs", [1, 3, 100])
+def test_stacked_flow_equals_per_pair_flow(monkeypatch, pairs, iterations, chunk_pairs):
+    # a 9 x 13 frame holds 117 values; the budget fixes how many pairs share a chunk
+    monkeypatch.setattr(flow, "_CHUNK_ELEMENTS", chunk_pairs * 9 * 13)
+    frames = _random_video(pairs, pairs, 9, 13)
+    fields = flow.estimate_flows(frames, alpha=1.3, iterations=iterations)
+    assert len(fields) == pairs
+    for field, prev, curr in zip(fields, frames, frames[1:]):
+        single = flow.estimate_flow(prev, curr, alpha=1.3, iterations=iterations)
+        assert np.array_equal(field.u, single.u) and np.array_equal(field.v, single.v)
+        assert field.u.flags.c_contiguous and field.v.flags.c_contiguous
+
+
+def test_estimate_flows_rejects_bad_arguments():
+    frames = _random_video(0, 2, 10, 10)
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        flow.estimate_flows(frames[:1])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        flow.estimate_flows(frames + [_frame(np.zeros((10, 12)))])
+
+
 def test_frame_rejects_non_finite_and_out_of_range():
     bad = np.zeros((10, 10))
     bad[3, 4] = np.nan
@@ -211,6 +250,14 @@ def test_pgm_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n8 8\n255\n" + bytes(10))
     with pytest.raises(DataFormatError, match="truncated"):
+        flow.read_pgm(path)
+
+
+@pytest.mark.parametrize("sizes", [b"-3 -3", b"0 5", b"2 2", b"7 8", b"8 -1"])
+def test_pgm_rejects_bad_dimensions(tmp_path, sizes):
+    path = tmp_path / "dims.pgm"
+    path.write_bytes(b"P5\n" + sizes + b"\n255\n" + bytes(9))
+    with pytest.raises(DataFormatError, match="at least"):
         flow.read_pgm(path)
 
 

@@ -166,3 +166,28 @@ def test_load_model_errors(tmp_path):
     sized.write_bytes(b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + bytes(8))
     with pytest.raises(DataFormatError, match="bytes"):
         pca.load_model(sized)
+
+
+@pytest.mark.parametrize("eigenvalues,message", [
+    ([np.inf, -np.inf], "finite"),
+    ([np.nan, 1.0], "finite"),
+    ([1.0, 2.0], "non-increasing"),
+    ([1.0, -1.0], "nonnegative"),
+    ([1.7e308, 1.7e308], "overflows"),
+])
+def test_load_model_rejects_bad_eigenvalues(tmp_path, eigenvalues, message):
+    path = tmp_path / "eig.pca"
+    values = np.concatenate([[0.0, 0.0], eigenvalues, [1.0, 0.0]])
+    path.write_bytes(b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + values.astype("<f8").tobytes())
+    with pytest.raises(DataFormatError, match=message):
+        pca.load_model(path)
+
+
+def test_load_model_rejects_non_finite_mean_and_components(tmp_path):
+    for values in ([np.nan, 0.0, 2.0, 1.0, 1.0, 0.0], [0.0, 0.0, 2.0, 1.0, np.inf, 0.0]):
+        path = tmp_path / "values.pca"
+        path.write_bytes(
+            b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + np.array(values, "<f8").tobytes()
+        )
+        with pytest.raises(DataFormatError, match="finite"):
+            pca.load_model(path)

@@ -1,11 +1,11 @@
-"""Fuzzed SVM1 and CNN1 readers: any bytes either load or raise DataFormatError."""
+"""Fuzzed PGM, PCA1, SVM1 and CNN1 readers: any bytes either load or raise DataFormatError."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motionpipe import cnn, svm
+from motionpipe import cnn, flow, pca, svm
 from motionpipe.errors import DataFormatError
 
 FUZZ = settings(
@@ -16,7 +16,7 @@ FUZZ = settings(
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """The bytes of a small valid SVM1 and CNN1 file."""
+    """The bytes of a small valid PGM, PCA1, SVM1 and CNN1 file."""
     root = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
     model = svm.fit(rng.uniform(0, 2, size=(9, 3)), ["a", "b", "c"] * 3,
@@ -28,7 +28,11 @@ def valid_files(tmp_path_factory):
                 cnn.FullyConnected(3), cnn.SoftmaxOutput(2)),
     )
     cnn.save_model(spec, cnn.init_state(spec, 0), root / "model.cnn")
+    flow.write_pgm(flow.Frame(rng.uniform(0, 1, size=(8, 9))), root / "frame.pgm")
+    pca.save_model(pca.fit(rng.normal(size=(12, 3)), pov_threshold=0.8), root / "model.pca")
     return {
+        "pgm": (root / "frame.pgm").read_bytes(),
+        "pca": (root / "model.pca").read_bytes(),
         "svm": (root / "model.svm").read_bytes(),
         "cnn": (root / "model.cnn").read_bytes(),
     }
@@ -58,6 +62,42 @@ def _loads_or_format_error(load, path, blob):
 
 def _with_magic(magic):
     return st.binary(max_size=96).map(lambda tail: magic + tail)
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(b"P5\n")))
+def test_pgm_reader_on_arbitrary_bytes(tmp_path, blob):
+    _loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", blob)
+
+
+@FUZZ
+@given(width=st.integers(-12, 12), height=st.integers(-12, 12),
+       maxval=st.integers(-1, 300), raster=st.binary(max_size=160))
+def test_pgm_reader_on_arbitrary_headers(tmp_path, width, height, maxval, raster):
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    _loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", header + raster)
+
+
+@FUZZ
+@given(data=st.data())
+def test_pgm_reader_on_mutated_files(tmp_path, valid_files, data):
+    _loads_or_format_error(
+        flow.read_pgm, tmp_path / "fuzz.pgm", _mutate(valid_files["pgm"], data)
+    )
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(pca.PCA_MAGIC)))
+def test_pca1_reader_on_arbitrary_bytes(tmp_path, blob):
+    _loads_or_format_error(pca.load_model, tmp_path / "fuzz.pca", blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_pca1_reader_on_mutated_files(tmp_path, valid_files, data):
+    _loads_or_format_error(
+        pca.load_model, tmp_path / "fuzz.pca", _mutate(valid_files["pca"], data)
+    )
 
 
 @FUZZ
