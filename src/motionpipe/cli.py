@@ -172,14 +172,19 @@ def write_features_csv(path, rows) -> None:
 
 def read_features_csv(path):
     """Returns (video_ids, labels, matrix); labels may contain ''."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: feature table is not UTF-8") from exc
     if not lines:
         raise DataFormatError(f"{path}: empty feature table")
     header = lines[0].split(",")
     if header[:2] != ["video_id", "label"]:
         raise DataFormatError(f"{path}: header must start with video_id,label")
     dim = len(header) - 2
+    if dim < 1:
+        raise DataFormatError(f"{path}: header names no feature columns")
     ids, labels, vectors = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -191,7 +196,10 @@ def read_features_csv(path):
             vectors.append([float(v) for v in fields[2:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: non-numeric feature") from exc
-    return ids, labels, np.array(vectors, dtype=np.float64)
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+    if not np.isfinite(matrix).all():
+        raise DataFormatError(f"{path}: features must be finite")
+    return ids, labels, matrix
 
 
 # ---------------------------------------------------------------------------

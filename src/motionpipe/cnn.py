@@ -3,9 +3,14 @@
 Layers follow the <filter-channels-stride> notation: valid (unpadded)
 1-D cross-correlation, max pooling with recorded argmax, ReLU, fully
 connected layers over the channel-major flattened input, and a softmax
-output layer with its own linear map.  Everything trains in float64 so
-analytic gradients can be checked against finite differences tightly;
-model files store parameters as float32.
+output layer with its own linear map.  Inside a batch, activations are
+channels-last, (N, L, C), so each conv is one GEMM whose output needs
+no transpose; only the flatten before the first fully-connected layer
+transposes, to channel-major.  Training holds every weight and then
+every bias as views into one flat float64 vector, so the momentum
+update is a few whole-vector operations.  Everything trains in float64
+so analytic gradients can be checked against finite differences
+tightly; model files store parameters as float32.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DataFormatError
 
@@ -164,11 +168,6 @@ class NetworkState:
 
     params: list  # entry i: (W, b) for conv/fc/softmax layers, None otherwise
 
-    def copy(self) -> "NetworkState":
-        return NetworkState(
-            params=[None if p is None else (p[0].copy(), p[1].copy()) for p in self.params]
-        )
-
 
 def _param_shapes(spec: NetworkSpec) -> list:
     """Per layer: (weight shape, bias shape) for conv/fc/softmax, None otherwise.
@@ -187,6 +186,29 @@ def _param_shapes(spec: NetworkSpec) -> list:
             shapes.append(None)
         shape = out_shape
     return shapes
+
+
+def _views(vector: np.ndarray, shapes) -> list:
+    """Consecutive views into a flat vector, one per shape."""
+    ends = np.cumsum([_flat_size(s) for s in shapes])
+    return [part.reshape(s) for part, s in zip(np.split(vector, ends[:-1]), shapes)]
+
+
+def _flat_params(spec: NetworkSpec, rows: int = 1):
+    """A zeroed (rows, size) float64 block; each row holds every weight, then every bias.
+
+    Returns (block, per row the per-layer (W, b) views aligned with the
+    layers, weight count): a row's first weight-count values are weights.
+    """
+    shapes = _param_shapes(spec)
+    w_shapes, b_shapes = zip(*(p for p in shapes if p is not None))
+    n_w = sum(_flat_size(s) for s in w_shapes)
+    block = np.zeros((rows, n_w + sum(_flat_size(s) for s in b_shapes)))
+    views = []
+    for vector in block:
+        pairs = iter(zip(_views(vector[:n_w], w_shapes), _views(vector[n_w:], b_shapes)))
+        views.append([None if p is None else next(pairs) for p in shapes])
+    return block, views, n_w
 
 
 def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
@@ -219,8 +241,8 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, biases: np.ndarray, strid
 
     out[o, t] = b[o] + sum_c sum_k W[o, c, k] * x[c, t*stride + k]
     """
-    out, _ = _conv_forward(x[None], weights, biases, stride)
-    return out[0]
+    out, _ = _conv_forward(x.T[None], weights, biases, stride)
+    return out[0].T
 
 
 def max1d_forward(x: np.ndarray, window: int, stride: int):
@@ -229,38 +251,42 @@ def max1d_forward(x: np.ndarray, window: int, stride: int):
     Ties take the lowest offset within the window, and the recorded
     argmax routes the gradient in the backward pass.
     """
-    out, amax = _max_forward(x[None], window, stride)
-    return out[0], amax[0]
+    out, amax = _max_forward(x.T[None], window, stride)
+    return out[0].T, amax[0].T
 
 
 def _conv_forward(x, weights, biases, stride):
-    """Valid cross-correlation as one GEMM; returns (output, patch matrix).
+    """Valid cross-correlation of a channels-last (N, L, C) batch as one GEMM.
 
-    The im2col patch matrix is (N, L_out, C*X): row t of sample n holds
-    x[n, :, t*stride : t*stride + X] flattened channel-major, the order
+    Returns the (N, L_out, O) output and the (N*L_out, C*X) im2col patch
+    matrix, filled one tap at a time: row n*L_out + t holds
+    x[n, t*stride : t*stride + X, :] flattened channel-major, the order
     of W.reshape(O, C*X).  The backward pass reuses it for dW.
     """
     o, c, taps = weights.shape
-    windows = sliding_window_view(x, taps, axis=2)[:, :, ::stride, :]
-    n, _, l_out, _ = windows.shape
-    patches = windows.transpose(0, 2, 1, 3).reshape(n, l_out, c * taps)
-    out = patches.reshape(n * l_out, c * taps) @ weights.reshape(o, c * taps).T
-    out = np.ascontiguousarray(out.reshape(n, l_out, o).transpose(0, 2, 1))
-    out += biases[None, :, None]
+    n, length, _ = x.shape
+    l_out = conv_output_length(length, taps, stride)
+    span = stride * (l_out - 1) + 1
+    patches = np.empty((n, l_out, c, taps))
+    for k in range(taps):
+        patches[..., k] = x[:, k : k + span : stride]
+    patches = patches.reshape(n * l_out, c * taps)
+    out = (patches @ weights.reshape(o, c * taps).T).reshape(n, l_out, o)
+    out += biases
     return out, patches
 
 
 def _max_forward(x, window, stride):
-    l_out = conv_output_length(x.shape[2], window, stride)
+    l_out = conv_output_length(x.shape[1], window, stride)
     span = stride * (l_out - 1) + 1
     # running max over the window offsets: one vectorised step per offset
-    # on the strided slice x[..., k::stride], where argmax over a short
-    # trailing axis pays per-window overhead.  An offset wins when it is
+    # on the strided slice x[:, k::stride], where argmax over a short
+    # window axis pays per-window overhead.  An offset wins when it is
     # larger, or is the first NaN, as in np.argmax.
-    out = x[:, :, :span:stride]
+    out = x[:, :span:stride]
     amax = np.zeros(out.shape, dtype=np.intp)
     for k in range(1, window):
-        v = x[:, :, k : k + span : stride]
+        v = x[:, k : k + span : stride]
         better = ~(v <= out) & (out == out)
         out = np.where(better, v, out)
         amax = np.where(better, k, amax)
@@ -289,24 +315,26 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
             f"input shape {x.shape[1:]} does not match spec "
             f"({spec.input_channels}, {spec.input_length})"
         )
-    act = x
+    act = x.transpose(0, 2, 1)  # channels-last (N, L, C) from here on
     cache = []
     for layer, params in list(zip(spec.layers, state.params))[:stop]:
         if isinstance(layer, Conv1D):
             w, b = params
-            in_len = act.shape[2]
+            in_len = act.shape[1]
             act, patches = _conv_forward(act, w, b, layer.stride)
             cache.append({"patches": patches, "in_len": in_len})
         elif isinstance(layer, Max1D):
             out, amax = _max_forward(act, layer.window, layer.stride)
-            cache.append({"amax": amax, "in_len": act.shape[2], "channels": act.shape[1]})
+            cache.append({"amax": amax, "in_len": act.shape[1], "channels": act.shape[2]})
             act = out
         elif isinstance(layer, ReLU):
             act = np.maximum(act, 0.0)
             cache.append({"out": act})
         elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
             pre_flatten = act.shape[1:] if act.ndim == 3 else None
-            flat = act.reshape(act.shape[0], -1)  # channel-major flatten
+            if pre_flatten is not None:
+                act = act.transpose(0, 2, 1)  # channel-major flatten
+            flat = act.reshape(act.shape[0], -1)
             w, b = params
             cache.append({"x": flat, "pre_flatten": pre_flatten})
             act = flat @ w.T + b
@@ -322,60 +350,60 @@ def forward(spec: NetworkSpec, state: NetworkState, x: np.ndarray):
     return probs[0], cache
 
 
-def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.ndarray):
+def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.ndarray, grads):
     """Gradients of the mean cross-entropy loss over the batch.
 
-    Returns a list aligned with ``state.params``: (dW, db) pairs, or None
-    for parameterless layers.
+    ``grads`` is a list aligned with ``state.params``: (dW, db) arrays,
+    overwritten in place, or None for parameterless layers.  Labels are
+    checked by cross_entropy, which runs first.
     """
     probs = cache[-1]["probs"]
-    n, k = probs.shape
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise ValueError("label out of range")
+    n = probs.shape[0]
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
     grad /= n
 
-    grads: list = [None] * len(spec.layers)
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         entry = cache[i]
         if isinstance(layer, (SoftmaxOutput, FullyConnected)):
             w, _ = state.params[i]
-            x_in = entry["x"]
-            grads[i] = (grad.T @ x_in, grad.sum(axis=0))
+            dw, db = grads[i]
+            np.matmul(grad.T, entry["x"], out=dw)
+            np.sum(grad, axis=0, out=db)
             grad = grad @ w
             if entry["pre_flatten"] is not None:
-                grad = grad.reshape(n, *entry["pre_flatten"])
+                length, channels = entry["pre_flatten"]
+                grad = grad.reshape(n, channels, length).transpose(0, 2, 1)
         elif isinstance(layer, ReLU):
             grad = grad * (entry["out"] > 0.0)
         elif isinstance(layer, Max1D):
             # route each output's gradient to its argmax offset, one strided
             # add per offset, so overlapping windows accumulate
             amax = entry["amax"]
-            dx = np.zeros((n, entry["channels"], entry["in_len"]))
-            span = layer.stride * (grad.shape[2] - 1) + 1
+            dx = np.zeros((n, entry["in_len"], entry["channels"]))
+            span = layer.stride * (grad.shape[1] - 1) + 1
             for kk in range(layer.window):
-                dx[:, :, kk : kk + span : layer.stride] += np.where(amax == kk, grad, 0.0)
+                dx[:, kk : kk + span : layer.stride] += np.where(amax == kk, grad, 0.0)
             grad = dx
         elif isinstance(layer, Conv1D):
             w, _ = state.params[i]
+            dw, db = grads[i]
             o, c, taps = w.shape
-            patches = entry["patches"]
-            lp = patches.shape[1]
-            g2 = grad.transpose(0, 2, 1).reshape(n * lp, o)
-            dw = (g2.T @ patches.reshape(n * lp, c * taps)).reshape(o, c, taps)
-            grads[i] = (dw, grad.sum(axis=(0, 2)))
+            g2 = grad.reshape(-1, o)
+            np.matmul(g2.T, entry["patches"], out=dw.reshape(o, c * taps))
+            # db sums an (N, O, L_out) copy: summing (N, L_out, O) in place
+            # rounds differently in the last bit, and trained models change
+            np.ascontiguousarray(grad.transpose(0, 2, 1)).sum(axis=(0, 2), out=db)
             if i == 0:
                 break  # nothing reads the input gradient of the first layer
             # col2im: scatter each tap's patch gradient back onto the input
-            dpatch = (g2 @ w.reshape(o, c * taps)).reshape(n, lp, c, taps)
-            dx = np.zeros((n, c, entry["in_len"]))
-            span = layer.stride * (lp - 1) + 1
+            dpatch = (g2 @ w.reshape(o, c * taps)).reshape(n, -1, c, taps)
+            dx = np.zeros((n, entry["in_len"], c))
+            span = layer.stride * (dpatch.shape[1] - 1) + 1
             for kk in range(taps):
-                dx[:, :, kk : kk + span : layer.stride] += dpatch[:, :, :, kk].transpose(0, 2, 1)
+                dx[:, kk : kk + span : layer.stride] += dpatch[..., kk]
             grad = dx
-    return grads
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -388,12 +416,20 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-def batch_gradients(spec: NetworkSpec, state: NetworkState, x: np.ndarray, labels: np.ndarray):
-    """Mean loss and parameter gradients for a (N, m, L) batch."""
+def batch_gradients(spec: NetworkSpec, state: NetworkState, x: np.ndarray, labels: np.ndarray,
+                    out=None):
+    """Mean loss and parameter gradients for a (N, m, L) batch.
+
+    The gradients are a list aligned with ``state.params``: (dW, db)
+    pairs, or None for parameterless layers.  They are written into
+    ``out``, a list of that layout, when given.
+    """
     probs, cache = _forward_batch(spec, state, x)
     loss = cross_entropy(probs, labels)
-    grads = _backward_batch(spec, state, cache, labels)
-    return loss, grads
+    if out is None:
+        _, (out,), _ = _flat_params(spec)
+    _backward_batch(spec, state, cache, labels, out)
+    return loss, out
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +446,14 @@ class TrainConfig:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be nonnegative and finite")
 
 
 def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
@@ -445,11 +481,15 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
         raise ValueError(f"no training sample for class index {missing[0]}")
 
     rng = np.random.default_rng(config.seed)
-    state = init_state(spec, rng)
-    velocity = [
-        None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
-        for p in state.params
-    ]
+    # parameters, gradient, velocity and weight-decay term share one block and
+    # the update allocates nothing: vector-sized temporaries made glibc trim
+    # and re-fault the heap top every batch (2M minor faults per LOOCV run)
+    block, (params, grads, _, _), n_w = _flat_params(spec, rows=4)
+    theta, grad, velocity, decay = block
+    for view, init in zip(params, init_state(spec, rng).params):
+        if view is not None:
+            view[0][...] = init[0]  # biases start at zero
+    state = NetworkState(params=params)
 
     n = x.shape[0]
     loss_history = []
@@ -460,26 +500,19 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
             epoch_loss = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                loss, grads = batch_gradients(spec, state, x[idx], y[idx])
+                loss, _ = batch_gradients(spec, state, x[idx], y[idx], out=grads)
                 if not math.isfinite(loss):
                     raise ConvergenceError(
                         f"CNN training diverged in epoch {epoch + 1}: non-finite loss"
                     )
                 epoch_loss += loss * idx.size
-                for li, g in enumerate(grads):
-                    if g is None:
-                        continue
-                    w, b = state.params[li]
-                    vw, vb = velocity[li]
-                    dw = g[0] + config.weight_decay * w
-                    vw *= config.momentum
-                    vw -= config.learning_rate * dw
-                    vb *= config.momentum
-                    vb -= config.learning_rate * g[1]
-                    w += vw
-                    b += vb
+                grad[:n_w] += np.multiply(theta[:n_w], config.weight_decay, out=decay[:n_w])
+                velocity *= config.momentum
+                grad *= config.learning_rate
+                velocity -= grad
+                theta += velocity
             epoch_loss /= n
-            if not all(np.isfinite(a).all() for p in state.params if p is not None for a in p):
+            if not np.isfinite(theta).all():
                 raise ConvergenceError(
                     f"CNN training diverged in epoch {epoch + 1}: non-finite parameters"
                 )
@@ -622,17 +655,7 @@ def load_model(path):
     values = np.frombuffer(blob, dtype="<f4", offset=text_end)
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: parameters must be finite")
-    values = values.astype(np.float64)
-    params = []
-    off = 0
-    for p in shapes:
-        if p is None:
-            params.append(None)
-            continue
-        arrays = []
-        for shape in p:
-            count = _flat_size(shape)
-            arrays.append(values[off : off + count].reshape(shape))
-            off += count
-        params.append(tuple(arrays))
+    # each layer's W then b, layer after layer
+    arrays = iter(_views(values.astype(np.float64), [s for p in shapes if p is not None for s in p]))
+    params = [None if p is None else (next(arrays), next(arrays)) for p in shapes]
     return spec, NetworkState(params=params)

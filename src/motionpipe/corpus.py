@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +158,10 @@ def read_sequence(path, video_id: str | None = None) -> DescriptorSequence:
     data = np.frombuffer(payload, dtype="<f4").reshape(t, n)
     if video_id is None:
         video_id = _stem(path)
-    return DescriptorSequence(video_id=video_id, data=data)
+    try:
+        return DescriptorSequence(video_id=video_id, data=data)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _stem(path) -> str:
@@ -195,27 +197,6 @@ def align_lengths(series_list: list[MultiChannelSeries]) -> tuple[list[MultiChan
             padded[:, : s.length] = s.data
             out.append(MultiChannelSeries(video_id=s.video_id, data=padded))
     return out, l_max
-
-
-def align_to_length(series: MultiChannelSeries, length: int) -> MultiChannelSeries:
-    """Pad (trailing zeros) or truncate one series to a fixed length.
-
-    Truncation is flagged with a warning: it drops observed frames of a
-    video longer than the length the models were built for.
-    """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if series.length == length:
-        return series
-    if series.length > length:
-        warnings.warn(
-            f"series {series.video_id!r} truncated from {series.length} to {length} frames",
-            stacklevel=2,
-        )
-        return MultiChannelSeries(video_id=series.video_id, data=series.data[:, :length])
-    padded = np.zeros((series.channels, length))
-    padded[:, : series.length] = series.data
-    return MultiChannelSeries(video_id=series.video_id, data=padded)
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +248,28 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON manifest: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: manifest is not UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON manifest: {exc}") from exc
     if not isinstance(rows, list):
         raise DataFormatError(f"{path}: manifest must be a JSON array")
     entries = []
+    keys = ("video_id", "label", "path", "split_id")
     for row in rows:
-        try:
-            entries.append(
-                ManifestEntry(
-                    video_id=row["video_id"],
-                    label=row["label"],
-                    path=row["path"],
-                    split_id=row.get("split_id"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: malformed manifest entry {row!r}") from exc
-    return Manifest(entries=tuple(entries))
+        values = [row.get(key) for key in keys] if isinstance(row, dict) else []
+        # video_id, label and path are strings; split_id an integer or absent
+        if not (values and all(isinstance(v, str) for v in values[:3])
+                and (values[3] is None or type(values[3]) is int)):
+            raise DataFormatError(f"{path}: malformed manifest entry {row!r}")
+        entries.append(ManifestEntry(*values))
+    try:
+        return Manifest(entries=tuple(entries))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

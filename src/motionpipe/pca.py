@@ -121,21 +121,6 @@ def transform(model: PcaModel, seq: DescriptorSequence) -> MultiChannelSeries:
     return MultiChannelSeries(video_id=seq.video_id, data=projected.T)
 
 
-def inverse_transform(model: PcaModel, series: MultiChannelSeries) -> np.ndarray:
-    """Map an m x L series back to descriptor space; returns L x n float64."""
-    if series.channels != model.channels:
-        raise ValueError(f"series channels {series.channels} != model channels {model.channels}")
-    return series.data.T @ model.components + model.mean
-
-
-def explained_variance_curve(model: PcaModel) -> np.ndarray:
-    """Cumulative proportion of variance per retained count, ending at 1."""
-    cumulative = np.cumsum(model.eigenvalues)
-    if cumulative[-1] <= 0.0:
-        raise ValueError("degenerate model: zero total variance")
-    return cumulative / cumulative[-1]
-
-
 def save_model(model: PcaModel, path) -> None:
     """Write PCA1: magic, u32 n, u32 m, mean, eigenvalues, components (f64 LE)."""
     n = model.input_dim

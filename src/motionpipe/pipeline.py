@@ -70,6 +70,13 @@ class PipelineConfig:
             if not np.isfinite(g) or g <= 0:
                 raise ValueError("gamma must be 'auto' or a positive number")
             object.__setattr__(self, "gamma", g)
+        # checked here too, so a bad setting fails before any fold starts
+        cnn.TrainConfig(learning_rate=self.learning_rate, momentum=self.momentum,
+                        epochs=self.epochs, batch_size=self.batch_size,
+                        weight_decay=self.weight_decay)
+        for name in ("c_box", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 _CONFIG_SECTIONS = {

@@ -84,6 +84,8 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
     symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
     y = x if symmetric else np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError("kernel arguments must be rows of equal length")
     _check_nonneg(x)
     _check_nonneg(y)
     out = np.empty((x.shape[0], y.shape[0]))
@@ -104,17 +106,8 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
     return out
 
 
-def chi2_kernel(x: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
-    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps))."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("kernel arguments must be vectors of equal length")
-    d = chi2_distance_matrix(x[None], y[None], params.epsilon_denominator)[0, 0]
-    return float(np.exp(-params.gamma * d))
-
-
 def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
+    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps)) for every row pair."""
     return np.exp(-params.gamma * chi2_distance_matrix(x, y, params.epsilon_denominator))
 
 
@@ -293,8 +286,10 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     if len(labels) != x.shape[0]:
         raise ValueError("labels must match feature count")
     _check_nonneg(x)
-    if c_box <= 0:
-        raise ValueError("c_box must be positive")
+    if not 0.0 < c_box < np.inf:
+        raise ValueError("c_box must be positive and finite")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     class_labels = sorted(set(labels))
     if len(class_labels) < 2:
         raise ValueError("training data must contain at least 2 classes")

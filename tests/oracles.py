@@ -234,3 +234,53 @@ def finite_difference_gradients(loss_fn, arrays, step=1e-5):
             g[idx] = (hi - lo) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def reference_train(spec, samples, labels, config):
+    """SGD with momentum as one update per layer, on the public batch_gradients.
+
+    The epoch loop, shuffling, weight decay on weights only and the
+    update arithmetic are written out per (W, b) pair, so cnn.train's
+    flat-vector update can be compared to it bit for bit.
+    """
+    from motionpipe import cnn
+
+    x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
+    y = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(config.seed)
+    state = cnn.init_state(spec, rng)
+    velocity = [
+        None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
+        for p in state.params
+    ]
+    n = x.shape[0]
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = cnn.batch_gradients(spec, state, x[idx], y[idx])
+            epoch_loss += loss * idx.size
+            for li, g in enumerate(grads):
+                if g is None:
+                    continue
+                w, b = state.params[li]
+                vw, vb = velocity[li]
+                dw = g[0] + config.weight_decay * w
+                vw *= config.momentum
+                vw -= config.learning_rate * dw
+                vb *= config.momentum
+                vb -= config.learning_rate * g[1]
+                w += vw
+                b += vb
+        losses.append(epoch_loss / n)
+    return state, losses
+
+
+def align_to_length(data, length):
+    """Zero-pad or truncate a (channels, frames) array to ``length`` frames."""
+    out = np.zeros((data.shape[0], length))
+    keep = min(length, data.shape[1])
+    out[:, :keep] = data[:, :keep]
+    return out

@@ -10,6 +10,8 @@ import pytest
 from motionpipe import cli, cnn, corpus, flow, pca, svm
 from motionpipe.errors import ConvergenceError, DataFormatError
 
+import oracles
+
 MINI_ARCH = "conv 3 4 1\nrelu\nmax 2 2\nfc 8\nrelu\nsoftmax 2\n"
 
 
@@ -172,11 +174,10 @@ def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
 
     spec, state = cnn.load_model(cnn_path)
     ids = manifest.video_ids()
-    with pytest.warns(UserWarning, match="truncated"):
-        per_video = np.stack([
-            corpus.align_to_length(pca.transform(model, sequences[vid]), length).data
-            for vid in ids
-        ])
+    per_video = np.stack([
+        oracles.align_to_length(pca.transform(model, sequences[vid]).data, length)
+        for vid in ids
+    ])
     _, _, features = cli.read_features_csv(features_path)
     assert np.abs(features - cnn.extract_features(spec, state, per_video)).max() <= 1e-12
 
@@ -331,6 +332,18 @@ def test_convergence_failures_exit_3(tmp_path, capsys, monkeypatch):
     }))
     code, _, err = _run(capsys, "run", "--config", str(config_path))
     assert code == 3 and "stage svm" in err
+
+
+@pytest.mark.parametrize("field", ["cnn.learning_rate", "cnn.weight_decay", "svm.c_box", "svm.tol"])
+def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out_dir)}))
+    code, _, err = _run(capsys, "run", "--config", str(config_path), f"--{field}", "nan")
+    assert code == 2, err
+    assert f"{field.split('.')[1]} must be" in err
+    assert not out_dir.exists()
 
 
 def test_diverged_cnn_fails_at_cnn_stage_with_exit_3(tmp_path, capsys):

@@ -311,6 +311,35 @@ def test_train_is_deterministic_and_learns():
         assert int(np.argmax(probs)) == label
 
 
+_ORACLE_NETS = {
+    # 59 samples: three full batches of 16, then a short one of 11
+    "default": (59, 3, 40, cnn.default_architecture(4)),
+    "overlapping-pool": (21, 2, 24, (cnn.Conv1D(3, 5, 1), cnn.ReLU(), cnn.Max1D(3, 2),
+                                     cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(3))),
+    "strided-second-conv": (18, 2, 30, (cnn.Conv1D(4, 4, 1), cnn.ReLU(), cnn.Conv1D(3, 6, 2),
+                                        cnn.ReLU(), cnn.FullyConnected(5), cnn.SoftmaxOutput(2))),
+}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("net", sorted(_ORACLE_NETS))
+def test_train_matches_per_layer_reference(net, weight_decay):
+    n, channels, length, layers = _ORACLE_NETS[net]
+    spec = _spec(layers, channels=channels, length=length)
+    rng = np.random.default_rng(11)
+    samples = list(rng.normal(size=(n, channels, length)))
+    labels = [i % spec.num_classes() for i in range(n)]
+    config = cnn.TrainConfig(epochs=4, seed=3, weight_decay=weight_decay)
+    state, losses = cnn.train(spec, samples, labels, config)
+    want_state, want_losses = oracles.reference_train(spec, samples, labels, config)
+    assert losses == want_losses
+    for got, want in zip(state.params, want_state.params):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 def test_train_raises_on_divergence():
     spec = _spec(
         [cnn.Conv1D(3, 4, 1), cnn.ReLU(), cnn.Max1D(2, 2), cnn.FullyConnected(8),
@@ -342,6 +371,11 @@ def test_train_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="learning_rate"):
         cnn.TrainConfig(learning_rate=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            cnn.TrainConfig(learning_rate=bad)
+        with pytest.raises(ValueError, match="weight_decay"):
+            cnn.TrainConfig(weight_decay=bad)
     with pytest.raises(ValueError, match="momentum"):
         cnn.TrainConfig(momentum=1.0)
     with pytest.raises(ValueError, match="epochs"):

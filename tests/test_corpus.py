@@ -135,19 +135,6 @@ def test_align_lengths_property(channels, lengths, seed):
         assert np.all(after.data[:, before.length :] == 0.0)
 
 
-def test_align_to_length_pads_and_truncates():
-    s = _series("s", np.arange(8.0).reshape(2, 4))
-    padded = corpus.align_to_length(s, 6)
-    assert padded.length == 6
-    assert np.array_equal(padded.data[:, :4], s.data)
-    with pytest.warns(UserWarning, match="truncated"):
-        cut = corpus.align_to_length(s, 2)
-    assert np.array_equal(cut.data, s.data[:, :2])
-    assert corpus.align_to_length(s, 4) is s
-    with pytest.raises(ValueError, match="length"):
-        corpus.align_to_length(s, 0)
-
-
 # ---------------------------------------------------------------------------
 # Split plans
 # ---------------------------------------------------------------------------

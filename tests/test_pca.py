@@ -95,7 +95,7 @@ def test_fit_validation():
 
 
 # ---------------------------------------------------------------------------
-# transform / inverse_transform
+# transform
 # ---------------------------------------------------------------------------
 
 def test_transform_layout_and_round_trip():
@@ -108,7 +108,7 @@ def test_transform_layout_and_round_trip():
     assert series.data.shape == (6, 20)
     expected = (seq.data.astype(np.float64) - model.mean) @ model.components.T
     assert np.allclose(series.data, expected.T)
-    back = pca.inverse_transform(model, series)
+    back = series.data.T @ model.components + model.mean
     assert np.allclose(back, seq.data.astype(np.float64), atol=1e-10)
 
 
@@ -118,19 +118,6 @@ def test_transform_dimension_checks():
     seq = corpus.DescriptorSequence(video_id="v", data=np.zeros((3, 5)))
     with pytest.raises(ValueError, match="dim"):
         pca.transform(model, seq)
-    series = corpus.MultiChannelSeries(video_id="v", data=np.zeros((2, 7)))
-    with pytest.raises(ValueError, match="channels"):
-        pca.inverse_transform(model, series)
-
-
-def test_explained_variance_curve():
-    model = pca.PcaModel(
-        mean=np.zeros(3),
-        eigenvalues=np.array([6.0, 3.0, 1.0]),
-        components=np.eye(3)[:2],
-        pov_achieved=0.9,
-    )
-    assert np.allclose(pca.explained_variance_curve(model), [0.6, 0.9, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Fuzzed PGM, PCA1, SVM1 and CNN1 readers: any bytes either load or raise DataFormatError."""
+"""Fuzzed file readers: any bytes either load or raise DataFormatError.
+
+Covers PGM, PCA1, SVM1, CNN1, FDS1, the JSON manifest and the features CSV.
+"""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motionpipe import cnn, flow, pca, svm
+from motionpipe import cli, cnn, corpus, flow, pca, svm
 from motionpipe.errors import DataFormatError
 
 FUZZ = settings(
@@ -16,7 +21,7 @@ FUZZ = settings(
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """The bytes of a small valid PGM, PCA1, SVM1 and CNN1 file."""
+    """The bytes of one small valid file per reader."""
     root = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
     model = svm.fit(rng.uniform(0, 2, size=(9, 3)), ["a", "b", "c"] * 3,
@@ -30,7 +35,20 @@ def valid_files(tmp_path_factory):
     cnn.save_model(spec, cnn.init_state(spec, 0), root / "model.cnn")
     flow.write_pgm(flow.Frame(rng.uniform(0, 1, size=(8, 9))), root / "frame.pgm")
     pca.save_model(pca.fit(rng.normal(size=(12, 3)), pov_threshold=0.8), root / "model.pca")
+    corpus.write_sequence(
+        corpus.DescriptorSequence("v", rng.uniform(0, 1, size=(3, 4))), root / "v.fds"
+    )
+    corpus.save_manifest(corpus.Manifest((
+        corpus.ManifestEntry("a", "walk", "a.fds", 0),
+        corpus.ManifestEntry("b", "run", "b.fds", 1),
+    )), root / "manifest.json")
+    cli.write_features_csv(root / "features.csv", [
+        ("a", "walk", rng.uniform(0, 2, size=3)), ("b", "", rng.uniform(0, 2, size=3)),
+    ])
     return {
+        "fds": (root / "v.fds").read_bytes(),
+        "manifest": (root / "manifest.json").read_bytes(),
+        "csv": (root / "features.csv").read_bytes(),
         "pgm": (root / "frame.pgm").read_bytes(),
         "pca": (root / "model.pca").read_bytes(),
         "svm": (root / "model.svm").read_bytes(),
@@ -53,11 +71,12 @@ def _mutate(blob: bytes, data) -> bytes:
 
 
 def _loads_or_format_error(load, path, blob):
+    """What ``load`` returns for ``blob``, or None when it raises DataFormatError."""
     path.write_bytes(blob)
     try:
-        load(path)
+        return load(path)
     except DataFormatError:
-        pass
+        return None
 
 
 def _with_magic(magic):
@@ -126,3 +145,87 @@ def test_cnn1_reader_on_mutated_files(tmp_path, valid_files, data):
     _loads_or_format_error(
         cnn.load_model, tmp_path / "fuzz.cnn", _mutate(valid_files["cnn"], data)
     )
+
+
+def _check_sequence(seq):
+    if seq is not None:
+        assert seq.data.ndim == 2 and np.isfinite(seq.data).all()
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(corpus.FDS_MAGIC)))
+def test_fds1_reader_on_arbitrary_bytes(tmp_path, blob):
+    _check_sequence(_loads_or_format_error(corpus.read_sequence, tmp_path / "fuzz.fds", blob))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fds1_reader_on_mutated_files(tmp_path, valid_files, data):
+    _check_sequence(_loads_or_format_error(
+        corpus.read_sequence, tmp_path / "fuzz.fds", _mutate(valid_files["fds"], data)
+    ))
+
+
+def _check_manifest(manifest):
+    if manifest is not None:
+        for e in manifest.entries:
+            assert isinstance(e.video_id, str) and isinstance(e.label, str)
+            assert isinstance(e.path, str)
+            assert e.split_id is None or type(e.split_id) is int
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_MANIFEST_ROWS = st.lists(
+    st.dictionaries(st.sampled_from(["video_id", "label", "path", "split_id"]),
+                    _JSON | st.text(max_size=3), max_size=4) | _JSON,
+    max_size=3,
+)
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96),
+                      _MANIFEST_ROWS.map(lambda rows: json.dumps(rows).encode("utf-8"))))
+def test_manifest_reader_on_arbitrary_bytes(tmp_path, blob):
+    _check_manifest(_loads_or_format_error(corpus.load_manifest, tmp_path / "fuzz.json", blob))
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_reader_on_mutated_files(tmp_path, valid_files, data):
+    _check_manifest(_loads_or_format_error(
+        corpus.load_manifest, tmp_path / "fuzz.json", _mutate(valid_files["manifest"], data)
+    ))
+
+
+def _check_features(table):
+    if table is not None:
+        ids, labels, matrix = table
+        assert matrix.ndim == 2 and matrix.shape[0] == len(ids) == len(labels)
+        assert np.isfinite(matrix).all()
+
+
+_CSV_FIELD = st.sampled_from(["1.5", "0", "nan", "-inf", "1e999", "x", "", " 2 "])
+
+
+@FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=96),
+    st.lists(st.lists(_CSV_FIELD, max_size=4), max_size=3).map(
+        lambda rows: "\n".join(["video_id,label,f0"] + [",".join(["v", "a"] + r) for r in rows])
+        .encode("utf-8")
+    ),
+))
+def test_features_csv_reader_on_arbitrary_bytes(tmp_path, blob):
+    _check_features(_loads_or_format_error(cli.read_features_csv, tmp_path / "fuzz.csv", blob))
+
+
+@FUZZ
+@given(data=st.data())
+def test_features_csv_reader_on_mutated_files(tmp_path, valid_files, data):
+    _check_features(_loads_or_format_error(
+        cli.read_features_csv, tmp_path / "fuzz.csv", _mutate(valid_files["csv"], data)
+    ))

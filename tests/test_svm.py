@@ -31,13 +31,13 @@ def test_kernel_of_identical_vectors_is_one():
     params = svm.KernelParams(gamma=0.7)
     for _ in range(5):
         x = rng.uniform(0, 3, size=8)
-        assert abs(svm.chi2_kernel(x, x, params) - 1.0) < 1e-12
+        assert abs(svm.chi2_gram(x[None], x[None], params)[0, 0] - 1.0) < 1e-12
 
 
 def test_kernel_hand_value():
     # d = (2-0)^2/2 + (0-2)^2/2 = 4, so K = exp(-0.5 * 4) = e^-2
     params = svm.KernelParams(gamma=0.5)
-    got = svm.chi2_kernel(np.array([2.0, 0.0]), np.array([0.0, 2.0]), params)
+    got = svm.chi2_gram(np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), params)[0, 0]
     assert abs(got - np.exp(-2.0)) < 1e-9
 
 
@@ -47,17 +47,17 @@ def test_kernel_symmetry_and_range():
     for _ in range(20):
         x = rng.uniform(0, 2, size=5)
         y = rng.uniform(0, 2, size=5)
-        k_xy = svm.chi2_kernel(x, y, params)
-        assert abs(k_xy - svm.chi2_kernel(y, x, params)) < 1e-15
+        k_xy = svm.chi2_gram(x[None], y[None], params)[0, 0]
+        assert abs(k_xy - svm.chi2_gram(y[None], x[None], params)[0, 0]) < 1e-15
         assert 0.0 < k_xy <= 1.0
 
 
 def test_kernel_rejects_bad_inputs():
     params = svm.KernelParams(gamma=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        svm.chi2_kernel(np.array([-0.1, 1.0]), np.array([1.0, 1.0]), params)
+        svm.chi2_gram(np.array([[-0.1, 1.0]]), np.array([[1.0, 1.0]]), params)
     with pytest.raises(ValueError, match="equal length"):
-        svm.chi2_kernel(np.ones(3), np.ones(4), params)
+        svm.chi2_gram(np.ones((1, 3)), np.ones((1, 4)), params)
     with pytest.raises(ValueError, match="gamma"):
         svm.KernelParams(gamma=0.0)
 
@@ -74,7 +74,7 @@ def test_kernel_rejects_infinite_features():
     params = svm.KernelParams(gamma=1.0)
     for bad in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            svm.chi2_kernel(np.array([bad, 1.0]), np.array([1.0, 1.0]), params)
+            svm.chi2_gram(np.array([[bad, 1.0]]), np.array([[1.0, 1.0]]), params)
 
 
 def test_gram_matrix_is_psd():
@@ -284,6 +284,11 @@ def test_fit_validation():
         svm.fit(feats, ["a", "b"])
     with pytest.raises(ValueError, match="c_box"):
         svm.fit(feats, ["a", "a", "b", "b"], c_box=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="c_box"):
+            svm.fit(feats, ["a", "a", "b", "b"], c_box=bad)
+        with pytest.raises(ValueError, match="tol"):
+            svm.fit(feats, ["a", "a", "b", "b"], tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         svm.fit(-feats, ["a", "a", "b", "b"])
 
