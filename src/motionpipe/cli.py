@@ -142,8 +142,7 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _flow_params(args) -> dict:
-    return {"alpha": args.alpha, "iterations": args.iterations,
-            "grid": args.grid, "bins": args.bins}
+    return {key: getattr(args, key) for key in pipeline._CONFIG_SECTIONS["flow"]}
 
 
 def _read_corpus(args):
@@ -373,12 +372,7 @@ def _cmd_eval(args) -> int:
     print(matrix.to_text(), end="")
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "confusion.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(matrix.to_csv())
-        with open(os.path.join(args.out_dir, "confusion.txt"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(matrix.to_text())
+        pipeline.write_confusion(args.out_dir, matrix)
     return 0
 
 

@@ -265,6 +265,9 @@ def load_manifest(path) -> Manifest:
         if not (values and all(isinstance(v, str) for v in values[:3])
                 and (values[3] is None or type(values[3]) is int)):
             raise DataFormatError(f"{path}: malformed manifest entry {row!r}")
+        # ids and labels become CSV fields of the reports and feature tables
+        if any(c in text for text in values[:2] for c in ",\r\n"):
+            raise DataFormatError(f"{path}: ',' or a line break in video_id or label of {row!r}")
         entries.append(ManifestEntry(*values))
     try:
         return Manifest(entries=tuple(entries))

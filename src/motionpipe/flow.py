@@ -3,11 +3,13 @@
 Flow between consecutive grayscale frames is estimated with the classic
 Horn-Schunck scheme (brightness constancy plus quadratic smoothness,
 solved by Jacobi-style neighbour averaging).  All frame pairs of a video
-are stacked and iterated together, in cache-sized chunks, by one loop;
-a single pair is a stack of one.  Each flow field is then pooled
-over a G x G grid into a fixed-length nonnegative descriptor: per-cell
-axis magnitudes, overall mean magnitude, and a magnitude-weighted
-orientation histogram.
+are stacked and iterated together, in cache-sized chunks, by one loop
+that returns the (2, T, H, W) u/v stack.  The stack is then pooled over
+a G x G grid into the (T, G*G*(3+B)) descriptor matrix, one nonnegative
+row per flow field: per-cell axis magnitudes, overall mean magnitude,
+and a magnitude-weighted orientation histogram.  Pooling visits each
+cell once for the whole stack.  A single pair or field is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -76,37 +78,6 @@ class FlowField:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-
-@dataclass(frozen=True)
-class FlowDescriptor:
-    """Fixed-length nonnegative descriptor of one flow field.
-
-    Layout: cells row-major; within each cell
-    [u magnitude, v magnitude, mean magnitude, hist(0) .. hist(B-1)],
-    so the total length is G*G*(3+B).
-    """
-
-    values: np.ndarray
-    grid: int
-    bins: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        expected = self.grid * self.grid * (3 + self.bins)
-        if vals.shape != (expected,):
-            raise ValueError(f"descriptor must have length {expected}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)) or vals.min() < 0.0:
-            raise ValueError("descriptor entries must be finite and nonnegative")
-        object.__setattr__(self, "values", vals)
-
 
 def descriptor_length(grid: int, bins: int) -> int:
     return grid * grid * (3 + bins)
@@ -160,8 +131,10 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
 
 
 def estimate_flows(frames: list[Frame], alpha: float = 1.0,
-                   iterations: int = 100) -> list[FlowField]:
+                   iterations: int = 100) -> np.ndarray:
     """Horn-Schunck flow for every consecutive pair of ``frames``, in order.
+
+    Returns the (2, T, H, W) stack: u and v of pair t are [0, t] and [1, t].
 
     All pairs of a video are stacked into (T, H, W) arrays and updated
     together, in chunks of about _CHUNK_ELEMENTS values per field so the
@@ -187,7 +160,7 @@ def estimate_flows(frames: list[Frame], alpha: float = 1.0,
     for start in range(0, pairs, step):
         stop = min(start + step, pairs)
         _horn_schunck(images[start : stop + 1], alpha, iterations, uv[:, start:stop])
-    return [FlowField(u=u, v=v) for u, v in zip(*uv)]
+    return uv
 
 
 def estimate_flow(prev: Frame, curr: Frame, alpha: float = 1.0, iterations: int = 100) -> FlowField:
@@ -197,18 +170,13 @@ def estimate_flow(prev: Frame, curr: Frame, alpha: float = 1.0, iterations: int 
     (u, v) field minimising brightness constancy plus alpha^2-weighted
     smoothness.  Deterministic: identical inputs give identical output.
     """
-    return estimate_flows([prev, curr], alpha=alpha, iterations=iterations)[0]
+    return FlowField(*estimate_flows([prev, curr], alpha=alpha, iterations=iterations)[:, 0])
 
 
 def _cell_slices(size: int, grid: int) -> list[slice]:
     """Split ``size`` pixels into ``grid`` equal cells, remainder to the last."""
     step = size // grid
-    slices = []
-    for g in range(grid):
-        start = g * step
-        stop = (g + 1) * step if g < grid - 1 else size
-        slices.append(slice(start, stop))
-    return slices
+    return [slice(g * step, (g + 1) * step if g < grid - 1 else size) for g in range(grid)]
 
 
 def orientation_bin(theta, bins: int):
@@ -223,48 +191,57 @@ def orientation_bin(theta, bins: int):
     return np.clip(idx, 0, bins - 1)
 
 
-def describe_flow(flow: FlowField, grid: int = 4, bins: int = 8) -> FlowDescriptor:
-    """Pool a flow field into a G x G grid descriptor.
+def describe_flows(u, v, grid: int = 4, bins: int = 8) -> np.ndarray:
+    """Pool a (T, H, W) stack of flow fields into the (T, G*G*(3+B)) descriptor matrix.
 
     Per cell: the mean positive and mean negative rectified parts of each
     axis are combined into one magnitude per axis, plus the mean overall
     magnitude sqrt(u^2+v^2), plus a B-bin magnitude-weighted orientation
     histogram, L1-normalised (an all-zero cell yields a uniform histogram).
+    Row t holds field t's cells row-major, each laid out as
+    [u magnitude, v magnitude, mean magnitude, hist(0) .. hist(B-1)].
+
+    Each cell is reduced once for the whole stack.  Every reduction sums
+    in the order it would for one field on its own, so a row does not
+    depend on the other fields in the stack.
     """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 3 or u.shape != v.shape or u.shape[0] < 1:
+        raise ValueError(f"u and v must be equal-shaped (T, H, W) stacks, not {u.shape}, {v.shape}")
     if grid < 1:
         raise ValueError("grid must be at least 1")
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    if flow.height < grid or flow.width < grid:
-        raise ValueError(f"flow field {flow.height}x{flow.width} too small for grid {grid}")
+    n, height, width = u.shape
+    if height < grid or width < grid:
+        raise ValueError(f"flow field {height}x{width} too small for grid {grid}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("flow components must be finite")
 
-    u, v = flow.u, flow.v
     mag = np.sqrt(u * u + v * v)
     theta = np.arctan2(v, u)
+    offsets = np.arange(n).reshape(n, 1, 1) * bins  # field t's bins follow field t-1's
+    cells = [(rs, cs) for rs in _cell_slices(height, grid) for cs in _cell_slices(width, grid)]
+    out = np.empty((n, len(cells), 3 + bins))
+    for k, (rs, cs) in enumerate(cells):
+        cu = u[:, rs, cs]
+        cv = v[:, rs, cs]
+        cm = mag[:, rs, cs]
+        out[:, k, 0] = np.maximum(cu, 0.0).mean((1, 2)) + np.maximum(-cu, 0.0).mean((1, 2))
+        out[:, k, 1] = np.maximum(cv, 0.0).mean((1, 2)) + np.maximum(-cv, 0.0).mean((1, 2))
+        out[:, k, 2] = cm.mean((1, 2))
+        idx = orientation_bin(theta[:, rs, cs], bins) + offsets
+        hist = np.bincount(idx.ravel(), weights=cm.ravel(), minlength=n * bins).reshape(n, bins)
+        total = hist.sum(axis=1, keepdims=True)
+        out[:, k, 3:] = 1.0 / bins
+        np.divide(hist, total, out=out[:, k, 3:], where=total > 0.0)
+    return out.reshape(n, -1)
 
-    rows = _cell_slices(flow.height, grid)
-    cols = _cell_slices(flow.width, grid)
-    out = np.empty(descriptor_length(grid, bins))
-    pos = 0
-    for rs in rows:
-        for cs in cols:
-            cu = u[rs, cs]
-            cv = v[rs, cs]
-            cm = mag[rs, cs]
-            ct = theta[rs, cs]
-            u_mag = np.maximum(cu, 0.0).mean() + np.maximum(-cu, 0.0).mean()
-            v_mag = np.maximum(cv, 0.0).mean() + np.maximum(-cv, 0.0).mean()
-            idx = orientation_bin(ct.ravel(), bins)
-            hist = np.bincount(idx, weights=cm.ravel(), minlength=bins)
-            total = hist.sum()
-            if total > 0.0:
-                hist /= total
-            else:
-                hist[:] = 1.0 / bins
-            out[pos : pos + 3] = (u_mag, v_mag, cm.mean())
-            out[pos + 3 : pos + 3 + bins] = hist
-            pos += 3 + bins
-    return FlowDescriptor(values=out, grid=grid, bins=bins)
+
+def describe_flow(flow: FlowField, grid: int = 4, bins: int = 8) -> np.ndarray:
+    """The G*G*(3+B) descriptor of one flow field: a stack of one."""
+    return describe_flows(flow.u[None], flow.v[None], grid=grid, bins=bins)[0]
 
 
 def read_pgm(path) -> Frame:

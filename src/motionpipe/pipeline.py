@@ -88,10 +88,41 @@ _CONFIG_SECTIONS = {
 }
 _CONFIG_TOPLEVEL = {"manifest", "output_dir", "split", "seed"}
 
-# The cast of each int or float field, from its annotation (a string here,
-# since annotations are not evaluated).
-_CASTS = {f.name: {"int": int, "float": float}[f.type]
-          for f in fields(PipelineConfig) if f.type in ("int", "float")}
+
+def _section(config: PipelineConfig, name: str) -> dict:
+    """The fields of config section ``name`` and their values."""
+    return {key: getattr(config, key) for key in _CONFIG_SECTIONS[name]}
+
+
+# Each field's annotation, as a string, since annotations are not evaluated.
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+
+def _field_value(name: str, value):
+    """``value`` for config field ``name``, checked against its annotation.
+
+    Bools are not numbers, an int field takes integral numbers only, and
+    numbers are cast to the field's type.  ``architecture`` may be null and
+    ``gamma`` is "auto" or a number.
+    """
+    kind = _FIELD_TYPES[name]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int":
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        expected = "an integer"
+    elif kind in ("float", "object"):
+        if value == "auto" and kind == "object":
+            return value
+        if number:
+            with contextlib.suppress(OverflowError):
+                return float(value)
+        expected = "a number" if kind == "float" else "'auto' or a number"
+    else:
+        if isinstance(value, str) or (value is None and kind == "str | None"):
+            return value
+        expected = "a string" if kind == "str" else "a string or null"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
@@ -114,9 +145,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     for name in ("manifest", "output_dir"):
         if name not in values:
             raise ValueError(f"config is missing required field {name!r}")
-    for name in values.keys() & _CASTS.keys():
-        values[name] = _CASTS[name](values[name])
-    return PipelineConfig(**values)
+    return PipelineConfig(**{name: _field_value(name, value) for name, value in values.items()})
 
 
 def config_field_for(dotted: str) -> str:
@@ -137,9 +166,7 @@ def apply_override(config: PipelineConfig, dotted: str, raw: str) -> PipelineCon
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    if name in _CASTS:
-        value = _CASTS[name](value)
-    return replace(config, **{name: value})
+    return replace(config, **{name: _field_value(name, value)})
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +262,10 @@ def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
             raise ValueError(
                 f"{frame_dir}: frame {name} has size {fr.intensity.shape}, expected {shape}"
             )
-    fields = flow.estimate_flows(frames, alpha=alpha, iterations=iterations)
-    rows = [flow.describe_flow(fl, grid=grid, bins=bins).values for fl in fields]
+    u, v = flow.estimate_flows(frames, alpha=alpha, iterations=iterations)
     return corpus.DescriptorSequence(
         video_id=video_id if video_id is not None else os.path.basename(os.path.normpath(frame_dir)),
-        data=np.stack(rows),
+        data=flow.describe_flows(u, v, grid=grid, bins=bins),
     )
 
 
@@ -383,11 +409,8 @@ def _load_corpus(config: PipelineConfig):
     is hashed once.
     """
     desc_dir = os.path.join(config.output_dir, "descriptors")
-    flow_cfg = json.dumps(
-        {"alpha": config.alpha, "iterations": config.iterations,
-         "grid": config.grid, "bins": config.bins},
-        sort_keys=True,
-    )
+    flow_params = _section(config, "flow")
+    flow_cfg = json.dumps(flow_params, sort_keys=True)
     desc_keys = {}
 
     def describe(path, video_id):
@@ -395,10 +418,7 @@ def _load_corpus(config: PipelineConfig):
         key = desc_keys[video_id] = _digest("desc", flow_cfg, _source_digest(path))
 
         def compute():
-            seq = frames_to_sequence(
-                path, alpha=config.alpha, iterations=config.iterations,
-                grid=config.grid, bins=config.bins, video_id=video_id,
-            )
+            seq = frames_to_sequence(path, video_id=video_id, **flow_params)
             corpus.write_sequence(seq, artifact)
             return seq
 
@@ -499,11 +519,8 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
 
     # SVM on training features only; its output is the test predictions
     with _stage("svm", fold_index):
-        svm_cfg = json.dumps(
-            {"c_box": config.c_box, "gamma": config.gamma, "tol": config.tol},
-            sort_keys=True,
-        )
-        svm_key = _digest("svm-predictions", cnn_key, svm_cfg)
+        svm_key = _digest("svm-predictions", cnn_key,
+                          json.dumps(_section(config, "svm"), sort_keys=True))
         svm_path = os.path.join(fold_dir, "model.svm")
         svm_out = svm_path + ".npz"
 
@@ -583,28 +600,34 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return result
 
 
-def _write_reports(output_dir: str, result: PipelineResult) -> None:
-    def put(name: str, text: str) -> None:
-        with open(os.path.join(output_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _put(output_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(output_dir, name), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
+
+def write_confusion(output_dir: str, confusion: ConfusionMatrix) -> None:
+    """Write confusion.csv and confusion.txt into ``output_dir``."""
+    _put(output_dir, "confusion.csv", confusion.to_csv())
+    _put(output_dir, "confusion.txt", confusion.to_text())
+
+
+def _write_reports(output_dir: str, result: PipelineResult) -> None:
     lines = ["fold,accuracy"]
     for r in result.fold_results:
         lines.append(f"{r.index},{r.accuracy!r}")
     lines.append(f"overall,{result.overall_accuracy!r}")
-    put("accuracy.csv", "\n".join(lines) + "\n")
+    _put(output_dir, "accuracy.csv", "\n".join(lines) + "\n")
 
     lines = ["fold,video_id,true_label,predicted_label"]
     for r in result.fold_results:
         for vid, true, predicted in r.records:
             lines.append(f"{r.index},{vid},{true},{predicted}")
-    put("predictions.csv", "\n".join(lines) + "\n")
+    _put(output_dir, "predictions.csv", "\n".join(lines) + "\n")
 
-    put("confusion.csv", result.confusion.to_csv())
-    put("confusion.txt", result.confusion.to_text())
+    write_confusion(output_dir, result.confusion)
 
     lines = ["fold,epoch,loss"]
     for fold_index, losses in enumerate(result.loss_histories):
         for epoch, loss in enumerate(losses):
             lines.append(f"{fold_index},{epoch},{loss!r}")
-    put("loss.csv", "\n".join(lines) + "\n")
+    _put(output_dir, "loss.csv", "\n".join(lines) + "\n")

@@ -346,6 +346,28 @@ def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("doc,override,message", [
+    ({"flow": {"alpha": None}}, (), "alpha must be a number"),
+    ({"seed": [1]}, (), "seed must be an integer"),
+    ({"cnn": {"epochs": 2.7}}, (), "epochs must be an integer"),
+    ({"flow": {"iterations": True}}, (), "iterations must be an integer"),
+    ({"output_dir": 7}, (), "output_dir must be a string"),
+    ({"cnn": {"architecture": 3}}, (), "architecture must be a string or null"),
+    ({}, ("--svm.gamma", "null"), "gamma must be 'auto' or a number"),
+], ids=["null-float", "list-int", "fractional-int", "bool-int", "number-path",
+        "number-architecture", "null-gamma-override"])
+def test_malformed_config_value_exits_2_before_any_fold(tmp_path, capsys, monkeypatch,
+                                                         doc, override, message):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": "out", **doc}))
+    code, _, err = _run(capsys, "run", "--config", str(config_path), *override)
+    assert code == 2, err
+    assert message in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "corpus"]
+
+
 def test_diverged_cnn_fails_at_cnn_stage_with_exit_3(tmp_path, capsys):
     manifest_path = _synth(capsys, tmp_path / "corpus")
     arch_path = tmp_path / "arch.txt"

@@ -242,6 +242,13 @@ def test_load_manifest_errors(tmp_path):
     missing.write_text(json.dumps([{"video_id": "v", "label": "a"}]))
     with pytest.raises(DataFormatError, match="malformed"):
         corpus.load_manifest(missing)
+    # a comma or line break in an id or label would break the CSVs the program writes
+    for key, text in [("label", "walk,fast"), ("video_id", "v\n1"), ("label", "a\rb")]:
+        row = {"video_id": "v1", "label": "walk", "path": "v1.fds", key: text}
+        unsafe = tmp_path / "unsafe.json"
+        unsafe.write_text(json.dumps([row]))
+        with pytest.raises(DataFormatError, match="line break"):
+            corpus.load_manifest(unsafe)
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,12 @@ def test_stacked_flow_equals_per_pair_flow(monkeypatch, pairs, iterations, chunk
     # a 9 x 13 frame holds 117 values; the budget fixes how many pairs share a chunk
     monkeypatch.setattr(flow, "_CHUNK_ELEMENTS", chunk_pairs * 9 * 13)
     frames = _random_video(pairs, pairs, 9, 13)
-    fields = flow.estimate_flows(frames, alpha=1.3, iterations=iterations)
-    assert len(fields) == pairs
-    for field, prev, curr in zip(fields, frames, frames[1:]):
+    uv = flow.estimate_flows(frames, alpha=1.3, iterations=iterations)
+    assert uv.shape == (2, pairs, 9, 13)
+    for u, v, prev, curr in zip(*uv, frames, frames[1:]):
         single = flow.estimate_flow(prev, curr, alpha=1.3, iterations=iterations)
-        assert np.array_equal(field.u, single.u) and np.array_equal(field.v, single.v)
-        assert field.u.flags.c_contiguous and field.v.flags.c_contiguous
+        assert np.array_equal(u, single.u) and np.array_equal(v, single.v)
+        assert u.flags.c_contiguous and v.flags.c_contiguous
 
 
 def test_estimate_flows_rejects_bad_arguments():
@@ -138,23 +138,23 @@ def test_orientation_bin_covers_all_bins():
 
 
 # ---------------------------------------------------------------------------
-# describe_flow
+# describe_flow / describe_flows
 # ---------------------------------------------------------------------------
 
 def test_zero_flow_descriptor_uniform_histograms():
     f = flow.FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))
     d = flow.describe_flow(f, grid=2, bins=4)
-    assert d.values.shape == (28,)
+    assert d.shape == (28,)
     for cell in range(4):
         base = cell * 7
-        assert np.all(d.values[base : base + 3] == 0.0)
-        assert np.allclose(d.values[base + 3 : base + 7], 0.25)
+        assert np.all(d[base : base + 3] == 0.0)
+        assert np.allclose(d[base + 3 : base + 7], 0.25)
 
 
 def test_uniform_unit_flow_worked_example():
     f = flow.FlowField(u=np.ones((8, 8)), v=np.zeros((8, 8)))
     d = flow.describe_flow(f, grid=1, bins=4)
-    assert np.allclose(d.values, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    assert np.allclose(d, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_descriptor_matches_naive_oracle():
@@ -168,7 +168,7 @@ def test_descriptor_matches_naive_oracle():
         bins = int(rng.integers(2, 9))
         got = flow.describe_flow(flow.FlowField(u=u, v=v), grid=grid, bins=bins)
         want = oracles.naive_descriptor(u, v, grid, bins)
-        assert np.allclose(got.values, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_rotating_vectors_rolls_histogram():
@@ -181,8 +181,8 @@ def test_rotating_vectors_rolls_histogram():
         v1 = np.full((8, 8), np.sin(angle))
         u2 = np.full((8, 8), np.cos(angle + np.pi / 2))
         v2 = np.full((8, 8), np.sin(angle + np.pi / 2))
-        h1 = flow.describe_flow(flow.FlowField(u=u1, v=v1), grid=1, bins=bins).values[3:]
-        h2 = flow.describe_flow(flow.FlowField(u=u2, v=v2), grid=1, bins=bins).values[3:]
+        h1 = flow.describe_flow(flow.FlowField(u=u1, v=v1), grid=1, bins=bins)[3:]
+        h2 = flow.describe_flow(flow.FlowField(u=u2, v=v2), grid=1, bins=bins)[3:]
         assert np.allclose(np.roll(h1, bins // 4), h2, atol=1e-12)
 
 
@@ -196,25 +196,56 @@ def test_describe_flow_validation():
         flow.describe_flow(f, grid=9)
 
 
+def test_describe_flows_rejects_bad_stacks():
+    zeros = np.zeros((2, 8, 8))
+    with pytest.raises(ValueError, match="equal-shaped"):
+        flow.describe_flows(zeros, np.zeros((2, 8, 9)))
+    with pytest.raises(ValueError, match="equal-shaped"):
+        flow.describe_flows(zeros[0], zeros[0])
+    bad = zeros.copy()
+    bad[1, 2, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        flow.describe_flows(zeros, bad)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7])
+def test_stacked_descriptors_equal_per_field_descriptors(depth):
+    # 9 x 13 on a 4 x 4 grid: cells of 2 x 3 pixels, with the remainder in the
+    # last row and column of cells; some cells and one whole field are still
+    rng = np.random.default_rng(depth)
+    u = rng.normal(size=(depth, 9, 13))
+    v = rng.normal(size=(depth, 9, 13))
+    u[:, :4, :6] = 0.0
+    v[:, :4, :6] = 0.0
+    u[depth // 2] = 0.0
+    v[depth // 2] = 0.0
+    rows = flow.describe_flows(u, v, grid=4, bins=8)
+    assert rows.shape == (depth, flow.descriptor_length(4, 8))
+    for row, fu, fv in zip(rows, u, v):
+        assert np.array_equal(row, flow.describe_flow(flow.FlowField(u=fu, v=fv), grid=4, bins=8))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
+    depth=st.integers(1, 4),
     h=st.integers(8, 16),
     w=st.integers(8, 16),
     grid=st.integers(1, 4),
     bins=st.integers(2, 10),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_descriptor_properties(h, w, grid, bins, seed):
+def test_descriptor_properties(depth, h, w, grid, bins, seed):
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(h, w))
-    v = rng.normal(size=(h, w))
-    d = flow.describe_flow(flow.FlowField(u=u, v=v), grid=grid, bins=bins)
-    assert d.values.shape == (flow.descriptor_length(grid, bins),)
-    assert np.all(np.isfinite(d.values))
-    assert d.values.min() >= 0.0
-    for cell in range(grid * grid):
-        hist = d.values[cell * (3 + bins) + 3 : (cell + 1) * (3 + bins)]
-        assert abs(hist.sum() - 1.0) < 1e-9
+    u = rng.normal(size=(depth, h, w))
+    v = rng.normal(size=(depth, h, w))
+    rows = flow.describe_flows(u, v, grid=grid, bins=bins)
+    assert rows.shape == (depth, flow.descriptor_length(grid, bins))
+    for d in rows:
+        assert np.all(np.isfinite(d))
+        assert d.min() >= 0.0
+        for cell in range(grid * grid):
+            hist = d[cell * (3 + bins) + 3 : (cell + 1) * (3 + bins)]
+            assert abs(hist.sum() - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------

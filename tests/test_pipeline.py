@@ -232,7 +232,7 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
     frames.sort(key=lambda fr: fr.intensity[4, 3:].argmin())  # back to f0,f1,f2
     for row, (prev, curr) in zip(seq.data, zip(frames, frames[1:])):
         field = flow.estimate_flow(prev, curr, alpha=1.0, iterations=30)
-        expected = flow.describe_flow(field, grid=2, bins=4).values
+        expected = flow.describe_flow(field, grid=2, bins=4)
         assert np.array_equal(row, expected.astype(np.float32))
 
 

@@ -170,6 +170,7 @@ def _check_manifest(manifest):
     if manifest is not None:
         for e in manifest.entries:
             assert isinstance(e.video_id, str) and isinstance(e.label, str)
+            assert not any(c in e.video_id + e.label for c in ",\r\n")
             assert isinstance(e.path, str)
             assert e.split_id is None or type(e.split_id) is int
 
