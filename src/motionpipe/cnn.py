@@ -1,16 +1,17 @@
 """Multi-channel 1D convolutional network: forward, backprop, SGD training.
 
 Layers follow the <filter-channels-stride> notation: valid (unpadded)
-1-D cross-correlation, max pooling with recorded argmax, ReLU, fully
+1-D cross-correlation, max pooling through recorded flat source indices
+(one gather forward, one ``np.bincount`` backward), ReLU, fully
 connected layers over the channel-major flattened input, and a softmax
 output layer with its own linear map.  Inside a batch, activations are
-channels-last, (N, L, C), so each conv is one GEMM whose output needs
-no transpose; only the flatten before the first fully-connected layer
+channels-last, (N, L, C), so each conv is one GEMM whose output needs no
+transpose; only the flatten before the first fully-connected layer
 transposes, to channel-major.  Training holds every weight and then
-every bias as views into one flat float64 vector, so the momentum
-update is a few whole-vector operations.  Everything trains in float64
-so analytic gradients can be checked against finite differences
-tightly; model files store parameters as float32.
+every bias as views into one flat float64 vector, so the momentum update
+is a few whole-vector operations.  Everything trains in float64 so
+analytic gradients can be checked against finite differences tightly;
+model files store parameters as float32.
 """
 
 from __future__ import annotations
@@ -248,11 +249,10 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, biases: np.ndarray, strid
 def max1d_forward(x: np.ndarray, window: int, stride: int):
     """Max pooling of a C x L input; returns (output, argmax offsets).
 
-    Ties take the lowest offset within the window, and the recorded
-    argmax routes the gradient in the backward pass.
+    Ties take the lowest offset; a window holding NaN takes its first NaN.
     """
-    out, amax = _max_forward(x.T[None], window, stride)
-    return out[0].T, amax[0].T
+    out, src = _max_forward(x.T[None], window, stride)  # src = (t*stride + offset)*C + c
+    return out[0].T, (src[0] // x.shape[0]).T - stride * np.arange(out.shape[1])
 
 
 def _conv_forward(x, weights, biases, stride):
@@ -277,20 +277,27 @@ def _conv_forward(x, weights, biases, stride):
 
 
 def _max_forward(x, window, stride):
+    """Max pooling of an (N, L, C) batch; returns (output, flat source indices).
+
+    One vectorised comparison per window offset, on the strided slice
+    x[:, k::stride], finds each window's first maximum (or first NaN).
+    """
     l_out = conv_output_length(x.shape[1], window, stride)
     span = stride * (l_out - 1) + 1
-    # running max over the window offsets: one vectorised step per offset
-    # on the strided slice x[:, k::stride], where argmax over a short
-    # window axis pays per-window overhead.  An offset wins when it is
-    # larger, or is the first NaN, as in np.argmax.
-    out = x[:, :span:stride]
-    amax = np.zeros(out.shape, dtype=np.intp)
+    pos = np.arange(x.size).reshape(x.shape)
+    best, src = x[:, :span:stride], pos[:, :span:stride]
     for k in range(1, window):
         v = x[:, k : k + span : stride]
-        better = ~(v <= out) & (out == out)
-        out = np.where(better, v, out)
-        amax = np.where(better, k, amax)
-    return out, amax
+        better = ~(v <= best) & (best == best)
+        src = src + better * (pos[:, k : k + span : stride] - src)  # branch-free select
+        best = np.maximum(best, v) if k + 1 < window else best
+    return x.reshape(-1).take(src), src
+
+
+def _max_backward(src, grad, shape):
+    """Pooling input gradient; bincount over reversed time adds in ascending window offset."""
+    return np.bincount(src[:, ::-1].ravel(), weights=grad[:, ::-1].ravel(),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -324,9 +331,8 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
             act, patches = _conv_forward(act, w, b, layer.stride)
             cache.append({"patches": patches, "in_len": in_len})
         elif isinstance(layer, Max1D):
-            out, amax = _max_forward(act, layer.window, layer.stride)
-            cache.append({"amax": amax, "in_len": act.shape[1], "channels": act.shape[2]})
-            act = out
+            cache.append({"shape": act.shape})
+            act, cache[-1]["src"] = _max_forward(act, layer.window, layer.stride)
         elif isinstance(layer, ReLU):
             act = np.maximum(act, 0.0)
             cache.append({"out": act})
@@ -378,14 +384,7 @@ def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.nd
         elif isinstance(layer, ReLU):
             grad = grad * (entry["out"] > 0.0)
         elif isinstance(layer, Max1D):
-            # route each output's gradient to its argmax offset, one strided
-            # add per offset, so overlapping windows accumulate
-            amax = entry["amax"]
-            dx = np.zeros((n, entry["in_len"], entry["channels"]))
-            span = layer.stride * (grad.shape[1] - 1) + 1
-            for kk in range(layer.window):
-                dx[:, kk : kk + span : layer.stride] += np.where(amax == kk, grad, 0.0)
-            grad = dx
+            grad = _max_backward(entry["src"], grad, entry["shape"])
         elif isinstance(layer, Conv1D):
             w, _ = state.params[i]
             dw, db = grads[i]

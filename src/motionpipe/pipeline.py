@@ -564,8 +564,8 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every fold of the configured protocol and write reports."""
-    os.makedirs(config.output_dir, exist_ok=True)
     manifest, sequences, desc_keys = _load_corpus(config)
+    os.makedirs(config.output_dir, exist_ok=True)  # a bad manifest leaves no directory
     plan = (
         corpus.make_loocv(manifest)
         if config.split == "loocv"

@@ -170,19 +170,20 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     diag = np.diag(gram)
     indices = np.arange(s)
     steps = 0
+    pos = y > 0
 
     while True:
-        pos = y > 0
         at_c = alpha >= c_box - _BOUND_EPS
         at_zero = alpha <= _BOUND_EPS
         up = (pos & ~at_c) | (~pos & ~at_zero)
         low = (~pos & ~at_c) | (pos & ~at_zero)
-        b_up = float(np.where(up, f_err, np.inf).min())
+        f_up = np.where(up, f_err, np.inf)
+        i = int(np.argmin(f_up))
+        b_up = float(f_up[i])
         b_low = float(np.where(low, f_err, -np.inf).max())
         if b_low - b_up <= 2.0 * tol:
             break
 
-        i = int(np.argmin(np.where(up, f_err, np.inf)))
         diff = f_err - f_err[i]
         cand = low & (diff > 0.0)
         eta = np.maximum(gram[i, i] + diag - 2.0 * gram[i], 1e-12)

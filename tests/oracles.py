@@ -73,6 +73,24 @@ def naive_max1d(x, window, stride):
     return out, arg
 
 
+def naive_max1d_input_grad(x, window, stride, grad):
+    """Max-pooling input gradient of a C x L input, by explicit loops.
+
+    Each output's gradient is added at its window's np.argmax (the first
+    maximum, or the first NaN), one window offset after another in
+    ascending order, onto zeros.
+    """
+    channels, length = x.shape
+    out_len = (length - window) // stride + 1
+    dx = np.zeros((channels, length))
+    for k in range(window):
+        for c in range(channels):
+            for t in range(out_len):
+                if int(np.argmax(x[c, t * stride : t * stride + window])) == k:
+                    dx[c, t * stride + k] += grad[c, t]
+    return dx
+
+
 def horn_schunck_pair(prev, curr, alpha, iterations):
     """Textbook Horn-Schunck on one frame pair, re-padding every iteration.
 

@@ -346,6 +346,22 @@ def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field):
     assert not out_dir.exists()
 
 
+def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    with open(manifest_path, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    rows[0]["label"] = "walk,fast"
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh)
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out_dir)}))
+    code, _, err = _run(capsys, "run", "--config", str(config_path))
+    assert code == 2, err
+    assert "walk,fast" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("doc,override,message", [
     ({"flow": {"alpha": None}}, (), "alpha must be a number"),
     ({"seed": [1]}, (), "seed must be an integer"),

@@ -79,6 +79,29 @@ def test_max_pool_nan_routes_like_argmax():
         assert np.array_equal(out, windows.max(axis=2), equal_nan=True)
 
 
+@pytest.mark.parametrize("window,stride,values", [
+    (5, 2, "normal"), (4, 1, "normal"), (7, 2, "normal"), (2, 3, "normal"),
+    (4, 1, "ties"), (5, 2, "nan"),
+])
+def test_pool_input_gradient_matches_loop_oracle(window, stride, values):
+    # gradients spanning 16 decades make the sum depend on the order of
+    # addition wherever an input is the maximum of three or more windows
+    rng = np.random.default_rng(window * 10 + stride)
+    n, channels, length = 3, 4, 29
+    x = rng.normal(size=(n, channels, length))
+    if values == "ties":
+        x = rng.integers(0, 2, size=x.shape).astype(float)
+    elif values == "nan":
+        x[rng.random(x.shape) < 0.15] = np.nan
+    out, src = cnn._max_forward(x.transpose(0, 2, 1), window, stride)
+    grad = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 9, size=out.shape)
+    got = cnn._max_backward(src, grad, (n, length, channels)).transpose(0, 2, 1)
+    for sample, g, want_x in zip(got, grad.transpose(0, 2, 1), x):
+        assert np.array_equal(sample, oracles.naive_max1d_input_grad(want_x, window, stride, g))
+    # some input takes every window that covers it: 3 or 4 of them, or 1 for (2, 3)
+    assert np.bincount(src.ravel()).max() == -(-window // stride)
+
+
 def test_conv_hand_example():
     # out[0] = 1*1 + 2*2 = 5, out[1] = 1*3 + 2*4 = 11, plus bias 10
     x = np.array([[1.0, 2.0, 3.0, 4.0]])
@@ -316,6 +339,8 @@ _ORACLE_NETS = {
     "default": (59, 3, 40, cnn.default_architecture(4)),
     "overlapping-pool": (21, 2, 24, (cnn.Conv1D(3, 5, 1), cnn.ReLU(), cnn.Max1D(3, 2),
                                      cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(3))),
+    "wide-overlap-pool": (23, 2, 30, (cnn.Conv1D(3, 4, 1), cnn.ReLU(), cnn.Max1D(5, 2),
+                                      cnn.FullyConnected(6), cnn.ReLU(), cnn.SoftmaxOutput(3))),
     "strided-second-conv": (18, 2, 30, (cnn.Conv1D(4, 4, 1), cnn.ReLU(), cnn.Conv1D(3, 6, 2),
                                         cnn.ReLU(), cnn.FullyConnected(5), cnn.SoftmaxOutput(2))),
 }
