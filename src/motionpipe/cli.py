@@ -195,7 +195,9 @@ def read_features_csv(path):
             vectors.append([float(v) for v in fields[2:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: non-numeric feature") from exc
-    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+    if not vectors:
+        raise DataFormatError(f"{path}: feature table has no rows")
+    matrix = np.array(vectors, dtype=np.float64)
     if not np.isfinite(matrix).all():
         raise DataFormatError(f"{path}: features must be finite")
     return ids, labels, matrix

@@ -284,13 +284,14 @@ def _max_forward(x, window, stride):
     """
     l_out = conv_output_length(x.shape[1], window, stride)
     span = stride * (l_out - 1) + 1
-    pos = np.arange(x.size).reshape(x.shape)
-    best, src = x[:, :span:stride], pos[:, :span:stride]
+    best, off = x[:, :span:stride], 0
     for k in range(1, window):
         v = x[:, k : k + span : stride]
         better = ~(v <= best) & (best == best)
-        src = src + better * (pos[:, k : k + span : stride] - src)  # branch-free select
+        off = off + better * (k - off)  # branch-free select of the window offset
         best = np.maximum(best, v) if k + 1 < window else best
+    base = np.arange(x.shape[0])[:, None, None] * x.shape[1] + np.arange(0, span, stride)[:, None]
+    src = (base + off) * x.shape[2] + np.arange(x.shape[2])  # (n*L + t*stride + offset)*C + c
     return x.reshape(-1).take(src), src
 
 

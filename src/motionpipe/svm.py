@@ -73,13 +73,14 @@ def _check_nonneg(x: np.ndarray) -> None:
 def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     """Pairwise chi-squared distances between rows of x and rows of y.
 
-    Rows of x are taken in blocks, so each of the two temporaries holds
-    about _BLOCK_ELEMENTS values (never less than one row of x against
-    all of y) and stays in cache; the block's arithmetic runs in place in
-    them.  When y is x, each block computes only the columns from its
-    own first row onward and mirrors them into the lower triangle; the
-    chi-squared terms are symmetric bit for bit, so the result equals
-    the full computation.
+    Rows of x are taken in blocks of about _BLOCK_ELEMENTS values (never
+    less than one row of x against all of y) in two contiguous buffers
+    allocated once per call.  A block tiles its x rows into the first,
+    adds y into the second and subtracts y from the first, so each term
+    and its sum over d equal the broadcast formula's bit for bit.  When
+    y is x, each block computes only the columns from its own first row
+    onward and mirrors them into the lower triangle; the chi-squared
+    terms are symmetric bit for bit, so this equals the full result.
     """
     symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -90,13 +91,16 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
     _check_nonneg(y)
     out = np.empty((x.shape[0], y.shape[0]))
     rows = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    buffers = np.empty((2, min(rows, x.shape[0]) * y.size))
     for start in range(0, x.shape[0], rows):
-        stop = start + rows
+        stop = min(start + rows, x.shape[0])
         first = start if symmetric else 0
-        xb = x[start:stop, None, :]
-        yb = y[None, first:, :]
-        diff = xb - yb
-        denom = xb + yb
+        yb = y[first:]
+        shape = (stop - start, yb.shape[0], y.shape[1])
+        diff, denom = (b[: shape[0] * yb.size].reshape(shape) for b in buffers)
+        diff[...] = x[start:stop, None, :]
+        np.add(diff, yb, out=denom)
+        diff -= yb
         denom += eps
         diff *= diff
         diff /= denom
@@ -160,9 +164,10 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
 
     Maximal-violating-pair selection: i is the extreme index of the
     "up" set, j maximizes the second-order gain (F_j - F_i)^2 / eta_ij
-    over the "low" set, ties to the lowest index.  Converged when the
-    up/low gap closes to 2*tol; the bias is the centre of the final
-    KKT interval, so every per-index violation is at most tol.
+    over the "low" set, ties to the lowest index; a step recomputes the
+    sets only at the two alphas it moved.  Converged when the up/low gap
+    closes to 2*tol; the bias is the centre of the final KKT interval,
+    so every per-index violation is at most tol.
     """
     s = y.size
     alpha = np.zeros(s)
@@ -171,14 +176,12 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     indices = np.arange(s)
     steps = 0
     pos = y > 0
+    below_c, above_zero = ~(alpha >= c_box - _BOUND_EPS), ~(alpha <= _BOUND_EPS)
+    up, low = np.where(pos, below_c, above_zero), np.where(pos, above_zero, below_c)
 
     while True:
-        at_c = alpha >= c_box - _BOUND_EPS
-        at_zero = alpha <= _BOUND_EPS
-        up = (pos & ~at_c) | (~pos & ~at_zero)
-        low = (~pos & ~at_c) | (pos & ~at_zero)
         f_up = np.where(up, f_err, np.inf)
-        i = int(np.argmin(f_up))
+        i = int(f_up.argmin())
         b_up = float(f_up[i])
         b_low = float(np.where(low, f_err, -np.inf).max())
         if b_low - b_up <= 2.0 * tol:
@@ -197,6 +200,10 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
                 raise ConvergenceError("SMO not converged")
             if _smo_step(gram, y, alpha, f_err, i, j, c_box):
                 moved = True
+                for t in (i, j):  # only alpha_i and alpha_j moved
+                    a = alpha.item(t)
+                    below_c, above_zero = not a >= c_box - _BOUND_EPS, not a <= _BOUND_EPS
+                    up[t], low[t] = (below_c, above_zero) if pos[t] else (above_zero, below_c)
                 break
         if not moved:
             raise ConvergenceError("SMO not converged")
@@ -214,7 +221,7 @@ def _partners(score: np.ndarray, indices: np.ndarray):
     The first is np.argmax (the lowest index among equal maxima); the
     full sort runs only if the caller asks for a second.
     """
-    yield int(np.argmax(score))
+    yield int(score.argmax())
     yield from np.lexsort((indices, -score))[1:]
 
 
@@ -383,6 +390,8 @@ def load_model(path) -> SvmModel:
     if len(blob) < 28:
         raise DataFormatError(f"{path}: truncated header")
     n_classes, dim = struct.unpack_from("<II", blob, 4)
+    if n_classes < 2:
+        raise DataFormatError(f"{path}: need at least 2 classes, got {n_classes}")
     gamma, eps = struct.unpack_from("<dd", blob, 12)
     try:
         params = KernelParams(gamma=gamma, epsilon_denominator=eps)
@@ -420,6 +429,8 @@ def load_model(path) -> SvmModel:
         off += 8 * n_sv
         (bias,) = struct.unpack_from("<d", blob, off)
         off += 8
+        if not (np.isfinite(coeffs).all() and np.isfinite(bias)):
+            raise DataFormatError(f"{path}: coefficients and bias must be finite")
         machines.append(
             BinarySvm(support_indices=support, coefficients=coeffs, bias=bias, c_box=np.nan)
         )

@@ -213,6 +213,59 @@ def projected_gradient_qp(gram, y, c_box, iterations=20000):
     return alpha
 
 
+def reference_smo(gram, y, c_box, tol):
+    """svm._smo with its up/low sets rebuilt from every alpha at each step.
+
+    The working-set selection, the partner order and the pair update are
+    the package's own (svm._partners, svm._smo_step); only the set
+    bookkeeping is written out, so svm._smo, which updates the sets of
+    the two moved alphas only, can be compared to it bit for bit.
+    Returns (alpha, bias).
+    """
+    from motionpipe import svm
+    from motionpipe.errors import ConvergenceError
+
+    s = y.size
+    alpha = np.zeros(s)
+    f_err = -y.astype(np.float64)
+    diag = np.diag(gram)
+    indices = np.arange(s)
+    steps = 0
+    pos = y > 0
+    while True:
+        at_c = alpha >= c_box - svm._BOUND_EPS
+        at_zero = alpha <= svm._BOUND_EPS
+        up = (pos & ~at_c) | (~pos & ~at_zero)
+        low = (~pos & ~at_c) | (pos & ~at_zero)
+        f_up = np.where(up, f_err, np.inf)
+        i = int(np.argmin(f_up))
+        b_up = float(f_up[i])
+        b_low = float(np.where(low, f_err, -np.inf).max())
+        if b_low - b_up <= 2.0 * tol:
+            break
+        diff = f_err - f_err[i]
+        cand = low & (diff > 0.0)
+        eta = np.maximum(gram[i, i] + diag - 2.0 * gram[i], 1e-12)
+        score = np.where(cand, diff * diff / eta, -np.inf)
+        moved = False
+        for j in svm._partners(score, indices):
+            if not cand[j]:
+                break
+            steps += 1
+            if steps > svm.MAX_SMO_STEPS:
+                raise ConvergenceError("SMO not converged")
+            if svm._smo_step(gram, y, alpha, f_err, i, j, c_box):
+                moved = True
+                break
+        if not moved:
+            raise ConvergenceError("SMO not converged")
+    if not np.isfinite(b_up):
+        b_up = b_low if np.isfinite(b_low) else 0.0
+    if not np.isfinite(b_low):
+        b_low = b_up
+    return alpha, -0.5 * (b_up + b_low)
+
+
 def qp_objective(gram, y, alpha):
     q = gram * np.outer(y, y)
     return float(alpha.sum() - 0.5 * alpha @ q @ alpha)

@@ -255,6 +255,9 @@ def test_read_features_csv_errors(tmp_path):
     path.write_text("video_id,label,f0\na,x,abc\n")
     with pytest.raises(DataFormatError, match="non-numeric"):
         cli.read_features_csv(str(path))
+    path.write_text("video_id,label,f0,f1\n\n")
+    with pytest.raises(DataFormatError, match="feature table has no rows"):
+        cli.read_features_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +300,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     preds.write_text("video_id,foo,bar\na,x,y\n")
     code, _, err = _run(capsys, "eval", "--predictions", str(preds))
     assert code == 2 and "true_label" in err
+
+
+def test_header_only_features_exit_2_in_svm_fit_and_predict(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    cli.write_features_csv(str(good), [("a", "x", [1.0, 0.0]), ("b", "y", [0.0, 1.0])])
+    model = tmp_path / "m.svm"
+    code, _, _ = _run(capsys, "svm-fit", "--features", str(good), "--out", str(model))
+    assert code == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("video_id,label,f0,f1\n")
+    for argv in (["svm-fit", "--out", str(tmp_path / "again.svm")],
+                 ["svm-fit", "--gamma", "0.1", "--out", str(tmp_path / "again.svm")],
+                 ["predict", "--model", str(model), "--out", str(tmp_path / "p.csv")]):
+        code, _, err = _run(capsys, *argv, "--features", str(empty))
+        assert code == 2 and "feature table has no rows" in err
 
 
 def test_unlabeled_features_rejected(tmp_path, capsys):

@@ -119,18 +119,25 @@ def test_pca1_reader_on_mutated_files(tmp_path, valid_files, data):
     )
 
 
+def _check_svm(model):
+    if model is not None:
+        assert len(model.labels) >= 2
+        for machine in model.machines:
+            assert np.isfinite(machine.coefficients).all() and np.isfinite(machine.bias)
+
+
 @FUZZ
 @given(blob=st.one_of(st.binary(max_size=96), _with_magic(svm.SVM_MAGIC)))
 def test_svm1_reader_on_arbitrary_bytes(tmp_path, blob):
-    _loads_or_format_error(svm.load_model, tmp_path / "fuzz.svm", blob)
+    _check_svm(_loads_or_format_error(svm.load_model, tmp_path / "fuzz.svm", blob))
 
 
 @FUZZ
 @given(data=st.data())
 def test_svm1_reader_on_mutated_files(tmp_path, valid_files, data):
-    _loads_or_format_error(
+    _check_svm(_loads_or_format_error(
         svm.load_model, tmp_path / "fuzz.svm", _mutate(valid_files["svm"], data)
-    )
+    ))
 
 
 @FUZZ

@@ -116,6 +116,25 @@ def test_chi2_distances_of_x_with_itself_mirror_exactly():
                           svm.chi2_gram(x, x.copy(), svm.KernelParams(gamma=0.2)))
 
 
+@pytest.mark.parametrize("case", ["one-row-blocks", "symmetric-one-row-blocks", "empty-y",
+                                  "one-row-x", "one-row-x-symmetric"])
+def test_chi2_distances_edge_shapes_match_broadcast_formula(case):
+    rng = np.random.default_rng(16)
+    wide = np.maximum(rng.normal(size=(30, 1100)), 0.0)  # one row is 1100 values
+    assert wide.size > svm._BLOCK_ELEMENTS  # so every block holds a single row of x
+    x, y = {
+        "one-row-blocks": (wide[:7] + 0.5, wide),
+        "symmetric-one-row-blocks": (wide, None),
+        "empty-y": (wide[:3, :5], np.empty((0, 5))),
+        "one-row-x": (wide[:1, :64], wide[:, :64]),
+        "one-row-x-symmetric": (wide[:1, :64], None),
+    }[case]
+    y = x if y is None else y  # `y is x` selects the mirrored path
+    d = svm.chi2_distance_matrix(x, y, 1e-12)
+    assert d.shape == (x.shape[0], y.shape[0])
+    assert np.array_equal(d, _broadcast_chi2(x, y, 1e-12))
+
+
 def test_chi2_distances_memory_stays_blocked():
     x = np.random.default_rng(4).uniform(0, 2, size=(960, 64))
     tracemalloc.start()
@@ -212,6 +231,64 @@ def test_separable_clusters_dual_matches_qp_oracle():
         decision = svm.decision_values(model, feats)[:, model.labels.index(cls)]
         viol = svm.kkt_violation(alpha, y, decision - y, machine.c_box, 1e-3)
         assert viol.max() <= 1e-3
+
+
+def _smo_problem(case):
+    """(gram, one y per machine, c_box, tol) for the SMO bit-identity cases."""
+    rng = np.random.default_rng(21 if case == "small-c-box" else 5)
+    if case == "two-point":
+        x, y = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0])
+        return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], svm.DEFAULT_C_BOX, 1e-3
+    if case == "relu-4-class":
+        rows, dim, classes = 960, 64, 4
+        centres = np.kron(np.eye(classes), np.full(dim // classes, 0.8))
+        cls = np.arange(rows) % classes
+        x = np.maximum(centres[cls] + rng.normal(size=(rows, dim)) - 0.1, 0.0)
+        gram = svm.chi2_gram(x, x, svm.KernelParams(gamma=svm.default_gamma(x)))
+        ys = [np.where(cls == k, 1.0, -1.0) for k in range(classes)]  # one vs rest
+        return gram, ys, svm.DEFAULT_C_BOX, svm.DEFAULT_TOL
+    if case == "small-c-box":
+        x = rng.uniform(0, 2, size=(40, 5))
+        y = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
+        return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 0.05, 1e-3
+    x = rng.uniform(0, 2, size=(12, 4))
+    y = np.where(rng.uniform(size=12) < 0.5, 1.0, -1.0)
+    x, y = np.vstack([x, x, x]), np.concatenate([y, y, y])  # every row three times
+    return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 1.0, 1e-9
+
+
+@pytest.mark.parametrize("case", ["small-c-box", "duplicated-rows", "relu-4-class", "two-point"])
+def test_smo_matches_reference_rebuilding_kkt_sets(case, monkeypatch):
+    gram, ys, c_box, tol = _smo_problem(case)
+    step = svm._smo_step
+    steps = []
+    for y in ys:
+        calls = []
+
+        def recording(gram, y, alpha, errors, i, j, c_box):
+            moved = step(gram, y, alpha, errors, i, j, c_box)
+            calls.append((i, moved))
+            return moved
+
+        monkeypatch.setattr(svm, "_smo_step", recording)
+        alpha, bias = svm._smo(gram, y, c_box, tol)
+        monkeypatch.setattr(svm, "_smo_step", step)
+        want_alpha, want_bias = oracles.reference_smo(gram, y, c_box, tol)
+        assert np.array_equal(alpha, want_alpha)
+        assert bias == want_bias
+        steps.append(len(calls))
+    assert min(steps) > 0
+    if case == "relu-4-class":
+        assert min(steps) > 500  # hundreds of set updates per machine
+    if case == "small-c-box":
+        assert np.count_nonzero(alpha == c_box) > 1  # alphas reach the box
+        assert np.count_nonzero((alpha > 0) & (alpha < c_box)) > 0
+    if case == "duplicated-rows":
+        # each rejected step is followed by the next partner for the same i
+        fallbacks = [a[0] == b[0] for a, b in zip(calls, calls[1:]) if not a[1]]
+        assert fallbacks and all(fallbacks)
+    if case == "two-point":
+        assert np.all(alpha > 0)
 
 
 def test_noisy_labels_still_converge():
@@ -343,6 +420,20 @@ def test_load_model_errors(tmp_path):
     extra.write_bytes(blob + b"\x00")
     with pytest.raises(DataFormatError, match="trailing"):
         svm.load_model(extra)
+
+    # the last machine ends with its last coefficient, then its bias
+    cases = [
+        ("at least 2 classes", blob[:4] + struct.pack("<I", 0) + blob[8:28]),
+        ("at least 2 classes", blob[:4] + struct.pack("<I", 1) + blob[8:]),
+        ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", np.nan)),
+        ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", -np.inf)),
+        ("coefficients and bias must be finite",
+         blob[:-16] + struct.pack("<d", np.inf) + blob[-8:]),
+    ]
+    for message, bad_blob in cases:
+        bad.write_bytes(bad_blob)
+        with pytest.raises(DataFormatError, match=message):
+            svm.load_model(bad)
 
 
 def test_loaded_model_shares_support_vectors_across_machines(tmp_path):
