@@ -147,8 +147,9 @@ def _flow_params(args) -> dict:
 
 def _read_corpus(args):
     """Manifest and sequences for standalone stage commands (no caching)."""
-    def describe(path, video_id):
-        return pipeline.frames_to_sequence(path, video_id=video_id, **_flow_params(args))
+    def describe(dirs):
+        return {vid: pipeline.frames_to_sequence(path, video_id=vid, **_flow_params(args))
+                for vid, path in dirs.items()}
 
     return pipeline.read_corpus(args.manifest, describe)
 

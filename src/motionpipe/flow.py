@@ -245,7 +245,7 @@ def describe_flow(flow: FlowField, grid: int = 4, bins: int = 8) -> np.ndarray:
 
 
 def read_pgm(path) -> Frame:
-    """Read a binary (P5) 8-bit PGM file; intensity = byte / 255."""
+    """Read a binary (P5) 8-bit PGM file; intensity = sample / maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -288,7 +288,9 @@ def read_pgm(path) -> Frame:
     if len(raster) != width * height:
         raise DataFormatError(f"{path}: truncated PGM raster")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return Frame(intensity=arr.astype(np.float64) / 255.0)
+    if arr.max() > maxval:
+        raise DataFormatError(f"{path}: sample {arr.max()} exceeds maxval {maxval}")
+    return Frame(intensity=arr.astype(np.float64) / maxval)
 
 
 def write_pgm(frame: Frame, path) -> None:

@@ -9,12 +9,22 @@ indices).  A cached rerun reads those outputs instead of rebuilding the
 network or the SVM, so it reproduces a cold run bit for bit.  Stage
 caching is keyed by content hashes that chain upstream, so changing any
 input invalidates everything below it.
+
+A run plans every key and whether it hits once, up front.  Folds whose
+stages all hit, and so a fully warm run, stay in this process; the frame
+directories and folds that miss run on forked workers, one per usable
+CPU, each with OpenBLAS held to one thread.  Workers write only their own
+fold's directory or video's descriptors, and their results and fit-audit
+calls come back in order, so the outputs are the same bytes as a serial
+run's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import os
 import warnings
@@ -272,20 +282,23 @@ def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
 def read_corpus(manifest_path, describe):
     """The manifest plus each video's descriptor sequence, by video id.
 
-    ``.fds`` sources are read as they are; ``describe(path, video_id)``
-    turns a frame directory into its descriptor sequence.
+    ``.fds`` sources are read as they are; ``describe(dirs)`` turns the frame
+    directories, given as {video_id: path}, into {video_id: sequence}.
     """
     manifest = corpus.load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    sequences = {}
+    files, dirs = {}, {}
     for entry in manifest.entries:
         path = os.path.join(base, entry.path)  # an absolute entry path stands
         if not os.path.exists(path):
             raise FileNotFoundError(f"video source {path!r} not found")
         if os.path.isdir(path):
-            sequences[entry.video_id] = describe(path, entry.video_id)
+            dirs[entry.video_id] = path
         else:
-            sequences[entry.video_id] = corpus.read_sequence(path, video_id=entry.video_id)
+            files[entry.video_id] = corpus.read_sequence(path, video_id=entry.video_id)
+    described = describe(dirs)
+    sequences = {vid: files[vid] if vid in files else described[vid]
+                 for vid in manifest.video_ids()}
     dims = {seq.dim for seq in sequences.values()}
     if len(dims) > 1:
         raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
@@ -344,26 +357,42 @@ def _source_digest(path: str) -> str:
     return _digest("dir", *parts)
 
 
-def _cached(key: str, artifacts, load, fit):
-    """``load()`` if every artifact exists under ``key``, otherwise ``fit()``.
+@dataclass(frozen=True)
+class _Planned:
+    """A stage's cache key, its artifacts, and whether it hit when planned.
 
-    The key lives in the first artifact's path plus ``.key``.  A stale key
-    is removed before ``fit`` writes anything and the new one is written
-    only after it returns, so an interrupted write never reads as a hit.
+    The key lives in the first artifact's path plus ``.key``.  A hit needs
+    that file to hold the key and every artifact to exist.
     """
-    key_path = artifacts[0] + ".key"
+    key: str
+    artifacts: tuple
+    hit: bool
+
+
+def _plan(key: str, *artifacts) -> _Planned:
     try:
-        with open(key_path, "r", encoding="utf-8") as fh:
+        with open(artifacts[0] + ".key", "rb") as fh:
             stored = fh.read().strip()
     except FileNotFoundError:
         stored = None
-    if stored == key and all(os.path.exists(path) for path in artifacts):
+    hit = stored == key.encode("ascii") and all(os.path.exists(path) for path in artifacts)
+    return _Planned(key, artifacts, hit)
+
+
+def _cached(planned: _Planned, load, fit):
+    """``load()`` if ``planned`` hit, otherwise ``fit()``.
+
+    A stale key is removed before ``fit`` writes anything and the new one is
+    written only after it returns, so an interrupted write never reads as a hit.
+    """
+    if planned.hit:
         return load()
-    if stored is not None:
+    key_path = planned.artifacts[0] + ".key"
+    with contextlib.suppress(FileNotFoundError):
         os.remove(key_path)
     value = fit()
     with open(key_path, "w", encoding="utf-8") as fh:
-        fh.write(key + "\n")
+        fh.write(planned.key + "\n")
     return value
 
 
@@ -399,33 +428,162 @@ def _stage(stage: str, fold_index: int):
 
 
 # ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+# The tasks of the running _fork_map, by position.  Set before the workers
+# fork, so they inherit the tasks' inputs instead of unpickling them.
+_forked_tasks: list = []
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The set-threads function of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+def _one_blas_thread() -> None:
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
+def _worker_count(pending: int) -> int:
+    """Workers for ``pending`` tasks: one per CPU this process may use.
+
+    One (run in-process) unless BLAS can be held to one thread per worker:
+    two workers at OpenBLAS's default thread count oversubscribe the CPUs
+    and run several times slower than one process.
+    """
+    if pending < 2 or _blas_thread_setter() is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), pending)
+
+
+def _forked_task(index: int):
+    """Run task ``index`` in a worker: (value, exception, fit audit calls).
+
+    The exception is returned, not raised: the executor would replace its
+    cause, from which the CLI picks the exit code, and a failed task's audit
+    calls still reach the parent.
+    """
+    global fit_audit
+    calls = []
+    fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
+    try:
+        return _forked_tasks[index](), None, calls
+    except Exception as exc:
+        return None, exc, calls
+
+
+def _fork_map(tasks: dict) -> dict:
+    """Run ``tasks``, {name: callable}, on forked workers: {name: (value, exception)}.
+
+    Empty when fewer than two workers would run; the caller then calls the
+    tasks itself.  Tasks start in order, none starts once one has failed,
+    and the running ones finish, so a caller that takes the outcomes in
+    order meets the first failure before any task that never ran.  The fit
+    audit calls of every finished task are replayed here, in order.
+
+    The workers fork (not spawn) so that the tasks' inputs, monkeypatches
+    and warning filters carry over without pickling; each keeps BLAS to one
+    thread.
+    """
+    workers = _worker_count(len(tasks))
+    if workers < 2:
+        return {}
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    global _forked_tasks
+    _forked_tasks = list(tasks.values())
+    done = {}
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            queue = iter(range(len(_forked_tasks)))
+            running = {pool.submit(_forked_task, i): i for i in itertools.islice(queue, workers)}
+            while running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    done[running.pop(future)] = future.result()
+                if all(error is None for _, error, _ in done.values()):
+                    running.update((pool.submit(_forked_task, i), i)
+                                   for i in itertools.islice(queue, len(finished)))
+    finally:
+        _forked_tasks = []
+    names = list(tasks)
+    outcomes = {}
+    for i in sorted(done):
+        value, error, calls = done[i]
+        for call in calls:
+            _audit(*call)
+        outcomes[names[i]] = value, error
+    return outcomes
+
+
+def _take(outcome):
+    """The value of a (value, exception) outcome; raises the exception."""
+    value, error = outcome
+    if error is not None:
+        raise error
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
+
+def _describe(path: str, video_id: str, planned: _Planned, flow_params: dict):
+    """One frame directory's descriptors, written to the cache ``planned`` names."""
+    def compute():
+        seq = frames_to_sequence(path, video_id=video_id, **flow_params)
+        corpus.write_sequence(seq, planned.artifacts[0])
+        return seq
+
+    return _cached(planned, None, compute)
+
 
 def _load_corpus(config: PipelineConfig):
     """Manifest, descriptor sequences and their cache keys.
 
-    Descriptors computed from frame directories are cached; each source
-    is hashed once.
+    Descriptors computed from frame directories are cached; each source is
+    hashed once, in this process, and the directories that miss are
+    described on forked workers.
     """
     desc_dir = os.path.join(config.output_dir, "descriptors")
     flow_params = _section(config, "flow")
     flow_cfg = json.dumps(flow_params, sort_keys=True)
     desc_keys = {}
 
-    def describe(path, video_id):
-        artifact = os.path.join(desc_dir, f"{video_id}.fds")
-        key = desc_keys[video_id] = _digest("desc", flow_cfg, _source_digest(path))
-
-        def compute():
-            seq = frames_to_sequence(path, video_id=video_id, **flow_params)
-            corpus.write_sequence(seq, artifact)
-            return seq
-
-        os.makedirs(desc_dir, exist_ok=True)
-        return _cached(
-            key, [artifact], lambda: corpus.read_sequence(artifact, video_id=video_id), compute
-        )
+    def describe(dirs):
+        found, tasks = {}, {}
+        for vid, path in dirs.items():
+            artifact = os.path.join(desc_dir, f"{vid}.fds")
+            planned = _plan(_digest("desc", flow_cfg, _source_digest(path)), artifact)
+            desc_keys[vid] = planned.key
+            if planned.hit:
+                found[vid] = corpus.read_sequence(artifact, video_id=vid)
+            else:
+                tasks[vid] = functools.partial(_describe, path, vid, planned, flow_params)
+        if tasks:
+            os.makedirs(desc_dir, exist_ok=True)
+        outcomes = _fork_map(tasks)
+        for vid, task in tasks.items():
+            found[vid] = _take(outcomes[vid]) if vid in outcomes else task()
+        return found
 
     manifest, sequences = read_corpus(config.manifest, describe)
     for vid, seq in sequences.items():
@@ -441,25 +599,64 @@ def _architecture_text(config: PipelineConfig, num_classes: int) -> str:
         return fh.read()
 
 
-def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_text):
-    """Fit on the fold's training videos and predict its test videos."""
+@dataclass(frozen=True)
+class _FoldPlan:
+    """One fold's directory, CNN settings, and each stage's planned cache entry."""
+    directory: str
+    train_cfg: cnn.TrainConfig
+    l_max: int  # the network's input length; a longer test video is cut to it
+    pca: _Planned
+    cnn: _Planned
+    svm: _Planned
+
+    @property
+    def hit(self) -> bool:
+        return self.pca.hit and self.cnn.hit and self.svm.hit
+
+
+def _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text) -> _FoldPlan:
+    """Every stage's cache key for one fold, each chained to the one upstream."""
     fold_dir = os.path.join(config.output_dir, f"fold_{fold_index:03d}")
-    os.makedirs(fold_dir, exist_ok=True)
+    train_ids = sorted(fold.train_ids)
+    pca_key = _digest(
+        "pca", repr(config.pov_threshold), *[f"{vid}:{desc_keys[vid]}" for vid in train_ids],
+    )
+    train_cfg = cnn.TrainConfig(
+        learning_rate=config.learning_rate, momentum=config.momentum,
+        epochs=config.epochs, batch_size=config.batch_size,
+        seed=config.seed ^ fold_index, weight_decay=config.weight_decay,
+    )
+    l_max = max(sequences[vid].frames for vid in train_ids)
+    cnn_key = _digest(
+        "cnn-features", pca_key, arch_text, repr(train_cfg), str(l_max), ",".join(train_ids),
+        *[f"{vid}:{desc_keys[vid]}" for vid in sorted(fold.train_ids + fold.test_ids)],
+    )
+    svm_key = _digest("svm-predictions", cnn_key,
+                      json.dumps(_section(config, "svm"), sort_keys=True))
+    pca_path, cnn_path, svm_path = (
+        os.path.join(fold_dir, f"model.{stage}") for stage in ("pca", "cnn", "svm")
+    )
+    return _FoldPlan(
+        directory=fold_dir, train_cfg=train_cfg, l_max=l_max,
+        pca=_plan(pca_key, pca_path),
+        cnn=_plan(cnn_key, cnn_path, cnn_path + ".npz"),
+        svm=_plan(svm_key, svm_path, svm_path + ".npz"),
+    )
+
+
+def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _FoldPlan):
+    """Fit on the fold's training videos and predict its test videos."""
+    os.makedirs(plan.directory, exist_ok=True)
     labels = manifest.labels()
     label_index = {label: i for i, label in enumerate(labels)}
     train_ids = list(fold.train_ids)
     test_ids = list(fold.test_ids)
     fold_ids = train_ids + test_ids
     n_train = len(train_ids)
-    fold_seed = config.seed ^ fold_index
 
     # PCA on training descriptors only
     with _stage("pca", fold_index):
-        pca_key = _digest(
-            "pca", repr(config.pov_threshold),
-            *[f"{vid}:{desc_keys[vid]}" for vid in sorted(train_ids)],
-        )
-        pca_path = os.path.join(fold_dir, "model.pca")
+        pca_path = plan.pca.artifacts[0]
 
         def fit_pca():
             _audit("pca", fold_index, train_ids)
@@ -469,23 +666,11 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             return model
 
         # a hit is read only if the CNN stage misses too (fit_cnn below)
-        fitted_pca = _cached(pca_key, [pca_path], lambda: None, fit_pca)
+        fitted_pca = _cached(plan.pca, lambda: None, fit_pca)
 
     # 1D-CNN on training series only; its output is every fold video's features
     with _stage("cnn", fold_index):
-        train_cfg = cnn.TrainConfig(
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            epochs=config.epochs, batch_size=config.batch_size,
-            seed=fold_seed, weight_decay=config.weight_decay,
-        )
-        l_max = max(sequences[vid].frames for vid in fold_ids)
-        cnn_key = _digest(
-            "cnn-features", pca_key, arch_text, repr(train_cfg), str(l_max),
-            ",".join(sorted(train_ids)),
-            *[f"{vid}:{desc_keys[vid]}" for vid in sorted(fold_ids)],
-        )
-        cnn_path = os.path.join(fold_dir, "model.cnn")
-        cnn_out = cnn_path + ".npz"
+        cnn_path, cnn_out = plan.cnn.artifacts
 
         def fit_cnn():
             pca_model = fitted_pca
@@ -493,16 +678,16 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
                 with _stage("pca", fold_index):
                     pca_model = pca.load_model(pca_path)
             _audit("cnn", fold_index, train_ids)
-            batch, _ = project_videos(pca_model, sequences, fold_ids)
+            batch, _ = project_videos(pca_model, sequences, fold_ids, plan.l_max)
             spec = cnn.NetworkSpec(
-                input_channels=pca_model.channels, input_length=l_max,
+                input_channels=pca_model.channels, input_length=plan.l_max,
                 layers=cnn.parse_architecture(arch_text),
             )
             state, losses = cnn.train(
                 spec,
                 batch[:n_train],
                 [label_index[manifest.entry(vid).label] for vid in train_ids],
-                train_cfg,
+                plan.train_cfg,
             )
             cnn.save_model(spec, state, cnn_path)
             features = cnn.extract_features(spec, state, batch)
@@ -515,20 +700,17 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
             )
             return arrays["features"], [float(x) for x in arrays["loss"]]
 
-        features, loss_history = _cached(cnn_key, [cnn_path, cnn_out], load_cnn, fit_cnn)
+        features, loss_history = _cached(plan.cnn, load_cnn, fit_cnn)
 
     # SVM on training features only; its output is the test predictions
     with _stage("svm", fold_index):
-        svm_key = _digest("svm-predictions", cnn_key,
-                          json.dumps(_section(config, "svm"), sort_keys=True))
-        svm_path = os.path.join(fold_dir, "model.svm")
-        svm_out = svm_path + ".npz"
+        svm_path, svm_out = plan.svm.artifacts
 
         def fit_svm():
             train_features = features[:n_train]
             if config.gamma == "auto":
                 _audit("gamma", fold_index, train_ids)
-                gamma = svm.default_gamma(train_features, seed=fold_seed)
+                gamma = svm.default_gamma(train_features, seed=plan.train_cfg.seed)
             else:
                 gamma = float(config.gamma)
             _audit("svm", fold_index, train_ids)
@@ -554,7 +736,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, desc_keys, arch_tex
                 raise DataFormatError(f"{svm_out}: predictions are not label indices")
             return predicted
 
-        predicted = _cached(svm_key, [svm_path, svm_out], load_svm, fit_svm)
+        predicted = _cached(plan.svm, load_svm, fit_svm)
 
     records = tuple(
         (vid, manifest.entry(vid).label, labels[k]) for vid, k in zip(test_ids, predicted)
@@ -573,12 +755,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     )
     arch_text = _architecture_text(config, len(manifest.labels()))
 
+    # every key is computed once, here; only the folds that miss are forked
+    tasks, misses = {}, {}
+    for fold_index, fold in enumerate(plan.folds):
+        fold_plan = _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text)
+        tasks[fold_index] = functools.partial(
+            _run_fold, config, fold_index, fold, manifest, sequences, arch_text, fold_plan
+        )
+        if not fold_plan.hit:
+            misses[fold_index] = tasks[fold_index]
+    outcomes = _fork_map(misses)
     fold_results = []
     loss_histories = []
-    for fold_index, fold in enumerate(plan.folds):
-        result, losses = _run_fold(
-            config, fold_index, fold, manifest, sequences, desc_keys, arch_text
-        )
+    for fold_index, task in tasks.items():
+        result, losses = _take(outcomes[fold_index]) if fold_index in outcomes else task()
         fold_results.append(result)
         loss_histories.append(tuple(losses))
 

@@ -297,3 +297,24 @@ def test_pgm_rejects_wide_maxval(tmp_path):
     path.write_bytes(b"P5\n8 8\n65535\n" + bytes(128))
     with pytest.raises(DataFormatError, match="maxval"):
         flow.read_pgm(path)
+
+
+@pytest.mark.parametrize("maxval", [1, 15, 100, 255])
+def test_pgm_intensity_is_sample_over_maxval(tmp_path, maxval):
+    path = tmp_path / "scaled.pgm"
+    raster = np.arange(64) % (maxval + 1)
+    raster[-1] = maxval
+    path.write_bytes(f"P5\n8 8\n{maxval}\n".encode("ascii") + raster.astype(np.uint8).tobytes())
+    frame = flow.read_pgm(path)
+    assert np.array_equal(frame.intensity, raster.reshape(8, 8) / maxval)
+    assert frame.intensity.max() == 1.0
+
+
+@pytest.mark.parametrize("maxval, sample", [(15, 16), (15, 200), (1, 2), (254, 255)])
+def test_pgm_rejects_sample_above_maxval(tmp_path, maxval, sample):
+    path = tmp_path / "over.pgm"
+    raster = bytearray(64)
+    raster[37] = sample
+    path.write_bytes(f"P5\n8 8\n{maxval}\n".encode("ascii") + bytes(raster))
+    with pytest.raises(DataFormatError, match=f"sample {sample} exceeds maxval {maxval}"):
+        flow.read_pgm(path)

@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
 from types import SimpleNamespace
 
@@ -50,6 +53,22 @@ def _model_mtimes(out_dir):
 
 def _read_reports(out_dir):
     return {name: open(os.path.join(out_dir, name), "rb").read() for name in REPORTS}
+
+
+def _tree(out_dir):
+    """Every file under ``out_dir``, by relative path, with its bytes."""
+    files = {}
+    for dirpath, _, filenames in os.walk(out_dir):
+        for name in filenames:
+            full = os.path.join(dirpath, name)
+            with open(full, "rb") as fh:
+                files[os.path.relpath(full, out_dir)] = fh.read()
+    return files
+
+
+def _use_workers(monkeypatch, count):
+    """Pin the forked workers a run uses; one runs every task in-process."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda pending: min(count, pending))
 
 
 @pytest.fixture()
@@ -335,6 +354,17 @@ def test_warm_rerun_hits_cache_and_reproduces_reports(mini_run, audit_log):
     assert result.loss_histories == mini_run.result.loss_histories
 
 
+def _write_config(config, path):
+    """``config``'s settings that differ from the defaults, as a config file."""
+    path.write_text(json.dumps({
+        "manifest": config.manifest, "output_dir": config.output_dir,
+        "pca": {"pov_threshold": config.pov_threshold},
+        "cnn": {"architecture": config.architecture, "learning_rate": config.learning_rate,
+                "epochs": config.epochs, "batch_size": config.batch_size},
+    }))
+    return str(path)
+
+
 def _copy_run(mini_run, tmp_path, **overrides):
     out = tmp_path / "out"
     shutil.copytree(mini_run.config.output_dir, out)
@@ -350,7 +380,8 @@ def test_warm_rerun_reads_no_pca_model(mini_run, tmp_path, monkeypatch):
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
-def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, audit_log):
+def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, monkeypatch, audit_log):
+    _use_workers(monkeypatch, 1)  # a second worker would refit fold 1 meanwhile
     config = _copy_run(mini_run, tmp_path, learning_rate=0.04)
     with open(os.path.join(config.output_dir, "fold_000", "model.pca"), "r+b") as fh:
         fh.write(b"XXXX")
@@ -384,7 +415,8 @@ def test_changing_pov_refits_every_stage(mini_run, tmp_path, audit_log):
     assert all(after[name] != stamp for name, stamp in before.items())
 
 
-def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
+def _frame_dir_config(tmp_path):
+    """A run over four frame-directory videos of two classes."""
     corpus_dir = tmp_path / "corpus"
     entries = []
     for c, shift_step in enumerate((1, 2)):
@@ -404,9 +436,14 @@ def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
 
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text("fc 8\nrelu\nsoftmax 2\n")
-    config = _mini_config(
+    return _mini_config(
         manifest_path, tmp_path / "out", arch_path, iterations=20, grid=2, bins=4, epochs=3
     )
+
+
+def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
+    config = _frame_dir_config(tmp_path)
+    entries = corpus.load_manifest(config.manifest).entries
     pipeline.run_pipeline(config)
     desc_dir = os.path.join(config.output_dir, "descriptors")
     cached = sorted(os.listdir(desc_dir))
@@ -423,6 +460,69 @@ def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
     assert {stage for stage, _, _ in audit_log} == {"pca", "cnn", "gamma", "svm"}
     fresh = {n: os.stat(os.path.join(desc_dir, n)).st_mtime_ns for n in cached}
     assert all(fresh[n] != stamps[n] for n in cached)
+
+
+def test_held_out_length_does_not_shape_training(tmp_path):
+    manifest, sequences, _ = corpus.generate_synthetic_corpus(
+        classes=2, per_class=2, channels=3, min_len=16, max_len=20, seed=5
+    )
+    held_out = manifest.video_ids()[0]  # LOOCV fold 0 tests the first video
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    outputs = []
+    for extra in (0, 12):  # 12 more frames make it longer than every training video
+        lengthened = [
+            dataclasses.replace(seq, data=np.concatenate([seq.data, seq.data[:extra]]))
+            if seq.video_id == held_out else seq
+            for seq in sequences
+        ]
+        manifest_path = corpus.save_corpus(manifest, lengthened, tmp_path / f"corpus{extra}")
+        config = _mini_config(manifest_path, tmp_path / f"out{extra}", arch_path)
+        pipeline.run_pipeline(config)
+        with np.load(os.path.join(config.output_dir, "fold_000", "model.cnn.npz")) as data:
+            outputs.append((data["loss"], data["features"][:-1]))
+    (loss, train_rows), (loss_long, train_rows_long) = outputs
+    assert np.array_equal(loss, loss_long)
+    assert np.array_equal(train_rows, train_rows_long)
+
+
+# ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+def test_two_workers_write_what_one_writes(tmp_path, monkeypatch, audit_log):
+    config = _frame_dir_config(tmp_path)
+    runs = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        out = dataclasses.replace(config, output_dir=str(tmp_path / f"out{workers}"))
+        audit_log.clear()
+        pipeline.run_pipeline(out)
+        runs.append((list(audit_log), _tree(out.output_dir)))
+    (audit_one, files_one), (audit_two, files_two) = runs
+    assert audit_one and audit_two == audit_one
+    assert len(files_one) == 4 * 2 + 4 * 8 + 5  # descriptors, fold artifacts, reports
+    assert files_two == files_one
+    assert multiprocessing.active_children() == []
+
+
+def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
+    config = _frame_dir_config(tmp_path)
+    _use_workers(monkeypatch, 2)
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    pipeline.run_pipeline(config)
+    assert len(pools) == 2  # the descriptors, then the folds
+    pools.clear()
+    audit_log.clear()
+    pipeline.run_pipeline(config)
+    assert pools == [] and audit_log == []
 
 
 def test_identical_videos_classify_perfectly(tmp_path):
@@ -488,6 +588,48 @@ def test_stage_error_tags_stage_and_fold(mini_run, tmp_path, monkeypatch):
     assert isinstance(info.value.__cause__, ConvergenceError)
 
 
+def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path, monkeypatch,
+                                                             audit_log, capsys):
+    def explode(*args, **kwargs):
+        raise ConvergenceError("SMO not converged")
+
+    _use_workers(monkeypatch, 2)
+    monkeypatch.setattr(svm, "fit", explode)
+    config = dataclasses.replace(mini_run.config, output_dir=str(tmp_path / "out"))
+    with pytest.raises(StageError) as info:
+        pipeline.run_pipeline(config)
+    assert (info.value.stage, info.value.fold) == ("svm", 0)
+    assert isinstance(info.value.__cause__, ConvergenceError)
+    # folds 0 and 1 started together; once one failed, folds 2 and 3 never started
+    assert {fold for _, fold, _ in audit_log} == {0, 1}
+    assert [stage for stage, fold, _ in audit_log if fold == 1] == ["pca", "cnn", "gamma", "svm"]
+    assert multiprocessing.active_children() == []
+
+    assert cli.main(["run", "--config", _write_config(config, tmp_path / "c.json")]) == 3
+    assert "fold 0, stage svm: SMO not converged" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cause", [
+    None,
+    ConvergenceError("SMO not converged"),
+    DataFormatError("bad magic"),
+    FileNotFoundError(2, "No such file or directory"),
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+], ids=lambda cause: type(cause).__name__)
+def test_stage_error_survives_pickling(cause):
+    error = StageError("svm", 3, "x")
+    error.__cause__ = cause
+    back = pickle.loads(pickle.dumps(error))
+    assert (back.stage, back.fold, back.message) == ("svm", 3, "x")
+    assert str(back) == "fold 3, stage svm: x"
+    if cause is None:
+        assert back.__cause__ is None
+    else:
+        assert type(back.__cause__) is type(cause)
+        assert back.__cause__.args == cause.args
+
+
 @pytest.mark.parametrize("name, arrays, message", [
     # a CNN cache in the older format (network weights, no features)
     ("model.cnn.npz", {"loss": np.ones(6)}, "no array 'features'"),
@@ -504,19 +646,12 @@ def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arr
     assert isinstance(info.value.__cause__, DataFormatError)
     assert message in str(info.value)
 
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "manifest": config.manifest, "output_dir": config.output_dir,
-        "pca": {"pov_threshold": config.pov_threshold},
-        "cnn": {"architecture": config.architecture, "learning_rate": config.learning_rate,
-                "epochs": config.epochs, "batch_size": config.batch_size},
-    }))
-    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 2
     assert message in capsys.readouterr().err
 
 
-def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):
-    config = _copy_run(mini_run, tmp_path)
+def _crash_after_svm_writes(config, monkeypatch):
+    """Run with other SVM settings, every np.savez raising after its write."""
     real_savez = np.savez
 
     def savez_then_crash(*args, **kwargs):
@@ -528,9 +663,30 @@ def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, a
         pipeline.run_pipeline(dataclasses.replace(config, c_box=0.01, gamma=50.0))
     monkeypatch.setattr(np, "savez", real_savez)
 
+
+def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):
+    _use_workers(monkeypatch, 1)
+    config = _copy_run(mini_run, tmp_path)
+    _crash_after_svm_writes(config, monkeypatch)
+
     audit_log.clear()
     pipeline.run_pipeline(config)
     assert {(stage, fold) for stage, fold, _ in audit_log} == {("gamma", 0), ("svm", 0)}
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkeypatch, audit_log):
+    _use_workers(monkeypatch, 2)
+    config = _copy_run(mini_run, tmp_path)
+    _crash_after_svm_writes(config, monkeypatch)
+    crashed = {fold for _, fold, _ in audit_log}
+    assert crashed == {0, 1}  # both workers' folds wrote, then crashed
+
+    audit_log.clear()
+    pipeline.run_pipeline(config)
+    assert {(stage, fold) for stage, fold, _ in audit_log} == {
+        (stage, fold) for fold in crashed for stage in ("gamma", "svm")
+    }
     assert _read_reports(config.output_dir) == mini_run.reports
 
 

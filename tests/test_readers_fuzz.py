@@ -83,10 +83,15 @@ def _with_magic(magic):
     return st.binary(max_size=96).map(lambda tail: magic + tail)
 
 
+def _check_pgm(frame):
+    if frame is not None:
+        assert 0.0 <= frame.intensity.min() and frame.intensity.max() <= 1.0
+
+
 @FUZZ
 @given(blob=st.one_of(st.binary(max_size=96), _with_magic(b"P5\n")))
 def test_pgm_reader_on_arbitrary_bytes(tmp_path, blob):
-    _loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", blob)
+    _check_pgm(_loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", blob))
 
 
 @FUZZ
@@ -94,15 +99,15 @@ def test_pgm_reader_on_arbitrary_bytes(tmp_path, blob):
        maxval=st.integers(-1, 300), raster=st.binary(max_size=160))
 def test_pgm_reader_on_arbitrary_headers(tmp_path, width, height, maxval, raster):
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    _loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", header + raster)
+    _check_pgm(_loads_or_format_error(flow.read_pgm, tmp_path / "fuzz.pgm", header + raster))
 
 
 @FUZZ
 @given(data=st.data())
 def test_pgm_reader_on_mutated_files(tmp_path, valid_files, data):
-    _loads_or_format_error(
+    _check_pgm(_loads_or_format_error(
         flow.read_pgm, tmp_path / "fuzz.pgm", _mutate(valid_files["pgm"], data)
-    )
+    ))
 
 
 @FUZZ
