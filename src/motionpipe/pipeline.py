@@ -12,11 +12,12 @@ input invalidates everything below it.
 
 A run plans every key and whether it hits once, up front.  Folds whose
 stages all hit, and so a fully warm run, stay in this process; the frame
-directories and folds that miss run on forked workers, one per usable
-CPU, each with OpenBLAS held to one thread.  Workers write only their own
-fold's directory or video's descriptors, and their results and fit-audit
-calls come back in order, so the outputs are the same bytes as a serial
-run's.
+directories and folds that miss run on up to two forked workers, each
+with OpenBLAS held to one thread.  Workers write only their own fold's
+directory or video's descriptors, and their results and fit-audit calls
+come back in order, so the outputs are the same bytes as a serial run's.
+While a public stage function is wrapped (a tracer's timing wrapper, say),
+everything runs in this process, so the wrapper sees every call.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -435,6 +438,10 @@ def _stage(stage: str, fold_index: int):
 # fork, so they inherit the tasks' inputs instead of unpickling them.
 _forked_tasks: list = []
 
+# At most this many workers: the count the fold-parallel speed-up and the
+# workers' memory (each about as large as a serial run) were measured at.
+_MAX_WORKERS = 2
+
 
 @functools.cache
 def _blas_thread_setter():
@@ -445,12 +452,11 @@ def _blas_thread_setter():
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            setter = lib.scipy_openblas_set_num_threads64_
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
     return None
 
 
@@ -460,16 +466,27 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
+def _stage_functions_replaced() -> bool:
+    """Whether a public function of the stage modules is no longer the one defined.
+
+    A tracer or profiler that replaces such a function with a wrapper records
+    its calls in this process, where a forked worker's calls never arrive.
+    """
+    return any(getattr(module, name, None) is not fn
+               for (module, name), fn in _STAGE_FUNCTIONS.items())
+
+
 def _worker_count(pending: int) -> int:
-    """Workers for ``pending`` tasks: one per CPU this process may use.
+    """Workers for ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
 
     One (run in-process) unless BLAS can be held to one thread per worker:
     two workers at OpenBLAS's default thread count oversubscribe the CPUs
-    and run several times slower than one process.
+    and run several times slower than one process.  One also while a stage
+    function is wrapped, so that the wrapper sees every fit.
     """
-    if pending < 2 or _blas_thread_setter() is None:
+    if pending < 2 or _blas_thread_setter() is None or _stage_functions_replaced():
         return 1
-    return min(len(os.sched_getaffinity(0)), pending)
+    return min(_MAX_WORKERS, len(os.sched_getaffinity(0)), pending)
 
 
 def _forked_task(index: int):
@@ -489,13 +506,14 @@ def _forked_task(index: int):
 
 
 def _fork_map(tasks: dict) -> dict:
-    """Run ``tasks``, {name: callable}, on forked workers: {name: (value, exception)}.
+    """Run ``tasks``, {name: callable}: {name: (value, exception)} for those that ran.
 
-    Empty when fewer than two workers would run; the caller then calls the
-    tasks itself.  Tasks start in order, none starts once one has failed,
-    and the running ones finish, so a caller that takes the outcomes in
-    order meets the first failure before any task that never ran.  The fit
-    audit calls of every finished task are replayed here, in order.
+    Tasks start in order and none starts once one has failed, so a caller
+    that takes the outcomes in order meets the first failure before any task
+    that never ran.  With fewer than two workers (see _worker_count) the
+    tasks run in this process.  Otherwise they run on forked workers, the
+    running ones finish after a failure, and the fit audit calls of every
+    finished task are replayed here, in order.
 
     The workers fork (not spawn) so that the tasks' inputs, monkeypatches
     and warning filters carry over without pickling; each keeps BLAS to one
@@ -503,7 +521,14 @@ def _fork_map(tasks: dict) -> dict:
     """
     workers = _worker_count(len(tasks))
     if workers < 2:
-        return {}
+        outcomes = {}
+        for name, task in tasks.items():
+            try:
+                outcomes[name] = task(), None
+            except Exception as exc:
+                outcomes[name] = None, exc
+                break
+        return outcomes
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -581,8 +606,8 @@ def _load_corpus(config: PipelineConfig):
         if tasks:
             os.makedirs(desc_dir, exist_ok=True)
         outcomes = _fork_map(tasks)
-        for vid, task in tasks.items():
-            found[vid] = _take(outcomes[vid]) if vid in outcomes else task()
+        for vid in tasks:
+            found[vid] = _take(outcomes[vid])
         return found
 
     manifest, sequences = read_corpus(config.manifest, describe)
@@ -755,7 +780,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     )
     arch_text = _architecture_text(config, len(manifest.labels()))
 
-    # every key is computed once, here; only the folds that miss are forked
+    # every key is computed once, here; only the folds that miss may be forked
     tasks, misses = {}, {}
     for fold_index, fold in enumerate(plan.folds):
         fold_plan = _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text)
@@ -768,7 +793,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     fold_results = []
     loss_histories = []
     for fold_index, task in tasks.items():
-        result, losses = _take(outcomes[fold_index]) if fold_index in outcomes else task()
+        result, losses = _take(outcomes[fold_index]) if fold_index in misses else task()
         fold_results.append(result)
         loss_histories.append(tuple(losses))
 
@@ -821,3 +846,13 @@ def _write_reports(output_dir: str, result: PipelineResult) -> None:
         for epoch, loss in enumerate(losses):
             lines.append(f"{fold_index},{epoch},{loss!r}")
     _put(output_dir, "loss.csv", "\n".join(lines) + "\n")
+
+
+# The public functions of the modules a fold or a frame directory runs, as
+# each module defined them; see _stage_functions_replaced.
+_STAGE_FUNCTIONS = {
+    (module, name): fn
+    for module in (cnn, corpus, flow, pca, svm, sys.modules[__name__])
+    for name, fn in vars(module).items()
+    if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+}

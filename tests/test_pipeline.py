@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -523,6 +524,43 @@ def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     audit_log.clear()
     pipeline.run_pipeline(config)
     assert pools == [] and audit_log == []
+
+
+def _usable_cpus(monkeypatch, count):
+    """Let _worker_count see ``count`` CPUs and a BLAS thread setter."""
+    monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: lambda threads: None)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
+    _usable_cpus(monkeypatch, 8)
+    assert [pipeline._worker_count(n) for n in (1, 2, 60)] == [1, 2, 2]
+    monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: None)
+    assert pipeline._worker_count(60) == 1
+
+    _usable_cpus(monkeypatch, 8)
+    for module, name in ((pca, "fit"), (pipeline, "frames_to_sequence"), (svm, "predict")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, functools.wraps(getattr(module, name))(lambda: None))
+            assert pipeline._worker_count(60) == 1
+    assert pipeline._worker_count(60) == 2
+
+
+def test_wrapped_fits_are_seen_when_every_fold_misses(mini_run, tmp_path, monkeypatch):
+    """A wrapper that counts fits, as a warm run's refit check does, sees forked-size misses."""
+    _usable_cpus(monkeypatch, 2)
+    config = _copy_run(mini_run, tmp_path, c_box=0.5)  # every fold's SVM stage misses
+    fits = []
+    real_fit = svm.fit
+
+    @functools.wraps(real_fit)
+    def counted_fit(*args, **kwargs):
+        fits.append(os.getpid())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(svm, "fit", counted_fit)
+    pipeline.run_pipeline(config)
+    assert fits == [os.getpid()] * len(mini_run.result.fold_results)
 
 
 def test_identical_videos_classify_perfectly(tmp_path):
