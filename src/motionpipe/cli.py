@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -407,6 +408,11 @@ def _parse_overrides(parser: _Parser, extras: list[str]):
     return overrides
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as a CLI user reads it: one line, without the Python source line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
@@ -414,6 +420,9 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(parser, extras)
     elif extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    # only the text changes: whatever shows warnings (stderr, in a forked
+    # worker too, or a recorder such as pytest.warns) still shows them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         if getattr(args, "allow_overrides", False):
             return args.func(args, overrides)
@@ -428,6 +437,8 @@ def main(argv=None) -> int:
             KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ Flow between consecutive grayscale frames is estimated with the classic
 Horn-Schunck scheme (brightness constancy plus quadratic smoothness,
 solved by Jacobi-style neighbour averaging).  All frame pairs of a video
 are stacked and iterated together, in cache-sized chunks, by one loop
-that returns the (2, T, H, W) u/v stack.  The stack is then pooled over
+that returns the (2, T, H, W) u/v stack.  The loop runs over one flat
+range of the padded (T, H+2, W+2) layout, where each neighbour is a
+fixed offset, and scales u and v once per distinct kernel weight before
+summing the shifted products.  The stack is then pooled over
 a G x G grid into the (T, G*G*(3+B)) descriptor matrix, one nonnegative
 row per flow field: per-cell axis magnitudes, overall mean magnitude,
 and a magnitude-weighted orientation histogram.  Pooling visits each
@@ -96,38 +99,68 @@ def _replicate_edges(padded: np.ndarray) -> None:
 
 
 def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.ndarray) -> None:
-    """Flow for the consecutive pairs of ``images`` (T+1, H, W) into uv_out (2, T, H, W)."""
+    """Flow for the consecutive pairs of ``images`` (T+1, H, W) into uv_out (2, T, H, W).
+
+    Every array lives in the padded (T, H+2, W+2) layout, flattened, and
+    each pass covers the one contiguous range from the first interior pixel
+    to the last, so a neighbour is a flat offset dy*(W+2)+dx.  The border
+    lanes inside that range compute garbage that _replicate_edges then
+    overwrites; there ix, iy and it hold 0 and denom 1, so the garbage stays
+    finite.  Each iteration scales u and v once per distinct kernel weight
+    and sums the 8 shifted products onto zeros in row-major kernel order:
+    every interior pixel gets the same products, added in the same order,
+    as an 8-neighbour average on its own would give.
+    """
     _, n, h, w = uv_out.shape
+    row = w + 2
+    size = n * (h + 2) * row
+    lo, hi = row + 1, size - row - 1  # the first interior value, one past the last
     prev, curr = images[:-1], images[1:]
-    pa = np.empty((n, h + 2, w + 2))  # brightness average with a replicated border
+    pa = np.empty((n, h + 2, row))  # brightness average with a replicated border
     np.multiply(prev + curr, 0.5, out=pa[:, 1:-1, 1:-1])
     _replicate_edges(pa)
-    ix = (pa[:, 1:-1, 2:] - pa[:, 1:-1, :-2]) / 2.0
-    iy = (pa[:, 2:, 1:-1] - pa[:, :-2, 1:-1]) / 2.0
-    it = curr - prev
+    grads = np.zeros((4, n, h + 2, row))
+    grads[3] = 1.0
+    ix, iy, it, denom = grads[..., 1:-1, 1:-1]
+    np.subtract(pa[:, 1:-1, 2:], pa[:, 1:-1, :-2], out=ix)
+    ix /= 2.0
+    np.subtract(pa[:, 2:, 1:-1], pa[:, :-2, 1:-1], out=iy)
+    iy /= 2.0
+    np.subtract(curr, prev, out=it)
+    denom[...] = alpha * alpha + ix * ix + iy * iy
+    ix, iy, it, denom = grads.reshape(4, size)[:, lo:hi]
 
-    denom = alpha * alpha + ix * ix + iy * iy
-    padded = np.zeros((2, n, h + 2, w + 2))  # u and v live in the interior
-    u, v = padded[..., 1:-1, 1:-1]
-    # (weight, shifted view) of the 8-neighbour average, in row-major kernel order
+    padded = np.zeros((2, size))  # u and v
+    fields = padded.reshape(2, n, h + 2, row)  # the same values, field by field
+    u, v = padded[:, lo:hi]
+    products = {weight: np.empty((2, size)) for weight in np.unique(_AVG_KERNEL) if weight != 0.0}
+    # the 8-neighbour terms as shifted views of those products, in row-major kernel order
     terms = [
-        (_AVG_KERNEL[dy + 1, dx + 1], padded[..., 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w])
+        products[_AVG_KERNEL[dy + 1, dx + 1]][:, lo + dy * row + dx : hi + dy * row + dx]
         for dy in (-1, 0, 1)
         for dx in (-1, 0, 1)
         if _AVG_KERNEL[dy + 1, dx + 1] != 0.0
     ]
-    bar, scratch = np.empty((2, 2, n, h, w))
+    bar = np.empty((2, hi - lo))
     u_bar, v_bar = bar
+    update, scratch = np.empty((2, hi - lo))
     for _ in range(iterations):
-        bar.fill(0.0)  # the weighted terms are summed onto zeros, one at a time
-        for weight, shifted in terms:
-            np.multiply(shifted, weight, out=scratch)
-            bar += scratch
-        update = (ix * u_bar + iy * v_bar + it) / denom
-        np.subtract(u_bar, ix * update, out=u)
-        np.subtract(v_bar, iy * update, out=v)
-        _replicate_edges(padded)
-    uv_out[...] = padded[..., 1:-1, 1:-1]
+        for weight, product in products.items():
+            np.multiply(padded, weight, out=product)
+        np.add(terms[0], 0.0, out=bar)  # x + 0, as summed onto zeros: a -0 term gives +0
+        for term in terms[1:]:
+            bar += term
+        np.multiply(ix, u_bar, out=update)
+        np.multiply(iy, v_bar, out=scratch)
+        update += scratch
+        update += it
+        update /= denom
+        np.multiply(ix, update, out=scratch)
+        np.subtract(u_bar, scratch, out=u)
+        np.multiply(iy, update, out=scratch)
+        np.subtract(v_bar, scratch, out=v)
+        _replicate_edges(fields)
+    uv_out[...] = fields[..., 1:-1, 1:-1]
 
 
 def estimate_flows(frames: list[Frame], alpha: float = 1.0,

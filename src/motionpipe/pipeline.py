@@ -12,8 +12,9 @@ input invalidates everything below it.
 
 A run plans every key and whether it hits once, up front.  Folds whose
 stages all hit, and so a fully warm run, stay in this process; the frame
-directories and folds that miss run on up to two forked workers, each
-with OpenBLAS held to one thread.  Workers write only their own fold's
+directories and folds that miss run on up to two forked workers.  The run
+holds OpenBLAS at one thread in this process, so the workers inherit one
+thread and start none.  Workers write only their own fold's
 directory or video's descriptors, and their results and fit-audit calls
 come back in order, so the outputs are the same bytes as a serial run's.
 While a public stage function is wrapped (a tracer's timing wrapper, say),
@@ -444,26 +445,47 @@ _MAX_WORKERS = 2
 
 
 @functools.cache
-def _blas_thread_setter():
-    """The set-threads function of numpy's bundled OpenBLAS, or None."""
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
     import ctypes
-    import glob
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(libs)):
-        lib = ctypes.CDLL(path)
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    # listed, not globbed: warm runs look too, and importing glob takes about 1 ms
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if "openblas" not in name:
+            continue
+        lib = ctypes.CDLL(os.path.join(libs, name))
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            getter = lib.scipy_openblas_get_num_threads64_
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
             setter = lib.scipy_openblas_set_num_threads64_
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
-            return setter
+            return getter, setter
     return None
 
 
-def _one_blas_thread() -> None:
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread in the block, then restore its count.
+
+    Set here, before any fork, so workers inherit one thread and start none:
+    setting it inside a freshly forked worker starts a new OpenBLAS thread
+    that busy-waits on a CPU the other worker needs.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    count = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(count)
 
 
 def _stage_functions_replaced() -> bool:
@@ -479,12 +501,14 @@ def _stage_functions_replaced() -> bool:
 def _worker_count(pending: int) -> int:
     """Workers for ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
 
-    One (run in-process) unless BLAS can be held to one thread per worker:
-    two workers at OpenBLAS's default thread count oversubscribe the CPUs
-    and run several times slower than one process.  One also while a stage
-    function is wrapped, so that the wrapper sees every fit.
+    One (run in-process) unless this process holds OpenBLAS at one thread
+    (see _one_blas_thread), which the workers inherit: two workers at
+    OpenBLAS's default thread count oversubscribe the CPUs and run several
+    times slower than one process.  One also while a stage function is
+    wrapped, so that the wrapper sees every fit.
     """
-    if pending < 2 or _blas_thread_setter() is None or _stage_functions_replaced():
+    threads = _blas_threads()
+    if pending < 2 or threads is None or threads[0]() != 1 or _stage_functions_replaced():
         return 1
     return min(_MAX_WORKERS, len(os.sched_getaffinity(0)), pending)
 
@@ -516,8 +540,8 @@ def _fork_map(tasks: dict) -> dict:
     finished task are replayed here, in order.
 
     The workers fork (not spawn) so that the tasks' inputs, monkeypatches
-    and warning filters carry over without pickling; each keeps BLAS to one
-    thread.
+    and warning filters carry over without pickling, and so that they
+    inherit the one BLAS thread this process holds.
     """
     workers = _worker_count(len(tasks))
     if workers < 2:
@@ -536,8 +560,7 @@ def _fork_map(tasks: dict) -> dict:
     _forked_tasks = list(tasks.values())
     done = {}
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             queue = iter(range(len(_forked_tasks)))
             running = {pool.submit(_forked_task, i): i for i in itertools.islice(queue, workers)}
             while running:
@@ -771,48 +794,49 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every fold of the configured protocol and write reports."""
-    manifest, sequences, desc_keys = _load_corpus(config)
-    os.makedirs(config.output_dir, exist_ok=True)  # a bad manifest leaves no directory
-    plan = (
-        corpus.make_loocv(manifest)
-        if config.split == "loocv"
-        else corpus.make_fixed_splits(manifest)
-    )
-    arch_text = _architecture_text(config, len(manifest.labels()))
-
-    # every key is computed once, here; only the folds that miss may be forked
-    tasks, misses = {}, {}
-    for fold_index, fold in enumerate(plan.folds):
-        fold_plan = _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text)
-        tasks[fold_index] = functools.partial(
-            _run_fold, config, fold_index, fold, manifest, sequences, arch_text, fold_plan
+    with _one_blas_thread():  # in this process and, inherited, in every worker
+        manifest, sequences, desc_keys = _load_corpus(config)
+        os.makedirs(config.output_dir, exist_ok=True)  # a bad manifest leaves no directory
+        plan = (
+            corpus.make_loocv(manifest)
+            if config.split == "loocv"
+            else corpus.make_fixed_splits(manifest)
         )
-        if not fold_plan.hit:
-            misses[fold_index] = tasks[fold_index]
-    outcomes = _fork_map(misses)
-    fold_results = []
-    loss_histories = []
-    for fold_index, task in tasks.items():
-        result, losses = _take(outcomes[fold_index]) if fold_index in misses else task()
-        fold_results.append(result)
-        loss_histories.append(tuple(losses))
+        arch_text = _architecture_text(config, len(manifest.labels()))
 
-    predictions = [(t, p) for r in fold_results for _, t, p in r.records]
-    _, confusion = evaluate(predictions, manifest.labels())
-    if config.split == "loocv":
-        correct = sum(1 for t, p in predictions if t == p)
-        overall = correct / len(predictions)
-    else:
-        overall = float(np.mean([r.accuracy for r in fold_results]))
+        # every key is computed once, here; only the folds that miss may be forked
+        tasks, misses = {}, {}
+        for fold_index, fold in enumerate(plan.folds):
+            fold_plan = _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text)
+            tasks[fold_index] = functools.partial(
+                _run_fold, config, fold_index, fold, manifest, sequences, arch_text, fold_plan
+            )
+            if not fold_plan.hit:
+                misses[fold_index] = tasks[fold_index]
+        outcomes = _fork_map(misses)
+        fold_results = []
+        loss_histories = []
+        for fold_index, task in tasks.items():
+            result, losses = _take(outcomes[fold_index]) if fold_index in misses else task()
+            fold_results.append(result)
+            loss_histories.append(tuple(losses))
 
-    result = PipelineResult(
-        overall_accuracy=overall,
-        confusion=confusion,
-        fold_results=tuple(fold_results),
-        loss_histories=tuple(loss_histories),
-    )
-    _write_reports(config.output_dir, result)
-    return result
+        predictions = [(t, p) for r in fold_results for _, t, p in r.records]
+        _, confusion = evaluate(predictions, manifest.labels())
+        if config.split == "loocv":
+            correct = sum(1 for t, p in predictions if t == p)
+            overall = correct / len(predictions)
+        else:
+            overall = float(np.mean([r.accuracy for r in fold_results]))
+
+        result = PipelineResult(
+            overall_accuracy=overall,
+            confusion=confusion,
+            fold_results=tuple(fold_results),
+            loss_histories=tuple(loss_histories),
+        )
+        _write_reports(config.output_dir, result)
+        return result
 
 
 def _put(output_dir: str, name: str, text: str) -> None:

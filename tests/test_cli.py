@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from motionpipe import cli, cnn, corpus, flow, pca, svm
+from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
@@ -214,6 +216,47 @@ def test_run_command_with_overrides(tmp_path, capsys):
                         os.path.join(out_dir, "predictions.csv"))
     assert code == 0
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(float(overall.split(",")[1]))
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """What the interpreter shows for a warning, which pytest's recorder replaces."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_shows_a_truncated_series_as_one_stderr_line(tmp_path, capfd, monkeypatch,
+                                                         workers):
+    manifest, sequences, _ = corpus.generate_synthetic_corpus(
+        classes=2, per_class=2, channels=3, min_len=16, max_len=20, seed=5
+    )
+    held_out = manifest.video_ids()[0]  # LOOCV fold 0 tests the first video
+    sequences = [
+        dataclasses.replace(seq, data=np.concatenate([seq.data, seq.data[:12]]))
+        if seq.video_id == held_out else seq
+        for seq in sequences
+    ]
+    frames = {seq.video_id: seq.frames for seq in sequences}
+    length = max(n for vid, n in frames.items() if vid != held_out)
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": corpus.save_corpus(manifest, sequences, tmp_path / "corpus"),
+        "output_dir": str(tmp_path / "out"),
+        "pca": {"pov_threshold": 0.95},
+        "cnn": {"architecture": str(arch_path), "epochs": 3, "batch_size": 4},
+    }))
+    # one worker runs every fold here; two fork, and the worker writes the line
+    monkeypatch.setattr(pipeline, "_worker_count", lambda pending: min(workers, pending))
+    monkeypatch.setattr(warnings, "showwarning", _show_on_stderr)
+    formatwarning = warnings.formatwarning
+
+    code = cli.main(["run", "--config", str(config_path)])
+    err = capfd.readouterr().err
+    assert code == 0, err
+    assert err == (f"warning: series {held_out!r} truncated from {frames[held_out]} "
+                   f"to {length} frames\n")
+    assert warnings.formatwarning is formatwarning
 
 
 # ---------------------------------------------------------------------------

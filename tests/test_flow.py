@@ -99,6 +99,43 @@ def test_stacked_flow_equals_per_pair_flow(monkeypatch, pairs, iterations, chunk
         assert u.flags.c_contiguous and v.flags.c_contiguous
 
 
+def _assert_matches_oracle(uv, frames, alpha, iterations):
+    """Each pair of the (2, T, H, W) stack equals the textbook oracle, sign bits included."""
+    for u, v, prev, curr in zip(*uv, frames, frames[1:]):
+        want_u, want_v = oracles.horn_schunck_pair(prev.intensity, curr.intensity, alpha,
+                                                   iterations)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        assert np.array_equal(np.signbit(u), np.signbit(want_u))
+        assert np.array_equal(np.signbit(v), np.signbit(want_v))
+
+
+@pytest.mark.parametrize("height,width", [(8, 8), (8, 19), (14, 8), (11, 17)])
+@pytest.mark.parametrize("pairs,chunk_pairs", [(1, 1), (2, 100), (5, 2), (20, 3), (20, 100)])
+def test_estimate_flows_match_textbook_oracle_pair_by_pair(monkeypatch, height, width, pairs,
+                                                           chunk_pairs):
+    # chunks of 2 and 3 pairs split stacks of 5 and 20 unevenly
+    monkeypatch.setattr(flow, "_CHUNK_ELEMENTS", chunk_pairs * height * width)
+    frames = _random_video(pairs + height * width, pairs, height, width)
+    uv = flow.estimate_flows(frames, alpha=0.7, iterations=9)
+    assert uv.shape == (2, pairs, height, width)
+    _assert_matches_oracle(uv, frames, 0.7, 9)
+
+
+@pytest.mark.parametrize("height,width", [(8, 8), (8, 12), (12, 9)])
+def test_step_frames_raise_no_floating_point_error(monkeypatch, height, width):
+    # 0/1 steps give the steepest gradients; a border lane that overflowed or
+    # divided by zero would raise here, although the interior stayed right
+    monkeypatch.setattr(flow, "_CHUNK_ELEMENTS", 2 * height * width)
+    images = np.zeros((6, height, width))
+    for t, image in enumerate(images):
+        image[t % 3 : t % 3 + 4, t : t + 5] = 1.0
+        image[-1, -1 - t] = 1.0  # a step touching the bottom and right borders
+    frames = [_frame(image) for image in images]
+    with np.errstate(all="raise"):
+        uv = flow.estimate_flows(frames, alpha=0.05, iterations=60)
+    _assert_matches_oracle(uv, frames, 0.05, 60)
+
+
 def test_estimate_flows_rejects_bad_arguments():
     frames = _random_video(0, 2, 10, 10)
     with pytest.raises(ValueError, match="at least 2 frames"):

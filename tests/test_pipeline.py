@@ -526,16 +526,19 @@ def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     assert pools == [] and audit_log == []
 
 
-def _usable_cpus(monkeypatch, count):
-    """Let _worker_count see ``count`` CPUs and a BLAS thread setter."""
-    monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: lambda threads: None)
+def _usable_cpus(monkeypatch, count, blas_threads=1):
+    """Let _worker_count see ``count`` CPUs and OpenBLAS at ``blas_threads``."""
+    monkeypatch.setattr(pipeline, "_blas_threads",
+                        lambda: (lambda: blas_threads, lambda threads: None))
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
     _usable_cpus(monkeypatch, 8)
     assert [pipeline._worker_count(n) for n in (1, 2, 60)] == [1, 2, 2]
-    monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+    assert pipeline._worker_count(60) == 1
+    _usable_cpus(monkeypatch, 8, blas_threads=2)  # not held at one thread
     assert pipeline._worker_count(60) == 1
 
     _usable_cpus(monkeypatch, 8)
@@ -561,6 +564,54 @@ def test_wrapped_fits_are_seen_when_every_fold_misses(mini_run, tmp_path, monkey
     monkeypatch.setattr(svm, "fit", counted_fit)
     pipeline.run_pipeline(config)
     assert fits == [os.getpid()] * len(mini_run.result.fold_results)
+
+
+def _blas_threads_or_skip():
+    threads = pipeline._blas_threads()
+    if threads is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs the OpenBLAS thread-count functions and /proc")
+    return threads
+
+
+def _threads_after_blas_work():
+    """This process's id, OS thread count and OpenBLAS thread count, after a GEMM."""
+    np.ones((256, 256)) @ np.ones((256, 256))
+    return os.getpid(), len(os.listdir("/proc/self/task")), pipeline._blas_threads()[0]()
+
+
+def test_forked_workers_inherit_one_blas_thread_and_start_none(monkeypatch):
+    _blas_threads_or_skip()
+    _use_workers(monkeypatch, 2)
+    with pipeline._one_blas_thread():
+        outcomes = pipeline._fork_map({task: _threads_after_blas_work for task in range(4)})
+    seen = [pipeline._take(outcomes[task]) for task in range(4)]
+    assert os.getpid() not in {pid for pid, _, _ in seen}
+    assert [(os_threads, blas) for _, os_threads, blas in seen] == [(1, 1)] * 4
+    assert multiprocessing.active_children() == []
+
+
+def test_run_pipeline_holds_one_blas_thread_and_restores_the_count(mini_run, tmp_path,
+                                                                  monkeypatch):
+    get, set_threads = _blas_threads_or_skip()
+    _use_workers(monkeypatch, 1)  # fits run here, where the audit hook reads the count
+    counts = []
+    monkeypatch.setattr(pipeline, "fit_audit", lambda stage, fold, ids: counts.append(get()))
+    original = get()
+    set_threads(2)
+    try:
+        pipeline.run_pipeline(_copy_run(mini_run, tmp_path, c_box=0.5))
+        assert counts and set(counts) == {1}
+        assert get() == 2
+
+        def explode(*args, **kwargs):
+            raise ConvergenceError("SMO not converged")
+
+        monkeypatch.setattr(svm, "fit", explode)
+        with pytest.raises(StageError):
+            pipeline.run_pipeline(_copy_run(mini_run, tmp_path / "failing", c_box=0.25))
+        assert set(counts) == {1} and get() == 2
+    finally:
+        set_threads(original)
 
 
 def test_identical_videos_classify_perfectly(tmp_path):
