@@ -424,9 +424,10 @@ def main(argv=None) -> int:
     # worker too, or a recorder such as pytest.warns) still shows them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        if getattr(args, "allow_overrides", False):
-            return args.func(args, overrides)
-        return args.func(args)
+        with pipeline._one_blas_thread():  # a second thread burns CPU on these small products
+            if getattr(args, "allow_overrides", False):
+                return args.func(args, overrides)
+            return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

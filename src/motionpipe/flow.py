@@ -11,8 +11,7 @@ summing the shifted products.  The stack is then pooled over
 a G x G grid into the (T, G*G*(3+B)) descriptor matrix, one nonnegative
 row per flow field: per-cell axis magnitudes, overall mean magnitude,
 and a magnitude-weighted orientation histogram.  Pooling visits each
-cell once for the whole stack.  A single pair or field is a stack of
-one.
+cell once for the whole stack.
 """
 
 from __future__ import annotations
@@ -62,24 +61,6 @@ class Frame:
     @property
     def width(self) -> int:
         return self.intensity.shape[1]
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Per-pixel displacement (u, v) between two frames, in pixels/frame."""
-
-    u: np.ndarray  # H x W horizontal displacement
-    v: np.ndarray  # H x W vertical displacement
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if u.ndim != 2 or u.shape != v.shape:
-            raise ValueError(f"u and v must be 2-D and equal-shaped, got {u.shape} vs {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("flow components must be finite")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 def descriptor_length(grid: int, bins: int) -> int:
@@ -196,16 +177,6 @@ def estimate_flows(frames: list[Frame], alpha: float = 1.0,
     return uv
 
 
-def estimate_flow(prev: Frame, curr: Frame, alpha: float = 1.0, iterations: int = 100) -> FlowField:
-    """Estimate dense Horn-Schunck flow from ``prev`` to ``curr``.
-
-    Runs exactly ``iterations`` Jacobi averaging updates of the coupled
-    (u, v) field minimising brightness constancy plus alpha^2-weighted
-    smoothness.  Deterministic: identical inputs give identical output.
-    """
-    return FlowField(*estimate_flows([prev, curr], alpha=alpha, iterations=iterations)[:, 0])
-
-
 def _cell_slices(size: int, grid: int) -> list[slice]:
     """Split ``size`` pixels into ``grid`` equal cells, remainder to the last."""
     step = size // grid
@@ -270,11 +241,6 @@ def describe_flows(u, v, grid: int = 4, bins: int = 8) -> np.ndarray:
         out[:, k, 3:] = 1.0 / bins
         np.divide(hist, total, out=out[:, k, 3:], where=total > 0.0)
     return out.reshape(n, -1)
-
-
-def describe_flow(flow: FlowField, grid: int = 4, bins: int = 8) -> np.ndarray:
-    """The G*G*(3+B) descriptor of one flow field: a stack of one."""
-    return describe_flows(flow.u[None], flow.v[None], grid=grid, bins=bins)[0]
 
 
 def read_pgm(path) -> Frame:

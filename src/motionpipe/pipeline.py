@@ -772,7 +772,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
             svm.save_model(model, svm_path)
             # label indices, not strings: numpy unicode arrays drop trailing NULs
             predicted = np.array(
-                [label_index[svm.predict(model, row)[0]] for row in features[n_train:]],
+                [label_index[label] for label in svm.predict_batch(model, features[n_train:])],
                 dtype=np.int64,
             )
             np.savez(svm_out, predicted=predicted)

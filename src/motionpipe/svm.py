@@ -328,7 +328,7 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
 
 
 def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """Per-class decision values for a batch of feature rows."""
+    """Per-class decision values for feature rows; a row's values do not depend on the batch."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.feature_dim:
         raise ValueError(
@@ -342,22 +342,15 @@ def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:
     gram = chi2_gram(x, model.features[used], model.params)
     out = np.empty((x.shape[0], len(model.machines)))
     for k, machine in enumerate(model.machines):
-        out[:, k] = gram[:, column[machine.support_indices]] @ machine.coefficients + machine.bias
+        # C-contiguous columns summed row by row: a GEMV sums one row and many differently
+        terms = gram.take(column[machine.support_indices], axis=1)
+        out[:, k] = (terms * machine.coefficients).sum(axis=1) + machine.bias
     return out
 
 
-def predict(model: SvmModel, feature: np.ndarray):
-    """Predicted label plus the per-class decision values.
-
-    Ties resolve to the first label in sorted order.
-    """
-    values = decision_values(model, np.asarray(feature, dtype=np.float64)[None])[0]
-    return model.labels[int(np.argmax(values))], values
-
-
 def predict_batch(model: SvmModel, features) -> list:
-    values = decision_values(model, np.stack([np.asarray(f) for f in features]))
-    return [model.labels[int(k)] for k in np.argmax(values, axis=1)]
+    """The predicted label of each feature row; ties go to the first sorted label."""
+    return [model.labels[int(k)] for k in np.argmax(decision_values(model, features), axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,35 @@ def test_header_only_features_exit_2_in_svm_fit_and_predict(tmp_path, capsys):
         assert code == 2 and "feature table has no rows" in err
 
 
+def test_commands_hold_one_blas_thread_and_restore_the_count(tmp_path, capsys, monkeypatch):
+    threads = pipeline._blas_threads()
+    if threads is None:
+        pytest.skip("needs the OpenBLAS thread-count functions")
+    get, set_threads = threads
+    counts = []
+    real_fit = svm.fit
+
+    def counted_fit(*args, **kwargs):
+        counts.append(get())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(svm, "fit", counted_fit)
+    two_classes = tmp_path / "two.csv"
+    cli.write_features_csv(str(two_classes), [("a", "x", [1.0, 0.0]), ("b", "y", [0.0, 1.0])])
+    one_class = tmp_path / "one.csv"
+    cli.write_features_csv(str(one_class), [("a", "x", [1.0, 0.0]), ("b", "x", [0.0, 1.0])])
+    original = get()
+    set_threads(2)
+    try:
+        for features, want in ((two_classes, 0), (one_class, 2)):  # svm.fit rejects one class
+            code, _, _ = _run(capsys, "svm-fit", "--features", str(features), "--gamma", "0.5",
+                              "--out", str(tmp_path / "m.svm"))
+            assert code == want and get() == 2
+        assert counts == [1, 1]
+    finally:
+        set_threads(original)
+
+
 def test_unlabeled_features_rejected(tmp_path, capsys):
     path = tmp_path / "f.csv"
     path.write_text("video_id,label,f0\na,,1.0\n")

@@ -13,24 +13,34 @@ def _frame(arr):
     return flow.Frame(intensity=np.asarray(arr, dtype=np.float64))
 
 
+def _pair_flow(prev, curr, **kwargs):
+    """u and v of the one pair prev -> curr."""
+    return flow.estimate_flows([prev, curr], **kwargs)[:, 0]
+
+
+def _field_descriptor(u, v, **kwargs):
+    """The descriptor row of one (H, W) flow field."""
+    return flow.describe_flows(u[None], v[None], **kwargs)[0]
+
+
 # ---------------------------------------------------------------------------
-# estimate_flow
+# estimate_flows
 # ---------------------------------------------------------------------------
 
 def test_identical_frames_give_zero_flow():
     rng = np.random.default_rng(0)
     img = rng.uniform(0.0, 1.0, size=(16, 20))
-    f = flow.estimate_flow(_frame(img), _frame(img))
-    assert np.abs(f.u).max() < 1e-9
-    assert np.abs(f.v).max() < 1e-9
+    u, v = _pair_flow(_frame(img), _frame(img))
+    assert np.abs(u).max() < 1e-9
+    assert np.abs(v).max() < 1e-9
 
 
 def test_constant_frames_give_zero_flow():
     a = _frame(np.full((12, 12), 0.5))
     b = _frame(np.full((12, 12), 0.5))
-    f = flow.estimate_flow(a, b)
-    assert np.abs(f.u).max() == 0.0
-    assert np.abs(f.v).max() == 0.0
+    u, v = _pair_flow(a, b)
+    assert np.abs(u).max() == 0.0
+    assert np.abs(v).max() == 0.0
 
 
 def test_ramp_shift_recovers_unit_horizontal_flow():
@@ -40,9 +50,9 @@ def test_ramp_shift_recovers_unit_horizontal_flow():
     x = np.tile(np.arange(32) / 64.0, (32, 1))
     prev = _frame(x + 1.0 / 64.0)
     curr = _frame(x)
-    f = flow.estimate_flow(prev, curr, alpha=0.05, iterations=2000)
-    interior_u = f.u[8:-8, 8:-8]
-    interior_v = f.v[8:-8, 8:-8]
+    u, v = _pair_flow(prev, curr, alpha=0.05, iterations=2000)
+    interior_u = u[8:-8, 8:-8]
+    interior_v = v[8:-8, 8:-8]
     assert 0.7 <= interior_u.mean() <= 1.3
     assert np.abs(interior_v).mean() < 0.15
 
@@ -51,21 +61,21 @@ def test_flow_is_deterministic():
     rng = np.random.default_rng(1)
     a = _frame(rng.uniform(0, 1, size=(10, 10)))
     b = _frame(rng.uniform(0, 1, size=(10, 10)))
-    f1 = flow.estimate_flow(a, b, alpha=0.5, iterations=25)
-    f2 = flow.estimate_flow(a, b, alpha=0.5, iterations=25)
-    assert np.array_equal(f1.u, f2.u)
-    assert np.array_equal(f1.v, f2.v)
+    u1, v1 = _pair_flow(a, b, alpha=0.5, iterations=25)
+    u2, v2 = _pair_flow(a, b, alpha=0.5, iterations=25)
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(v1, v2)
 
 
 def test_estimate_flow_rejects_bad_arguments():
     a = _frame(np.zeros((10, 10)))
     b = _frame(np.zeros((10, 12)))
     with pytest.raises(ValueError, match="dimensions differ"):
-        flow.estimate_flow(a, b)
+        _pair_flow(a, b)
     with pytest.raises(ValueError, match="alpha"):
-        flow.estimate_flow(a, a, alpha=0.0)
+        _pair_flow(a, a, alpha=0.0)
     with pytest.raises(ValueError, match="iterations"):
-        flow.estimate_flow(a, a, iterations=0)
+        _pair_flow(a, a, iterations=0)
 
 
 def _random_video(seed, pairs, height, width):
@@ -78,11 +88,11 @@ def _random_video(seed, pairs, height, width):
 @pytest.mark.parametrize("height,width,iterations", [(9, 13, 1), (9, 13, 17), (16, 10, 40)])
 def test_estimate_flow_matches_textbook_oracle_bit_for_bit(height, width, iterations):
     prev, curr = _random_video(11, 1, height, width)
-    f = flow.estimate_flow(prev, curr, alpha=0.7, iterations=iterations)
+    got_u, got_v = _pair_flow(prev, curr, alpha=0.7, iterations=iterations)
     u, v = oracles.horn_schunck_pair(prev.intensity, curr.intensity, 0.7, iterations)
-    assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
-    assert np.array_equal(np.signbit(f.u), np.signbit(u))
-    assert np.array_equal(np.signbit(f.v), np.signbit(v))
+    assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
+    assert np.array_equal(np.signbit(got_u), np.signbit(u))
+    assert np.array_equal(np.signbit(got_v), np.signbit(v))
 
 
 @pytest.mark.parametrize("pairs,iterations", [(1, 5), (7, 1), (7, 23), (9, 23)])
@@ -94,8 +104,8 @@ def test_stacked_flow_equals_per_pair_flow(monkeypatch, pairs, iterations, chunk
     uv = flow.estimate_flows(frames, alpha=1.3, iterations=iterations)
     assert uv.shape == (2, pairs, 9, 13)
     for u, v, prev, curr in zip(*uv, frames, frames[1:]):
-        single = flow.estimate_flow(prev, curr, alpha=1.3, iterations=iterations)
-        assert np.array_equal(u, single.u) and np.array_equal(v, single.v)
+        single_u, single_v = _pair_flow(prev, curr, alpha=1.3, iterations=iterations)
+        assert np.array_equal(u, single_u) and np.array_equal(v, single_v)
         assert u.flags.c_contiguous and v.flags.c_contiguous
 
 
@@ -175,12 +185,11 @@ def test_orientation_bin_covers_all_bins():
 
 
 # ---------------------------------------------------------------------------
-# describe_flow / describe_flows
+# describe_flows
 # ---------------------------------------------------------------------------
 
 def test_zero_flow_descriptor_uniform_histograms():
-    f = flow.FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))
-    d = flow.describe_flow(f, grid=2, bins=4)
+    d = _field_descriptor(np.zeros((8, 8)), np.zeros((8, 8)), grid=2, bins=4)
     assert d.shape == (28,)
     for cell in range(4):
         base = cell * 7
@@ -189,8 +198,7 @@ def test_zero_flow_descriptor_uniform_histograms():
 
 
 def test_uniform_unit_flow_worked_example():
-    f = flow.FlowField(u=np.ones((8, 8)), v=np.zeros((8, 8)))
-    d = flow.describe_flow(f, grid=1, bins=4)
+    d = _field_descriptor(np.ones((8, 8)), np.zeros((8, 8)), grid=1, bins=4)
     assert np.allclose(d, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
 
 
@@ -203,7 +211,7 @@ def test_descriptor_matches_naive_oracle():
         v = rng.normal(size=(h, w))
         grid = int(rng.integers(1, 4))
         bins = int(rng.integers(2, 9))
-        got = flow.describe_flow(flow.FlowField(u=u, v=v), grid=grid, bins=bins)
+        got = _field_descriptor(u, v, grid=grid, bins=bins)
         want = oracles.naive_descriptor(u, v, grid, bins)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -218,19 +226,19 @@ def test_rotating_vectors_rolls_histogram():
         v1 = np.full((8, 8), np.sin(angle))
         u2 = np.full((8, 8), np.cos(angle + np.pi / 2))
         v2 = np.full((8, 8), np.sin(angle + np.pi / 2))
-        h1 = flow.describe_flow(flow.FlowField(u=u1, v=v1), grid=1, bins=bins)[3:]
-        h2 = flow.describe_flow(flow.FlowField(u=u2, v=v2), grid=1, bins=bins)[3:]
+        h1 = _field_descriptor(u1, v1, grid=1, bins=bins)[3:]
+        h2 = _field_descriptor(u2, v2, grid=1, bins=bins)[3:]
         assert np.allclose(np.roll(h1, bins // 4), h2, atol=1e-12)
 
 
 def test_describe_flow_validation():
-    f = flow.FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))
+    u = v = np.zeros((8, 8))
     with pytest.raises(ValueError, match="grid"):
-        flow.describe_flow(f, grid=0)
+        _field_descriptor(u, v, grid=0)
     with pytest.raises(ValueError, match="bins"):
-        flow.describe_flow(f, bins=1)
+        _field_descriptor(u, v, bins=1)
     with pytest.raises(ValueError, match="too small"):
-        flow.describe_flow(f, grid=9)
+        _field_descriptor(u, v, grid=9)
 
 
 def test_describe_flows_rejects_bad_stacks():
@@ -259,7 +267,7 @@ def test_stacked_descriptors_equal_per_field_descriptors(depth):
     rows = flow.describe_flows(u, v, grid=4, bins=8)
     assert rows.shape == (depth, flow.descriptor_length(4, 8))
     for row, fu, fv in zip(rows, u, v):
-        assert np.array_equal(row, flow.describe_flow(flow.FlowField(u=fu, v=fv), grid=4, bins=8))
+        assert np.array_equal(row, _field_descriptor(fu, fv, grid=4, bins=8))
 
 
 @settings(max_examples=30, deadline=None)

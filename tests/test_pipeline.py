@@ -251,8 +251,8 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
     frames = [flow.read_pgm(frame_dir / f"f{i}.pgm") for i in (0, 2, 1)]
     frames.sort(key=lambda fr: fr.intensity[4, 3:].argmin())  # back to f0,f1,f2
     for row, (prev, curr) in zip(seq.data, zip(frames, frames[1:])):
-        field = flow.estimate_flow(prev, curr, alpha=1.0, iterations=30)
-        expected = flow.describe_flow(field, grid=2, bins=4)
+        u, v = flow.estimate_flows([prev, curr], alpha=1.0, iterations=30)[:, 0]
+        expected = flow.describe_flows(u[None], v[None], grid=2, bins=4)[0]
         assert np.array_equal(row, expected.astype(np.float32))
 
 
@@ -542,7 +542,7 @@ def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkey
     assert pipeline._worker_count(60) == 1
 
     _usable_cpus(monkeypatch, 8)
-    for module, name in ((pca, "fit"), (pipeline, "frames_to_sequence"), (svm, "predict")):
+    for module, name in ((pca, "fit"), (pipeline, "frames_to_sequence"), (svm, "predict_batch")):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, functools.wraps(getattr(module, name))(lambda: None))
             assert pipeline._worker_count(60) == 1

@@ -202,8 +202,8 @@ def test_two_point_problem():
     assert model.labels == ("a", "b")
     for machine in model.machines:
         assert len(machine.support_indices) == 2  # both points support the margin
-    assert svm.predict(model, feats[0])[0] == "a"
-    assert svm.predict(model, feats[1])[0] == "b"
+    assert svm.predict_batch(model, feats[:1]) == ["a"]
+    assert svm.predict_batch(model, feats[1:]) == ["b"]
 
 
 def test_separable_clusters_dual_matches_qp_oracle():
@@ -318,8 +318,8 @@ def test_three_class_one_vs_rest():
     model = svm.fit(feats, labels)
     assert model.labels == ("class0", "class1", "class2")
     assert svm.predict_batch(model, feats) == labels
-    label, values = svm.predict(model, feats[0])
-    assert label == "class0"
+    assert svm.predict_batch(model, feats[:1]) == ["class0"]
+    values = svm.decision_values(model, feats[0])[0]
     assert values.shape == (3,)
     assert int(np.argmax(values)) == 0
 
@@ -337,6 +337,26 @@ def test_kkt_violation_semantics():
     assert svm.kkt_violation(np.zeros(1), np.array([1.0]), np.array([1.0]), 10.0, 1e-3)[0] == 0.0
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_decision_values_do_not_depend_on_the_row_count(seed, tmp_path):
+    # one-vs-rest problems of varied size, width and class count; the last
+    # seeds also go through an SVM1 file, whose machines share support rows
+    rng = np.random.default_rng(100 + seed)
+    rows, dim, classes = int(rng.integers(12, 90)), int(rng.integers(2, 40)), int(rng.integers(2, 6))
+    feats = rng.uniform(0.0, 2.0, size=(rows, dim))
+    labels = [f"c{k}" for k in rng.permutation(np.arange(rows) % classes)]
+    model = svm.fit(feats, labels, c_box=float(rng.choice([0.5, 10.0])))
+    if seed >= 18:
+        svm.save_model(model, tmp_path / "model.svm")
+        model = svm.load_model(tmp_path / "model.svm")
+    probe = rng.uniform(0.0, 2.5, size=(int(rng.integers(2, 70)), dim))
+    batch = svm.decision_values(model, probe)
+    assert np.array_equal(batch, np.vstack([svm.decision_values(model, row) for row in probe]))
+    assert svm.predict_batch(model, probe) == [
+        label for row in probe for label in svm.predict_batch(model, [row])
+    ]
+
+
 def test_prediction_ties_take_first_sorted_label():
     empty = np.array([], dtype=np.int64)
     machine = svm.BinarySvm(
@@ -348,9 +368,9 @@ def test_prediction_ties_take_first_sorted_label():
         features=np.zeros((0, 2)),
         params=svm.KernelParams(gamma=1.0),
     )
-    label, values = svm.predict(model, np.array([1.0, 1.0]))
+    values = svm.decision_values(model, np.array([1.0, 1.0]))[0]
     assert values[0] == values[1] == 0.5
-    assert label == "a"
+    assert svm.predict_batch(model, [np.array([1.0, 1.0])]) == ["a"]
 
 
 def test_fit_validation():
@@ -375,7 +395,7 @@ def test_predict_rejects_wrong_dimension():
     feats, labels = _clusters(rng, per_class=5)
     model = svm.fit(feats, labels)
     with pytest.raises(ValueError, match="does not match model dimension"):
-        svm.predict(model, np.ones(feats.shape[1] + 1))
+        svm.predict_batch(model, [np.ones(feats.shape[1] + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +469,13 @@ def test_loaded_model_shares_support_vectors_across_machines(tmp_path):
     assert np.unique(back.features, axis=0).shape[0] == back.features.shape[0]
 
     # the reference evaluates each machine on its own rows: in memory, and
-    # as SVM1 stores them (float32).  Columns gathered from a Gram matrix
-    # are column-major, and BLAS rounds a column-major product differently,
-    # so the reference takes the same layout.
+    # as SVM1 stores them (float32), summing each probe row's terms on their own
     stored = model.features.astype(np.float32).astype(np.float64)
     probe = rng.uniform(0, 3, size=(7, feats.shape[1]))
     for m, rows in ((model, model.features), (back, stored)):
         want = np.column_stack([
-            np.asfortranarray(svm.chi2_gram(probe, rows[k.support_indices], model.params))
-            @ k.coefficients + k.bias
+            (svm.chi2_gram(probe, rows[k.support_indices], model.params) * k.coefficients)
+            .sum(axis=1) + k.bias
             for k in model.machines
         ])
         assert np.array_equal(svm.decision_values(m, probe), want)
