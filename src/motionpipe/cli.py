@@ -236,10 +236,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pca_fit(args) -> int:
-    _, sequences = _read_corpus(args)
-    samples = np.vstack([seq.data for seq in sequences.values()]).astype(np.float64)
-    model = pca.fit(samples, args.pov)
-    pca.save_model(model, args.out)
+    manifest, sequences = _read_corpus(args)
+    model = pipeline.fit_pca_model(args.out, sequences, manifest.video_ids(), args.pov)
     print(f"retained {model.channels} of {model.input_dim} channels "
           f"(pov {model.pov_achieved!r}) in {args.out}")
     return 0
@@ -258,32 +256,17 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = pipeline.train_config(args, args.seed)
     manifest, sequences = _read_corpus(args)
     pca_model = pca.load_model(args.pca)
     ids = manifest.video_ids()
-    batch, l_max = pipeline.project_videos(pca_model, sequences, ids)
+    batch, _ = pipeline.project_videos(pca_model, sequences, ids)
     labels = manifest.labels()
     label_index = {label: i for i, label in enumerate(labels)}
-    if args.arch is None:
-        layers = cnn.default_architecture(len(labels))
-    else:
-        with open(args.arch, "r", encoding="utf-8") as fh:
-            layers = cnn.parse_architecture(fh.read())
-    spec = cnn.NetworkSpec(
-        input_channels=pca_model.channels, input_length=l_max, layers=layers,
+    _, _, losses = pipeline.fit_cnn_model(
+        args.out, pipeline.architecture_text(args.arch, len(labels)), batch,
+        [label_index[manifest.entry(vid).label] for vid in ids], config,
     )
-    config = cnn.TrainConfig(
-        learning_rate=args.learning_rate, momentum=args.momentum,
-        epochs=args.epochs, batch_size=args.batch_size,
-        seed=args.seed, weight_decay=args.weight_decay,
-    )
-    state, losses = cnn.train(
-        spec,
-        batch,
-        [label_index[manifest.entry(vid).label] for vid in ids],
-        config,
-    )
-    cnn.save_model(spec, state, args.out)
     print(f"trained {config.epochs} epochs, final loss {losses[-1]!r}, wrote {args.out}")
     return 0
 
@@ -311,15 +294,7 @@ def _cmd_svm_fit(args) -> int:
     if any(not label for label in labels):
         missing = ids[labels.index("")]
         raise ValueError(f"feature row {missing!r} has no label")
-    if args.gamma == "auto":
-        gamma = svm.default_gamma(matrix, seed=args.seed)
-    else:
-        gamma = float(args.gamma)
-    model = svm.fit(
-        matrix, labels, c_box=args.c_box,
-        params=svm.KernelParams(gamma=gamma), tol=args.tol,
-    )
-    svm.save_model(model, args.out)
+    model = pipeline.fit_svm_model(args.out, matrix, labels, args, args.seed)
     supports = sum(m.support_indices.size for m in model.machines)
     print(f"trained {len(model.labels)} machines ({supports} support entries), wrote {args.out}")
     return 0

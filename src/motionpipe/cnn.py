@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -452,6 +452,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError("weight_decay must be nonnegative and finite")
 
@@ -536,50 +538,39 @@ def extract_features(spec: NetworkSpec, state: NetworkState, x: np.ndarray) -> n
 # Architecture text format
 # ---------------------------------------------------------------------------
 
+# Each layer's keyword; the dataclass's fields are its arguments, in order.
+_LAYER_KEYWORDS = {"conv": Conv1D, "max": Max1D, "relu": ReLU, "fc": FullyConnected,
+                   "softmax": SoftmaxOutput}
+
+
 def parse_architecture(text: str) -> tuple[LayerSpec, ...]:
     """Parse the one-layer-per-line format.
 
     Lines: ``conv X C S``, ``max Y S``, ``relu``, ``fc U``, ``softmax K``.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  An unknown keyword or the
+    wrong number of arguments is an unrecognised layer; arguments that are
+    not integers or that the layer rejects are bad layer arguments.
     """
     layers: list[LayerSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        op, args = fields[0].lower(), fields[1:]
+        op, *args = line.split()
+        kind = _LAYER_KEYWORDS.get(op.lower())
+        if kind is None or len(args) != len(fields(kind)):
+            raise DataFormatError(f"line {lineno}: unrecognised layer {line!r}")
         try:
-            if op == "conv" and len(args) == 3:
-                layers.append(Conv1D(int(args[0]), int(args[1]), int(args[2])))
-            elif op == "max" and len(args) == 2:
-                layers.append(Max1D(int(args[0]), int(args[1])))
-            elif op == "relu" and not args:
-                layers.append(ReLU())
-            elif op == "fc" and len(args) == 1:
-                layers.append(FullyConnected(int(args[0])))
-            elif op == "softmax" and len(args) == 1:
-                layers.append(SoftmaxOutput(int(args[0])))
-            else:
-                raise DataFormatError(f"line {lineno}: unrecognised layer {line!r}")
+            layers.append(kind(*map(int, args)))
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad layer arguments {line!r}") from exc
     return tuple(layers)
 
 
 def format_architecture(layers) -> str:
-    lines = []
-    for layer in layers:
-        if isinstance(layer, Conv1D):
-            lines.append(f"conv {layer.filter_size} {layer.out_channels} {layer.stride}")
-        elif isinstance(layer, Max1D):
-            lines.append(f"max {layer.window} {layer.stride}")
-        elif isinstance(layer, ReLU):
-            lines.append("relu")
-        elif isinstance(layer, FullyConnected):
-            lines.append(f"fc {layer.units}")
-        elif isinstance(layer, SoftmaxOutput):
-            lines.append(f"softmax {layer.classes}")
+    keywords = {kind: op for op, kind in _LAYER_KEYWORDS.items()}
+    lines = [" ".join([keywords[type(layer)], *(str(getattr(layer, f.name)) for f in fields(layer))])
+             for layer in layers]
     return "\n".join(lines) + "\n"
 
 

@@ -84,13 +84,19 @@ class PipelineConfig:
             if not np.isfinite(g) or g <= 0:
                 raise ValueError("gamma must be 'auto' or a positive number")
             object.__setattr__(self, "gamma", g)
-        # checked here too, so a bad setting fails before any fold starts
-        cnn.TrainConfig(learning_rate=self.learning_rate, momentum=self.momentum,
-                        epochs=self.epochs, batch_size=self.batch_size,
-                        weight_decay=self.weight_decay)
+        train_config(self, self.seed)  # a bad setting fails before any fold starts
         for name in ("c_box", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+
+
+def train_config(settings, seed: int) -> cnn.TrainConfig:
+    """The CNN training settings of ``settings`` (a config or parsed flags) with ``seed``."""
+    return cnn.TrainConfig(
+        learning_rate=settings.learning_rate, momentum=settings.momentum,
+        epochs=settings.epochs, batch_size=settings.batch_size,
+        seed=seed, weight_decay=settings.weight_decay,
+    )
 
 
 _CONFIG_SECTIONS = {
@@ -640,11 +646,52 @@ def _load_corpus(config: PipelineConfig):
     return manifest, sequences, desc_keys
 
 
-def _architecture_text(config: PipelineConfig, num_classes: int) -> str:
-    if config.architecture is None:
+# ---------------------------------------------------------------------------
+# Stages: what a fold and the stage command of the same name both run
+# ---------------------------------------------------------------------------
+
+def architecture_text(path: str | None, num_classes: int) -> str:
+    """The architecture file at ``path``, or the default one's text for ``None``."""
+    if path is None:
         return cnn.format_architecture(cnn.default_architecture(num_classes))
-    with open(config.architecture, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def fit_pca_model(path: str, sequences, ids, pov_threshold: float) -> pca.PcaModel:
+    """PCA on the pooled descriptor rows of the videos ``ids``, saved to ``path``."""
+    samples = np.vstack([sequences[vid].data for vid in ids]).astype(np.float64)
+    model = pca.fit(samples, pov_threshold)
+    pca.save_model(model, path)
+    return model
+
+
+def fit_cnn_model(path: str, arch_text: str, samples: np.ndarray, labels,
+                  train_cfg: cnn.TrainConfig):
+    """The network ``arch_text`` describes, trained on the (N, m, L) ``samples``.
+
+    ``labels`` are class indices.  Saves the network to ``path`` and returns
+    (spec, state, per-epoch losses).
+    """
+    spec = cnn.NetworkSpec(input_channels=samples.shape[1], input_length=samples.shape[2],
+                           layers=cnn.parse_architecture(arch_text))
+    state, losses = cnn.train(spec, samples, labels, train_cfg)
+    cnn.save_model(spec, state, path)
+    return spec, state, losses
+
+
+def fit_svm_model(path: str, features: np.ndarray, labels, settings, seed: int) -> svm.SvmModel:
+    """The SVM on ``features`` with the c_box, gamma and tol of ``settings``, saved to ``path``.
+
+    A gamma of "auto" is ``svm.default_gamma`` of the features with ``seed``.
+    """
+    gamma = settings.gamma
+    if gamma == "auto":
+        gamma = svm.default_gamma(features, seed=seed)
+    model = svm.fit(features, labels, c_box=settings.c_box,
+                    params=svm.KernelParams(gamma=float(gamma)), tol=settings.tol)
+    svm.save_model(model, path)
+    return model
 
 
 @dataclass(frozen=True)
@@ -669,11 +716,7 @@ def _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text) -> _Fo
     pca_key = _digest(
         "pca", repr(config.pov_threshold), *[f"{vid}:{desc_keys[vid]}" for vid in train_ids],
     )
-    train_cfg = cnn.TrainConfig(
-        learning_rate=config.learning_rate, momentum=config.momentum,
-        epochs=config.epochs, batch_size=config.batch_size,
-        seed=config.seed ^ fold_index, weight_decay=config.weight_decay,
-    )
+    train_cfg = train_config(config, config.seed ^ fold_index)
     l_max = max(sequences[vid].frames for vid in train_ids)
     cnn_key = _digest(
         "cnn-features", pca_key, arch_text, repr(train_cfg), str(l_max), ",".join(train_ids),
@@ -708,10 +751,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 
         def fit_pca():
             _audit("pca", fold_index, train_ids)
-            samples = np.vstack([sequences[vid].data for vid in train_ids]).astype(np.float64)
-            model = pca.fit(samples, config.pov_threshold)
-            pca.save_model(model, pca_path)
-            return model
+            return fit_pca_model(pca_path, sequences, train_ids, config.pov_threshold)
 
         # a hit is read only if the CNN stage misses too (fit_cnn below)
         fitted_pca = _cached(plan.pca, lambda: None, fit_pca)
@@ -727,17 +767,10 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                     pca_model = pca.load_model(pca_path)
             _audit("cnn", fold_index, train_ids)
             batch, _ = project_videos(pca_model, sequences, fold_ids, plan.l_max)
-            spec = cnn.NetworkSpec(
-                input_channels=pca_model.channels, input_length=plan.l_max,
-                layers=cnn.parse_architecture(arch_text),
+            spec, state, losses = fit_cnn_model(
+                cnn_path, arch_text, batch[:n_train],
+                [label_index[manifest.entry(vid).label] for vid in train_ids], plan.train_cfg,
             )
-            state, losses = cnn.train(
-                spec,
-                batch[:n_train],
-                [label_index[manifest.entry(vid).label] for vid in train_ids],
-                plan.train_cfg,
-            )
-            cnn.save_model(spec, state, cnn_path)
             features = cnn.extract_features(spec, state, batch)
             np.savez(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
             return features, losses
@@ -755,21 +788,12 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
         svm_path, svm_out = plan.svm.artifacts
 
         def fit_svm():
-            train_features = features[:n_train]
             if config.gamma == "auto":
                 _audit("gamma", fold_index, train_ids)
-                gamma = svm.default_gamma(train_features, seed=plan.train_cfg.seed)
-            else:
-                gamma = float(config.gamma)
             _audit("svm", fold_index, train_ids)
-            model = svm.fit(
-                train_features,
-                [manifest.entry(vid).label for vid in train_ids],
-                c_box=config.c_box,
-                params=svm.KernelParams(gamma=gamma),
-                tol=config.tol,
-            )
-            svm.save_model(model, svm_path)
+            model = fit_svm_model(svm_path, features[:n_train],
+                                  [manifest.entry(vid).label for vid in train_ids],
+                                  config, plan.train_cfg.seed)
             # label indices, not strings: numpy unicode arrays drop trailing NULs
             predicted = np.array(
                 [label_index[label] for label in svm.predict_batch(model, features[n_train:])],
@@ -802,7 +826,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             if config.split == "loocv"
             else corpus.make_fixed_splits(manifest)
         )
-        arch_text = _architecture_text(config, len(manifest.labels()))
+        arch_text = architecture_text(config.architecture, len(manifest.labels()))
 
         # every key is computed once, here; only the folds that miss may be forked
         tasks, misses = {}, {}

@@ -120,6 +120,8 @@ def default_gamma(features, seed: int = 0) -> float:
 
     All pairs when S <= 200; 1000 seeded random pairs otherwise.
     """
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     if x.shape[0] < 2:
         raise ValueError("default_gamma needs at least 2 features")
@@ -385,6 +387,8 @@ def load_model(path) -> SvmModel:
     n_classes, dim = struct.unpack_from("<II", blob, 4)
     if n_classes < 2:
         raise DataFormatError(f"{path}: need at least 2 classes, got {n_classes}")
+    if dim < 1:
+        raise DataFormatError(f"{path}: feature dimension must be at least 1, got {dim}")
     gamma, eps = struct.unpack_from("<dd", blob, 12)
     try:
         params = KernelParams(gamma=gamma, epsilon_denominator=eps)

@@ -218,6 +218,76 @@ def test_run_command_with_overrides(tmp_path, capsys):
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(float(overall.split(",")[1]))
 
 
+def test_stage_commands_write_what_run_writes(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus", splits=2)
+    manifest = corpus.load_manifest(manifest_path)
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    out_dir = tmp_path / "out"
+    seed = 6
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": manifest_path, "output_dir": str(out_dir), "split": "fixed", "seed": seed,
+        "pca": {"pov_threshold": 0.95},
+        "cnn": {"architecture": str(arch_path), "epochs": 3, "batch_size": 4},
+    }))
+    code, _, err = _run(capsys, "run", "--config", str(config_path))
+    assert code == 0, err
+
+    for fold_index, fold in enumerate(corpus.make_fixed_splits(manifest).folds):
+        fold_dir = out_dir / f"fold_{fold_index:03d}"
+        train_manifest = tmp_path / "corpus" / f"train{fold_index}.json"
+        corpus.save_manifest(
+            corpus.Manifest(entries=tuple(manifest.entry(vid) for vid in fold.train_ids)),
+            train_manifest,
+        )
+        pca_path = tmp_path / f"fold{fold_index}.pca"
+        code, _, err = _run(capsys, "pca-fit", "--manifest", str(train_manifest),
+                            "--pov", "0.95", "--out", str(pca_path))
+        assert code == 0, err
+        assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
+
+        with np.load(fold_dir / "model.cnn.npz") as arrays:
+            features = arrays["features"][: len(fold.train_ids)]
+        features_path = tmp_path / f"fold{fold_index}.csv"
+        cli.write_features_csv(str(features_path), [
+            (vid, manifest.entry(vid).label, vec) for vid, vec in zip(fold.train_ids, features)
+        ])
+        svm_path = tmp_path / f"fold{fold_index}.svm"
+        code, _, err = _run(capsys, "svm-fit", "--features", str(features_path),
+                            "--seed", str(seed ^ fold_index), "--out", str(svm_path))
+        assert code == 0, err
+        assert svm_path.read_bytes() == (fold_dir / "model.svm").read_bytes()
+
+
+def test_wrapped_fit_functions_see_the_stage_commands(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module, name in ((pca, "fit"), (cnn, "train"), (svm, "default_gamma"), (svm, "fit")):
+        def counted(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}",
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    pca_path, cnn_path = str(tmp_path / "m.pca"), str(tmp_path / "m.cnn")
+    features_path = str(tmp_path / "f.csv")
+    code, _, err = _run(capsys, "pca-fit", "--manifest", manifest_path, "--out", pca_path)
+    assert code == 0 and calls == ["motionpipe.pca.fit"], err
+    code, _, err = _run(capsys, "train", "--manifest", manifest_path, "--pca", pca_path,
+                        "--arch", str(arch_path), "--epochs", "2", "--out", cnn_path)
+    assert code == 0 and calls[1:] == ["motionpipe.cnn.train"], err
+    code, _, err = _run(capsys, "extract", "--manifest", manifest_path, "--pca", pca_path,
+                        "--cnn", cnn_path, "--out", features_path)
+    assert code == 0, err
+    code, _, err = _run(capsys, "svm-fit", "--features", features_path, "--gamma", "auto",
+                        "--out", str(tmp_path / "m.svm"))
+    assert code == 0, err
+    assert calls[2:] == ["motionpipe.svm.default_gamma", "motionpipe.svm.fit"]
+
+
 def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
     """What the interpreter shows for a warning, which pytest's recorder replaces."""
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
@@ -434,6 +504,25 @@ def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field):
     assert code == 2, err
     assert f"{field.split('.')[1]} must be" in err
     assert not out_dir.exists()
+
+
+def test_negative_seed_exits_2_before_any_fold(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out_dir)}))
+    code, _, err = _run(capsys, "run", "--config", str(config_path), "--seed", "-1")
+    assert code == 2 and "seed must be a nonnegative integer" in err, err
+    assert not out_dir.exists()
+
+    code, _, err = _run(capsys, "pca-fit", "--manifest", manifest_path,
+                        "--out", str(tmp_path / "m.pca"))
+    assert code == 0, err
+    cnn_path = tmp_path / "m.cnn"
+    code, _, err = _run(capsys, "train", "--manifest", manifest_path, "--pca",
+                        str(tmp_path / "m.pca"), "--seed", "-1", "--out", str(cnn_path))
+    assert code == 2 and "seed must be a nonnegative integer" in err, err
+    assert not cnn_path.exists()
 
 
 def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):

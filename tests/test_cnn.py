@@ -407,6 +407,8 @@ def test_train_config_validation():
         cnn.TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="weight_decay"):
         cnn.TrainConfig(weight_decay=-1.0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        cnn.TrainConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +460,8 @@ def test_extract_features_batch_matches_single_rows():
 def test_architecture_round_trip():
     layers = cnn.default_architecture(3)
     text = cnn.format_architecture(layers)
+    assert text == ("conv 5 32 2\nrelu\nmax 2 2\nconv 3 64 1\nrelu\nmax 2 2\n"
+                    "fc 64\nrelu\nsoftmax 3\n")
     assert cnn.parse_architecture(text) == layers
 
 
@@ -475,6 +479,12 @@ def test_parse_architecture_errors_carry_line_numbers():
         cnn.parse_architecture("conv five 32 2\n")
     with pytest.raises(DataFormatError, match="line 3"):
         cnn.parse_architecture("relu\nfc 4\nmax 2\n")  # max needs two arguments
+    for text in ("wavelet 3", "max 2", "conv 1 2", "relu 3"):
+        with pytest.raises(DataFormatError, match="line 1: unrecognised layer"):
+            cnn.parse_architecture(text)
+    for text in ("conv five 32 2", "conv 0 32 2", "fc 1.5", "softmax 0"):
+        with pytest.raises(DataFormatError, match="line 1: bad layer arguments"):
+            cnn.parse_architecture(text)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_pca1_reader_on_mutated_files(tmp_path, valid_files, data):
 
 def _check_svm(model):
     if model is not None:
-        assert len(model.labels) >= 2
+        assert len(model.labels) >= 2 and model.feature_dim >= 1
         for machine in model.machines:
             assert np.isfinite(machine.coefficients).all() and np.isfinite(machine.bias)
 

@@ -190,6 +190,10 @@ def test_default_gamma_rejects_degenerate_input():
         svm.default_gamma(np.ones((1, 4)))
     with pytest.raises(ValueError, match="identical"):
         svm.default_gamma(np.ones((5, 4)))
+    x = np.random.default_rng(5).uniform(0.1, 2, size=(250, 3))
+    for rows in (2, 200, 201, 250):  # the all-pairs path and the sampled one
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            svm.default_gamma(x[:rows], seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +449,7 @@ def test_load_model_errors(tmp_path):
     cases = [
         ("at least 2 classes", blob[:4] + struct.pack("<I", 0) + blob[8:28]),
         ("at least 2 classes", blob[:4] + struct.pack("<I", 1) + blob[8:]),
+        ("feature dimension must be at least 1", blob[:8] + struct.pack("<I", 0) + blob[12:]),
         ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", np.nan)),
         ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", -np.inf)),
         ("coefficients and bias must be finite",
