@@ -17,8 +17,8 @@ import warnings
 
 import numpy as np
 
-from . import cnn, corpus, pca, pipeline, svm
-from .errors import ConvergenceError, DataFormatError, StageError
+from . import cnn, corpus, pca, pipeline, svm, workers
+from .errors import ConvergenceError, DataFormatError, StageError, WorkerError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     # worker too, or a recorder such as pytest.warns) still shows them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        with pipeline._one_blas_thread():  # a second thread burns CPU on these small products
+        with workers.one_blas_thread():  # a second thread burns CPU on these small products
             if getattr(args, "allow_overrides", False):
                 return args.func(args, overrides)
             return args.func(args)
@@ -409,6 +409,9 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc.__cause__, ConvergenceError) else 2
+    except WorkerError as exc:  # killed by the OOM killer, say
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
     except (DataFormatError, FileNotFoundError, NotADirectoryError, ValueError,
             KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

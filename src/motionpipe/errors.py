@@ -9,6 +9,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
+class WorkerError(RuntimeError):
+    """A forked worker ended without sending back its task's outcome."""
+
+
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name and fold index."""
 

@@ -12,13 +12,12 @@ input invalidates everything below it.
 
 A run plans every key and whether it hits once, up front.  Folds whose
 stages all hit, and so a fully warm run, stay in this process; the frame
-directories and folds that miss run on up to two forked workers.  The run
-holds OpenBLAS at one thread in this process, so the workers inherit one
-thread and start none.  Workers write only their own fold's
+directories and folds that miss go to ``workers.fork_map``, which runs
+them on up to two forked workers (see there for when nothing forks).  The
+run holds OpenBLAS at one thread in this process, so the workers inherit
+one thread and start none.  Workers write only their own fold's
 directory or video's descriptors, and their results and fit-audit calls
 come back in order, so the outputs are the same bytes as a serial run's.
-While a public stage function is wrapped (a tracer's timing wrapper, say),
-everything runs in this process, so the wrapper sees every call.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import contextlib
 import functools
 import hashlib
 import inspect
-import itertools
 import json
 import os
 import sys
@@ -36,8 +34,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import cnn, corpus, flow, pca, svm
-from .errors import DataFormatError, StageError
+from . import cnn, corpus, flow, pca, svm, workers
+from .errors import DataFormatError, StageError, WorkerError
 
 # Test hook: when set, called as fit_audit(stage, fold_index, video_ids)
 # for every model-fitting call with the ids whose data the fit saw.
@@ -438,165 +436,6 @@ def _stage(stage: str, fold_index: int):
 
 
 # ---------------------------------------------------------------------------
-# Forked workers
-# ---------------------------------------------------------------------------
-
-# The tasks of the running _fork_map, by position.  Set before the workers
-# fork, so they inherit the tasks' inputs instead of unpickling them.
-_forked_tasks: list = []
-
-# At most this many workers: the count the fold-parallel speed-up and the
-# workers' memory (each about as large as a serial run) were measured at.
-_MAX_WORKERS = 2
-
-
-@functools.cache
-def _blas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    import ctypes
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    # listed, not globbed: warm runs look too, and importing glob takes about 1 ms
-    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
-    for name in names:
-        if "openblas" not in name:
-            continue
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            getter = lib.scipy_openblas_get_num_threads64_
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            setter = lib.scipy_openblas_set_num_threads64_
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            return getter, setter
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread in the block, then restore its count.
-
-    Set here, before any fork, so workers inherit one thread and start none:
-    setting it inside a freshly forked worker starts a new OpenBLAS thread
-    that busy-waits on a CPU the other worker needs.
-    """
-    threads = _blas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_threads = threads
-    count = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(count)
-
-
-def _stage_functions_replaced() -> bool:
-    """Whether a public function of the stage modules is no longer the one defined.
-
-    A tracer or profiler that replaces such a function with a wrapper records
-    its calls in this process, where a forked worker's calls never arrive.
-    """
-    return any(getattr(module, name, None) is not fn
-               for (module, name), fn in _STAGE_FUNCTIONS.items())
-
-
-def _worker_count(pending: int) -> int:
-    """Workers for ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
-
-    One (run in-process) unless this process holds OpenBLAS at one thread
-    (see _one_blas_thread), which the workers inherit: two workers at
-    OpenBLAS's default thread count oversubscribe the CPUs and run several
-    times slower than one process.  One also while a stage function is
-    wrapped, so that the wrapper sees every fit.
-    """
-    threads = _blas_threads()
-    if pending < 2 or threads is None or threads[0]() != 1 or _stage_functions_replaced():
-        return 1
-    return min(_MAX_WORKERS, len(os.sched_getaffinity(0)), pending)
-
-
-def _forked_task(index: int):
-    """Run task ``index`` in a worker: (value, exception, fit audit calls).
-
-    The exception is returned, not raised: the executor would replace its
-    cause, from which the CLI picks the exit code, and a failed task's audit
-    calls still reach the parent.
-    """
-    global fit_audit
-    calls = []
-    fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
-    try:
-        return _forked_tasks[index](), None, calls
-    except Exception as exc:
-        return None, exc, calls
-
-
-def _fork_map(tasks: dict) -> dict:
-    """Run ``tasks``, {name: callable}: {name: (value, exception)} for those that ran.
-
-    Tasks start in order and none starts once one has failed, so a caller
-    that takes the outcomes in order meets the first failure before any task
-    that never ran.  With fewer than two workers (see _worker_count) the
-    tasks run in this process.  Otherwise they run on forked workers, the
-    running ones finish after a failure, and the fit audit calls of every
-    finished task are replayed here, in order.
-
-    The workers fork (not spawn) so that the tasks' inputs, monkeypatches
-    and warning filters carry over without pickling, and so that they
-    inherit the one BLAS thread this process holds.
-    """
-    workers = _worker_count(len(tasks))
-    if workers < 2:
-        outcomes = {}
-        for name, task in tasks.items():
-            try:
-                outcomes[name] = task(), None
-            except Exception as exc:
-                outcomes[name] = None, exc
-                break
-        return outcomes
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    global _forked_tasks
-    _forked_tasks = list(tasks.values())
-    done = {}
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            queue = iter(range(len(_forked_tasks)))
-            running = {pool.submit(_forked_task, i): i for i in itertools.islice(queue, workers)}
-            while running:
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    done[running.pop(future)] = future.result()
-                if all(error is None for _, error, _ in done.values()):
-                    running.update((pool.submit(_forked_task, i), i)
-                                   for i in itertools.islice(queue, len(finished)))
-    finally:
-        _forked_tasks = []
-    names = list(tasks)
-    outcomes = {}
-    for i in sorted(done):
-        value, error, calls = done[i]
-        for call in calls:
-            _audit(*call)
-        outcomes[names[i]] = value, error
-    return outcomes
-
-
-def _take(outcome):
-    """The value of a (value, exception) outcome; raises the exception."""
-    value, error = outcome
-    if error is not None:
-        raise error
-    return value
-
-
-# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -634,9 +473,9 @@ def _load_corpus(config: PipelineConfig):
                 tasks[vid] = functools.partial(_describe, path, vid, planned, flow_params)
         if tasks:
             os.makedirs(desc_dir, exist_ok=True)
-        outcomes = _fork_map(tasks)
+        outcomes = workers.fork_map(tasks)
         for vid in tasks:
-            found[vid] = _take(outcomes[vid])
+            found[vid] = workers.take(outcomes[vid])
         return found
 
     manifest, sequences = read_corpus(config.manifest, describe)
@@ -818,7 +657,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every fold of the configured protocol and write reports."""
-    with _one_blas_thread():  # in this process and, inherited, in every worker
+    with workers.one_blas_thread():  # in this process and, inherited, in every worker
         manifest, sequences, desc_keys = _load_corpus(config)
         os.makedirs(config.output_dir, exist_ok=True)  # a bad manifest leaves no directory
         plan = (
@@ -837,11 +676,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
             if not fold_plan.hit:
                 misses[fold_index] = tasks[fold_index]
-        outcomes = _fork_map(misses)
+        outcomes = workers.fork_map(misses)
         fold_results = []
         loss_histories = []
         for fold_index, task in tasks.items():
-            result, losses = _take(outcomes[fold_index]) if fold_index in misses else task()
+            try:
+                result, losses = (workers.take(outcomes[fold_index]) if fold_index in misses
+                                  else task())
+            except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
+                raise StageError("worker", fold_index, str(exc)) from exc
             fold_results.append(result)
             loss_histories.append(tuple(losses))
 
@@ -897,7 +740,7 @@ def _write_reports(output_dir: str, result: PipelineResult) -> None:
 
 
 # The public functions of the modules a fold or a frame directory runs, as
-# each module defined them; see _stage_functions_replaced.
+# each module defined them; see workers._stage_functions_replaced.
 _STAGE_FUNCTIONS = {
     (module, name): fn
     for module in (cnn, corpus, flow, pca, svm, sys.modules[__name__])

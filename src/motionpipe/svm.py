@@ -4,15 +4,23 @@ Features must be nonnegative (the chi-squared distance divides by
 x_i + y_i).  The solver is a deterministic SMO: each step pairs the
 maximal KKT violator with the partner of greatest second-order gain,
 with ties broken towards the lowest index.
+
+A large fit (from _FORK_TERMS pair-dimension terms) runs on both CPUs:
+its Gram's row blocks, then its one-vs-rest machines, are split between
+this process and one forked child through ``workers.fork_map``, which
+also says when nothing forks.  Each block and each machine is the serial
+computation, so the model is the serial model bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import ConvergenceError, DataFormatError
 
 SVM_MAGIC = b"SVM1"
@@ -23,6 +31,14 @@ MAX_SMO_STEPS = 10**6
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
+# Row pairs times d from which a distance matrix, and a fit's machines, are
+# split with one forked child.  A fork_map of two empty tasks costs 5 ms
+# from a 55 MB process, and two processes side by side each run slower than
+# one alone, so on 2 CPUs a split of the distances saved nothing at 3M terms
+# (21 ms serial) and 29 % at 2**24 (95 -> 68 ms), about 19 fork costs of
+# serial work.  A 960-row fit of 64 features (30M) splits; a 240 x 594 x 64
+# predict (9M) and a LOOCV fold's fit stay serial.
+_FORK_TERMS = 2**24
 
 
 @dataclass(frozen=True)
@@ -75,12 +91,17 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
 
     Rows of x are taken in blocks of about _BLOCK_ELEMENTS values (never
     less than one row of x against all of y) in two contiguous buffers
-    allocated once per call.  A block tiles its x rows into the first,
+    allocated once per process.  A block tiles its x rows into the first,
     adds y into the second and subtracts y from the first, so each term
     and its sum over d equal the broadcast formula's bit for bit.  When
     y is x, each block computes only the columns from its own first row
     onward and mirrors them into the lower triangle; the chi-squared
     terms are symmetric bit for bit, so this equals the full result.
+
+    From _FORK_TERMS pair-dimension terms on, the blocks are split at a
+    block boundary, by pair count, between this process and one forked
+    child (``workers.fork_map``), which write into one shared anonymous
+    mmap; each mirrors its own blocks.  Every block is the serial block.
     """
     symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -89,10 +110,31 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
         raise ValueError("kernel arguments must be rows of equal length")
     _check_nonneg(x)
     _check_nonneg(y)
-    out = np.empty((x.shape[0], y.shape[0]))
+    n, m = x.shape[0], y.shape[0]
     rows = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    starts = np.arange(0, n, rows)
+    # the row pairs of each block: its rows against y, or against y from its first row on
+    pairs = np.minimum(rows, n - starts) * (m - starts if symmetric else m)
+    if starts.size < 2 or pairs.sum() * x.shape[1] < _FORK_TERMS:
+        out = np.empty((n, m))
+        parts = [starts]
+    else:
+        import mmap
+
+        out = np.frombuffer(mmap.mmap(-1, 8 * n * m), dtype=np.float64).reshape(n, m)
+        cut = np.abs(np.cumsum(pairs) - pairs.sum() / 2).argmin() + 1
+        parts = np.split(starts, [min(cut, starts.size - 1)])
+    tasks = {k: functools.partial(_distance_blocks, x, y, eps, symmetric, rows, part, out)
+             for k, part in enumerate(parts)}
+    for outcome in workers.fork_map(tasks).values():
+        workers.take(outcome)
+    return out
+
+
+def _distance_blocks(x, y, eps, symmetric, rows, starts, out) -> None:
+    """The chi-squared distances of the row blocks at ``starts``, written into ``out``."""
     buffers = np.empty((2, min(rows, x.shape[0]) * y.size))
-    for start in range(0, x.shape[0], rows):
+    for start in starts:
         stop = min(start + rows, x.shape[0])
         first = start if symmetric else 0
         yb = y[first:]
@@ -107,7 +149,6 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
         np.sum(diff, axis=2, out=out[start:stop, first:])
         if symmetric:
             out[stop:, start:stop] = out[start:stop, stop:].T
-    return out
 
 
 def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -290,6 +331,12 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
 
     When ``params`` is omitted, gamma defaults to the inverse mean
     pairwise chi-squared distance of the training set.
+
+    From _FORK_TERMS pair-dimension terms of the Gram's upper triangle on,
+    the machines are split as the Gram's blocks are: this process trains
+    those of the first, third, ... label, one forked child the others, and
+    the results are put back in label order.  If both fail, this process's
+    failure is raised.
     """
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     labels = list(labels)
@@ -307,11 +354,17 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
         params = KernelParams(gamma=default_gamma(x))
 
     gram = chi2_gram(x, x, params)
-    machines = []
     label_arr = np.array(labels)
-    for cls in class_labels:
-        y = np.where(label_arr == cls, 1.0, -1.0)
-        alpha, bias = _smo(gram, y, c_box, tol)
+    ys = [np.where(label_arr == cls, 1.0, -1.0) for cls in class_labels]
+    ways = 2 if x.shape[0] * (x.shape[0] + 1) // 2 * x.shape[1] >= _FORK_TERMS else 1
+    outcomes = workers.fork_map({
+        k: functools.partial(_machines, gram, ys[k::ways], c_box, tol) for k in range(ways)
+    })
+    solved = [None] * len(ys)
+    for k in range(ways):
+        solved[k::ways] = workers.take(outcomes[k])
+    machines = []
+    for y, (alpha, bias) in zip(ys, solved):
         support = np.flatnonzero(alpha > _SUPPORT_EPS)
         machines.append(
             BinarySvm(
@@ -327,6 +380,11 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
         features=x,
         params=params,
     )
+
+
+def _machines(gram, ys, c_box, tol) -> list:
+    """(alpha, bias) of the SMO machine for each of the one-vs-rest targets ``ys``."""
+    return [_smo(gram, y, c_box, tol) for y in ys]
 
 
 def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -9,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm
+from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
+from test_workers import record_forks, usable_cpus
 
 MINI_ARCH = "conv 3 4 1\nrelu\nmax 2 2\nfc 8\nrelu\nsoftmax 2\n"
 
@@ -293,9 +295,9 @@ def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", [1, 2])
 def test_run_shows_a_truncated_series_as_one_stderr_line(tmp_path, capfd, monkeypatch,
-                                                         workers):
+                                                         count):
     manifest, sequences, _ = corpus.generate_synthetic_corpus(
         classes=2, per_class=2, channels=3, min_len=16, max_len=20, seed=5
     )
@@ -317,7 +319,7 @@ def test_run_shows_a_truncated_series_as_one_stderr_line(tmp_path, capfd, monkey
         "cnn": {"architecture": str(arch_path), "epochs": 3, "batch_size": 4},
     }))
     # one worker runs every fold here; two fork, and the worker writes the line
-    monkeypatch.setattr(pipeline, "_worker_count", lambda pending: min(workers, pending))
+    monkeypatch.setattr(workers, "_worker_count", lambda pending: min(count, pending))
     monkeypatch.setattr(warnings, "showwarning", _show_on_stderr)
     formatwarning = warnings.formatwarning
 
@@ -431,7 +433,7 @@ def test_header_only_features_exit_2_in_svm_fit_and_predict(tmp_path, capsys):
 
 
 def test_commands_hold_one_blas_thread_and_restore_the_count(tmp_path, capsys, monkeypatch):
-    threads = pipeline._blas_threads()
+    threads = workers._blas_threads()
     if threads is None:
         pytest.skip("needs the OpenBLAS thread-count functions")
     get, set_threads = threads
@@ -492,6 +494,68 @@ def test_convergence_failures_exit_3(tmp_path, capsys, monkeypatch):
     }))
     code, _, err = _run(capsys, "run", "--config", str(config_path))
     assert code == 3 and "stage svm" in err
+
+
+def _kfold_table(path, rows=800, dim=64, classes=4, seed=1):
+    """Feature rows shaped like an svm-kfold fold: class blocks of raised means, half zeros."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(rows) % classes
+    centres = np.kron(np.eye(classes), np.full(dim // classes, 0.8))
+    x = np.maximum(centres[labels] + rng.normal(size=(rows, dim)) - 0.1, 0.0)
+    cli.write_features_csv(str(path), [(f"r{i}", f"k{k}", v)
+                                       for i, (k, v) in enumerate(zip(labels, x))])
+
+
+def test_svm_fit_on_two_processes_writes_the_serial_bytes(tmp_path, capsys, monkeypatch):
+    features = tmp_path / "f.csv"
+    _kfold_table(features)  # above svm._FORK_TERMS: 800 * 801 / 2 * 64 terms
+    usable_cpus(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    models = []
+    for count in (2, 1):
+        if count == 1:
+            monkeypatch.setattr(workers, "_worker_count", lambda pending: 1)
+        models.append(tmp_path / f"m{count}.svm")
+        code, _, err = _run(capsys, "svm-fit", "--features", str(features),
+                            "--out", str(models[-1]))
+        assert code == 0, err
+    assert forks() == [os.getpid()] * 2  # the distances, then the machines, on two workers
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
+def _in_the_child(monkeypatch, before):
+    """Wrap svm._smo so that ``before()`` runs first in a forked child's machines only."""
+    parent, real = os.getpid(), svm._smo
+
+    def smo(*args):
+        if os.getpid() != parent:
+            before()
+        return real(*args)
+
+    monkeypatch.setattr(svm, "_smo", smo)
+    monkeypatch.setattr(svm, "_FORK_TERMS", 0)
+    usable_cpus(monkeypatch)
+
+
+def test_a_killed_svm_fit_child_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    features = tmp_path / "f.csv"
+    _kfold_table(features, rows=40, dim=4)
+    _in_the_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, _, err = _run(capsys, "svm-fit", "--features", str(features),
+                        "--out", str(tmp_path / "m.svm"))
+    assert code == 2
+    assert err == ("error: svm-fit: a worker process ended without a result "
+                   "(killed by SIGKILL)\n")
+    assert not (tmp_path / "m.svm").exists()
+
+
+def test_a_child_machine_that_does_not_converge_exits_3(tmp_path, capsys, monkeypatch):
+    features = tmp_path / "f.csv"
+    _kfold_table(features, rows=40, dim=4)
+    _in_the_child(monkeypatch, lambda: setattr(svm, "MAX_SMO_STEPS", 1))
+    code, _, err = _run(capsys, "svm-fit", "--features", str(features),
+                        "--out", str(tmp_path / "m.svm"))
+    assert code == 3 and err == "error: SMO not converged\n"
 
 
 @pytest.mark.parametrize("field", ["cnn.learning_rate", "cnn.weight_decay", "svm.c_box", "svm.tol"])

@@ -6,13 +6,16 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from motionpipe import cli, corpus, flow, pca, pipeline, svm
+from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
+
+from test_workers import usable_cpus
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
 
@@ -69,7 +72,7 @@ def _tree(out_dir):
 
 def _use_workers(monkeypatch, count):
     """Pin the forked workers a run uses; one runs every task in-process."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda pending: min(count, pending))
+    monkeypatch.setattr(workers, "_worker_count", lambda pending: min(count, pending))
 
 
 @pytest.fixture()
@@ -507,6 +510,32 @@ def test_two_workers_write_what_one_writes(tmp_path, monkeypatch, audit_log):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.filterwarnings("ignore:series .* truncated")  # a test video longer than training's
+def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monkeypatch,
+                                                                  audit_log):
+    manifest_path = _mini_corpus(tmp_path / "corpus")
+    manifest = corpus.load_manifest(manifest_path)
+    entries = tuple(dataclasses.replace(e, split_id=int(e.video_id[-1])) for e in manifest.entries)
+    corpus.save_manifest(corpus.Manifest(entries=entries), manifest_path)
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("two folds on two workers started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    runs = []
+    for count in (1, 2):
+        _use_workers(monkeypatch, count)
+        audit_log.clear()
+        out = tmp_path / f"out{count}"
+        pipeline.run_pipeline(_mini_config(manifest_path, out, arch_path, split="fixed"))
+        runs.append((list(audit_log), _tree(out)))
+    (audit_one, files_one), (audit_two, files_two) = runs
+    assert [fold for _, fold, _ in audit_two] == [0] * 4 + [1] * 4
+    assert audit_two == audit_one and files_two == files_one
+
+
 def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     config = _frame_dir_config(tmp_path)
     _use_workers(monkeypatch, 2)
@@ -526,32 +555,25 @@ def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     assert pools == [] and audit_log == []
 
 
-def _usable_cpus(monkeypatch, count, blas_threads=1):
-    """Let _worker_count see ``count`` CPUs and OpenBLAS at ``blas_threads``."""
-    monkeypatch.setattr(pipeline, "_blas_threads",
-                        lambda: (lambda: blas_threads, lambda threads: None))
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
-    _usable_cpus(monkeypatch, 8)
-    assert [pipeline._worker_count(n) for n in (1, 2, 60)] == [1, 2, 2]
-    monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
-    assert pipeline._worker_count(60) == 1
-    _usable_cpus(monkeypatch, 8, blas_threads=2)  # not held at one thread
-    assert pipeline._worker_count(60) == 1
+    usable_cpus(monkeypatch, 8)
+    assert [workers._worker_count(n) for n in (1, 2, 60)] == [1, 2, 2]
+    monkeypatch.setattr(workers, "_blas_threads", lambda: None)
+    assert workers._worker_count(60) == 1
+    usable_cpus(monkeypatch, 8, blas_threads=2)  # not held at one thread
+    assert workers._worker_count(60) == 1
 
-    _usable_cpus(monkeypatch, 8)
+    usable_cpus(monkeypatch, 8)
     for module, name in ((pca, "fit"), (pipeline, "frames_to_sequence"), (svm, "predict_batch")):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, functools.wraps(getattr(module, name))(lambda: None))
-            assert pipeline._worker_count(60) == 1
-    assert pipeline._worker_count(60) == 2
+            assert workers._worker_count(60) == 1
+    assert workers._worker_count(60) == 2
 
 
 def test_wrapped_fits_are_seen_when_every_fold_misses(mini_run, tmp_path, monkeypatch):
     """A wrapper that counts fits, as a warm run's refit check does, sees forked-size misses."""
-    _usable_cpus(monkeypatch, 2)
+    usable_cpus(monkeypatch, 2)
     config = _copy_run(mini_run, tmp_path, c_box=0.5)  # every fold's SVM stage misses
     fits = []
     real_fit = svm.fit
@@ -567,7 +589,7 @@ def test_wrapped_fits_are_seen_when_every_fold_misses(mini_run, tmp_path, monkey
 
 
 def _blas_threads_or_skip():
-    threads = pipeline._blas_threads()
+    threads = workers._blas_threads()
     if threads is None or not os.path.isdir("/proc/self/task"):
         pytest.skip("needs the OpenBLAS thread-count functions and /proc")
     return threads
@@ -576,15 +598,15 @@ def _blas_threads_or_skip():
 def _threads_after_blas_work():
     """This process's id, OS thread count and OpenBLAS thread count, after a GEMM."""
     np.ones((256, 256)) @ np.ones((256, 256))
-    return os.getpid(), len(os.listdir("/proc/self/task")), pipeline._blas_threads()[0]()
+    return os.getpid(), len(os.listdir("/proc/self/task")), workers._blas_threads()[0]()
 
 
 def test_forked_workers_inherit_one_blas_thread_and_start_none(monkeypatch):
     _blas_threads_or_skip()
     _use_workers(monkeypatch, 2)
-    with pipeline._one_blas_thread():
-        outcomes = pipeline._fork_map({task: _threads_after_blas_work for task in range(4)})
-    seen = [pipeline._take(outcomes[task]) for task in range(4)]
+    with workers.one_blas_thread():
+        outcomes = workers.fork_map({task: _threads_after_blas_work for task in range(4)})
+    seen = [workers.take(outcomes[task]) for task in range(4)]
     assert os.getpid() not in {pid for pid, _, _ in seen}
     assert [(os_threads, blas) for _, os_threads, blas in seen] == [(1, 1)] * 4
     assert multiprocessing.active_children() == []
@@ -697,6 +719,36 @@ def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path,
     assert cli.main(["run", "--config", _write_config(config, tmp_path / "c.json")]) == 3
     assert "fold 0, stage svm: SMO not converged" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+def test_a_killed_fold_worker_fails_its_fold_and_a_rerun_fits_what_is_missing(
+        mini_run, tmp_path, monkeypatch, audit_log, capsys):
+    config = dataclasses.replace(mini_run.config, output_dir=str(tmp_path / "out"))
+    config_path = _write_config(config, tmp_path / "c.json")
+    usable_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), cnn._forward_batch
+
+    def forward_or_die(*args, **kwargs):
+        if os.getpid() != parent:  # in each fold worker, at its first forward pass
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cnn, "_forward_batch", forward_or_die)
+        assert cli.main(["run", "--config", config_path]) == 2
+    assert capsys.readouterr().err == ("error: fold 0, stage worker: a worker process ended "
+                                       "without a result (killed by SIGKILL)\n")
+    missing = {(stage, fold) for fold in range(len(mini_run.result.fold_results))
+               for stage in ("pca", "cnn", "svm")
+               if not os.path.exists(os.path.join(config.output_dir, f"fold_{fold:03d}",
+                                                  f"model.{stage}.key"))}
+    assert ("pca", 0) not in missing and ("cnn", 0) in missing  # fold 0 died in its CNN stage
+
+    audit_log.clear()
+    assert cli.main(["run", "--config", config_path]) == 0
+    refit = {("svm" if stage == "gamma" else stage, fold) for stage, fold, _ in audit_log}
+    assert refit == missing
+    assert _read_reports(config.output_dir) == mini_run.reports
 
 
 @pytest.mark.parametrize("cause", [

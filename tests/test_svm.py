@@ -1,13 +1,16 @@
+import functools
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from motionpipe import svm
+from motionpipe import svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
+from test_workers import record_forks, usable_cpus
 
 
 def _clusters(rng, per_class=20, dim=6, classes=2, spread=0.05):
@@ -526,3 +529,104 @@ def test_smo_step_cap_raises(monkeypatch):
     feats, labels = _clusters(rng, per_class=10)
     with pytest.raises(ConvergenceError, match="not converged"):
         svm.fit(feats, labels)
+
+
+# ---------------------------------------------------------------------------
+# The fit split between this process and one forked child
+# ---------------------------------------------------------------------------
+
+def _fork_at_any_size(monkeypatch):
+    monkeypatch.setattr(svm, "_FORK_TERMS", 0)
+    usable_cpus(monkeypatch)
+
+
+def _serial(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(svm, "_FORK_TERMS", 2**62)
+        return fn(*args, **kwargs)
+
+
+def _forbid_forks(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("rows, cols, dim", [
+    (600, None, 64),   # one-row blocks, as in a 960 x 64 fit
+    (40, None, 64),    # blocks of 12 rows and a last one of 4; the cut is after the first
+    (300, None, 2),    # small d: 54 rows a block
+    (250, 130, 3),     # rectangular: blocks of 84, 84 and 82 rows, the cut after the first
+    (60, 600, 64),     # rectangular, one-row blocks
+])
+def test_forked_distances_are_the_serial_bits(monkeypatch, tmp_path, rows, cols, dim):
+    rng = np.random.default_rng(rows + dim)
+    x = np.maximum(rng.normal(size=(rows, dim)), 0.0)  # exact zeros too
+    y = x if cols is None else np.maximum(rng.normal(size=(cols, dim)), 0.0)
+    expected = _serial(monkeypatch, svm.chi2_distance_matrix, x, y, 1e-12)
+    _fork_at_any_size(monkeypatch)
+    real = svm._distance_blocks
+
+    def recorded(*args):
+        with open(tmp_path / "blocks", "a") as fh:
+            fh.write(f"{os.getpid()} {len(args[5])}\n")
+        return real(*args)
+
+    monkeypatch.setattr(svm, "_distance_blocks", recorded)
+    got = svm.chi2_distance_matrix(x, x if cols is None else y, 1e-12)
+    assert np.array_equal(got, expected)
+    blocks = [tuple(map(int, line.split())) for line in open(tmp_path / "blocks")]
+    assert len(blocks) == 2 and blocks[0][0] == os.getpid() != blocks[1][0]
+
+
+def _assert_same_machines(got, want):
+    assert got.labels == want.labels and np.array_equal(got.features, want.features)
+    for a, b in zip(got.machines, want.machines):
+        assert np.array_equal(a.support_indices, b.support_indices)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.bias == b.bias
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_forked_fit_is_the_serial_fit(monkeypatch, tmp_path, classes):
+    feats, labels = _clusters(np.random.default_rng(classes), per_class=15, dim=64,
+                              classes=classes, spread=0.6)
+    params = svm.KernelParams(gamma=0.4)
+    expected = _serial(monkeypatch, svm.fit, feats, labels, params=params)
+    _fork_at_any_size(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    _assert_same_machines(svm.fit(feats, labels, params=params), expected)
+    assert forks() == [os.getpid()] * 2  # the distances, then the machines
+
+
+def test_loocv_sized_fit_does_not_fork(monkeypatch):
+    usable_cpus(monkeypatch)
+    _forbid_forks(monkeypatch)
+    rng = np.random.default_rng(4)
+    feats = np.maximum(rng.normal(size=(59, 64)), 0.0)
+    svm.fit(feats, [f"k{i % 3}" for i in range(59)], params=svm.KernelParams(gamma=0.1))
+
+
+@pytest.mark.parametrize("name", ["fit", "chi2_gram"])
+def test_no_fork_while_a_fit_function_is_wrapped(monkeypatch, name):
+    feats, labels = _clusters(np.random.default_rng(6), classes=3)
+    _fork_at_any_size(monkeypatch)
+    _forbid_forks(monkeypatch)
+    real = getattr(svm, name)
+    monkeypatch.setattr(svm, name, functools.wraps(real)(lambda *a, **k: real(*a, **k)))
+    svm.fit(feats, labels, params=svm.KernelParams(gamma=0.5))
+
+
+@pytest.mark.parametrize("fits", [2, 3], ids=["light", "pool"])
+def test_no_fit_forks_inside_a_worker_or_while_a_task_runs_here(monkeypatch, tmp_path, fits):
+    feats, labels = _clusters(np.random.default_rng(8), classes=4, spread=0.6)
+    params = svm.KernelParams(gamma=0.4)
+    expected = _serial(monkeypatch, svm.fit, feats, labels, params=params)
+    _fork_at_any_size(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    outcomes = workers.fork_map({k: lambda: svm.fit(feats, labels, params=params)
+                                 for k in range(fits)})
+    for outcome in outcomes.values():
+        _assert_same_machines(workers.take(outcome), expected)
+    assert forks() == [os.getpid()]  # the fits' own splits stayed in their processes
