@@ -13,11 +13,13 @@ input invalidates everything below it.
 A run plans every key and whether it hits once, up front.  Folds whose
 stages all hit, and so a fully warm run, stay in this process; the frame
 directories and folds that miss go to ``workers.fork_map``, which runs
-them on up to two forked workers (see there for when nothing forks).  The
-run holds OpenBLAS at one thread in this process, so the workers inherit
-one thread and start none.  Workers write only their own fold's
-directory or video's descriptors, and their results and fit-audit calls
-come back in order, so the outputs are the same bytes as a serial run's.
+them on up to two forked workers, each handed the next task while it is
+idle (see there for when nothing forks).  A worker that dies fails its
+own fold, as ``fold K, stage worker``.  The run holds OpenBLAS at one
+thread in this process, so the workers inherit one thread and start
+none.  Workers write only their own fold's directory or video's
+descriptors, and their results and fit-audit calls come back in order,
+so the outputs are the same bytes as a serial run's.
 """
 
 from __future__ import annotations

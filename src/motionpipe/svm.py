@@ -7,9 +7,9 @@ with ties broken towards the lowest index.
 
 A large fit (from _FORK_TERMS pair-dimension terms) runs on both CPUs:
 its Gram's row blocks, then its one-vs-rest machines, are split between
-this process and one forked child through ``workers.fork_map``, which
-also says when nothing forks.  Each block and each machine is the serial
-computation, so the model is the serial model bit for bit.
+two forked workers through ``workers.fork_map``, which also says when
+nothing forks.  Each block and each machine is the serial computation,
+so the model is the serial model bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ MAX_SMO_STEPS = 10**6
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
 # Row pairs times d from which a distance matrix, and a fit's machines, are
-# split with one forked child.  A fork_map of two empty tasks costs 5 ms
+# split between two forked workers.  A fork_map of two empty tasks costs 5 ms
 # from a 55 MB process, and two processes side by side each run slower than
 # one alone, so on 2 CPUs a split of the distances saved nothing at 3M terms
 # (21 ms serial) and 29 % at 2**24 (95 -> 68 ms), about 19 fork costs of
@@ -99,9 +99,9 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
     terms are symmetric bit for bit, so this equals the full result.
 
     From _FORK_TERMS pair-dimension terms on, the blocks are split at a
-    block boundary, by pair count, between this process and one forked
-    child (``workers.fork_map``), which write into one shared anonymous
-    mmap; each mirrors its own blocks.  Every block is the serial block.
+    block boundary, by pair count, between two forked workers
+    (``workers.fork_map``), which write into one shared anonymous mmap;
+    each mirrors its own blocks.  Every block is the serial block.
     """
     symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -333,10 +333,10 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     pairwise chi-squared distance of the training set.
 
     From _FORK_TERMS pair-dimension terms of the Gram's upper triangle on,
-    the machines are split as the Gram's blocks are: this process trains
-    those of the first, third, ... label, one forked child the others, and
-    the results are put back in label order.  If both fail, this process's
-    failure is raised.
+    the machines are split as the Gram's blocks are: one forked worker
+    trains those of the first, third, ... label, the other the rest, and
+    the results are put back in label order.  If both fail, the first
+    worker's failure is raised.
     """
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     labels = list(labels)

@@ -1,14 +1,13 @@
 """Forked workers: the one way this package runs work on a second CPU.
 
-``fork_map`` runs a dict of tasks on this process and forked children and
-hands their outcomes back in order; its docstring says when nothing forks.
+``fork_map`` runs a dict of tasks on persistent forked workers and hands
+their outcomes back in order; its docstring says when nothing forks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
 import pickle
 import sys
@@ -18,9 +17,8 @@ import numpy as np
 from .errors import WorkerError
 
 # The tasks of the running fork_map, by position.  Set before any fork, so
-# that children inherit the tasks' inputs instead of unpickling them, and
-# so that a child, or this process while it runs the first task, sees that
-# a fork_map is running.
+# that workers inherit the tasks' inputs instead of unpickling them, and
+# so that a worker sees that it is one.
 _forked_tasks: list = []
 
 # At most this many workers: the count the fold-parallel speed-up and the
@@ -89,8 +87,8 @@ def _stage_functions_replaced() -> bool:
 def _worker_count(pending: int) -> int:
     """Workers for ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
 
-    One (run in-process) on the conditions ``fork_map`` lists, but for
-    nesting, which ``fork_map`` checks itself.  Two workers at OpenBLAS's
+    One (run in-process) on the conditions ``fork_map`` lists, but inside
+    a worker, which ``fork_map`` checks itself.  Two workers at OpenBLAS's
     default thread count oversubscribe the CPUs and run several times
     slower than one process.
     """
@@ -108,55 +106,51 @@ def _outcome(task):
         return None, exc
 
 
-def _forked_task(index: int):
-    """Run task ``index`` in a worker: (value, exception, fit audit calls).
-
-    The exception is returned, not raised: the executor would replace its
-    cause, from which the CLI picks the exit code, and a failed task's audit
-    calls still reach the parent.
-    """
-    from . import pipeline
-
-    calls = []
-    pipeline.fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
-    return *_outcome(_forked_tasks[index]), calls
-
-
-def _worker_error(exitcode) -> WorkerError:
-    """The error of a task whose worker ended without its result.
-
-    ``exitcode`` is as multiprocessing reports it (minus the signal number
-    for a killed process), or None where it is not known.
-    """
+def _worker_error(status: int) -> WorkerError:
+    """The error of a task whose worker ended, with wait status ``status``, without its outcome."""
     import signal
 
-    how = ""
-    if exitcode is not None and exitcode < 0:
+    code = os.waitstatus_to_exitcode(status)
+    how = f" (exit code {code})" if code > 0 else ""
+    if code < 0:
         try:
-            how = f" (killed by {signal.Signals(-exitcode).name})"
+            how = f" (killed by {signal.Signals(-code).name})"
         except ValueError:  # a signal without a name
-            how = f" (killed by signal {-exitcode})"
-    elif exitcode:
-        how = f" (exit code {exitcode})"
+            how = f" (killed by signal {-code})"
     return WorkerError(f"a worker process ended without a result{how}")
 
 
-def _run_child(index: int, fd: int):
-    """In a freshly forked child: run task ``index``, write its outcome to ``fd``, exit.
+def _serve(commands: int, results: int):
+    """In a forked worker: run each task index read from ``commands``, send back its outcome.
 
-    Never returns, so the child never runs its parent's code after the fork.
+    An outcome is (value, exception, fit audit calls), pickled behind its
+    8-byte length into ``results``.  The exception is sent, not raised, so
+    that its cause, from which the CLI picks the exit code, and a failed
+    task's audit calls reach the parent.  Ctrl-C is left to the parent,
+    which kills the workers.  Never returns: a worker never runs its
+    parent's code.
     """
+    import signal
+
+    from . import pipeline
+
     code = 1
     try:
-        data = pickle.dumps(_forked_task(index))
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(commands, "rb") as tasks, os.fdopen(results, "wb") as out:
+            while index := tasks.read(4):  # until the parent closes the command pipe
+                calls = []
+                pipeline.fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
+                data = pickle.dumps((*_outcome(_forked_tasks[int.from_bytes(index, "little")]),
+                                     calls))
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
         code = 0
-    except BaseException:  # the parent reports the task as ended without a result
+    except BaseException:  # the parent reports the running task as ended without a result
         import traceback
 
         traceback.print_exc()
-        raise  # no further than the finally clause, which ends the child
+        raise  # no further than the finally clause, which ends the worker
     finally:
         for stream in (sys.stdout, sys.stderr):
             with contextlib.suppress(Exception):
@@ -164,100 +158,99 @@ def _run_child(index: int, fd: int):
         os._exit(code)
 
 
-def _fork_each() -> dict:
-    """The light path: task 0 here, each further task in a child of its own.
+def _run_on_workers(count: int) -> dict:
+    """Every task on ``count`` forked workers: {index: (value, exception, fit audit calls)}.
 
-    Returns {index: (value, exception, fit audit calls)}.  Task 0's audit
-    calls are made here, as it runs, before the children's are replayed.
+    Each worker is handed the next task index over its command pipe while
+    it is idle and no task has failed, and sends each outcome back over its
+    result pipe.  This process only forks, waits, reads and reaps.  A
+    worker that ends without its task's full outcome fails that task with a
+    WorkerError; the other running tasks finish.  No worker outlives the call.
     """
-    for stream in (sys.stdout, sys.stderr):  # a child must not write this output again
+    import select
+    import signal
+
+    for stream in (sys.stdout, sys.stderr):  # a worker must not write this output again
         stream.flush()
-    children = {}
+    queue = iter(range(len(_forked_tasks)))
+    done = {}
+    running = {}  # each worker's result pipe -> [pid, its command pipe, its task or None]
+
+    def feed(worker):  # the next task, or, once none may start, the end of the commands
+        worker[2] = None if any(e is not None for _, e, _ in done.values()) else next(queue, None)
+        if worker[2] is None:
+            worker[1].close()  # the worker exits
+        else:
+            with contextlib.suppress(BrokenPipeError):  # it died: its task fails at the EOF
+                worker[1].write(worker[2].to_bytes(4, "little"))
+
     try:
-        for index in range(1, len(_forked_tasks)):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+        for _ in range(count):
+            # A worker inherits every pipe end open here, so it closes those of
+            # the workers forked before it: while a later worker holds an
+            # earlier one's command pipe open for writing, the earlier worker
+            # never sees its commands end, and it cannot exit before the later.
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
             if pid == 0:
-                os.close(read_fd)
-                _run_child(index, write_fd)
-            os.close(write_fd)
-            children[index] = pid, read_fd
-        done = {0: (*_outcome(_forked_tasks[0]), ())}
-        for index in list(children):
-            pid, read_fd = children[index]
-            with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[index]
-            # a child exits 0 only once its outcome is written in full
-            done[index] = pickle.loads(data) if code == 0 else (None, _worker_error(code), ())
+                for results, (_, commands, _) in running.items():
+                    results.close()
+                    commands.close()
+                os.close(task_w)
+                os.close(result_r)
+                _serve(task_r, result_w)
+            running[os.fdopen(result_r, "rb")] = [pid, os.fdopen(task_w, "wb", buffering=0), None]
+            os.close(task_r)
+            os.close(result_w)
+        for worker in running.values():
+            feed(worker)
+        while running:
+            for results in select.select(list(running), [], [])[0]:
+                worker = running[results]
+                header = results.read(8)  # an outcome's length, then the outcome
+                data = results.read(int.from_bytes(header, "little"))
+                if len(header) == 8 and len(data) == int.from_bytes(header, "little"):
+                    done[worker[2]] = pickle.loads(data)
+                    feed(worker)
+                    continue
+                results.close()  # the worker ended
+                worker[1].close()
+                status = os.waitpid(worker[0], 0)[1]
+                del running[results]
+                if worker[2] is not None:
+                    done[worker[2]] = None, _worker_error(status), ()
         return done
     finally:
-        for pid, read_fd in children.values():  # interrupted: no child outlives the call
-            with contextlib.suppress(OSError):  # closed already, if it was read
-                os.close(read_fd)
-            os.kill(pid, 9)  # SIGKILL; an unreaped child still has its pid
+        for results, (pid, commands, _) in running.items():  # interrupted
+            results.close()
+            commands.close()
+            os.kill(pid, signal.SIGKILL)  # an unreaped worker still has its pid
             os.waitpid(pid, 0)
-
-
-def _pool(workers: int) -> dict:
-    """Every task on ``workers`` pooled worker processes, in order.
-
-    Returns {index: (value, exception, fit audit calls)} for the tasks that
-    ended.  If a worker dies, the lowest-index task still running fails with
-    a WorkerError, and the pool stops the other workers.
-    """
-    import multiprocessing
-    import signal
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    done = {}
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        queue = iter(range(len(_forked_tasks)))
-        running = {pool.submit(_forked_task, i): i for i in itertools.islice(queue, workers)}
-        processes = list(pool._processes.values())  # a fork pool starts all at the first submit
-        while running:
-            finished, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in finished:
-                error = future.exception()
-                done[running.pop(future)] = future.result() if error is None else (None, error, ())
-            if all(error is None for _, error, _ in done.values()):
-                with contextlib.suppress(BrokenProcessPool):  # its running tasks fail below
-                    running.update((pool.submit(_forked_task, i), i)
-                                   for i in itertools.islice(queue, len(finished)))
-    broken = sorted(i for i, (_, error, _) in done.items() if isinstance(error, BrokenProcessPool))
-    if broken:
-        # the dead worker's exit code; the pool ends the others with SIGTERM
-        codes = [p.exitcode for p in processes if p.exitcode not in (None, 0, -signal.SIGTERM)]
-        done[broken[0]] = None, _worker_error(codes[0] if codes else None), ()
-        for i in broken[1:]:
-            del done[i]
-    return done
 
 
 def fork_map(tasks: dict) -> dict:
     """Run ``tasks``, {name: callable}: {name: (value, exception)} for those that ran.
 
-    No more tasks than workers (a fixed split's two folds, the two halves
-    of an SVM fit) take the light path: this process runs the first task
-    itself and forks one child for each further task, which sends its
-    outcome back over a pipe and exits.  Longer task lists go to a pool of
-    forked workers.  Tasks start in order and none starts once one has
-    failed, so a caller that takes the outcomes in order meets the first
-    failure before any task that never ran.  If a worker ends without a
-    result (killed by the OOM killer, say), the lowest-index task still
-    running fails with a WorkerError.  Once forked, the running tasks finish
-    after a failure, and the fit audit calls of every finished task are
-    replayed here, in order.
+    This process forks its workers once per call and hands each idle
+    worker the next task; it runs no task itself.  Tasks start in order and
+    none starts once one has failed, so a caller that takes the outcomes in
+    order meets the first failure before any task that never ran.  A worker
+    that ends without its task's outcome (killed by the OOM killer, say)
+    fails that task, its own, with a WorkerError that gives its exit signal.
+    The running tasks finish after a failure, and the fit audit calls of
+    every finished task are replayed here, in order.
 
     Everything runs in this process, in order, when:
     - there are fewer than two tasks, or one usable CPU;
     - numpy's OpenBLAS thread-count functions are missing, or this process
       does not hold OpenBLAS at one thread (see one_blas_thread);
     - a public stage function is wrapped (see _stage_functions_replaced);
-    - this process is a worker, or is running the first task of a fork_map:
-      a nested fork would double the process count.
+    - this process is a worker: a nested fork would double the process count.
 
     The workers fork (not spawn) so that the tasks' inputs, monkeypatches
     and warning filters carry over without pickling, and so that they
@@ -276,7 +269,7 @@ def fork_map(tasks: dict) -> dict:
 
     _forked_tasks = list(tasks.values())
     try:
-        done = _fork_each() if len(tasks) <= workers else _pool(workers)
+        done = _run_on_workers(workers)
     finally:
         _forked_tasks = []
     names = list(tasks)

@@ -1,12 +1,11 @@
-import concurrent.futures
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 import pickle
 import shutil
 import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
-from test_workers import usable_cpus
+from test_workers import record_forks, usable_cpus
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
 
@@ -507,7 +506,6 @@ def test_two_workers_write_what_one_writes(tmp_path, monkeypatch, audit_log):
     assert audit_one and audit_two == audit_one
     assert len(files_one) == 4 * 2 + 4 * 8 + 5  # descriptors, fold artifacts, reports
     assert files_two == files_one
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.filterwarnings("ignore:series .* truncated")  # a test video longer than training's
@@ -520,10 +518,6 @@ def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monk
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text(MINI_ARCH)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("two folds on two workers started a pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     runs = []
     for count in (1, 2):
         _use_workers(monkeypatch, count)
@@ -539,20 +533,13 @@ def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monk
 def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     config = _frame_dir_config(tmp_path)
     _use_workers(monkeypatch, 2)
-    pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
-
-    def counted_pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
     pipeline.run_pipeline(config)
-    assert len(pools) == 2  # the descriptors, then the folds
-    pools.clear()
+    assert forks() == [os.getpid()] * 2  # the descriptors, then the folds
+    os.remove(tmp_path / "forks")
     audit_log.clear()
     pipeline.run_pipeline(config)
-    assert pools == [] and audit_log == []
+    assert forks() == [] and audit_log == []
 
 
 def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
@@ -609,7 +596,6 @@ def test_forked_workers_inherit_one_blas_thread_and_start_none(monkeypatch):
     seen = [workers.take(outcomes[task]) for task in range(4)]
     assert os.getpid() not in {pid for pid, _, _ in seen}
     assert [(os_threads, blas) for _, os_threads, blas in seen] == [(1, 1)] * 4
-    assert multiprocessing.active_children() == []
 
 
 def test_run_pipeline_holds_one_blas_thread_and_restores_the_count(mini_run, tmp_path,
@@ -714,11 +700,9 @@ def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path,
     # folds 0 and 1 started together; once one failed, folds 2 and 3 never started
     assert {fold for _, fold, _ in audit_log} == {0, 1}
     assert [stage for stage, fold, _ in audit_log if fold == 1] == ["pca", "cnn", "gamma", "svm"]
-    assert multiprocessing.active_children() == []
 
     assert cli.main(["run", "--config", _write_config(config, tmp_path / "c.json")]) == 3
     assert "fold 0, stage svm: SMO not converged" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
 
 
 def test_a_killed_fold_worker_fails_its_fold_and_a_rerun_fits_what_is_missing(
@@ -743,6 +727,49 @@ def test_a_killed_fold_worker_fails_its_fold_and_a_rerun_fits_what_is_missing(
                if not os.path.exists(os.path.join(config.output_dir, f"fold_{fold:03d}",
                                                   f"model.{stage}.key"))}
     assert ("pca", 0) not in missing and ("cnn", 0) in missing  # fold 0 died in its CNN stage
+
+    audit_log.clear()
+    assert cli.main(["run", "--config", config_path]) == 0
+    refit = {("svm" if stage == "gamma" else stage, fold) for stage, fold, _ in audit_log}
+    assert refit == missing
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_a_dead_worker_fails_its_own_fold_while_the_running_one_finishes(
+        mini_run, tmp_path, monkeypatch, audit_log, capsys):
+    config = dataclasses.replace(mini_run.config, output_dir=str(tmp_path / "out"))
+    config_path = _write_config(config, tmp_path / "c.json")
+    usable_cpus(monkeypatch, 2)
+    died = tmp_path / "died"
+    real_fold, real_forward = pipeline._run_fold, cnn._forward_batch
+    folds = []  # in a worker: the folds it has run
+
+    def run_fold(config, fold_index, *args):
+        folds.append(fold_index)
+        return real_fold(config, fold_index, *args)
+
+    def forward(*args, **kwargs):
+        if folds[-1:] == [1]:  # fold 1's worker dies in its CNN stage
+            died.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        if folds[-1:] == [0]:  # fold 0 trains on until then
+            deadline = time.monotonic() + 30
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return real_forward(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_run_fold", run_fold)
+        patch.setattr(cnn, "_forward_batch", forward)
+        assert cli.main(["run", "--config", config_path]) == 2
+    assert capsys.readouterr().err == ("error: fold 1, stage worker: a worker process ended "
+                                       "without a result (killed by SIGKILL)\n")
+    missing = {(stage, fold) for fold in range(len(mini_run.result.fold_results))
+               for stage in ("pca", "cnn", "svm")
+               if not os.path.exists(os.path.join(config.output_dir, f"fold_{fold:03d}",
+                                                  f"model.{stage}.key"))}
+    assert all(fold != 0 for _, fold in missing)  # fold 0 finished
+    assert ("pca", 1) not in missing and ("cnn", 1) in missing
 
     audit_log.clear()
     assert cli.main(["run", "--config", config_path]) == 0

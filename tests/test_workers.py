@@ -1,4 +1,4 @@
-import concurrent.futures
+import errno
 import os
 import signal
 import time
@@ -17,30 +17,25 @@ def usable_cpus(monkeypatch, count=2, blas_threads=1):
 
 
 def record_forks(monkeypatch, path):
-    """Append the calling process's id to ``path`` whenever fork_map forks."""
-    for name in ("_fork_each", "_pool"):
-        real = getattr(workers, name)
+    """Append the calling process's id to ``path`` whenever fork_map forks its workers."""
+    real = workers._run_on_workers
 
-        def recorded(*args, _real=real):
-            with open(path, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return _real(*args)
+    def recorded(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
 
-        monkeypatch.setattr(workers, name, recorded)
-    return lambda: [int(line) for line in open(path)] if os.path.exists(path) else []
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("the light path started a process pool")
+    monkeypatch.setattr(workers, "_run_on_workers", recorded)
+    return lambda: [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
 
-def test_light_path_runs_the_first_task_here_and_forks_the_second(monkeypatch):
+@pytest.mark.parametrize("tasks", [2, 5])
+def test_every_task_runs_on_one_of_two_forked_workers(monkeypatch, tasks):
     usable_cpus(monkeypatch)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    outcomes = workers.fork_map({"a": os.getpid, "b": os.getpid})
-    assert list(outcomes) == ["a", "b"]
-    here, child = (workers.take(outcome) for outcome in outcomes.values())
-    assert here == os.getpid() and child != os.getpid()
+    outcomes = workers.fork_map({name: os.getpid for name in "abcde"[:tasks]})
+    assert list(outcomes) == list("abcde"[:tasks])
+    pids = {workers.take(outcome) for outcome in outcomes.values()}
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 def test_light_path_returns_errors_in_order(monkeypatch):
@@ -52,7 +47,7 @@ def test_light_path_returns_errors_in_order(monkeypatch):
     assert [str(error) for _, error in outcomes.values()] == ["here", "child"]
 
 
-@pytest.mark.parametrize("tasks", [2, 3], ids=["light", "pool"])
+@pytest.mark.parametrize("tasks", [2, 3], ids=["light", "pool"])  # as many tasks as workers, more
 def test_no_fork_inside_a_worker_or_while_a_task_runs_here(monkeypatch, tmp_path, tasks):
     usable_cpus(monkeypatch)
     forks = record_forks(monkeypatch, tmp_path / "forks")
@@ -67,6 +62,47 @@ def test_no_fork_inside_a_worker_or_while_a_task_runs_here(monkeypatch, tmp_path
     assert forks() == [os.getpid()]
 
 
+def test_an_idle_worker_exits_while_another_still_runs(monkeypatch, tmp_path):
+    usable_cpus(monkeypatch)
+    first = tmp_path / "first"
+
+    def record_pid():
+        first.write_text(str(os.getpid()))
+
+    def wait_for_the_first_worker_to_end():
+        deadline = time.monotonic() + 5
+        while (not first.exists() or not first.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        while time.monotonic() < deadline:
+            try:
+                os.kill(int(first.read_text()), 0)  # reaped: no such process
+            except ProcessLookupError:
+                return True
+            time.sleep(0.01)
+        return False
+
+    outcomes = workers.fork_map({0: record_pid, 1: wait_for_the_first_worker_to_end})
+    assert workers.take(outcomes[1]) is True
+
+
+def test_a_failed_fork_leaves_no_worker_and_no_pipe(monkeypatch):
+    usable_cpus(monkeypatch)
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(os.getpid())
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(workers.os, "fork", fork_once)
+    with pytest.raises(BlockingIOError):
+        workers.fork_map({0: os.getpid, 1: os.getpid})
+    with pytest.raises(ChildProcessError):  # the first worker was killed and reaped
+        os.waitpid(-1, os.WNOHANG)
+    # and conftest's no_pipe_left checks that the four pipe ends of each worker are closed
+
+
 def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -79,13 +115,41 @@ def test_a_killed_light_child_fails_its_task(monkeypatch):
         workers.take(outcomes[1])
 
 
-def test_a_killed_pool_worker_fails_the_lowest_task_still_running(monkeypatch):
+def test_a_killed_worker_fails_its_own_task_and_the_running_one_finishes(monkeypatch, tmp_path):
     usable_cpus(monkeypatch)
+    died = tmp_path / "died"
+
+    def kill_self():
+        died.touch()
+        _kill_self()
+
+    def finish_after_the_death():
+        deadline = time.monotonic() + 30
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # time for fork_map to see the other worker end
+        return "finished"
+
     # task 0 is still running when task 1's worker dies; 2 and 3 never start
-    tasks = {0: lambda: time.sleep(30), 1: _kill_self, 2: os.getpid, 3: os.getpid}
-    start = time.monotonic()
+    tasks = {0: finish_after_the_death, 1: kill_self, 2: os.getpid, 3: os.getpid}
     outcomes = workers.fork_map(tasks)
-    assert time.monotonic() - start < 20  # the pool stopped task 0's worker
-    assert list(outcomes) == [0]
+    assert list(outcomes) == [0, 1]
+    assert workers.take(outcomes[0]) == "finished"
     with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)"):
-        workers.take(outcomes[0])
+        workers.take(outcomes[1])
+
+
+def test_ctrl_c_kills_and_reaps_every_worker(monkeypatch):
+    usable_cpus(monkeypatch)
+    here = os.getpid()
+
+    def interrupt():
+        os.kill(here, signal.SIGINT)  # as Ctrl-C does, but to this process alone
+        time.sleep(30)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        workers.fork_map({0: interrupt, 1: lambda: time.sleep(30), 2: os.getpid})
+    assert time.monotonic() - start < 5
+    with pytest.raises(ChildProcessError):  # no worker left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
