@@ -124,10 +124,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output predictions .csv")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("run",
+    # no abbreviations, so that no prefix of a flag sets a config field
+    p = sub.add_parser("run", allow_abbrev=False,
                        help="run the full pipeline with a JSON config")
     p.add_argument("--config", required=True, help="config .json path")
-    p.set_defaults(func=_cmd_run, allow_overrides=True)
+    overrides = p.add_argument_group(
+        "config overrides", "each sets one config field; VALUE is read as JSON where it parses")
+    for dotted in pipeline.CONFIG_FIELDS:
+        overrides.add_argument(f"--{dotted}", default=argparse.SUPPRESS, metavar="VALUE")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval",
                        help="score a predictions table")
@@ -142,14 +147,11 @@ def build_parser() -> _Parser:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _flow_params(args) -> dict:
-    return {key: getattr(args, key) for key in pipeline._CONFIG_SECTIONS["flow"]}
-
-
 def _read_corpus(args):
     """Manifest and sequences for standalone stage commands (no caching)."""
     def describe(dirs):
-        return {vid: pipeline.frames_to_sequence(path, video_id=vid, **_flow_params(args))
+        return {vid: pipeline.frames_to_sequence(path, video_id=vid,
+                                                 **pipeline._section(args, "flow"))
                 for vid, path in dirs.items()}
 
     return pipeline.read_corpus(args.manifest, describe)
@@ -210,7 +212,7 @@ def read_features_csv(path):
 # ---------------------------------------------------------------------------
 
 def _cmd_flow(args) -> int:
-    seq = pipeline.frames_to_sequence(args.frames, **_flow_params(args))
+    seq = pipeline.frames_to_sequence(args.frames, **pipeline._section(args, "flow"))
     corpus.write_sequence(seq, args.out)
     print(f"wrote {seq.frames} descriptors of dimension {seq.dim} to {args.out}")
     return 0
@@ -313,12 +315,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_run(args, overrides=()) -> int:
+def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = pipeline.config_from_dict(doc)
-    for dotted, raw in overrides:
-        config = pipeline.apply_override(config, dotted, raw)
+    # only the overrides given are set (SUPPRESS), in command-line order
+    for dotted, raw in vars(args).items():
+        if dotted in pipeline.CONFIG_FIELDS:
+            config = pipeline.apply_override(config, dotted, raw)
     result = pipeline.run_pipeline(config)
     print(f"overall accuracy {result.overall_accuracy!r} "
           f"over {result.confusion.total} videos in {len(result.fold_results)} folds")
@@ -359,30 +363,6 @@ def _cmd_eval(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _parse_overrides(parser: _Parser, extras: list[str]):
-    """Turn trailing --dotted.name value pairs into (name, value) tuples."""
-    overrides = []
-    i = 0
-    while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--"):
-            parser.error(f"unrecognized argument {token!r}")
-        name, eq, value = token[2:].partition("=")
-        if not eq:
-            if i + 1 >= len(extras):
-                parser.error(f"override {token!r} is missing a value")
-            value = extras[i + 1]
-            i += 2
-        else:
-            i += 1
-        try:
-            pipeline.config_field_for(name)
-        except KeyError:
-            parser.error(f"unknown config override {token!r}")
-        overrides.append((name, value))
-    return overrides
-
-
 def _format_warning(message, category, filename, lineno, line=None) -> str:
     """A warning as a CLI user reads it: one line, without the Python source line."""
     return f"warning: {message}\n"
@@ -390,18 +370,12 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    if getattr(args, "allow_overrides", False):
-        overrides = _parse_overrides(parser, extras)
-    elif extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = parser.parse_args(argv)
     # only the text changes: whatever shows warnings (stderr, in a forked
     # worker too, or a recorder such as pytest.warns) still shows them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         with workers.one_blas_thread():  # a second thread burns CPU on these small products
-            if getattr(args, "allow_overrides", False):
-                return args.func(args, overrides)
             return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

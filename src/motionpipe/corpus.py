@@ -303,7 +303,6 @@ def generate_synthetic_corpus(
     max_len: int,
     seed: int,
     noise_sigma: float = 0.05,
-    amplitude: float = 1.0,
 ) -> tuple[Manifest, list[DescriptorSequence], SynthInfo]:
     """Generate a corpus whose classes differ only by motif order.
 
@@ -328,7 +327,6 @@ def generate_synthetic_corpus(
 
     patterns = rng.normal(size=(k, channels))
     patterns /= np.linalg.norm(patterns, axis=1, keepdims=True)
-    patterns *= amplitude
     # Full sine over the slot: biphasic, zero time-mean.
     envelope = np.sin(2.0 * np.pi * (np.arange(slot_width) + 0.5) / slot_width)
     orders = tuple(tuple((j + c) % k for j in range(k)) for c in range(classes))

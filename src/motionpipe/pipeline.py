@@ -100,18 +100,22 @@ def train_config(settings, seed: int) -> cnn.TrainConfig:
 
 
 _CONFIG_SECTIONS = {
-    "flow": {"alpha", "iterations", "grid", "bins"},
-    "pca": {"pov_threshold"},
-    "cnn": {"architecture", "learning_rate", "momentum", "epochs",
-            "batch_size", "weight_decay"},
-    "svm": {"c_box", "gamma", "tol"},
+    "flow": ("alpha", "iterations", "grid", "bins"),
+    "pca": ("pov_threshold",),
+    "cnn": ("architecture", "learning_rate", "momentum", "epochs",
+            "batch_size", "weight_decay"),
+    "svm": ("c_box", "gamma", "tol"),
 }
-_CONFIG_TOPLEVEL = {"manifest", "output_dir", "split", "seed"}
+_CONFIG_TOPLEVEL = ("manifest", "output_dir", "split", "seed")
+# {dotted name: field} of every field, as `run` overrides name them: flow.alpha, seed.
+CONFIG_FIELDS = {**{f"{section}.{key}": key for section, keys in _CONFIG_SECTIONS.items()
+                    for key in keys},
+                 **{key: key for key in _CONFIG_TOPLEVEL}}
 
 
-def _section(config: PipelineConfig, name: str) -> dict:
-    """The fields of config section ``name`` and their values."""
-    return {key: getattr(config, key) for key in _CONFIG_SECTIONS[name]}
+def _section(settings, name: str) -> dict:
+    """The fields of section ``name`` and their values in ``settings``, a config or parsed flags."""
+    return {key: getattr(settings, key) for key in _CONFIG_SECTIONS[name]}
 
 
 # Each field's annotation, as a string, since annotations are not evaluated.
@@ -168,20 +172,12 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     return PipelineConfig(**{name: _field_value(name, value) for name, value in values.items()})
 
 
-def config_field_for(dotted: str) -> str:
-    """Map a dotted override name (e.g. flow.alpha) to its config field."""
-    if "." in dotted:
-        section, _, sub = dotted.partition(".")
-        if section in _CONFIG_SECTIONS and sub in _CONFIG_SECTIONS[section]:
-            return sub
-    elif dotted in _CONFIG_TOPLEVEL:
-        return dotted
-    raise KeyError(f"unknown config field {dotted!r}")
-
-
 def apply_override(config: PipelineConfig, dotted: str, raw: str) -> PipelineConfig:
-    """Apply one --name value override; values parse as JSON when possible."""
-    name = config_field_for(dotted)
+    """Apply one --name value override; values parse as JSON when possible.
+
+    Raises KeyError for a name not in CONFIG_FIELDS.
+    """
+    name = CONFIG_FIELDS[dotted]
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:

@@ -91,7 +91,7 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
 
     Rows of x are taken in blocks of about _BLOCK_ELEMENTS values (never
     less than one row of x against all of y) in two contiguous buffers
-    allocated once per process.  A block tiles its x rows into the first,
+    allocated once per call.  A block tiles its x rows into the first,
     adds y into the second and subtracts y from the first, so each term
     and its sum over d equal the broadcast formula's bit for bit.  When
     y is x, each block computes only the columns from its own first row

@@ -158,6 +158,29 @@ def _serve(commands: int, results: int):
         os._exit(code)
 
 
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold back a SIGINT in the block, then hand it to SIGINT's Python handler.
+
+    CPython drops the KeyboardInterrupt of a handler run inside an at-fork
+    callback, so a Ctrl-C during a fork would be lost.
+    """
+    import signal
+    import threading
+
+    handler, caught = signal.getsignal(signal.SIGINT), []
+    held = callable(handler) and threading.current_thread() is threading.main_thread()
+    if held:  # Python handlers are set and run in the main thread only
+        signal.signal(signal.SIGINT, lambda *args: caught.append(args))
+    try:
+        yield
+    finally:
+        if held:
+            signal.signal(signal.SIGINT, handler)
+        if caught:
+            handler(*caught[0])
+
+
 def _run_on_workers(count: int) -> dict:
     """Every task on ``count`` forked workers: {index: (value, exception, fit audit calls)}.
 
@@ -191,22 +214,24 @@ def _run_on_workers(count: int) -> dict:
             # earlier one's command pipe open for writing, the earlier worker
             # never sees its commands end, and it cannot exit before the later.
             (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (task_r, task_w, result_r, result_w):
-                    os.close(fd)
-                raise
-            if pid == 0:
-                for results, (_, commands, _) in running.items():
-                    results.close()
-                    commands.close()
-                os.close(task_w)
-                os.close(result_r)
-                _serve(task_r, result_w)
-            running[os.fdopen(result_r, "rb")] = [pid, os.fdopen(task_w, "wb", buffering=0), None]
-            os.close(task_r)
-            os.close(result_w)
+            with _sigint_held():  # until the worker is in running, where it is reaped
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in (task_r, task_w, result_r, result_w):
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    for results, (_, commands, _) in running.items():
+                        results.close()
+                        commands.close()
+                    os.close(task_w)
+                    os.close(result_r)
+                    _serve(task_r, result_w)
+                running[os.fdopen(result_r, "rb")] = [pid, os.fdopen(task_w, "wb", buffering=0),
+                                                      None]
+                os.close(task_r)
+                os.close(result_w)
         for worker in running.values():
             feed(worker)
         while running:

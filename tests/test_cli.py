@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -218,6 +219,55 @@ def test_run_command_with_overrides(tmp_path, capsys):
                         os.path.join(out_dir, "predictions.csv"))
     assert code == 0
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(float(overall.split(",")[1]))
+
+
+def test_an_override_before_config_takes_effect(tmp_path, capsys):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": manifest_path, "output_dir": str(out_dir),
+        "cnn": {"architecture": str(arch_path), "epochs": 6, "batch_size": 4},
+    }))
+    code, _, err = _run(capsys, "run", "--cnn.epochs", "2", "--config", str(config_path))
+    assert code == 0, err
+    assert len((out_dir / "loss.csv").read_text().splitlines()[1:]) == 4 * 2
+
+
+@pytest.mark.parametrize("override", [["--cnn.ep", "4"], ["--cnn.bogus", "4"], ["--cnn.epochs"]],
+                         ids=["prefix", "unknown", "no-value"])
+def test_a_bad_override_exits_1_before_any_output(tmp_path, capsys, override):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out_dir)}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--config", str(config_path), *override])
+    assert info.value.code == 1
+    assert not out_dir.exists()
+
+
+def test_run_help_lists_every_config_field(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--help"])
+    assert info.value.code == 0
+    options = capsys.readouterr().out.split()
+    assert all(f"--{dotted}" in options for dotted in pipeline.CONFIG_FIELDS)
+
+
+def test_readme_config_example_and_overrides_match_the_config_fields():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    example = pipeline.config_from_dict(json.loads(blocks[0]))
+    assert example == pipeline.PipelineConfig(example.manifest, example.output_dir)
+    commands = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    dotted = re.findall(r"--(\w+\.\w+)", commands)
+    assert dotted and all(name in pipeline.CONFIG_FIELDS for name in dotted), dotted
 
 
 def test_stage_commands_write_what_run_writes(tmp_path, capsys):

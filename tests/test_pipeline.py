@@ -209,13 +209,18 @@ def test_config_validation():
     assert config.gamma == 2.5
 
 
-def test_config_field_for_maps_dotted_names():
-    assert pipeline.config_field_for("flow.alpha") == "alpha"
-    assert pipeline.config_field_for("svm.c_box") == "c_box"
-    assert pipeline.config_field_for("seed") == "seed"
+def test_config_fields_map_dotted_names():
+    assert pipeline.CONFIG_FIELDS["flow.alpha"] == "alpha"
+    assert pipeline.CONFIG_FIELDS["svm.c_box"] == "c_box"
+    assert pipeline.CONFIG_FIELDS["seed"] == "seed"
+    # every config field once, by one name
+    assert sorted(pipeline.CONFIG_FIELDS.values()) == sorted(
+        f.name for f in dataclasses.fields(pipeline.PipelineConfig))
+    config = pipeline.PipelineConfig(manifest="m", output_dir="o")
     for bad in ("flow.c_box", "pca.alpha", "alpha", "nope.x", "nope"):
+        assert bad not in pipeline.CONFIG_FIELDS
         with pytest.raises(KeyError):
-            pipeline.config_field_for(bad)
+            pipeline.apply_override(config, bad, "1")
 
 
 def test_apply_override_parses_and_replaces():

@@ -1,6 +1,9 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -153,3 +156,32 @@ def test_ctrl_c_kills_and_reaps_every_worker(monkeypatch):
     assert time.monotonic() - start < 5
     with pytest.raises(ChildProcessError):  # no worker left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_ctrl_c_during_a_fork_is_not_lost():
+    # CPython runs a Python signal handler inside the at-fork callbacks too,
+    # where a KeyboardInterrupt is reported and dropped; an at-fork hook
+    # cannot be unregistered, so the probe runs in a child interpreter
+    probe = textwrap.dedent("""
+        import os, signal
+        from motionpipe import workers
+        workers._blas_threads = lambda: (lambda: 1, lambda threads: None)
+        os.sched_getaffinity = lambda pid: {0, 1}
+        os.register_at_fork(before=lambda: os.kill(os.getpid(), signal.SIGINT))
+        try:
+            workers.fork_map({0: os.getpid, 1: os.getpid})
+            print("returned")
+        except KeyboardInterrupt:
+            print("interrupted")
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            print("a child is left")
+        except ChildProcessError:
+            print("no child")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(workers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.stdout.splitlines() == ["interrupted", "no child"], result.stderr
