@@ -24,22 +24,22 @@ from .errors import ConvergenceError, DataFormatError, StageError, WorkerError
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
 
+    def __init__(self, *args, **kwargs):  # no abbreviations: no prefix sets a config field
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
-# Flag defaults are the pipeline config's, so each default is written once.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(pipeline.PipelineConfig)}
-
-
-def _add_flow_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"], help="smoothness weight")
-    p.add_argument("--iterations", type=int, default=_DEFAULTS["iterations"],
-                   help="solver iterations")
-    p.add_argument("--grid", type=int, default=_DEFAULTS["grid"], help="pooling grid size G")
-    p.add_argument("--bins", type=int, default=_DEFAULTS["bins"], help="orientation bins B")
+def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
+    """One --<dotted name> option per field of config ``sections`` (flow, seed); all if none."""
+    group = p.add_argument_group("settings", "each sets one config field; VALUE is read "
+                                 "as JSON where it parses, but a path or split as text")
+    for dotted in pipeline.CONFIG_FIELDS:
+        if not sections or dotted.split(".")[0] in sections:
+            group.add_argument(f"--{dotted}", default=argparse.SUPPRESS, metavar="VALUE")
 
 
 def build_parser() -> _Parser:
@@ -50,7 +50,7 @@ def build_parser() -> _Parser:
                        help="compute flow descriptors for a directory of PGM frames")
     p.add_argument("--frames", required=True, help="directory of PGM frames")
     p.add_argument("--out", required=True, help="output .fds path")
-    _add_flow_params(p)
+    _add_settings(p, "flow")
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("synth",
@@ -71,9 +71,7 @@ def build_parser() -> _Parser:
                        help="fit a PCA model on every descriptor row of a corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output .pca path")
-    p.add_argument("--pov", type=float, default=_DEFAULTS["pov_threshold"],
-                   help="proportion of variance to retain")
-    _add_flow_params(p)
+    _add_settings(p, "flow", "pca")
     p.set_defaults(func=_cmd_pca_fit)
 
     p = sub.add_parser("project",
@@ -88,14 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--pca", required=True, help=".pca model path")
     p.add_argument("--out", required=True, help="output .cnn path")
-    p.add_argument("--arch", default=None, help="architecture file (default built in)")
-    p.add_argument("--learning-rate", type=float, default=_DEFAULTS["learning_rate"])
-    p.add_argument("--momentum", type=float, default=_DEFAULTS["momentum"])
-    p.add_argument("--epochs", type=int, default=_DEFAULTS["epochs"])
-    p.add_argument("--batch-size", type=int, default=_DEFAULTS["batch_size"])
-    p.add_argument("--weight-decay", type=float, default=_DEFAULTS["weight_decay"])
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    _add_flow_params(p)
+    _add_settings(p, "flow", "cnn", "seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("extract",
@@ -104,17 +95,14 @@ def build_parser() -> _Parser:
     p.add_argument("--pca", required=True)
     p.add_argument("--cnn", required=True)
     p.add_argument("--out", required=True, help="output features .csv")
-    _add_flow_params(p)
+    _add_settings(p, "flow")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("svm-fit",
                        help="train the chi-squared SVM on a feature table")
     p.add_argument("--features", required=True, help="features .csv")
     p.add_argument("--out", required=True, help="output .svm path")
-    p.add_argument("--c-box", type=float, default=_DEFAULTS["c_box"])
-    p.add_argument("--gamma", default=_DEFAULTS["gamma"], help="kernel gamma, or 'auto'")
-    p.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    _add_settings(p, "svm", "seed")
     p.set_defaults(func=_cmd_svm_fit)
 
     p = sub.add_parser("predict",
@@ -124,14 +112,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output predictions .csv")
     p.set_defaults(func=_cmd_predict)
 
-    # no abbreviations, so that no prefix of a flag sets a config field
-    p = sub.add_parser("run", allow_abbrev=False,
-                       help="run the full pipeline with a JSON config")
+    p = sub.add_parser("run", help="run the full pipeline with a JSON config")
     p.add_argument("--config", required=True, help="config .json path")
-    overrides = p.add_argument_group(
-        "config overrides", "each sets one config field; VALUE is read as JSON where it parses")
-    for dotted in pipeline.CONFIG_FIELDS:
-        overrides.add_argument(f"--{dotted}", default=argparse.SUPPRESS, metavar="VALUE")
+    _add_settings(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval",
@@ -147,14 +130,26 @@ def build_parser() -> _Parser:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _read_corpus(args):
+def _settings(args, config=pipeline.PipelineConfig(manifest="", output_dir="")):
+    """``config`` (the defaults) with the config-field options of ``args`` applied.
+
+    Only the options given are in ``args`` (SUPPRESS), in command-line order
+    of first appearance; a stage command's ``--manifest`` is the config's.
+    """
+    for dotted, raw in vars(args).items():
+        if dotted in pipeline.CONFIG_FIELDS:
+            config = pipeline.apply_override(config, dotted, raw)
+    return config
+
+
+def _read_corpus(config):
     """Manifest and sequences for standalone stage commands (no caching)."""
     def describe(dirs):
         return {vid: pipeline.frames_to_sequence(path, video_id=vid,
-                                                 **pipeline._section(args, "flow"))
+                                                 **pipeline._section(config, "flow"))
                 for vid, path in dirs.items()}
 
-    return pipeline.read_corpus(args.manifest, describe)
+    return pipeline.read_corpus(config.manifest, describe)
 
 
 def write_features_csv(path, rows) -> None:
@@ -212,7 +207,7 @@ def read_features_csv(path):
 # ---------------------------------------------------------------------------
 
 def _cmd_flow(args) -> int:
-    seq = pipeline.frames_to_sequence(args.frames, **pipeline._section(args, "flow"))
+    seq = pipeline.frames_to_sequence(args.frames, **pipeline._section(_settings(args), "flow"))
     corpus.write_sequence(seq, args.out)
     print(f"wrote {seq.frames} descriptors of dimension {seq.dim} to {args.out}")
     return 0
@@ -238,8 +233,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pca_fit(args) -> int:
-    manifest, sequences = _read_corpus(args)
-    model = pipeline.fit_pca_model(args.out, sequences, manifest.video_ids(), args.pov)
+    config = _settings(args)
+    manifest, sequences = _read_corpus(config)
+    model = pipeline.fit_pca_model(args.out, sequences, manifest.video_ids(),
+                                   config.pov_threshold)
     print(f"retained {model.channels} of {model.input_dim} channels "
           f"(pov {model.pov_achieved!r}) in {args.out}")
     return 0
@@ -258,23 +255,24 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = pipeline.train_config(args, args.seed)
-    manifest, sequences = _read_corpus(args)
+    config = _settings(args)
+    train_cfg = pipeline.train_config(config, config.seed)
+    manifest, sequences = _read_corpus(config)
     pca_model = pca.load_model(args.pca)
     ids = manifest.video_ids()
     batch, _ = pipeline.project_videos(pca_model, sequences, ids)
     labels = manifest.labels()
     label_index = {label: i for i, label in enumerate(labels)}
     _, _, losses = pipeline.fit_cnn_model(
-        args.out, pipeline.architecture_text(args.arch, len(labels)), batch,
-        [label_index[manifest.entry(vid).label] for vid in ids], config,
+        args.out, pipeline.architecture_text(config.architecture, len(labels)), batch,
+        [label_index[manifest.entry(vid).label] for vid in ids], train_cfg,
     )
-    print(f"trained {config.epochs} epochs, final loss {losses[-1]!r}, wrote {args.out}")
+    print(f"trained {train_cfg.epochs} epochs, final loss {losses[-1]!r}, wrote {args.out}")
     return 0
 
 
 def _cmd_extract(args) -> int:
-    manifest, sequences = _read_corpus(args)
+    manifest, sequences = _read_corpus(_settings(args))
     pca_model = pca.load_model(args.pca)
     spec, state = cnn.load_model(args.cnn)
     if pca_model.channels != spec.input_channels:
@@ -292,11 +290,12 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_svm_fit(args) -> int:
+    config = _settings(args)
     ids, labels, matrix = read_features_csv(args.features)
     if any(not label for label in labels):
         missing = ids[labels.index("")]
         raise ValueError(f"feature row {missing!r} has no label")
-    model = pipeline.fit_svm_model(args.out, matrix, labels, args, args.seed)
+    model = pipeline.fit_svm_model(args.out, matrix, labels, config, config.seed)
     supports = sum(m.support_indices.size for m in model.machines)
     print(f"trained {len(model.labels)} machines ({supports} support entries), wrote {args.out}")
     return 0
@@ -318,11 +317,7 @@ def _cmd_predict(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = pipeline.config_from_dict(doc)
-    # only the overrides given are set (SUPPRESS), in command-line order
-    for dotted, raw in vars(args).items():
-        if dotted in pipeline.CONFIG_FIELDS:
-            config = pipeline.apply_override(config, dotted, raw)
+    config = _settings(args, pipeline.config_from_dict(doc))
     result = pipeline.run_pipeline(config)
     print(f"overall accuracy {result.overall_accuracy!r} "
           f"over {result.confusion.total} videos in {len(result.fold_results)} folds")

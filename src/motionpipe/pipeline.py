@@ -75,6 +75,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "c_box", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # a grid larger than a frame shows only in the frames, at the descriptor stage
+        for name, least in (("iterations", 1), ("grid", 1), ("bins", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if not 0.0 < self.pov_threshold <= 1.0:
             raise ValueError("pov_threshold must be in (0, 1]")
         if self.split not in ("loocv", "fixed"):
@@ -85,17 +92,14 @@ class PipelineConfig:
                 raise ValueError("gamma must be 'auto' or a positive number")
             object.__setattr__(self, "gamma", g)
         train_config(self, self.seed)  # a bad setting fails before any fold starts
-        for name in ("c_box", "tol"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
 
-def train_config(settings, seed: int) -> cnn.TrainConfig:
-    """The CNN training settings of ``settings`` (a config or parsed flags) with ``seed``."""
+def train_config(config: PipelineConfig, seed: int) -> cnn.TrainConfig:
+    """The CNN training settings of ``config`` with ``seed``."""
     return cnn.TrainConfig(
-        learning_rate=settings.learning_rate, momentum=settings.momentum,
-        epochs=settings.epochs, batch_size=settings.batch_size,
-        seed=seed, weight_decay=settings.weight_decay,
+        learning_rate=config.learning_rate, momentum=config.momentum,
+        epochs=config.epochs, batch_size=config.batch_size,
+        seed=seed, weight_decay=config.weight_decay,
     )
 
 
@@ -107,15 +111,15 @@ _CONFIG_SECTIONS = {
     "svm": ("c_box", "gamma", "tol"),
 }
 _CONFIG_TOPLEVEL = ("manifest", "output_dir", "split", "seed")
-# {dotted name: field} of every field, as `run` overrides name them: flow.alpha, seed.
+# {dotted name: field} of every field, as the command-line options name them: flow.alpha, seed.
 CONFIG_FIELDS = {**{f"{section}.{key}": key for section, keys in _CONFIG_SECTIONS.items()
                     for key in keys},
                  **{key: key for key in _CONFIG_TOPLEVEL}}
 
 
-def _section(settings, name: str) -> dict:
-    """The fields of section ``name`` and their values in ``settings``, a config or parsed flags."""
-    return {key: getattr(settings, key) for key in _CONFIG_SECTIONS[name]}
+def _section(config: PipelineConfig, name: str) -> dict:
+    """The fields of section ``name`` and their values in ``config``."""
+    return {key: getattr(config, key) for key in _CONFIG_SECTIONS[name]}
 
 
 # Each field's annotation, as a string, since annotations are not evaluated.
@@ -173,15 +177,16 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 
 def apply_override(config: PipelineConfig, dotted: str, raw: str) -> PipelineConfig:
-    """Apply one --name value override; values parse as JSON when possible.
+    """Apply one --name value option; a path or split is the text given
+    (architecture null is none), any other value parses as JSON if it can.
 
     Raises KeyError for a name not in CONFIG_FIELDS.
     """
     name = CONFIG_FIELDS[dotted]
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
+    value = None if raw == "null" and name == "architecture" else raw
+    if not _FIELD_TYPES[name].startswith("str"):
+        with contextlib.suppress(json.JSONDecodeError):
+            value = json.loads(raw)
     return replace(config, **{name: _field_value(name, value)})
 
 
@@ -517,16 +522,16 @@ def fit_cnn_model(path: str, arch_text: str, samples: np.ndarray, labels,
     return spec, state, losses
 
 
-def fit_svm_model(path: str, features: np.ndarray, labels, settings, seed: int) -> svm.SvmModel:
-    """The SVM on ``features`` with the c_box, gamma and tol of ``settings``, saved to ``path``.
+def fit_svm_model(path: str, features: np.ndarray, labels, config, seed: int) -> svm.SvmModel:
+    """The SVM on ``features`` with the c_box, gamma and tol of ``config``, saved to ``path``.
 
     A gamma of "auto" is ``svm.default_gamma`` of the features with ``seed``.
     """
-    gamma = settings.gamma
+    gamma = config.gamma
     if gamma == "auto":
         gamma = svm.default_gamma(features, seed=seed)
-    model = svm.fit(features, labels, c_box=settings.c_box,
-                    params=svm.KernelParams(gamma=float(gamma)), tol=settings.tol)
+    model = svm.fit(features, labels, c_box=config.c_box,
+                    params=svm.KernelParams(gamma=float(gamma)), tol=config.tol)
     svm.save_model(model, path)
     return model
 
@@ -687,12 +692,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             loss_histories.append(tuple(losses))
 
         predictions = [(t, p) for r in fold_results for _, t, p in r.records]
-        _, confusion = evaluate(predictions, manifest.labels())
-        if config.split == "loocv":
-            correct = sum(1 for t, p in predictions if t == p)
-            overall = correct / len(predictions)
-        else:
-            overall = float(np.mean([r.accuracy for r in fold_results]))
+        accuracy, confusion = evaluate(predictions, manifest.labels())
+        overall = (accuracy if config.split == "loocv"
+                   else float(np.mean([r.accuracy for r in fold_results])))
 
         result = PipelineResult(
             overall_accuracy=overall,

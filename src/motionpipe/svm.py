@@ -32,10 +32,12 @@ MAX_SMO_STEPS = 10**6
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
 # Row pairs times d from which a distance matrix, and a fit's machines, are
-# split between two forked workers.  A fork_map of two empty tasks costs 5 ms
-# from a 55 MB process, and two processes side by side each run slower than
-# one alone, so on 2 CPUs a split of the distances saved nothing at 3M terms
-# (21 ms serial) and 29 % at 2**24 (95 -> 68 ms), about 19 fork costs of
+# split between two forked workers.  Set when fork_map forked one child and
+# ran the other task here, and a map of two empty tasks cost 5 ms from a
+# 55 MB process (two forked workers: 7-8.5 ms, 9-13 ms for a process's first
+# call).  Two processes side by side each run slower than one alone, so on
+# 2 CPUs a split of the distances saved nothing at 3M terms (21 ms serial)
+# and 29 % at 2**24 (95 -> 68 ms), about 19 of those 5 ms fork costs of
 # serial work.  A 960-row fit of 64 features (30M) splits; a 240 x 594 x 64
 # predict (9M) and a LOOCV fold's fit stay serial.
 _FORK_TERMS = 2**24

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import shutil
 import signal
 import subprocess
@@ -74,7 +75,7 @@ def test_flow_command_writes_descriptors(tmp_path, capsys):
     out_path = tmp_path / "clip.fds"
     code, out, _ = _run(
         capsys, "flow", "--frames", str(tmp_path / "frames"), "--out", str(out_path),
-        "--iterations", "20", "--grid", "2", "--bins", "4",
+        "--flow.iterations", "20", "--flow.grid", "2", "--flow.bins", "4",
     )
     assert code == 0
     assert "wrote 2 descriptors of dimension 28" in out
@@ -98,7 +99,7 @@ def test_stage_chain_round_trips(tmp_path, capsys):
     predictions_path = str(tmp_path / "predictions.csv")
 
     code, out, _ = _run(capsys, "pca-fit", "--manifest", manifest_path,
-                        "--out", pca_path, "--pov", "0.95")
+                        "--out", pca_path, "--pca.pov_threshold", "0.95")
     assert code == 0 and "retained" in out
 
     first = manifest.entries[0]
@@ -114,8 +115,9 @@ def test_stage_chain_round_trips(tmp_path, capsys):
     assert np.array_equal(back.data, series.data.T.astype(np.float32))
 
     code, out, _ = _run(capsys, "train", "--manifest", manifest_path, "--pca", pca_path,
-                        "--out", cnn_path, "--arch", str(arch_path),
-                        "--epochs", "6", "--batch-size", "4", "--learning-rate", "0.05")
+                        "--out", cnn_path, "--cnn.architecture", str(arch_path),
+                        "--cnn.epochs", "6", "--cnn.batch_size", "4",
+                        "--cnn.learning_rate", "0.05")
     assert code == 0 and "trained 6 epochs" in out
 
     code, out, _ = _run(capsys, "extract", "--manifest", manifest_path, "--pca", pca_path,
@@ -249,12 +251,78 @@ def test_a_bad_override_exits_1_before_any_output(tmp_path, capsys, override):
     assert not out_dir.exists()
 
 
-def test_run_help_lists_every_config_field(capsys):
+# the config sections (or top-level fields) whose options each command takes
+_COMMAND_SECTIONS = {
+    "flow": ("flow",), "pca-fit": ("flow", "pca"), "train": ("flow", "cnn", "seed"),
+    "extract": ("flow",), "svm-fit": ("svm", "seed"),
+    "run": ("flow", "pca", "cnn", "svm", "manifest", "output_dir", "split", "seed"),
+    "synth": (), "project": (), "predict": (), "eval": (),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_SECTIONS))
+def test_help_lists_the_settings_of_its_command(capsys, command):
     with pytest.raises(SystemExit) as info:
-        cli.main(["run", "--help"])
+        cli.main([command, "--help"])
     assert info.value.code == 0
-    options = capsys.readouterr().out.split()
-    assert all(f"--{dotted}" in options for dotted in pipeline.CONFIG_FIELDS)
+    listed = set(re.findall(r"--([\w.]+) VALUE", capsys.readouterr().out))
+    sections = _COMMAND_SECTIONS[command]
+    assert listed == {dotted for dotted in pipeline.CONFIG_FIELDS
+                      if dotted.split(".")[0] in sections}
+    if command == "run":
+        assert listed == set(pipeline.CONFIG_FIELDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--manifest", "m.json", "--pca", "m.pca", "--epochs", "2"],
+    ["pca-fit", "--manifest", "m.json", "--pov", "0.9"],
+    ["svm-fit", "--features", "f.csv", "--gamma", "auto"],
+    ["train", "--manifest", "m.json", "--pca", "m.pca", "--cnn.ep", "2"],
+], ids=["train-epochs", "pca-fit-pov", "svm-fit-gamma", "train-prefix"])
+def test_an_old_spelling_or_a_prefix_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", "out"])
+    assert info.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["flow", "--frames", "clip", "--flow.grid", "0"], "grid must be at least 1"),
+    (["pca-fit", "--manifest", "m.json", "--pca.pov_threshold", "0"],
+     "pov_threshold must be in (0, 1]"),
+    (["train", "--manifest", "m.json", "--pca", "m.pca", "--flow.bins", "1"],
+     "bins must be at least 2"),
+    (["train", "--manifest", "m.json", "--pca", "m.pca", "--cnn.epochs", "many"],
+     "epochs must be an integer"),
+    (["extract", "--manifest", "m.json", "--pca", "m.pca", "--cnn", "m.cnn",
+      "--flow.alpha", "0"], "alpha must be positive and finite"),
+    (["svm-fit", "--features", "f.csv", "--svm.c_box", "-1"],
+     "c_box must be positive and finite"),
+], ids=["flow", "pca-fit", "train-flow", "train-cnn", "extract", "svm-fit"])
+def test_a_bad_stage_setting_exits_2_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                              argv, message):
+    monkeypatch.chdir(tmp_path)  # no input exists, so a late check reads "not found"
+    code, _, err = _run(capsys, *argv, "--out", "out")
+    assert code == 2 and message in err, err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_path_setting_takes_its_text_as_given(tmp_path, capsys, monkeypatch):
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "manifest": manifest_path, "output_dir": "out",
+        "cnn": {"architecture": str(arch_path), "epochs": 2, "batch_size": 4},
+    }))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, "run", "--config", str(config_path), "--output_dir", "2024")
+    assert code == 0, err
+    assert (tmp_path / "2024" / "accuracy.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_example_and_overrides_match_the_config_fields():
@@ -268,6 +336,14 @@ def test_readme_config_example_and_overrides_match_the_config_fields():
     commands = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
     dotted = re.findall(r"--(\w+\.\w+)", commands)
     assert dotted and all(name in pipeline.CONFIG_FIELDS for name in dotted), dotted
+    lines = [line for line in commands.splitlines() if line.startswith("motionpipe ")]
+    assert len(lines) >= len(_COMMAND_SECTIONS)
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_stage_commands_write_what_run_writes(tmp_path, capsys):
@@ -295,7 +371,7 @@ def test_stage_commands_write_what_run_writes(tmp_path, capsys):
         )
         pca_path = tmp_path / f"fold{fold_index}.pca"
         code, _, err = _run(capsys, "pca-fit", "--manifest", str(train_manifest),
-                            "--pov", "0.95", "--out", str(pca_path))
+                            "--pca.pov_threshold", "0.95", "--out", str(pca_path))
         assert code == 0, err
         assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
 
@@ -329,12 +405,13 @@ def test_wrapped_fit_functions_see_the_stage_commands(tmp_path, capsys, monkeypa
     code, _, err = _run(capsys, "pca-fit", "--manifest", manifest_path, "--out", pca_path)
     assert code == 0 and calls == ["motionpipe.pca.fit"], err
     code, _, err = _run(capsys, "train", "--manifest", manifest_path, "--pca", pca_path,
-                        "--arch", str(arch_path), "--epochs", "2", "--out", cnn_path)
+                        "--cnn.architecture", str(arch_path), "--cnn.epochs", "2",
+                        "--out", cnn_path)
     assert code == 0 and calls[1:] == ["motionpipe.cnn.train"], err
     code, _, err = _run(capsys, "extract", "--manifest", manifest_path, "--pca", pca_path,
                         "--cnn", cnn_path, "--out", features_path)
     assert code == 0, err
-    code, _, err = _run(capsys, "svm-fit", "--features", features_path, "--gamma", "auto",
+    code, _, err = _run(capsys, "svm-fit", "--features", features_path, "--svm.gamma", "auto",
                         "--out", str(tmp_path / "m.svm"))
     assert code == 0, err
     assert calls[2:] == ["motionpipe.svm.default_gamma", "motionpipe.svm.fit"]
@@ -476,7 +553,7 @@ def test_header_only_features_exit_2_in_svm_fit_and_predict(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("video_id,label,f0,f1\n")
     for argv in (["svm-fit", "--out", str(tmp_path / "again.svm")],
-                 ["svm-fit", "--gamma", "0.1", "--out", str(tmp_path / "again.svm")],
+                 ["svm-fit", "--svm.gamma", "0.1", "--out", str(tmp_path / "again.svm")],
                  ["predict", "--model", str(model), "--out", str(tmp_path / "p.csv")]):
         code, _, err = _run(capsys, *argv, "--features", str(empty))
         assert code == 2 and "feature table has no rows" in err
@@ -503,8 +580,8 @@ def test_commands_hold_one_blas_thread_and_restore_the_count(tmp_path, capsys, m
     set_threads(2)
     try:
         for features, want in ((two_classes, 0), (one_class, 2)):  # svm.fit rejects one class
-            code, _, _ = _run(capsys, "svm-fit", "--features", str(features), "--gamma", "0.5",
-                              "--out", str(tmp_path / "m.svm"))
+            code, _, _ = _run(capsys, "svm-fit", "--features", str(features),
+                              "--svm.gamma", "0.5", "--out", str(tmp_path / "m.svm"))
             assert code == want and get() == 2
         assert counts == [1, 1]
     finally:
@@ -608,13 +685,18 @@ def test_a_child_machine_that_does_not_converge_exits_3(tmp_path, capsys, monkey
     assert code == 3 and err == "error: SMO not converged\n"
 
 
-@pytest.mark.parametrize("field", ["cnn.learning_rate", "cnn.weight_decay", "svm.c_box", "svm.tol"])
-def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field):
+@pytest.mark.parametrize("field,value", [
+    ("cnn.learning_rate", "nan"), ("cnn.weight_decay", "nan"), ("svm.c_box", "nan"),
+    ("svm.tol", "nan"), ("flow.alpha", "0"), ("flow.alpha", "Infinity"),
+    ("flow.iterations", "0"), ("flow.grid", "0"), ("flow.bins", "1"),
+], ids=["cnn.learning_rate", "cnn.weight_decay", "svm.c_box", "svm.tol", "flow.alpha-0",
+        "flow.alpha-Infinity", "flow.iterations-0", "flow.grid-0", "flow.bins-1"])
+def test_non_finite_setting_exits_2_before_any_fold(tmp_path, capsys, field, value):
     manifest_path = _synth(capsys, tmp_path / "corpus")
     out_dir = tmp_path / "out"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out_dir)}))
-    code, _, err = _run(capsys, "run", "--config", str(config_path), f"--{field}", "nan")
+    code, _, err = _run(capsys, "run", "--config", str(config_path), f"--{field}", value)
     assert code == 2, err
     assert f"{field.split('.')[1]} must be" in err
     assert not out_dir.exists()

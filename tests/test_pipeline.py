@@ -233,6 +233,17 @@ def test_apply_override_parses_and_replaces():
     assert config.epochs == 30  # original untouched
 
 
+def test_apply_override_takes_path_text_as_given():
+    config = pipeline.PipelineConfig(manifest="m", output_dir="o")
+    assert pipeline.apply_override(config, "manifest", "2024").manifest == "2024"
+    assert pipeline.apply_override(config, "output_dir", "null").output_dir == "null"
+    assert pipeline.apply_override(config, "cnn.architecture", "7").architecture == "7"
+    with_arch = pipeline.apply_override(config, "cnn.architecture", "a.txt")
+    assert pipeline.apply_override(with_arch, "cnn.architecture", "null").architecture is None
+    with pytest.raises(ValueError, match="unknown split mode '\"fixed\"'"):
+        pipeline.apply_override(config, "split", '"fixed"')
+
+
 # ---------------------------------------------------------------------------
 # Frame directories
 # ---------------------------------------------------------------------------
