@@ -142,16 +142,6 @@ def _settings(args, config=pipeline.PipelineConfig(manifest="", output_dir="")):
     return config
 
 
-def _read_corpus(config):
-    """Manifest and sequences for standalone stage commands (no caching)."""
-    def describe(dirs):
-        return {vid: pipeline.frames_to_sequence(path, video_id=vid,
-                                                 **pipeline._section(config, "flow"))
-                for vid, path in dirs.items()}
-
-    return pipeline.read_corpus(config.manifest, describe)
-
-
 def write_features_csv(path, rows) -> None:
     """rows: (video_id, label, vector); label may be empty."""
     rows = list(rows)
@@ -234,7 +224,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pca_fit(args) -> int:
     config = _settings(args)
-    manifest, sequences = _read_corpus(config)
+    manifest = corpus.load_manifest(config.manifest)
+    sequences, _ = pipeline.read_corpus(config, manifest)
     model = pipeline.fit_pca_model(args.out, sequences, manifest.video_ids(),
                                    config.pov_threshold)
     print(f"retained {model.channels} of {model.input_dim} channels "
@@ -257,14 +248,16 @@ def _cmd_project(args) -> int:
 def _cmd_train(args) -> int:
     config = _settings(args)
     train_cfg = pipeline.train_config(config, config.seed)
-    manifest, sequences = _read_corpus(config)
+    manifest = corpus.load_manifest(config.manifest)
     pca_model = pca.load_model(args.pca)
+    labels = manifest.labels()
+    arch_text = pipeline.architecture_text(config.architecture, len(labels))
+    sequences, _ = pipeline.read_corpus(config, manifest)
     ids = manifest.video_ids()
     batch, _ = pipeline.project_videos(pca_model, sequences, ids)
-    labels = manifest.labels()
     label_index = {label: i for i, label in enumerate(labels)}
     _, _, losses = pipeline.fit_cnn_model(
-        args.out, pipeline.architecture_text(config.architecture, len(labels)), batch,
+        args.out, arch_text, batch,
         [label_index[manifest.entry(vid).label] for vid in ids], train_cfg,
     )
     print(f"trained {train_cfg.epochs} epochs, final loss {losses[-1]!r}, wrote {args.out}")
@@ -272,7 +265,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    manifest, sequences = _read_corpus(_settings(args))
+    config = _settings(args)
+    manifest = corpus.load_manifest(config.manifest)
     pca_model = pca.load_model(args.pca)
     spec, state = cnn.load_model(args.cnn)
     if pca_model.channels != spec.input_channels:
@@ -280,6 +274,7 @@ def _cmd_extract(args) -> int:
             f"PCA retains {pca_model.channels} channels but the network "
             f"expects {spec.input_channels}"
         )
+    sequences, _ = pipeline.read_corpus(config, manifest)
     ids = manifest.video_ids()
     batch, _ = pipeline.project_videos(pca_model, sequences, ids, spec.input_length)
     vectors = cnn.extract_features(spec, state, batch)

@@ -20,6 +20,10 @@ thread in this process, so the workers inherit one thread and start
 none.  Workers write only their own fold's directory or video's
 descriptors, and their results and fit-audit calls come back in order,
 so the outputs are the same bytes as a serial run's.
+
+One function, ``read_corpus``, gives every command its descriptors, with
+the descriptor cache for ``run`` only.  Every command reads the files it
+names before any flow, so a bad one fails before any output exists.
 """
 
 from __future__ import annotations
@@ -290,32 +294,6 @@ def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
     )
 
 
-def read_corpus(manifest_path, describe):
-    """The manifest plus each video's descriptor sequence, by video id.
-
-    ``.fds`` sources are read as they are; ``describe(dirs)`` turns the frame
-    directories, given as {video_id: path}, into {video_id: sequence}.
-    """
-    manifest = corpus.load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    files, dirs = {}, {}
-    for entry in manifest.entries:
-        path = os.path.join(base, entry.path)  # an absolute entry path stands
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"video source {path!r} not found")
-        if os.path.isdir(path):
-            dirs[entry.video_id] = path
-        else:
-            files[entry.video_id] = corpus.read_sequence(path, video_id=entry.video_id)
-    described = describe(dirs)
-    sequences = {vid: files[vid] if vid in files else described[vid]
-                 for vid in manifest.video_ids()}
-    dims = {seq.dim for seq in sequences.values()}
-    if len(dims) > 1:
-        raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
-    return manifest, sequences
-
-
 def project_videos(model: pca.PcaModel, sequences, ids,
                    length: int | None = None) -> tuple[np.ndarray, int]:
     """Project the videos ``ids`` in one GEMM and zero-pad them to ``length``.
@@ -452,40 +430,49 @@ def _describe(path: str, video_id: str, planned: _Planned, flow_params: dict):
     return _cached(planned, None, compute)
 
 
-def _load_corpus(config: PipelineConfig):
-    """Manifest, descriptor sequences and their cache keys.
+def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str | None = None):
+    """Each video's descriptor sequence and cache key, by video id, in manifest order.
 
-    Descriptors computed from frame directories are cached; each source is
-    hashed once, in this process, and the directories that miss are
-    described on forked workers.
+    Every source must exist before any is read.  ``.fds`` sources are read
+    as they are, and the frame directories go to ``workers.fork_map``.
+    With ``desc_dir``, which only ``run`` passes, their descriptors are
+    cached there: each source is hashed once, in this process, and only
+    the directories that miss are described.  Without it nothing is hashed
+    or written, and the keys are empty.
     """
-    desc_dir = os.path.join(config.output_dir, "descriptors")
+    base = os.path.dirname(os.path.abspath(config.manifest))
+    paths = {entry.video_id: os.path.join(base, entry.path)  # an absolute entry path stands
+             for entry in manifest.entries}
+    for path in paths.values():
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"video source {path!r} not found")
     flow_params = _section(config, "flow")
     flow_cfg = json.dumps(flow_params, sort_keys=True)
-    desc_keys = {}
-
-    def describe(dirs):
-        found, tasks = {}, {}
-        for vid, path in dirs.items():
-            artifact = os.path.join(desc_dir, f"{vid}.fds")
-            planned = _plan(_digest("desc", flow_cfg, _source_digest(path)), artifact)
-            desc_keys[vid] = planned.key
+    sequences, keys, tasks = {}, {}, {}
+    for vid, path in paths.items():
+        if not os.path.isdir(path):
+            sequences[vid] = seq = corpus.read_sequence(path, video_id=vid)
+            if desc_dir is not None:
+                keys[vid] = _digest("fds", str(seq.data.shape), seq.data.tobytes())
+        elif desc_dir is None:
+            tasks[vid] = functools.partial(frames_to_sequence, path, video_id=vid, **flow_params)
+        else:
+            planned = _plan(_digest("desc", flow_cfg, _source_digest(path)),
+                            os.path.join(desc_dir, f"{vid}.fds"))
+            keys[vid] = planned.key
             if planned.hit:
-                found[vid] = corpus.read_sequence(artifact, video_id=vid)
+                sequences[vid] = corpus.read_sequence(planned.artifacts[0], video_id=vid)
             else:
                 tasks[vid] = functools.partial(_describe, path, vid, planned, flow_params)
-        if tasks:
-            os.makedirs(desc_dir, exist_ok=True)
-        outcomes = workers.fork_map(tasks)
-        for vid in tasks:
-            found[vid] = workers.take(outcomes[vid])
-        return found
-
-    manifest, sequences = read_corpus(config.manifest, describe)
-    for vid, seq in sequences.items():
-        if vid not in desc_keys:  # read from an .fds source
-            desc_keys[vid] = _digest("fds", str(seq.data.shape), seq.data.tobytes())
-    return manifest, sequences, desc_keys
+    if tasks and desc_dir is not None:
+        os.makedirs(desc_dir, exist_ok=True)
+    outcomes = workers.fork_map(tasks)
+    for vid in tasks:
+        sequences[vid] = workers.take(outcomes[vid])
+    dims = {seq.dim for seq in sequences.values()}
+    if len(dims) > 1:
+        raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
+    return {vid: sequences[vid] for vid in paths}, keys
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +480,19 @@ def _load_corpus(config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 def architecture_text(path: str | None, num_classes: int) -> str:
-    """The architecture file at ``path``, or the default one's text for ``None``."""
+    """The architecture file at ``path``, checked to parse, or the default's text for ``None``.
+
+    Whether it fits the PCA width and the input length shows at the CNN stage.
+    """
     if path is None:
         return cnn.format_architecture(cnn.default_architecture(num_classes))
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        cnn.parse_architecture(text)
+    except ValueError as exc:  # a parse or UTF-8 error, which does not name the file
+        raise ValueError(f"{path}: {exc}") from exc
+    return text
 
 
 def fit_pca_model(path: str, sequences, ids, pov_threshold: float) -> pca.PcaModel:
@@ -661,14 +656,17 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every fold of the configured protocol and write reports."""
     with workers.one_blas_thread():  # in this process and, inherited, in every worker
-        manifest, sequences, desc_keys = _load_corpus(config)
-        os.makedirs(config.output_dir, exist_ok=True)  # a bad manifest leaves no directory
+        # every named input is read before any flow, and a bad one leaves no directory
+        manifest = corpus.load_manifest(config.manifest)
+        arch_text = architecture_text(config.architecture, len(manifest.labels()))
+        sequences, desc_keys = read_corpus(config, manifest,
+                                           os.path.join(config.output_dir, "descriptors"))
+        os.makedirs(config.output_dir, exist_ok=True)
         plan = (
             corpus.make_loocv(manifest)
             if config.split == "loocv"
             else corpus.make_fixed_splits(manifest)
         )
-        arch_text = architecture_text(config.architecture, len(manifest.labels()))
 
         # every key is computed once, here; only the folds that miss may be forked
         tasks, misses = {}, {}

@@ -192,15 +192,6 @@ def default_gamma(features, seed: int = 0) -> float:
 _BOUND_EPS = 1e-8  # alphas this close to a box bound count as on it
 
 
-def kkt_violation(alpha: np.ndarray, y: np.ndarray, errors: np.ndarray,
-                  c_box: float, tol: float) -> np.ndarray:
-    """Per-sample KKT violation magnitude; convergence means all <= tol."""
-    ye = y * errors
-    low = np.where(alpha < c_box - _BOUND_EPS, np.maximum(0.0, -ye), 0.0)
-    high = np.where(alpha > _BOUND_EPS, np.maximum(0.0, ye), 0.0)
-    return np.maximum(low, high)
-
-
 def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     """Solve the binary SVM dual; returns (alpha, bias).
 
@@ -316,11 +307,6 @@ def _smo_step(gram, y, alpha, errors, i, j, c_box) -> bool:
         + y[j] * (a_j_new - a_j) * gram[j]
     )
     return True
-
-
-def dual_objective(gram: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    q = gram * np.outer(y, y)
-    return float(alpha.sum() - 0.5 * alpha @ q @ alpha)
 
 
 # ---------------------------------------------------------------------------

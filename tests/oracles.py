@@ -271,6 +271,19 @@ def qp_objective(gram, y, alpha):
     return float(alpha.sum() - 0.5 * alpha @ q @ alpha)
 
 
+def kkt_violation(alpha, y, errors, c_box, tol):
+    """Per-sample KKT violation magnitude; convergence means all <= tol.
+
+    An alpha within svm._BOUND_EPS of a box bound counts as on it, as in the solver.
+    """
+    from motionpipe import svm
+
+    ye = y * errors
+    low = np.where(alpha < c_box - svm._BOUND_EPS, np.maximum(0.0, -ye), 0.0)
+    high = np.where(alpha > svm._BOUND_EPS, np.maximum(0.0, ye), 0.0)
+    return np.maximum(low, high)
+
+
 def decode_motif_order(data, info):
     """Matched-filter decoder: which motif occupies each slot.
 

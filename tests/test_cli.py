@@ -35,6 +35,28 @@ def _write_frames(frame_dir, count=3, size=16):
         flow.write_pgm(flow.Frame(intensity=img), os.path.join(frame_dir, f"f{shift}.pgm"))
 
 
+def _frame_corpus(root, videos=8, frames=5, splits=0):
+    """A manifest of ``videos`` directories of 12 x 12 PGM frames in two classes.
+
+    A block moves one pixel a frame in class c0 and two in c1; with
+    ``splits``, each class's videos get round-robin split ids.
+    """
+    entries = []
+    for v in range(videos):
+        vid = f"v{v}"
+        os.makedirs(os.path.join(root, vid))
+        for k in range(frames):
+            img = np.full((12, 12), 0.2)
+            col = k * (1 + v % 2)
+            img[2 + v % 4 : 6 + v % 4, col : col + 4] = 0.9
+            flow.write_pgm(flow.Frame(intensity=img), os.path.join(root, vid, f"f{k}.pgm"))
+        entries.append(corpus.ManifestEntry(video_id=vid, label=f"c{v % 2}", path=vid,
+                                            split_id=v // 2 % splits if splits else None))
+    path = os.path.join(root, "manifest.json")
+    corpus.save_manifest(corpus.Manifest(entries=tuple(entries)), path)
+    return path
+
+
 def _synth(capsys, out_dir, **extra):
     argv = [
         "synth", "--out", str(out_dir), "--classes", "2", "--per-class", "2",
@@ -347,45 +369,48 @@ def test_readme_config_example_and_overrides_match_the_config_fields():
 
 
 def test_stage_commands_write_what_run_writes(tmp_path, capsys):
-    manifest_path = _synth(capsys, tmp_path / "corpus", splits=2)
-    manifest = corpus.load_manifest(manifest_path)
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text(MINI_ARCH)
-    out_dir = tmp_path / "out"
     seed = 6
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "manifest": manifest_path, "output_dir": str(out_dir), "split": "fixed", "seed": seed,
-        "pca": {"pov_threshold": 0.95},
-        "cnn": {"architecture": str(arch_path), "epochs": 3, "batch_size": 4},
-    }))
-    code, _, err = _run(capsys, "run", "--config", str(config_path))
-    assert code == 0, err
-
-    for fold_index, fold in enumerate(corpus.make_fixed_splits(manifest).folds):
-        fold_dir = out_dir / f"fold_{fold_index:03d}"
-        train_manifest = tmp_path / "corpus" / f"train{fold_index}.json"
-        corpus.save_manifest(
-            corpus.Manifest(entries=tuple(manifest.entry(vid) for vid in fold.train_ids)),
-            train_manifest,
-        )
-        pca_path = tmp_path / f"fold{fold_index}.pca"
-        code, _, err = _run(capsys, "pca-fit", "--manifest", str(train_manifest),
-                            "--pca.pov_threshold", "0.95", "--out", str(pca_path))
+    # .fds sources, then frame directories, which both commands describe with one reader
+    for name, manifest_path in (("corpus", _synth(capsys, tmp_path / "corpus", splits=2)),
+                                ("frames", _frame_corpus(tmp_path / "frames", splits=2))):
+        manifest = corpus.load_manifest(manifest_path)
+        out_dir = tmp_path / f"out-{name}"
+        config_path = tmp_path / f"config-{name}.json"
+        config_path.write_text(json.dumps({
+            "manifest": manifest_path, "output_dir": str(out_dir), "split": "fixed",
+            "seed": seed, "pca": {"pov_threshold": 0.95},
+            "cnn": {"architecture": str(arch_path), "epochs": 3, "batch_size": 4},
+        }))
+        code, _, err = _run(capsys, "run", "--config", str(config_path))
         assert code == 0, err
-        assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
 
-        with np.load(fold_dir / "model.cnn.npz") as arrays:
-            features = arrays["features"][: len(fold.train_ids)]
-        features_path = tmp_path / f"fold{fold_index}.csv"
-        cli.write_features_csv(str(features_path), [
-            (vid, manifest.entry(vid).label, vec) for vid, vec in zip(fold.train_ids, features)
-        ])
-        svm_path = tmp_path / f"fold{fold_index}.svm"
-        code, _, err = _run(capsys, "svm-fit", "--features", str(features_path),
-                            "--seed", str(seed ^ fold_index), "--out", str(svm_path))
-        assert code == 0, err
-        assert svm_path.read_bytes() == (fold_dir / "model.svm").read_bytes()
+        for fold_index, fold in enumerate(corpus.make_fixed_splits(manifest).folds):
+            fold_dir = out_dir / f"fold_{fold_index:03d}"
+            train_manifest = tmp_path / name / f"train{fold_index}.json"
+            corpus.save_manifest(
+                corpus.Manifest(entries=tuple(manifest.entry(vid) for vid in fold.train_ids)),
+                train_manifest,
+            )
+            pca_path = tmp_path / f"{name}{fold_index}.pca"
+            code, _, err = _run(capsys, "pca-fit", "--manifest", str(train_manifest),
+                                "--pca.pov_threshold", "0.95", "--out", str(pca_path))
+            assert code == 0, err
+            assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
+
+            with np.load(fold_dir / "model.cnn.npz") as arrays:
+                features = arrays["features"][: len(fold.train_ids)]
+            features_path = tmp_path / f"{name}{fold_index}.csv"
+            cli.write_features_csv(str(features_path), [
+                (vid, manifest.entry(vid).label, vec)
+                for vid, vec in zip(fold.train_ids, features)
+            ])
+            svm_path = tmp_path / f"{name}{fold_index}.svm"
+            code, _, err = _run(capsys, "svm-fit", "--features", str(features_path),
+                                "--seed", str(seed ^ fold_index), "--out", str(svm_path))
+            assert code == 0, err
+            assert svm_path.read_bytes() == (fold_dir / "model.svm").read_bytes()
 
 
 def test_wrapped_fit_functions_see_the_stage_commands(tmp_path, capsys, monkeypatch):
@@ -650,6 +675,45 @@ def test_svm_fit_on_two_processes_writes_the_serial_bytes(tmp_path, capsys, monk
     assert models[0].read_bytes() == models[1].read_bytes()
 
 
+def test_pca_fit_describes_frames_on_two_processes_and_writes_the_serial_bytes(
+        tmp_path, capsys, monkeypatch):
+    frames = _frame_corpus(tmp_path / "frames")
+    fds = _synth(capsys, tmp_path / "corpus")
+    usable_cpus(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    code, _, err = _run(capsys, "pca-fit", "--manifest", fds, "--out", str(tmp_path / "fds.pca"))
+    assert code == 0, err
+    assert forks() == []  # .fds sources are read as they are
+    models = []
+    for count in (2, 1):
+        if count == 1:
+            monkeypatch.setattr(workers, "_worker_count", lambda pending: 1)
+        models.append(tmp_path / f"m{count}.pca")
+        code, _, err = _run(capsys, "pca-fit", "--manifest", frames, "--out", str(models[-1]))
+        assert code == 0, err
+    assert forks() == [os.getpid()]  # the frame directories, on two workers
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
+def test_a_killed_describe_worker_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    manifest_path = _frame_corpus(tmp_path / "frames")
+    parent, real = os.getpid(), flow._horn_schunck
+
+    def horn_schunck(*args):  # private, so that the fork still happens
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(flow, "_horn_schunck", horn_schunck)
+    usable_cpus(monkeypatch)
+    code, _, err = _run(capsys, "pca-fit", "--manifest", manifest_path,
+                        "--out", str(tmp_path / "m.pca"))
+    assert code == 2
+    assert err == ("error: pca-fit: a worker process ended without a result "
+                   "(killed by SIGKILL)\n")
+    assert not (tmp_path / "m.pca").exists()
+
+
 def _in_the_child(monkeypatch, before):
     """Wrap svm._smo so that ``before()`` runs first in a forked child's machines only."""
     parent, real = os.getpid(), svm._smo
@@ -735,6 +799,39 @@ def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):
     assert code == 2, err
     assert "walk,fast" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--cnn.architecture", "missing.txt"], "missing.txt"),
+    (["run", "--cnn.architecture", "bad.txt"], "bad.txt: line 2: unrecognised layer 'bogus 2'"),
+    (["train", "--pca", "missing.pca"], "missing.pca"),
+    (["train", "--pca", "m.pca", "--cnn.architecture", "bad.txt"],
+     "bad.txt: line 2: unrecognised layer 'bogus 2'"),
+    (["extract", "--pca", "m.pca", "--cnn", "missing.cnn"], "missing.cnn"),
+    (["extract", "--pca", "m.pca", "--cnn", "wide.cnn"], "but the network expects"),
+], ids=["run-missing-architecture", "run-malformed-architecture", "train-missing-pca",
+        "train-malformed-architecture", "extract-missing-cnn", "extract-channel-mismatch"])
+def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch, argv, message):
+    manifest_path = _frame_corpus(tmp_path / "frames")
+    model = pca.fit(np.random.default_rng(0).normal(size=(40, 6)), 0.999)
+    pca.save_model(model, tmp_path / "m.pca")
+    spec = cnn.NetworkSpec(input_channels=model.channels + 1, input_length=4,
+                           layers=cnn.parse_architecture(MINI_ARCH))
+    cnn.save_model(spec, cnn.init_state(spec, 0), tmp_path / "wide.cnn")
+    (tmp_path / "bad.txt").write_text("conv 3 4 1\nbogus 2\n")
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"manifest": manifest_path, "output_dir": "out"}))
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flow computed before every named input was read")
+
+    monkeypatch.setattr(flow, "estimate_flows", no_flow)
+    monkeypatch.chdir(tmp_path)
+    inputs = (["--config", "config.json"] if argv[0] == "run"
+              else ["--manifest", manifest_path, "--out", "out"])
+    code, _, err = _run(capsys, argv[0], *inputs, *argv[1:])
+    assert code == 2 and message in err, err
+    assert not (tmp_path / "out").exists()  # neither run's output_dir nor a stage's --out
 
 
 @pytest.mark.parametrize("doc,override,message", [

