@@ -158,23 +158,29 @@ def write_features_csv(path, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_features_csv(path):
-    """Returns (video_ids, labels, matrix); labels may contain ''."""
+def _table_lines(path, name: str) -> list:
+    """(file line number, text) of each non-blank line of the UTF-8 table at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: feature table is not UTF-8") from exc
+        raise DataFormatError(f"{path}: {name} is not UTF-8") from exc
     if not lines:
-        raise DataFormatError(f"{path}: empty feature table")
-    header = lines[0].split(",")
+        raise DataFormatError(f"{path}: empty {name}")
+    return lines
+
+
+def read_features_csv(path):
+    """Returns (video_ids, labels, matrix); labels may contain ''."""
+    lines = _table_lines(path, "feature table")
+    header = lines[0][1].split(",")
     if header[:2] != ["video_id", "label"]:
         raise DataFormatError(f"{path}: header must start with video_id,label")
     dim = len(header) - 2
     if dim < 1:
         raise DataFormatError(f"{path}: header names no feature columns")
     ids, labels, vectors = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != dim + 2:
             raise DataFormatError(f"{path}: line {lineno}: expected {dim + 2} fields")
@@ -321,11 +327,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise DataFormatError(f"{args.predictions}: empty predictions table")
-    header = lines[0].split(",")
+    lines = _table_lines(args.predictions, "predictions table")
+    header = lines[0][1].split(",")
     try:
         true_col = header.index("true_label")
         pred_col = header.index("predicted_label")
@@ -334,7 +337,7 @@ def _cmd_eval(args) -> int:
             f"{args.predictions}: header must name true_label and predicted_label columns"
         ) from None
     pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != len(header):
             raise DataFormatError(f"{args.predictions}: line {lineno}: wrong field count")

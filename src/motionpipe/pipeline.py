@@ -430,6 +430,17 @@ def _describe(path: str, video_id: str, planned: _Planned, flow_params: dict):
     return _cached(planned, None, compute)
 
 
+def _source_paths(config: PipelineConfig, manifest: corpus.Manifest) -> dict:
+    """Each video's source path, by video id; raises FileNotFoundError unless every one exists."""
+    base = os.path.dirname(os.path.abspath(config.manifest))
+    paths = {entry.video_id: os.path.join(base, entry.path)  # an absolute entry path stands
+             for entry in manifest.entries}
+    for path in paths.values():
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"video source {path!r} not found")
+    return paths
+
+
 def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str | None = None):
     """Each video's descriptor sequence and cache key, by video id, in manifest order.
 
@@ -440,12 +451,7 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
     the directories that miss are described.  Without it nothing is hashed
     or written, and the keys are empty.
     """
-    base = os.path.dirname(os.path.abspath(config.manifest))
-    paths = {entry.video_id: os.path.join(base, entry.path)  # an absolute entry path stands
-             for entry in manifest.entries}
-    for path in paths.values():
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"video source {path!r} not found")
+    paths = _source_paths(config, manifest)
     flow_params = _section(config, "flow")
     flow_cfg = json.dumps(flow_params, sort_keys=True)
     sequences, keys, tasks = {}, {}, {}
@@ -656,17 +662,19 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every fold of the configured protocol and write reports."""
     with workers.one_blas_thread():  # in this process and, inherited, in every worker
-        # every named input is read before any flow, and a bad one leaves no directory
+        # every named input is read, and the folds planned, before any flow: a bad one
+        # leaves no directory
         manifest = corpus.load_manifest(config.manifest)
         arch_text = architecture_text(config.architecture, len(manifest.labels()))
-        sequences, desc_keys = read_corpus(config, manifest,
-                                           os.path.join(config.output_dir, "descriptors"))
-        os.makedirs(config.output_dir, exist_ok=True)
+        _source_paths(config, manifest)  # a missing source is named before a plan's error
         plan = (
             corpus.make_loocv(manifest)
             if config.split == "loocv"
             else corpus.make_fixed_splits(manifest)
         )
+        sequences, desc_keys = read_corpus(config, manifest,
+                                           os.path.join(config.output_dir, "descriptors"))
+        os.makedirs(config.output_dir, exist_ok=True)
 
         # every key is computed once, here; only the folds that miss may be forked
         tasks, misses = {}, {}

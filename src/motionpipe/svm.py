@@ -5,11 +5,13 @@ x_i + y_i).  The solver is a deterministic SMO: each step pairs the
 maximal KKT violator with the partner of greatest second-order gain,
 with ties broken towards the lowest index.
 
-A large fit (from _FORK_TERMS pair-dimension terms) runs on both CPUs:
-its Gram's row blocks, then its one-vs-rest machines, are split between
-two forked workers through ``workers.fork_map``, which also says when
-nothing forks.  Each block and each machine is the serial computation,
-so the model is the serial model bit for bit.
+The kernel's values are made in place, in the buffer that holds the
+distances, so a Gram of S x T rows costs one S x T float64 matrix.  A
+large fit (from _FORK_TERMS pair-dimension terms) runs on both CPUs in
+one ``workers.fork_map`` call, which also says when nothing forks: the
+same two forked workers compute the Gram's row blocks into a shared
+mmap, then train the one-vs-rest machines.  Each block and each machine
+is the serial computation, so the model is the serial model bit for bit.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ MAX_SMO_STEPS = 10**6
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
-# Row pairs times d from which a distance matrix, and a fit's machines, are
-# split between two forked workers.  Set when fork_map forked one child and
-# ran the other task here, and a map of two empty tasks cost 5 ms from a
-# 55 MB process (two forked workers: 7-8.5 ms, 9-13 ms for a process's first
-# call).  Two processes side by side each run slower than one alone, so on
-# 2 CPUs a split of the distances saved nothing at 3M terms (21 ms serial)
-# and 29 % at 2**24 (95 -> 68 ms), about 19 of those 5 ms fork costs of
-# serial work.  A 960-row fit of 64 features (30M) splits; a 240 x 594 x 64
-# predict (9M) and a LOOCV fold's fit stay serial.
+# Row pairs times d from which a distance or kernel matrix, and a fit's
+# machines, are split between two forked workers; a fit forks them once,
+# for both.  Set when fork_map forked one child and ran the other task
+# here, and a map of two empty tasks cost 5 ms from a 55 MB process (two
+# forked workers: 7-8.5 ms, 9-13 ms for a process's first call).  Two
+# processes side by side each run slower than one alone, so on 2 CPUs a
+# split of the distances saved nothing at 3M terms (21 ms serial) and 29 %
+# at 2**24 (95 -> 68 ms), about 19 of those 5 ms fork costs of serial work.
+# A 960-row fit of 64 features (30M) splits; a 240 x 594 x 64 predict (9M)
+# and a LOOCV fold's fit stay serial.  Splitting a predict's rectangular
+# kernel from 2**22 terms gave no warm svm-kfold gain in fresh processes.
 _FORK_TERMS = 2**24
 
 
@@ -89,21 +93,41 @@ def _check_nonneg(x: np.ndarray) -> None:
 
 
 def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
-    """Pairwise chi-squared distances between rows of x and rows of y.
+    """Pairwise chi-squared distances between rows of x and rows of y."""
+    out, tasks = _kernel_tasks(x, y, eps, None)
+    for outcome in workers.fork_map(tasks).values():
+        workers.take(outcome)
+    return out
 
-    Rows of x are taken in blocks of about _BLOCK_ELEMENTS values (never
-    less than one row of x against all of y) in two contiguous buffers
-    allocated once per call.  A block tiles its x rows into the first,
-    adds y into the second and subtracts y from the first, so each term
-    and its sum over d equal the broadcast formula's bit for bit.  When
-    y is x, each block computes only the columns from its own first row
-    onward and mirrors them into the lower triangle; the chi-squared
-    terms are symmetric bit for bit, so this equals the full result.
 
-    From _FORK_TERMS pair-dimension terms on, the blocks are split at a
-    block boundary, by pair count, between two forked workers
-    (``workers.fork_map``), which write into one shared anonymous mmap;
-    each mirrors its own blocks.  Every block is the serial block.
+def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
+    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps)) for every row pair."""
+    out, tasks = _kernel_tasks(x, y, params.epsilon_denominator, params.gamma)
+    for outcome in workers.fork_map(tasks).values():
+        workers.take(outcome)
+    return out
+
+
+def _kernel_tasks(x, y, eps, gamma):
+    """(out, tasks): an empty x-row by y-row matrix, and the ``fork_map`` tasks that fill it.
+
+    The tasks write chi-squared distances, or, with ``gamma``, the
+    kernel's values exp(-gamma * distance).  Rows of x are taken in blocks
+    of about _BLOCK_ELEMENTS values (never less than one row of x against
+    all of y) in two contiguous buffers allocated once per task.  A block
+    tiles its x rows into the first, adds y into the second and subtracts
+    y from the first, so each term and its sum over d equal the broadcast
+    formula's bit for bit; the kernel's values are then made in place in
+    ``out``, with the bits of np.exp(-gamma * distances).  When y is x,
+    each block computes only the columns from its own first row onward and
+    mirrors them into the lower triangle; the chi-squared terms are
+    symmetric bit for bit, so this equals the full result.
+
+    From _FORK_TERMS pair-dimension terms on, there are two tasks: the
+    blocks split at a block boundary, by pair count, into a shared
+    anonymous mmap that this process never touches, each task mirroring
+    its own blocks.  Below, one task fills an ordinary array.  Every block
+    is the serial block.
     """
     symmetric = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -117,7 +141,7 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
     starts = np.arange(0, n, rows)
     # the row pairs of each block: its rows against y, or against y from its first row on
     pairs = np.minimum(rows, n - starts) * (m - starts if symmetric else m)
-    if starts.size < 2 or pairs.sum() * x.shape[1] < _FORK_TERMS:
+    if pairs.sum() * x.shape[1] < _FORK_TERMS:
         out = np.empty((n, m))
         parts = [starts]
     else:
@@ -126,15 +150,13 @@ def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray
         out = np.frombuffer(mmap.mmap(-1, 8 * n * m), dtype=np.float64).reshape(n, m)
         cut = np.abs(np.cumsum(pairs) - pairs.sum() / 2).argmin() + 1
         parts = np.split(starts, [min(cut, starts.size - 1)])
-    tasks = {k: functools.partial(_distance_blocks, x, y, eps, symmetric, rows, part, out)
-             for k, part in enumerate(parts)}
-    for outcome in workers.fork_map(tasks).values():
-        workers.take(outcome)
-    return out
+    return out, {("kernel", k): functools.partial(_distance_blocks, x, y, eps, symmetric, rows,
+                                                  part, out, gamma)
+                 for k, part in enumerate(parts)}
 
 
-def _distance_blocks(x, y, eps, symmetric, rows, starts, out) -> None:
-    """The chi-squared distances of the row blocks at ``starts``, written into ``out``."""
+def _distance_blocks(x, y, eps, symmetric, rows, starts, out, gamma) -> None:
+    """The chi-squared distances, or kernel values, of the row blocks at ``starts``, into ``out``."""
     buffers = np.empty((2, min(rows, x.shape[0]) * y.size))
     for start in starts:
         stop = min(start + rows, x.shape[0])
@@ -148,14 +170,13 @@ def _distance_blocks(x, y, eps, symmetric, rows, starts, out) -> None:
         denom += eps
         diff *= diff
         diff /= denom
-        np.sum(diff, axis=2, out=out[start:stop, first:])
+        block = out[start:stop, first:]
+        np.sum(diff, axis=2, out=block)
+        if gamma is not None:
+            np.multiply(block, -gamma, out=block)
+            np.exp(block, out=block)
         if symmetric:
             out[stop:, start:stop] = out[start:stop, stop:].T
-
-
-def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
-    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps)) for every row pair."""
-    return np.exp(-params.gamma * chi2_distance_matrix(x, y, params.epsilon_denominator))
 
 
 def default_gamma(features, seed: int = 0) -> float:
@@ -320,11 +341,15 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     When ``params`` is omitted, gamma defaults to the inverse mean
     pairwise chi-squared distance of the training set.
 
-    From _FORK_TERMS pair-dimension terms of the Gram's upper triangle on,
-    the machines are split as the Gram's blocks are: one forked worker
-    trains those of the first, third, ... label, the other the rest, and
-    the results are put back in label order.  If both fail, the first
-    worker's failure is raised.
+    The Gram and the machines are one ``workers.fork_map`` call of two
+    phases.  From _FORK_TERMS pair-dimension terms of the Gram's blocks on,
+    each phase has two tasks, which two forked workers run: first each
+    turns its row blocks into kernel values in a shared mmap that this
+    process never touches, then one trains the machines of the first,
+    third, ... label, the other the rest, and the results are put back in
+    label order.  Below, one task of each runs here.  A failed kernel task
+    starts no machine; if both tasks of a phase fail, the first's failure
+    is raised.
     """
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     labels = list(labels)
@@ -341,16 +366,19 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     if params is None:
         params = KernelParams(gamma=default_gamma(x))
 
-    gram = chi2_gram(x, x, params)
     label_arr = np.array(labels)
     ys = [np.where(label_arr == cls, 1.0, -1.0) for cls in class_labels]
-    ways = 2 if x.shape[0] * (x.shape[0] + 1) // 2 * x.shape[1] >= _FORK_TERMS else 1
-    outcomes = workers.fork_map({
-        k: functools.partial(_machines, gram, ys[k::ways], c_box, tol) for k in range(ways)
+    gram, kernel = _kernel_tasks(x, x, params.epsilon_denominator, params.gamma)
+    ways = len(kernel)  # the machines are split as the Gram's blocks are
+    outcomes = workers.fork_map(kernel, {
+        ("machines", k): functools.partial(_machines, gram, ys[k::ways], c_box, tol)
+        for k in range(ways)
     })
+    for name in kernel:
+        workers.take(outcomes[name])
     solved = [None] * len(ys)
     for k in range(ways):
-        solved[k::ways] = workers.take(outcomes[k])
+        solved[k::ways] = workers.take(outcomes["machines", k])
     machines = []
     for y, (alpha, bias) in zip(ys, solved):
         support = np.flatnonzero(alpha > _SUPPORT_EPS)

@@ -1,13 +1,15 @@
 """Forked workers: the one way this package runs work on a second CPU.
 
-``fork_map`` runs a dict of tasks on persistent forked workers and hands
-their outcomes back in order; its docstring says when nothing forks.
+``fork_map`` runs dicts of tasks, phase after phase, on the same
+persistent forked workers and hands their outcomes back in order; its
+docstring says when nothing forks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import pickle
 import sys
@@ -85,7 +87,7 @@ def _stage_functions_replaced() -> bool:
 
 
 def _worker_count(pending: int) -> int:
-    """Workers for ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
+    """Workers for phases of at most ``pending`` tasks: one per usable CPU, at most _MAX_WORKERS.
 
     One (run in-process) on the conditions ``fork_map`` lists, but inside
     a worker, which ``fork_map`` checks itself.  Two workers at OpenBLAS's
@@ -181,31 +183,40 @@ def _sigint_held():
             handler(*caught[0])
 
 
-def _run_on_workers(count: int) -> dict:
+def _run_on_workers(count: int, waits: list) -> dict:
     """Every task on ``count`` forked workers: {index: (value, exception, fit audit calls)}.
 
-    Each worker is handed the next task index over its command pipe while
-    it is idle and no task has failed, and sends each outcome back over its
-    result pipe.  This process only forks, waits, reads and reaps.  A
-    worker that ends without its task's full outcome fails that task with a
-    WorkerError; the other running tasks finish.  No worker outlives the call.
+    Task ``i`` may start once ``waits[i]`` tasks have finished: the tasks
+    of the phases before its own.  Each idle worker is handed the next task
+    index over its command pipe once that task may start and while no task
+    has failed, and sends each outcome back over its result pipe.  This
+    process only forks, waits, reads and reaps.  A worker that ends without
+    its task's full outcome fails that task with a WorkerError; the other
+    running tasks finish.  One that ends while it waits for a phase fails
+    nothing: a worker that runs an earlier task takes the rest.  No worker
+    outlives the call.
     """
     import select
     import signal
 
     for stream in (sys.stdout, sys.stderr):  # a worker must not write this output again
         stream.flush()
-    queue = iter(range(len(_forked_tasks)))
     done = {}
+    queue = 0  # the next task to start
     running = {}  # each worker's result pipe -> [pid, its command pipe, its task or None]
 
-    def feed(worker):  # the next task, or, once none may start, the end of the commands
-        worker[2] = None if any(e is not None for _, e, _ in done.values()) else next(queue, None)
-        if worker[2] is None:
-            worker[1].close()  # the worker exits
-        else:
-            with contextlib.suppress(BrokenPipeError):  # it died: its task fails at the EOF
-                worker[1].write(worker[2].to_bytes(4, "little"))
+    def feed():  # hand out the tasks that may start; end the commands once none will
+        nonlocal queue
+        failed = any(e is not None for _, e, _ in done.values())
+        for worker in running.values():
+            if worker[2] is not None or worker[1].closed:
+                continue
+            if failed or queue == len(waits):
+                worker[1].close()  # the worker exits
+            elif len(done) >= waits[queue]:  # every task of the earlier phases has finished
+                worker[2], queue = queue, queue + 1
+                with contextlib.suppress(BrokenPipeError):  # it died: its task fails at the EOF
+                    worker[1].write(worker[2].to_bytes(4, "little"))
 
     try:
         for _ in range(count):
@@ -232,8 +243,7 @@ def _run_on_workers(count: int) -> dict:
                                                       None]
                 os.close(task_r)
                 os.close(result_w)
-        for worker in running.values():
-            feed(worker)
+        feed()
         while running:
             for results in select.select(list(running), [], [])[0]:
                 worker = running[results]
@@ -241,14 +251,15 @@ def _run_on_workers(count: int) -> dict:
                 data = results.read(int.from_bytes(header, "little"))
                 if len(header) == 8 and len(data) == int.from_bytes(header, "little"):
                     done[worker[2]] = pickle.loads(data)
-                    feed(worker)
-                    continue
-                results.close()  # the worker ended
-                worker[1].close()
-                status = os.waitpid(worker[0], 0)[1]
-                del running[results]
-                if worker[2] is not None:
-                    done[worker[2]] = None, _worker_error(status), ()
+                    worker[2] = None
+                else:  # the worker ended
+                    results.close()
+                    worker[1].close()
+                    status = os.waitpid(worker[0], 0)[1]
+                    del running[results]
+                    if worker[2] is not None:
+                        done[worker[2]] = None, _worker_error(status), ()
+                feed()
         return done
     finally:
         for results, (pid, commands, _) in running.items():  # interrupted
@@ -258,9 +269,12 @@ def _run_on_workers(count: int) -> dict:
             os.waitpid(pid, 0)
 
 
-def fork_map(tasks: dict) -> dict:
-    """Run ``tasks``, {name: callable}: {name: (value, exception)} for those that ran.
+def fork_map(*phases: dict) -> dict:
+    """Run each phase's tasks, {name: callable}: {name: (value, exception)} for those that ran.
 
+    The phases run in order on the same workers: a task of a later phase
+    starts only once every task of the earlier phases has finished, so it
+    sees their effects on shared memory.  Names are distinct across phases.
     This process forks its workers once per call and hands each idle
     worker the next task; it runs no task itself.  Tasks start in order and
     none starts once one has failed, so a caller that takes the outcomes in
@@ -270,8 +284,8 @@ def fork_map(tasks: dict) -> dict:
     The running tasks finish after a failure, and the fit audit calls of
     every finished task are replayed here, in order.
 
-    Everything runs in this process, in order, when:
-    - there are fewer than two tasks, or one usable CPU;
+    Everything runs in this process, phase by phase, in order, when:
+    - no phase has two tasks, or there is one usable CPU;
     - numpy's OpenBLAS thread-count functions are missing, or this process
       does not hold OpenBLAS at one thread (see one_blas_thread);
     - a public stage function is wrapped (see _stage_functions_replaced);
@@ -282,22 +296,28 @@ def fork_map(tasks: dict) -> dict:
     inherit the one BLAS thread this process holds.
     """
     global _forked_tasks
-    workers = 1 if _forked_tasks else _worker_count(len(tasks))
+    names = [name for phase in phases for name in phase]
+    if len(set(names)) < len(names):
+        raise ValueError("task names repeat across phases")
+    tasks = [task for phase in phases for task in phase.values()]
+    workers = 1 if _forked_tasks else _worker_count(max(map(len, phases), default=0))
     if workers < 2:
         outcomes = {}
-        for name, task in tasks.items():
+        for name, task in zip(names, tasks):
             outcomes[name] = _outcome(task)
             if outcomes[name][1] is not None:
                 break
         return outcomes
     from . import pipeline
 
-    _forked_tasks = list(tasks.values())
+    # task i waits for the tasks of the phases before its own
+    waits = [start for start, phase in zip(itertools.accumulate(map(len, phases), initial=0),
+                                           phases) for _ in phase]
+    _forked_tasks = tasks
     try:
-        done = _run_on_workers(workers)
+        done = _run_on_workers(workers, waits)
     finally:
         _forked_tasks = []
-    names = list(tasks)
     outcomes = {}
     for i in sorted(done):
         value, error, calls = done[i]

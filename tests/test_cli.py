@@ -527,6 +527,23 @@ def test_read_features_csv_errors(tmp_path):
         cli.read_features_csv(str(path))
 
 
+def test_read_features_csv_reports_the_file_line_of_a_bad_row(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("video_id,label,f0\na,x,1.0\n\nb,x,1.0,9.0\n")
+    with pytest.raises(DataFormatError, match="line 4: expected 3 fields"):
+        cli.read_features_csv(str(path))
+    path.write_text("\nvideo_id,label,f0\n \na,x,abc\n")
+    with pytest.raises(DataFormatError, match="line 4: non-numeric feature"):
+        cli.read_features_csv(str(path))
+
+
+def test_eval_reports_the_file_line_of_a_bad_row(tmp_path, capsys):
+    preds = tmp_path / "p.csv"
+    preds.write_text("video_id,true_label,predicted_label\na,x,x\n\nb,x\n")
+    code, _, err = _run(capsys, "eval", "--predictions", str(preds))
+    assert code == 2 and err == f"error: {preds}: line 4: wrong field count\n", err
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -671,8 +688,42 @@ def test_svm_fit_on_two_processes_writes_the_serial_bytes(tmp_path, capsys, monk
         code, _, err = _run(capsys, "svm-fit", "--features", str(features),
                             "--out", str(models[-1]))
         assert code == 0, err
-    assert forks() == [os.getpid()] * 2  # the distances, then the machines, on two workers
+    assert forks() == [os.getpid()]  # one fork: the kernel, then the machines
     assert models[0].read_bytes() == models[1].read_bytes()
+
+
+_PEAK_PROBE = """
+import sys
+from motionpipe import cli, workers
+workers._blas_threads = lambda: (lambda: 1, lambda threads: None)  # two usable CPUs anywhere
+workers.os.sched_getaffinity = lambda pid: {0, 1}
+if len(sys.argv) > 1:
+    assert cli.main(["svm-fit", "--features", sys.argv[1], "--out", sys.argv[2]]) == 0
+status = open("/proc/self/status").read().splitlines()
+print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_svm_fit_peaks_under_two_grams_above_its_imports(tmp_path):
+    # VmHWM is the process's own peak: a child's ru_maxrss starts at its parent's.
+    # The workers make the kernel's values in a shared mmap that the fitting
+    # process never touches; distances, their scaled copy and their exp held
+    # side by side in it would cost three S x S float64 matrices.
+    features = tmp_path / "f.csv"
+    _kfold_table(features)  # S = 800: one Gram is 5 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def peak_kb(*argv):
+        result = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout.split()[-1])
+
+    grown = peak_kb(str(features), str(tmp_path / "m.svm")) - peak_kb()
+    assert grown * 1024 < 2 * 800 * 800 * 8, grown
 
 
 def test_pca_fit_describes_frames_on_two_processes_and_writes_the_serial_bytes(
@@ -809,8 +860,10 @@ def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):
      "bad.txt: line 2: unrecognised layer 'bogus 2'"),
     (["extract", "--pca", "m.pca", "--cnn", "missing.cnn"], "missing.cnn"),
     (["extract", "--pca", "m.pca", "--cnn", "wide.cnn"], "but the network expects"),
+    (["run", "--split", "fixed"], "entry 'v0' is missing split_id"),
 ], ids=["run-missing-architecture", "run-malformed-architecture", "train-missing-pca",
-        "train-malformed-architecture", "extract-missing-cnn", "extract-channel-mismatch"])
+        "train-malformed-architecture", "extract-missing-cnn", "extract-channel-mismatch",
+        "run-unplannable-split"])
 def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch, argv, message):
     manifest_path = _frame_corpus(tmp_path / "frames")
     model = pca.fit(np.random.default_rng(0).normal(size=(40, 6)), 0.999)

@@ -1,5 +1,6 @@
 import functools
 import os
+import signal
 import struct
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from motionpipe import svm, workers
-from motionpipe.errors import ConvergenceError, DataFormatError
+from motionpipe.errors import ConvergenceError, DataFormatError, WorkerError
 
 import oracles
 from test_workers import record_forks, usable_cpus
@@ -581,6 +582,30 @@ def test_forked_distances_are_the_serial_bits(monkeypatch, tmp_path, rows, cols,
     assert len(blocks) == 2 and len({pid for pid, _ in blocks} - {os.getpid()}) == 2
 
 
+@pytest.mark.parametrize("rows, cols, dim", [
+    (300, None, 7),   # symmetric: blocks of 15 rows, rows of 300 values
+    (129, None, 65),  # symmetric: blocks of 3 rows
+    (37, 611, 13),    # rectangular: blocks of 4 rows of 611 values
+    (90, 203, 65),    # rectangular: blocks of 2 rows
+])
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_in_place_kernel_is_the_exp_of_the_scaled_distances(monkeypatch, tmp_path,
+                                                            rows, cols, dim, forked):
+    rng = np.random.default_rng(rows + dim)
+    x = np.maximum(rng.normal(size=(rows, dim)), 0.0)  # exact zeros too
+    y = x if cols is None else np.maximum(rng.normal(size=(cols, dim)), 0.0)
+    params = svm.KernelParams(gamma=0.37)
+    want = np.exp(-params.gamma * _serial(monkeypatch, svm.chi2_distance_matrix, x, y, 1e-12))
+    if forked:
+        _fork_at_any_size(monkeypatch)
+    else:
+        _forbid_forks(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    got = svm.chi2_gram(x, y, params)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert forks() == ([os.getpid()] if forked else [])
+
+
 def _assert_same_machines(got, want):
     assert got.labels == want.labels and np.array_equal(got.features, want.features)
     for a, b in zip(got.machines, want.machines):
@@ -598,7 +623,25 @@ def test_forked_fit_is_the_serial_fit(monkeypatch, tmp_path, classes):
     _fork_at_any_size(monkeypatch)
     forks = record_forks(monkeypatch, tmp_path / "forks")
     _assert_same_machines(svm.fit(feats, labels, params=params), expected)
-    assert forks() == [os.getpid()] * 2  # the distances, then the machines
+    assert forks() == [os.getpid()]  # one fork: the kernel, then the machines
+
+
+def test_a_killed_kernel_task_trains_no_machine(monkeypatch, tmp_path):
+    feats, labels = _clusters(np.random.default_rng(9), dim=64, classes=3)
+    _fork_at_any_size(monkeypatch)
+    parent, real = os.getpid(), svm._distance_blocks
+    trained = tmp_path / "trained"
+
+    def blocks(*args):
+        if os.getpid() != parent and args[5][0] == 0:  # the first kernel task
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(svm, "_distance_blocks", blocks)
+    monkeypatch.setattr(svm, "_smo", lambda *args: trained.touch())
+    with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)"):
+        svm.fit(feats, labels, params=svm.KernelParams(gamma=0.5))
+    assert not trained.exists()
 
 
 def test_loocv_sized_fit_does_not_fork(monkeypatch):

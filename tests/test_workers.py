@@ -1,4 +1,6 @@
 import errno
+import functools
+import mmap
 import os
 import signal
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from motionpipe import workers
@@ -185,3 +188,109 @@ def test_ctrl_c_during_a_fork_is_not_lost():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.stdout.splitlines() == ["interrupted", "no child"], result.stderr
+
+
+# ---------------------------------------------------------------------------
+# Phases: fork_map(*phases) on the same workers
+# ---------------------------------------------------------------------------
+
+def test_a_later_phase_sees_every_earlier_task(monkeypatch, tmp_path):
+    usable_cpus(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    slots = np.frombuffer(mmap.mmap(-1, 8 * 3), dtype=np.float64)  # shared with the workers
+
+    def write(k, delay):
+        time.sleep(delay)  # task 0 ends last, after the other worker has gone idle
+        slots[k] = k + 1
+        return os.getpid()
+
+    outcomes = workers.fork_map({k: functools.partial(write, k, 0.3 if k == 0 else 0.0)
+                                 for k in range(3)},
+                                {name: lambda: (os.getpid(), slots.tolist())
+                                 for name in ("read0", "read1")})
+    assert list(outcomes) == [0, 1, 2, "read0", "read1"]
+    writers = {workers.take(outcomes[k]) for k in range(3)}
+    readers = {workers.take(outcomes[name])[0] for name in ("read0", "read1")}
+    assert len(writers) == 2 and os.getpid() not in writers and readers <= writers
+    for name in ("read0", "read1"):
+        assert workers.take(outcomes[name])[1] == [1.0, 2.0, 3.0]
+    assert forks() == [os.getpid()]  # one fork for both phases
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_a_failed_phase_starts_no_later_task(monkeypatch, tmp_path, how):
+    usable_cpus(monkeypatch)
+    started = tmp_path / "started"
+
+    def fail():
+        time.sleep(0.2)  # the other task of the phase finishes first
+        if how == "killed":
+            _kill_self()
+        raise ValueError("phase 1")
+
+    outcomes = workers.fork_map({0: fail, 1: os.getpid},
+                                {k: started.touch for k in (2, 3)})
+    assert list(outcomes) == [0, 1]
+    assert workers.take(outcomes[1]) != os.getpid()
+    with pytest.raises(WorkerError if how == "killed" else ValueError):
+        workers.take(outcomes[0])
+    assert not started.exists()
+
+
+def test_a_worker_killed_while_it_waits_for_a_phase_leaves_the_tasks_to_the_other(
+        monkeypatch, tmp_path):
+    usable_cpus(monkeypatch)
+    pids, real_fork = tmp_path / "pids", os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            with open(pids, "a") as fh:
+                fh.write(f"{pid}\n")
+        return pid
+
+    monkeypatch.setattr(workers.os, "fork", fork)
+
+    def kill_the_waiting_worker():
+        for pid in map(int, pids.read_text().split()):
+            if pid != os.getpid():
+                os.kill(pid, signal.SIGKILL)
+        time.sleep(0.3)  # time for fork_map to see that worker end
+        return os.getpid()
+
+    outcomes = workers.fork_map({0: kill_the_waiting_worker}, {1: os.getpid, 2: os.getpid})
+    assert list(outcomes) == [0, 1, 2]
+    survivor = workers.take(outcomes[0])
+    assert {workers.take(outcomes[k]) for k in (1, 2)} == {survivor} != {os.getpid()}
+
+
+def test_phases_run_in_order_inside_a_worker(monkeypatch, tmp_path):
+    usable_cpus(monkeypatch)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+
+    def phased():
+        order = []
+        outcomes = workers.fork_map({k: functools.partial(order.append, k) for k in "ab"},
+                                    {k: functools.partial(order.append, k) for k in "cd"})
+        return os.getpid(), list(outcomes), order
+
+    outcomes = workers.fork_map({k: phased for k in range(2)})
+    for outcome in outcomes.values():
+        pid, names, order = workers.take(outcome)
+        assert pid != os.getpid() and names == order == list("abcd")
+    assert forks() == [os.getpid()]
+
+
+def test_phases_run_in_order_here_and_stop_at_a_failure(monkeypatch):
+    usable_cpus(monkeypatch, count=1)
+    order = []
+
+    def fail():
+        order.append("b")
+        raise ValueError("b")
+
+    outcomes = workers.fork_map({"a": functools.partial(order.append, "a"), "b": fail},
+                                {"c": functools.partial(order.append, "c")})
+    assert order == ["a", "b"] and list(outcomes) == ["a", "b"]
+    with pytest.raises(ValueError, match="repeat"):
+        workers.fork_map({0: os.getpid}, {0: os.getpid})
