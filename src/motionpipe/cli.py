@@ -242,12 +242,9 @@ def _cmd_pca_fit(args) -> int:
 def _cmd_project(args) -> int:
     model = pca.load_model(args.model)
     seq = corpus.read_sequence(args.input)
-    series = pca.transform(model, seq)
-    corpus.write_sequence(
-        corpus.DescriptorSequence(video_id=series.video_id, data=series.data.T),
-        args.out,
-    )
-    print(f"projected to {series.channels} channels x {series.length} frames in {args.out}")
+    series = pca.transform(model, seq.data)
+    corpus.write_sequence(corpus.DescriptorSequence(seq.video_id, series.T), args.out)
+    print(f"projected to {series.shape[0]} channels x {series.shape[1]} frames in {args.out}")
     return 0
 
 

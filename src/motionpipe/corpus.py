@@ -51,30 +51,6 @@ class DescriptorSequence:
 
 
 @dataclass(frozen=True)
-class MultiChannelSeries:
-    """One video as m parallel time series (channel-major m x L matrix)."""
-
-    video_id: str
-    data: np.ndarray  # m x L, float64
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"series data must be m x L with m,L >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("series data must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class ManifestEntry:
     video_id: str
     label: str
@@ -167,36 +143,6 @@ def read_sequence(path, video_id: str | None = None) -> DescriptorSequence:
 def _stem(path) -> str:
     name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0] if "." in name else name
-
-
-# ---------------------------------------------------------------------------
-# Length alignment
-# ---------------------------------------------------------------------------
-
-def align_lengths(series_list: list[MultiChannelSeries]) -> tuple[list[MultiChannelSeries], int]:
-    """Zero-pad every series at the end to the maximum length in the list.
-
-    Existing values are never altered; shorter series gain trailing
-    all-zero columns.  Returns the padded list and the common length.
-    """
-    if not series_list:
-        raise ValueError("empty corpus")
-    channels = series_list[0].channels
-    for s in series_list:
-        if s.channels != channels:
-            raise ValueError(
-                f"mismatched channel counts: {s.video_id} has {s.channels}, expected {channels}"
-            )
-    l_max = max(s.length for s in series_list)
-    out = []
-    for s in series_list:
-        if s.length == l_max:
-            out.append(s)
-        else:
-            padded = np.zeros((channels, l_max))
-            padded[:, : s.length] = s.data
-            out.append(MultiChannelSeries(video_id=s.video_id, data=padded))
-    return out, l_max
 
 
 # ---------------------------------------------------------------------------

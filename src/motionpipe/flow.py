@@ -63,10 +63,6 @@ class Frame:
         return self.intensity.shape[1]
 
 
-def descriptor_length(grid: int, bins: int) -> int:
-    return grid * grid * (3 + bins)
-
-
 def _replicate_edges(padded: np.ndarray) -> None:
     """Fill the 1-pixel border of ``padded`` (..., H+2, W+2) from its interior.
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DescriptorSequence, MultiChannelSeries
 from .errors import ConvergenceError, DataFormatError
 
 PCA_MAGIC = b"PCA1"
@@ -108,17 +107,21 @@ def fit(samples: np.ndarray, pov_threshold: float) -> PcaModel:
     )
 
 
-def transform(model: PcaModel, seq: DescriptorSequence) -> MultiChannelSeries:
-    """Project a descriptor sequence onto the retained components.
+def transform(model: PcaModel, rows: np.ndarray) -> np.ndarray:
+    """Project T x n descriptor rows onto the retained components.
 
-    Output channel c at time t is components[c] . (seq[t] - mean); the
-    result is channel-major m x T.
+    Output channel c at time t is components[c] . (rows[t] - mean); the
+    result is channel-major m x T float64.  A projection that overflows
+    float64 is a ``ValueError``, not a warning.
     """
-    if seq.dim != model.input_dim:
-        raise ValueError(f"sequence dim {seq.dim} != model dim {model.input_dim}")
-    centered = seq.data.astype(np.float64) - model.mean
-    projected = centered @ model.components.T  # T x m
-    return MultiChannelSeries(video_id=seq.video_id, data=projected.T)
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(f"rows of shape {x.shape} do not match model dim {model.input_dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = (x - model.mean) @ model.components.T  # T x m
+    if not np.isfinite(projected).all():
+        raise ValueError("projected values must be finite")
+    return projected.T
 
 
 def save_model(model: PcaModel, path) -> None:

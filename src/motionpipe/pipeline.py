@@ -298,16 +298,17 @@ def project_videos(model: pca.PcaModel, sequences, ids,
                    length: int | None = None) -> tuple[np.ndarray, int]:
     """Project the videos ``ids`` in one GEMM and zero-pad them to ``length``.
 
-    ``length`` defaults to the longest video's; a longer video is cut to
-    it with a warning.  Returns the (N, m, L) batch in ``ids`` order and
-    L; row i holds what ``pca.transform`` gives for video i, followed by
-    trailing zeros.
+    This is the one path from descriptors to the CNN's input.  ``length``
+    defaults to the longest video's; a longer video is cut to it with a
+    warning.  Returns the (N, m, L) batch in ``ids`` order and L; row i
+    holds video i's columns of one ``pca.transform`` over the stacked
+    rows, followed by trailing zeros.  A video's own ``transform`` can
+    differ from those columns in the last bits, since BLAS may sum a
+    shorter GEMM in another order.
     """
     lengths = [sequences[vid].frames for vid in ids]
-    stacked = corpus.DescriptorSequence(
-        video_id="batch", data=np.vstack([sequences[vid].data for vid in ids])
-    )
-    projected = pca.transform(model, stacked).data  # m x sum(lengths)
+    stacked = np.vstack([sequences[vid].data for vid in ids])
+    projected = pca.transform(model, stacked)  # m x sum(lengths)
     if length is None:
         length = max(lengths)
     batch = np.zeros((len(ids), model.channels, length))

@@ -66,7 +66,6 @@ class BinarySvm:
     support_indices: np.ndarray  # int rows of SvmModel.features
     coefficients: np.ndarray     # alpha_i * y_i at the support indices
     bias: float
-    c_box: float
 
 
 @dataclass(frozen=True)
@@ -382,14 +381,8 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     machines = []
     for y, (alpha, bias) in zip(ys, solved):
         support = np.flatnonzero(alpha > _SUPPORT_EPS)
-        machines.append(
-            BinarySvm(
-                support_indices=support,
-                coefficients=alpha[support] * y[support],
-                bias=bias,
-                c_box=c_box,
-            )
-        )
+        machines.append(BinarySvm(support_indices=support,
+                                  coefficients=alpha[support] * y[support], bias=bias))
     return SvmModel(
         labels=tuple(class_labels),
         machines=tuple(machines),
@@ -502,9 +495,7 @@ def load_model(path) -> SvmModel:
         off += 8
         if not (np.isfinite(coeffs).all() and np.isfinite(bias)):
             raise DataFormatError(f"{path}: coefficients and bias must be finite")
-        machines.append(
-            BinarySvm(support_indices=support, coefficients=coeffs, bias=bias, c_box=np.nan)
-        )
+        machines.append(BinarySvm(support_indices=support, coefficients=coeffs, bias=bias))
     if off != len(blob):
         raise DataFormatError(f"{path}: trailing bytes")
     if len(set(labels)) != len(labels):

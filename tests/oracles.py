@@ -166,6 +166,11 @@ def naive_descriptor(u, v, grid, bins):
     return np.array(out)
 
 
+def descriptor_width(grid, bins):
+    """Values in one descriptor: three motion means and ``bins`` histogram bins per cell."""
+    return grid * grid * (3 + bins)
+
+
 def projected_gradient_qp(gram, y, c_box, iterations=20000):
     """Solve the SVM dual by projected gradient ascent.
 

@@ -318,21 +318,28 @@ def test_criterion_6_alignment_pads_with_exact_zeros():
     started = time.perf_counter()
     rng = np.random.default_rng(6000)
     for _ in range(200):
-        channels = int(rng.integers(1, 5))
+        dim = int(rng.integers(1, 7))
         count = int(rng.integers(1, 9))
-        originals = [
-            corpus.MultiChannelSeries(
+        sequences = {
+            f"v{i}": corpus.DescriptorSequence(
                 video_id=f"v{i}",
-                data=rng.normal(size=(channels, int(rng.integers(1, 31)))),
+                data=rng.normal(size=(int(rng.integers(1, 31)), dim)),
             )
             for i in range(count)
-        ]
-        aligned, l_max = corpus.align_lengths(originals)
-        assert l_max == max(s.length for s in originals)
-        for before, after in zip(originals, aligned):
-            assert after.length == l_max
-            assert np.array_equal(after.data[:, : before.length], before.data)
-            assert np.all(after.data[:, before.length :] == 0.0)
+        }
+        ids = list(sequences)
+        model = pca.fit(rng.normal(size=(int(rng.integers(2, 31)), dim)), 0.9)
+        aligned, l_max = pipeline.project_videos(model, sequences, ids)
+        # the reference: each video's columns of one transform over the stacked rows
+        lengths = [sequences[vid].frames for vid in ids]
+        projected = pca.transform(model, np.vstack([sequences[vid].data for vid in ids]))
+        assert l_max == max(lengths)
+        for length, before, after in zip(
+            lengths, np.split(projected, np.cumsum(lengths)[:-1], axis=1), aligned
+        ):
+            assert after.shape == (model.channels, l_max)
+            assert np.array_equal(after[:, :length].view(np.int64), before.view(np.int64))
+            assert np.all(after[:, length:] == 0.0)
     assert time.perf_counter() - started < 5.0
 
 

@@ -102,7 +102,7 @@ def test_flow_command_writes_descriptors(tmp_path, capsys):
     assert code == 0
     assert "wrote 2 descriptors of dimension 28" in out
     seq = corpus.read_sequence(out_path)
-    assert seq.data.shape == (2, flow.descriptor_length(2, 4))
+    assert seq.data.shape == (2, oracles.descriptor_width(2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,9 @@ def test_stage_chain_round_trips(tmp_path, capsys):
     assert code == 0
     model = pca.load_model(pca_path)
     source = corpus.read_sequence(os.path.join(str(tmp_path / "corpus"), first.path))
-    series = pca.transform(model, source)
+    series = pca.transform(model, source.data)
     back = corpus.read_sequence(projected_path)
-    assert np.array_equal(back.data, series.data.T.astype(np.float32))
+    assert np.array_equal(back.data, series.T.astype(np.float32))
 
     code, out, _ = _run(capsys, "train", "--manifest", manifest_path, "--pca", pca_path,
                         "--out", cnn_path, "--cnn.architecture", str(arch_path),
@@ -204,11 +204,36 @@ def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
     spec, state = cnn.load_model(cnn_path)
     ids = manifest.video_ids()
     per_video = np.stack([
-        oracles.align_to_length(pca.transform(model, sequences[vid]).data, length)
+        oracles.align_to_length(pca.transform(model, sequences[vid].data), length)
         for vid in ids
     ])
     _, _, features = cli.read_features_csv(features_path)
     assert np.abs(features - cnn.extract_features(spec, state, per_video)).max() <= 1e-12
+
+
+def test_an_overflowing_projection_exits_2_with_one_error_line(tmp_path, capsys):
+    # load_model accepts any finite components; these overflow float64 in
+    # every product, and a warning would be an error here
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    first = corpus.load_manifest(manifest_path).entries[0]
+    pca_path = str(tmp_path / "model.pca")
+    cnn_path = str(tmp_path / "model.cnn")
+    pca.save_model(pca.PcaModel(mean=np.full(3, -10.0), eigenvalues=np.zeros(3),
+                                components=np.full((1, 3), 1e308), pov_achieved=1.0), pca_path)
+    spec = cnn.NetworkSpec(input_channels=1, input_length=20,
+                           layers=cnn.parse_architecture(MINI_ARCH))
+    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+    calls = {
+        "project": ["--model", pca_path, "--input", str(tmp_path / "corpus" / first.path)],
+        "extract": ["--manifest", manifest_path, "--pca", pca_path, "--cnn", cnn_path],
+    }
+    for command, argv in calls.items():
+        out_path = tmp_path / f"{command}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, command, *argv, "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: projected values must be finite\n")
+        assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from motionpipe import corpus
 from motionpipe.errors import DataFormatError
@@ -14,10 +12,6 @@ import oracles
 
 def _seq(video_id, data):
     return corpus.DescriptorSequence(video_id=video_id, data=np.asarray(data))
-
-
-def _series(video_id, data):
-    return corpus.MultiChannelSeries(video_id=video_id, data=np.asarray(data))
 
 
 # ---------------------------------------------------------------------------
@@ -90,49 +84,6 @@ def test_sequence_validation():
         _seq("v", np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError, match="T x n"):
         _seq("v", np.zeros(5))
-
-
-# ---------------------------------------------------------------------------
-# Length alignment
-# ---------------------------------------------------------------------------
-
-def test_align_lengths_pads_with_trailing_zeros():
-    a = _series("a", np.arange(6.0).reshape(2, 3))
-    b = _series("b", np.arange(10.0).reshape(2, 5))
-    aligned, l_max = corpus.align_lengths([a, b])
-    assert l_max == 5
-    assert all(s.length == 5 for s in aligned)
-    assert np.array_equal(aligned[0].data[:, :3], a.data)
-    assert np.all(aligned[0].data[:, 3:] == 0.0)
-    assert aligned[1] is b  # already at max length, untouched
-
-
-def test_align_lengths_rejects_mixed_channels():
-    a = _series("a", np.zeros((2, 3)))
-    b = _series("b", np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="channel counts"):
-        corpus.align_lengths([a, b])
-    with pytest.raises(ValueError, match="empty"):
-        corpus.align_lengths([])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    channels=st.integers(1, 4),
-    lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_align_lengths_property(channels, lengths, seed):
-    rng = np.random.default_rng(seed)
-    series = [
-        _series(f"v{i}", rng.normal(size=(channels, n))) for i, n in enumerate(lengths)
-    ]
-    aligned, l_max = corpus.align_lengths(series)
-    assert l_max == max(lengths)
-    for before, after in zip(series, aligned):
-        assert after.length == l_max
-        assert np.array_equal(after.data[:, : before.length], before.data)
-        assert np.all(after.data[:, before.length :] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_stacked_descriptors_equal_per_field_descriptors(depth):
     u[depth // 2] = 0.0
     v[depth // 2] = 0.0
     rows = flow.describe_flows(u, v, grid=4, bins=8)
-    assert rows.shape == (depth, flow.descriptor_length(4, 8))
+    assert rows.shape == (depth, oracles.descriptor_width(4, 8))
     for row, fu, fv in zip(rows, u, v):
         assert np.array_equal(row, _field_descriptor(fu, fv, grid=4, bins=8))
 
@@ -284,7 +284,7 @@ def test_descriptor_properties(depth, h, w, grid, bins, seed):
     u = rng.normal(size=(depth, h, w))
     v = rng.normal(size=(depth, h, w))
     rows = flow.describe_flows(u, v, grid=grid, bins=bins)
-    assert rows.shape == (depth, flow.descriptor_length(grid, bins))
+    assert rows.shape == (depth, oracles.descriptor_width(grid, bins))
     for d in rows:
         assert np.all(np.isfinite(d))
         assert d.min() >= 0.0

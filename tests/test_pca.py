@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motionpipe import corpus, pca
+from motionpipe import pca
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 
@@ -102,22 +102,33 @@ def test_transform_layout_and_round_trip():
     rng = np.random.default_rng(5)
     x = _random_spd_samples(rng, 300, 6)
     model = pca.fit(x, pov_threshold=1.0)  # keep all channels: lossless
-    seq = corpus.DescriptorSequence(video_id="v", data=rng.normal(size=(20, 6)))
-    series = pca.transform(model, seq)
-    assert series.video_id == "v"
-    assert series.data.shape == (6, 20)
-    expected = (seq.data.astype(np.float64) - model.mean) @ model.components.T
-    assert np.allclose(series.data, expected.T)
-    back = series.data.T @ model.components + model.mean
-    assert np.allclose(back, seq.data.astype(np.float64), atol=1e-10)
+    rows = rng.normal(size=(20, 6)).astype(np.float32)
+    series = pca.transform(model, rows)
+    assert series.dtype == np.float64
+    assert series.shape == (6, 20)
+    expected = (rows.astype(np.float64) - model.mean) @ model.components.T
+    assert np.allclose(series, expected.T)
+    back = series.T @ model.components + model.mean
+    assert np.allclose(back, rows.astype(np.float64), atol=1e-10)
 
 
 def test_transform_dimension_checks():
     rng = np.random.default_rng(6)
     model = pca.fit(rng.normal(size=(50, 4)), pov_threshold=1.0)
-    seq = corpus.DescriptorSequence(video_id="v", data=np.zeros((3, 5)))
     with pytest.raises(ValueError, match="dim"):
-        pca.transform(model, seq)
+        pca.transform(model, np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="dim"):
+        pca.transform(model, np.zeros(4))
+
+
+def test_transform_overflow_is_an_error_without_a_warning():
+    # load_model accepts any finite components, so a product can overflow
+    model = pca.PcaModel(mean=np.zeros(3), eigenvalues=np.array([1.0, 0.0, 0.0]),
+                         components=np.full((1, 3), 1e308), pov_achieved=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            pca.transform(model, np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
+import oracles
 from test_workers import record_forks, usable_cpus
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
@@ -265,7 +268,7 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
     seq = pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=30, grid=2, bins=4)
 
     assert seq.video_id == "clip"
-    assert seq.data.shape == (2, flow.descriptor_length(2, 4))
+    assert seq.data.shape == (2, oracles.descriptor_width(2, 4))
     frames = [flow.read_pgm(frame_dir / f"f{i}.pgm") for i in (0, 2, 1)]
     frames.sort(key=lambda fr: fr.intensity[4, 3:].argmin())  # back to f0,f1,f2
     for row, (prev, curr) in zip(seq.data, zip(frames, frames[1:])):
@@ -304,12 +307,50 @@ def test_project_videos_matches_per_video_transform():
     model = pca.fit(np.vstack([seq.data for seq in sequences]).astype(np.float64), 0.9)
     batch, l_max = pipeline.project_videos(model, by_id, ids)
 
-    aligned, expected_len = corpus.align_lengths([pca.transform(model, by_id[v]) for v in ids])
-    assert l_max == expected_len
+    assert l_max == max(by_id[vid].frames for vid in ids)
     assert batch.shape == (len(ids), model.channels, l_max)
-    for row, series, vid in zip(batch, aligned, ids):
-        assert np.abs(row - series.data).max() <= 1e-12
+    for row, vid in zip(batch, ids):
+        expected = oracles.align_to_length(pca.transform(model, by_id[vid].data), l_max)
+        assert np.abs(row - expected).max() <= 1e-12
         assert not row[:, by_id[vid].frames :].any()  # padding stays exactly zero
+
+
+def test_project_videos_pads_with_trailing_zeros():
+    # the identity basis projects exactly: a video's channels are its rows
+    model = pca.PcaModel(mean=np.zeros(2), eigenvalues=np.array([1.0, 1.0]),
+                         components=np.eye(2), pov_achieved=1.0)
+    a = corpus.DescriptorSequence("a", np.arange(6.0).reshape(3, 2))
+    b = corpus.DescriptorSequence("b", np.arange(10.0).reshape(5, 2))
+    batch, l_max = pipeline.project_videos(model, {"a": a, "b": b}, ["a", "b"])
+    assert l_max == 5
+    assert batch.shape == (2, 2, 5)
+    assert np.array_equal(batch[0, :, :3], a.data.T)
+    assert np.all(batch[0, :, 3:] == 0.0)
+    assert np.array_equal(batch[1], b.data.T)  # already at the longest length
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    channels=st.integers(1, 4),
+    lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_project_videos_pads_the_stacked_projection_with_zeros(dim, channels, lengths, seed):
+    rng = np.random.default_rng(seed)
+    channels = min(channels, dim)
+    model = pca.PcaModel(mean=rng.normal(size=dim), eigenvalues=np.zeros(dim),
+                         components=rng.normal(size=(channels, dim)), pov_achieved=1.0)
+    ids = [f"v{i}" for i in range(len(lengths))]
+    sequences = {vid: corpus.DescriptorSequence(vid, rng.normal(size=(n, dim)))
+                 for vid, n in zip(ids, lengths)}
+    batch, l_max = pipeline.project_videos(model, sequences, ids)
+    assert l_max == max(lengths)
+    assert batch.shape == (len(ids), channels, l_max)
+    stacked = pca.transform(model, np.vstack([sequences[vid].data for vid in ids]))
+    for row, part, n in zip(batch, np.split(stacked, np.cumsum(lengths)[:-1], axis=1), lengths):
+        assert np.array_equal(row[:, :n].view(np.int64), part.view(np.int64))
+        assert np.all(row[:, n:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

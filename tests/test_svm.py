@@ -237,7 +237,7 @@ def test_separable_clusters_dual_matches_qp_oracle():
 
         # the returned machine satisfies the KKT conditions at tol
         decision = svm.decision_values(model, feats)[:, model.labels.index(cls)]
-        viol = oracles.kkt_violation(alpha, y, decision - y, machine.c_box, 1e-3)
+        viol = oracles.kkt_violation(alpha, y, decision - y, 10.0, 1e-3)
         assert viol.max() <= 1e-3
 
 
@@ -368,9 +368,7 @@ def test_decision_values_do_not_depend_on_the_row_count(seed, tmp_path):
 
 def test_prediction_ties_take_first_sorted_label():
     empty = np.array([], dtype=np.int64)
-    machine = svm.BinarySvm(
-        support_indices=empty, coefficients=np.array([]), bias=0.5, c_box=1.0
-    )
+    machine = svm.BinarySvm(support_indices=empty, coefficients=np.array([]), bias=0.5)
     model = svm.SvmModel(
         labels=("a", "b"),
         machines=(machine, machine),
