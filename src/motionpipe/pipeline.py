@@ -3,12 +3,15 @@
 Each fold fits every model on its training videos only, predicts the
 held-out ones, and leaves its artifacts under the output directory: the
 exchange formats (.pca/.cnn/.svm) for interoperability, plus the stage
-outputs a rerun needs (model.cnn.npz: every fold video's CNN features
-and the epoch losses; model.svm.npz: the test predictions as label
-indices).  A cached rerun reads those outputs instead of rebuilding the
-network or the SVM, so it reproduces a cold run bit for bit.  Stage
-caching is keyed by content hashes that chain upstream, so changing any
-input invalidates everything below it.
+outputs a rerun needs (model.cnn.arrays: every fold video's CNN features
+and the epoch losses; model.svm.arrays: the test predictions as label
+indices).  Those are ARR1 files, which one writer and one reader handle:
+named little-endian float64 or int64 arrays, read back as views of the
+file's bytes once every declared size has been checked against them.  A
+cached rerun reads those outputs instead of rebuilding the network or
+the SVM, so it reproduces a cold run bit for bit.  Stage caching is
+keyed by content hashes that chain upstream, so changing any input
+invalidates everything below it.
 
 A run plans every key and whether it hits once, up front.  Folds whose
 stages all hit, and so a fully warm run, stay in this process; the frame
@@ -33,7 +36,9 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
+import struct
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -386,23 +391,81 @@ def _cached(planned: _Planned, load, fit):
     return value
 
 
-def _load_arrays(path, **expected) -> dict:
-    """The arrays of an .npz stage output, checked as ``name=(dtype kinds, shape)``.
+_ARRAYS_MAGIC = b"ARR1"
+_KINDS = {"f": b"<f8", "i": b"<i8"}  # numpy dtype kind -> the stored kind
+_MAX_NDIM = 32  # numpy's own limit before 2.0
 
-    A ``None`` in a shape matches any size.
+
+def _write_arrays(path, **arrays) -> None:
+    """Write a stage output: magic, u32 count, then per array a u32 name
+    length, the UTF-8 name, its kind (``<f8`` or ``<i8``), u32 ndim, a u32 per
+    dimension and the little-endian payload."""
+    parts = [_ARRAYS_MAGIC, struct.pack("<I", len(arrays))]
+    for name, array in arrays.items():
+        kind = _KINDS[array.dtype.kind]
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, kind,
+                  struct.pack(f"<{1 + array.ndim}I", array.ndim, *array.shape),
+                  np.ascontiguousarray(array, dtype=kind.decode()).tobytes()]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
+
+
+def _load_arrays(path, **expected) -> dict:
+    """The arrays of a stage output, checked as ``name=(dtype kinds, shape)``.
+
+    A ``None`` in a shape matches any size.  Every size the file declares is
+    checked against the bytes left before any array is built, and the arrays
+    are read-only views of the file's bytes, so a bad file allocates no more
+    than itself.
     """
-    arrays = {}
-    with np.load(path) as data:
-        for name, (kinds, shape) in expected.items():
-            if name not in data.files:
-                raise DataFormatError(f"{path}: no array {name!r}")
-            array = data[name]
-            if (array.dtype.kind not in kinds or array.ndim != len(shape)
-                    or any(want not in (None, got) for want, got in zip(shape, array.shape))):
-                raise DataFormatError(
-                    f"{path}: array {name!r} is {array.dtype} {array.shape}, expected {shape}"
-                )
-            arrays[name] = array
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != _ARRAYS_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
+    off = 4
+
+    def take(size):
+        nonlocal off
+        if len(blob) - off < size:
+            raise DataFormatError(f"{path}: truncated at byte {off}")
+        off += size
+        return off - size
+
+    (count,) = struct.unpack_from("<I", blob, take(4))
+    layout = {}  # name -> (kind, shape, payload offset)
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, take(4))
+        at = take(name_len + 3)
+        try:
+            name = blob[at : at + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: array name is not UTF-8") from exc
+        kind = blob[at + name_len : at + name_len + 3]
+        if kind not in _KINDS.values():
+            raise DataFormatError(f"{path}: array {name!r} has unknown kind {kind!r}")
+        if name in layout:
+            raise DataFormatError(f"{path}: duplicate array {name!r}")
+        (ndim,) = struct.unpack_from("<I", blob, take(4))
+        if ndim > _MAX_NDIM:
+            raise DataFormatError(f"{path}: array {name!r} has {ndim} dimensions")
+        shape = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim))
+        layout[name] = (kind.decode(), shape, take(8 * math.prod(shape)))
+    if off != len(blob):
+        raise DataFormatError(f"{path}: trailing bytes")
+    arrays = {
+        name: np.frombuffer(blob, dtype=kind, count=math.prod(shape), offset=at).reshape(shape)
+        for name, (kind, shape, at) in layout.items()
+    }
+    for name, (kinds, shape) in expected.items():
+        if name not in arrays:
+            raise DataFormatError(f"{path}: no array {name!r}")
+        array = arrays[name]
+        if (array.dtype.kind not in kinds or array.ndim != len(shape)
+                or any(want not in (None, got) for want, got in zip(shape, array.shape))):
+            raise DataFormatError(
+                f"{path}: array {name!r} is {array.dtype} {array.shape}, expected {shape}"
+            )
     return arrays
 
 
@@ -574,8 +637,8 @@ def _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text) -> _Fo
     return _FoldPlan(
         directory=fold_dir, train_cfg=train_cfg, l_max=l_max,
         pca=_plan(pca_key, pca_path),
-        cnn=_plan(cnn_key, cnn_path, cnn_path + ".npz"),
-        svm=_plan(svm_key, svm_path, svm_path + ".npz"),
+        cnn=_plan(cnn_key, cnn_path, cnn_path + ".arrays"),
+        svm=_plan(svm_key, svm_path, svm_path + ".arrays"),
     )
 
 
@@ -616,7 +679,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                 [label_index[manifest.entry(vid).label] for vid in train_ids], plan.train_cfg,
             )
             features = cnn.extract_features(spec, state, batch)
-            np.savez(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
+            _write_arrays(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
             return features, losses
 
         def load_cnn():
@@ -643,7 +706,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                 [label_index[label] for label in svm.predict_batch(model, features[n_train:])],
                 dtype=np.int64,
             )
-            np.savez(svm_out, predicted=predicted)
+            _write_arrays(svm_out, predicted=predicted)
             return predicted
 
         def load_svm():

@@ -424,8 +424,8 @@ def test_stage_commands_write_what_run_writes(tmp_path, capsys):
             assert code == 0, err
             assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
 
-            with np.load(fold_dir / "model.cnn.npz") as arrays:
-                features = arrays["features"][: len(fold.train_ids)]
+            features = pipeline._load_arrays(fold_dir / "model.cnn.arrays")["features"]
+            features = features[: len(fold.train_ids)]
             features_path = tmp_path / f"{name}{fold_index}.csv"
             cli.write_features_csv(str(features_path), [
                 (vid, manifest.entry(vid).label, vec)

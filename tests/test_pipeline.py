@@ -379,7 +379,7 @@ def test_run_pipeline_writes_consistent_reports(mini_run):
         fold_dir = os.path.join(out, f"fold_{i:03d}")
         for name in ("model.pca", "model.cnn", "model.svm",
                      "model.pca.key", "model.cnn.key", "model.svm.key",
-                     "model.cnn.npz", "model.svm.npz"):
+                     "model.cnn.arrays", "model.svm.arrays"):
             assert os.path.exists(os.path.join(fold_dir, name)), name
 
 
@@ -437,6 +437,37 @@ def test_warm_rerun_reads_no_pca_model(mini_run, tmp_path, monkeypatch):
     monkeypatch.setattr(pca, "load_model", lambda path: loads.append(path))
     pipeline.run_pipeline(config)
     assert loads == []
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_warm_run_reads_no_npz_archive(mini_run, tmp_path, monkeypatch, capsys):
+    config = _copy_run(mini_run, tmp_path)
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("np.load called")
+
+    monkeypatch.setattr(np, "load", no_load)
+    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
+        capsys.readouterr().err
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp_path,
+                                                                  audit_log, capsys):
+    """An output directory from before ARR1 reruns: its CNN and SVM stages miss, PCA hits."""
+    config = _copy_run(mini_run, tmp_path)
+    folds = sorted((tmp_path / "out").glob("fold_*"))
+    for fold_dir in folds:
+        for stage in ("cnn", "svm"):
+            current = fold_dir / f"model.{stage}.arrays"
+            np.savez(fold_dir / f"model.{stage}.npz", **pipeline._load_arrays(current))
+            current.unlink()
+    audit_log.clear()
+    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
+        capsys.readouterr().err
+    assert sorted((stage, fold) for stage, fold, _ in audit_log) == sorted(
+        (stage, fold) for fold in range(len(folds)) for stage in ("cnn", "gamma", "svm")
+    )
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
@@ -539,8 +570,9 @@ def test_held_out_length_does_not_shape_training(tmp_path):
         manifest_path = corpus.save_corpus(manifest, lengthened, tmp_path / f"corpus{extra}")
         config = _mini_config(manifest_path, tmp_path / f"out{extra}", arch_path)
         pipeline.run_pipeline(config)
-        with np.load(os.path.join(config.output_dir, "fold_000", "model.cnn.npz")) as data:
-            outputs.append((data["loss"], data["features"][:-1]))
+        data = pipeline._load_arrays(os.path.join(config.output_dir, "fold_000",
+                                                  "model.cnn.arrays"))
+        outputs.append((data["loss"], data["features"][:-1]))
     (loss, train_rows), (loss_long, train_rows_long) = outputs
     assert np.array_equal(loss, loss_long)
     assert np.array_equal(train_rows, train_rows_long)
@@ -857,14 +889,23 @@ def test_stage_error_survives_pickling(cause):
 
 @pytest.mark.parametrize("name, arrays, message", [
     # a CNN cache in the older format (network weights, no features)
-    ("model.cnn.npz", {"loss": np.ones(6)}, "no array 'features'"),
-    ("model.cnn.npz", {"features": np.ones((3, 8)), "loss": np.ones(6)}, "array 'features'"),
-    ("model.svm.npz", {"predicted": np.array([0.0])}, "array 'predicted'"),
-    ("model.svm.npz", {"predicted": np.array([-1])}, "not label indices"),
+    ("model.cnn.arrays", {"loss": np.ones(6)}, "no array 'features'"),
+    ("model.cnn.arrays", {"features": np.ones((3, 8)), "loss": np.ones(6)}, "array 'features'"),
+    ("model.svm.arrays", {"predicted": np.array([0.0])}, "array 'predicted'"),
+    ("model.svm.arrays", {"predicted": np.array([-1])}, "not label indices"),
+    # the written output's bytes, edited: an .npz archive's magic, and a cut-off file
+    pytest.param("model.cnn.arrays", lambda blob: b"PK\x03\x04" + blob[4:], "bad magic",
+                 id="model.cnn.arrays-npz-magic"),
+    pytest.param("model.svm.arrays", lambda blob: blob[:-1], "truncated",
+                 id="model.svm.arrays-cut-short"),
 ])
 def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arrays, message):
     config = _copy_run(mini_run, tmp_path)
-    np.savez(os.path.join(config.output_dir, "fold_000", name), **arrays)
+    path = tmp_path / "out" / "fold_000" / name
+    if callable(arrays):
+        path.write_bytes(arrays(path.read_bytes()))
+    else:
+        pipeline._write_arrays(path, **arrays)
     with pytest.raises(StageError) as info:
         pipeline.run_pipeline(config)
     assert (info.value.stage, info.value.fold) == (name.split(".")[1], 0)
@@ -875,18 +916,36 @@ def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arr
     assert message in capsys.readouterr().err
 
 
-def _crash_after_svm_writes(config, monkeypatch):
-    """Run with other SVM settings, every np.savez raising after its write."""
-    real_savez = np.savez
+def test_stage_output_layout_is_pinned(tmp_path):
+    path = tmp_path / "tiny.arrays"
+    pipeline._write_arrays(path, loss=np.array([1.5]), predicted=np.array([[2], [-1]]))
+    assert path.read_bytes() == (
+        b"ARR1" b"\x02\x00\x00\x00"  # magic, array count
+        b"\x04\x00\x00\x00" b"loss" b"<f8"  # name length, name, kind
+        b"\x01\x00\x00\x00" b"\x01\x00\x00\x00"  # ndim, shape
+        b"\x00\x00\x00\x00\x00\x00\xf8\x3f"  # 1.5
+        b"\x09\x00\x00\x00" b"predicted" b"<i8"
+        b"\x02\x00\x00\x00" b"\x02\x00\x00\x00" b"\x01\x00\x00\x00"
+        b"\x02\x00\x00\x00\x00\x00\x00\x00" b"\xff\xff\xff\xff\xff\xff\xff\xff"  # 2, -1
+    )
+    arrays = pipeline._load_arrays(path)
+    assert list(arrays) == ["loss", "predicted"]
+    assert arrays["loss"].dtype == np.float64 and arrays["loss"].tolist() == [1.5]
+    assert arrays["predicted"].dtype == np.int64 and arrays["predicted"].tolist() == [[2], [-1]]
 
-    def savez_then_crash(*args, **kwargs):
-        real_savez(*args, **kwargs)
+
+def _crash_after_svm_writes(config, monkeypatch):
+    """Run with other SVM settings, every stage-output write raising after it wrote."""
+    real_write = pipeline._write_arrays
+
+    def write_then_crash(*args, **kwargs):
+        real_write(*args, **kwargs)
         raise OSError("interrupted after the write")
 
-    monkeypatch.setattr(np, "savez", savez_then_crash)
+    monkeypatch.setattr(pipeline, "_write_arrays", write_then_crash)
     with pytest.raises(StageError, match="fold 0, stage svm"):
         pipeline.run_pipeline(dataclasses.replace(config, c_box=0.01, gamma=50.0))
-    monkeypatch.setattr(np, "savez", real_savez)
+    monkeypatch.setattr(pipeline, "_write_arrays", real_write)
 
 
 def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):

@@ -1,16 +1,18 @@
 """Fuzzed file readers: any bytes either load or raise DataFormatError.
 
-Covers PGM, PCA1, SVM1, CNN1, FDS1, the JSON manifest and the features CSV.
+Covers PGM, PCA1, SVM1, CNN1, FDS1, the ARR1 stage outputs, the JSON
+manifest and the features CSV.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motionpipe import cli, cnn, corpus, flow, pca, svm
+from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm
 from motionpipe.errors import DataFormatError
 
 FUZZ = settings(
@@ -42,6 +44,8 @@ def valid_files(tmp_path_factory):
         corpus.ManifestEntry("a", "walk", "a.fds", 0),
         corpus.ManifestEntry("b", "run", "b.fds", 1),
     )), root / "manifest.json")
+    pipeline._write_arrays(root / "out.arrays", features=rng.uniform(0, 1, size=(3, 4)),
+                           loss=rng.uniform(0, 1, size=2), predicted=np.array([1, 0, 2]))
     cli.write_features_csv(root / "features.csv", [
         ("a", "walk", rng.uniform(0, 2, size=3)), ("b", "", rng.uniform(0, 2, size=3)),
     ])
@@ -53,6 +57,7 @@ def valid_files(tmp_path_factory):
         "pca": (root / "model.pca").read_bytes(),
         "svm": (root / "model.svm").read_bytes(),
         "cnn": (root / "model.cnn").read_bytes(),
+        "arrays": (root / "out.arrays").read_bytes(),
     }
 
 
@@ -176,6 +181,37 @@ def test_fds1_reader_on_mutated_files(tmp_path, valid_files, data):
     _check_sequence(_loads_or_format_error(
         corpus.read_sequence, tmp_path / "fuzz.fds", _mutate(valid_files["fds"], data)
     ))
+
+
+def _check_arrays(tmp_path, blob):
+    """Load ``blob`` as a stage output; what loads is no larger than the file."""
+    arrays = _loads_or_format_error(pipeline._load_arrays, tmp_path / "fuzz.arrays", blob)
+    if arrays is not None:
+        assert all(a.dtype in (np.float64, np.int64) for a in arrays.values())
+        assert sum(a.nbytes for a in arrays.values()) <= len(blob)
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(pipeline._ARRAYS_MAGIC)))
+def test_stage_output_reader_on_arbitrary_bytes(tmp_path, blob):
+    _check_arrays(tmp_path, blob)
+
+
+@FUZZ
+@given(count=st.integers(0, 3), name=st.binary(max_size=3),
+       kind=st.sampled_from([b"<f8", b"<i8", b"<f4", b"\x00\x00\x00"]),
+       shape=st.lists(st.integers(0, 4) | st.integers(0, 2**32 - 1), max_size=40),
+       payload=st.binary(max_size=64))
+def test_stage_output_reader_on_arbitrary_headers(tmp_path, count, name, kind, shape, payload):
+    header = (pipeline._ARRAYS_MAGIC + struct.pack("<II", count, len(name)) + name + kind
+              + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape))
+    _check_arrays(tmp_path, header + payload)
+
+
+@FUZZ
+@given(data=st.data())
+def test_stage_output_reader_on_mutated_files(tmp_path, valid_files, data):
+    _check_arrays(tmp_path, _mutate(valid_files["arrays"], data))
 
 
 def _check_manifest(manifest):
