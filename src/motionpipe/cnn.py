@@ -17,14 +17,12 @@ model files store parameters as float32.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import arrays
 from .errors import ConvergenceError, DataFormatError
-
-CNN_MAGIC = b"CNN1"
 
 
 # ---------------------------------------------------------------------------
@@ -594,37 +592,20 @@ def default_architecture(num_classes: int) -> tuple[LayerSpec, ...]:
 # ---------------------------------------------------------------------------
 
 def save_model(spec: NetworkSpec, state: NetworkState, path) -> None:
-    """Write CNN1: magic, length-prefixed spec text, then f32 tensors."""
+    """Write the arrays ``spec`` (its text, UTF-8) and ``params`` (each layer's W then b, f32)."""
     spec_text = f"input {spec.input_channels} {spec.input_length}\n" + format_architecture(spec.layers)
-    encoded = spec_text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CNN_MAGIC)
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        for p in state.params:
-            if p is None:
-                continue
-            fh.write(np.ascontiguousarray(p[0]).astype("<f4").tobytes())
-            fh.write(p[1].astype("<f4").tobytes())
+    params = [np.ravel(a) for p in state.params if p is not None for a in p]
+    arrays.write(path, spec=spec_text.encode("utf-8"),
+                 params=np.concatenate(params).astype(np.float32))
 
 
 def load_model(path):
-    """Read a CNN1 file; returns (spec, state) with float64 parameters."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CNN_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise DataFormatError(f"{path}: truncated header")
-    (text_len,) = struct.unpack_from("<I", blob, 4)
-    text_end = 8 + text_len
-    if len(blob) < text_end:
-        raise DataFormatError(f"{path}: truncated spec block")
+    """Read a network file; returns (spec, state) with float64 parameters."""
+    stored = arrays.load(path, spec=("|u1", (None,)), params=("<f4", (None,)))
     try:
-        spec_text = blob[8:text_end].decode("utf-8")
+        lines = stored["spec"].tobytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: spec block is not UTF-8") from exc
-    lines = spec_text.splitlines()
     if not lines or not lines[0].startswith("input "):
         raise DataFormatError(f"{path}: spec block missing input line")
     try:
@@ -637,16 +618,15 @@ def load_model(path):
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed spec block") from exc
 
-    shapes = _param_shapes(spec)
-    need = 4 * sum(_flat_size(shape) for p in shapes if p is not None for shape in p)
-    if len(blob) < text_end + need:
-        raise DataFormatError(f"{path}: truncated parameters")
-    if len(blob) > text_end + need:
-        raise DataFormatError(f"{path}: trailing bytes after parameters")
-    values = np.frombuffer(blob, dtype="<f4", offset=text_end)
+    layer_shapes = _param_shapes(spec)
+    shapes = [shape for p in layer_shapes if p is not None for shape in p]
+    values = stored["params"]
+    need = sum(_flat_size(shape) for shape in shapes)
+    if values.size != need:
+        raise DataFormatError(f"{path}: {values.size} parameters, the spec needs {need}")
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: parameters must be finite")
     # each layer's W then b, layer after layer
-    arrays = iter(_views(values.astype(np.float64), [s for p in shapes if p is not None for s in p]))
-    params = [None if p is None else (next(arrays), next(arrays)) for p in shapes]
+    views = iter(_views(values.astype(np.float64), shapes))
+    params = [None if p is None else (next(views), next(views)) for p in layer_shapes]
     return spec, NetworkState(params=params)

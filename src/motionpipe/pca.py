@@ -8,14 +8,12 @@ the requested proportion of total variance.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import arrays
 from .errors import ConvergenceError, DataFormatError
-
-PCA_MAGIC = b"PCA1"
 
 
 def _normalize_signs(components: np.ndarray) -> np.ndarray:
@@ -125,36 +123,20 @@ def transform(model: PcaModel, rows: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: PcaModel, path) -> None:
-    """Write PCA1: magic, u32 n, u32 m, mean, eigenvalues, components (f64 LE)."""
-    n = model.input_dim
-    m = model.channels
-    with open(path, "wb") as fh:
-        fh.write(PCA_MAGIC)
-        fh.write(struct.pack("<II", n, m))
-        fh.write(model.mean.astype("<f8").tobytes())
-        fh.write(model.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.components).astype("<f8").tobytes())
+    """Write the arrays ``mean``, ``eigenvalues`` and ``components`` (float64)."""
+    arrays.write(path, mean=model.mean, eigenvalues=model.eigenvalues,
+                 components=model.components)
 
 
 def load_model(path) -> PcaModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PCA_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise DataFormatError(f"{path}: truncated header")
-    n, m = struct.unpack_from("<II", blob, 4)
-    if n < 1 or m < 1 or m > n:
-        raise DataFormatError(f"{path}: invalid dimensions n={n}, m={m}")
-    expected = 12 + 8 * (n + n + m * n)
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    off = 12
-    mean = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    eigvals = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    comps = np.frombuffer(blob, dtype="<f8", count=m * n, offset=off).reshape(m, n).copy()
+    stored = arrays.load(path, mean=("<f8", (None,)), eigenvalues=("<f8", (None,)),
+                         components=("<f8", (None, None)))
+    # copies, so that the model does not hold on to the file's bytes
+    mean, eigvals, comps = (stored[name].copy() for name in ("mean", "eigenvalues", "components"))
+    n, m = mean.size, comps.shape[0]
+    if n < 1 or m < 1 or m > n or eigvals.size != n or comps.shape[1] != n:
+        raise DataFormatError(f"{path}: invalid dimensions: mean {mean.shape}, "
+                              f"eigenvalues {eigvals.shape}, components {comps.shape}")
     if not (np.isfinite(mean).all() and np.isfinite(eigvals).all() and np.isfinite(comps).all()):
         raise DataFormatError(f"{path}: model values must be finite")
     if np.any(eigvals < 0.0) or np.any(np.diff(eigvals) > 0.0):

@@ -2,14 +2,12 @@
 
 Each fold fits every model on its training videos only, predicts the
 held-out ones, and leaves its artifacts under the output directory: the
-exchange formats (.pca/.cnn/.svm) for interoperability, plus the stage
+model files (.pca/.cnn/.svm) for interoperability, plus the stage
 outputs a rerun needs (model.cnn.arrays: every fold video's CNN features
 and the epoch losses; model.svm.arrays: the test predictions as label
-indices).  Those are ARR1 files, which one writer and one reader handle:
-named little-endian float64 or int64 arrays, read back as views of the
-file's bytes once every declared size has been checked against them.  A
-cached rerun reads those outputs instead of rebuilding the network or
-the SVM, so it reproduces a cold run bit for bit.  Stage caching is
+indices).  All of them are ``arrays`` (ARR1) files.  A cached rerun
+reads the stage outputs instead of rebuilding the network or the SVM,
+so it reproduces a cold run bit for bit.  Stage caching is
 keyed by content hashes that chain upstream, so changing any input
 invalidates everything below it.
 
@@ -36,16 +34,14 @@ import functools
 import hashlib
 import inspect
 import json
-import math
 import os
-import struct
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import cnn, corpus, flow, pca, svm, workers
+from . import arrays, cnn, corpus, flow, pca, svm, workers
 from .errors import DataFormatError, StageError, WorkerError
 
 # Test hook: when set, called as fit_audit(stage, fold_index, video_ids)
@@ -332,13 +328,15 @@ def project_videos(model: pca.PcaModel, sequences, ids,
 # Stage cache
 # ---------------------------------------------------------------------------
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        data = part if isinstance(part, bytes) else str(part).encode("utf-8")
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
+def _frame(part) -> bytes:
+    """``part`` (bytes, or anything as its UTF-8 ``str``) after its length as 8 LE bytes."""
+    data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+    return len(data).to_bytes(8, "little") + data
+
+
+def _digest(*parts, framed: bytes = b"") -> str:
+    """SHA-256 of the framed ``parts``, then of ``framed``: parts framed already."""
+    return hashlib.sha256(b"".join(map(_frame, parts)) + framed).hexdigest()
 
 
 def _source_digest(path: str) -> str:
@@ -389,84 +387,6 @@ def _cached(planned: _Planned, load, fit):
     with open(key_path, "w", encoding="utf-8") as fh:
         fh.write(planned.key + "\n")
     return value
-
-
-_ARRAYS_MAGIC = b"ARR1"
-_KINDS = {"f": b"<f8", "i": b"<i8"}  # numpy dtype kind -> the stored kind
-_MAX_NDIM = 32  # numpy's own limit before 2.0
-
-
-def _write_arrays(path, **arrays) -> None:
-    """Write a stage output: magic, u32 count, then per array a u32 name
-    length, the UTF-8 name, its kind (``<f8`` or ``<i8``), u32 ndim, a u32 per
-    dimension and the little-endian payload."""
-    parts = [_ARRAYS_MAGIC, struct.pack("<I", len(arrays))]
-    for name, array in arrays.items():
-        kind = _KINDS[array.dtype.kind]
-        encoded = name.encode("utf-8")
-        parts += [struct.pack("<I", len(encoded)), encoded, kind,
-                  struct.pack(f"<{1 + array.ndim}I", array.ndim, *array.shape),
-                  np.ascontiguousarray(array, dtype=kind.decode()).tobytes()]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def _load_arrays(path, **expected) -> dict:
-    """The arrays of a stage output, checked as ``name=(dtype kinds, shape)``.
-
-    A ``None`` in a shape matches any size.  Every size the file declares is
-    checked against the bytes left before any array is built, and the arrays
-    are read-only views of the file's bytes, so a bad file allocates no more
-    than itself.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _ARRAYS_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    off = 4
-
-    def take(size):
-        nonlocal off
-        if len(blob) - off < size:
-            raise DataFormatError(f"{path}: truncated at byte {off}")
-        off += size
-        return off - size
-
-    (count,) = struct.unpack_from("<I", blob, take(4))
-    layout = {}  # name -> (kind, shape, payload offset)
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, take(4))
-        at = take(name_len + 3)
-        try:
-            name = blob[at : at + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: array name is not UTF-8") from exc
-        kind = blob[at + name_len : at + name_len + 3]
-        if kind not in _KINDS.values():
-            raise DataFormatError(f"{path}: array {name!r} has unknown kind {kind!r}")
-        if name in layout:
-            raise DataFormatError(f"{path}: duplicate array {name!r}")
-        (ndim,) = struct.unpack_from("<I", blob, take(4))
-        if ndim > _MAX_NDIM:
-            raise DataFormatError(f"{path}: array {name!r} has {ndim} dimensions")
-        shape = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim))
-        layout[name] = (kind.decode(), shape, take(8 * math.prod(shape)))
-    if off != len(blob):
-        raise DataFormatError(f"{path}: trailing bytes")
-    arrays = {
-        name: np.frombuffer(blob, dtype=kind, count=math.prod(shape), offset=at).reshape(shape)
-        for name, (kind, shape, at) in layout.items()
-    }
-    for name, (kinds, shape) in expected.items():
-        if name not in arrays:
-            raise DataFormatError(f"{path}: no array {name!r}")
-        array = arrays[name]
-        if (array.dtype.kind not in kinds or array.ndim != len(shape)
-                or any(want not in (None, got) for want, got in zip(shape, array.shape))):
-            raise DataFormatError(
-                f"{path}: array {name!r} is {array.dtype} {array.shape}, expected {shape}"
-            )
-    return arrays
 
 
 @contextlib.contextmanager
@@ -616,18 +536,22 @@ class _FoldPlan:
         return self.pca.hit and self.cnn.hit and self.svm.hit
 
 
-def _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text) -> _FoldPlan:
-    """Every stage's cache key for one fold, each chained to the one upstream."""
+def _plan_fold(config, fold_index, fold, sequences, video_parts, arch_text) -> _FoldPlan:
+    """Every stage's cache key for one fold, each chained to the one upstream.
+
+    ``video_parts`` holds each video's ``video:descriptor key``, framed.  The
+    PCA key names the container its model is written in, so a directory of
+    models in another format refits every stage.
+    """
     fold_dir = os.path.join(config.output_dir, f"fold_{fold_index:03d}")
     train_ids = sorted(fold.train_ids)
-    pca_key = _digest(
-        "pca", repr(config.pov_threshold), *[f"{vid}:{desc_keys[vid]}" for vid in train_ids],
-    )
+    pca_key = _digest("pca", arrays.MAGIC, repr(config.pov_threshold),
+                      framed=b"".join(video_parts[vid] for vid in train_ids))
     train_cfg = train_config(config, config.seed ^ fold_index)
     l_max = max(sequences[vid].frames for vid in train_ids)
     cnn_key = _digest(
         "cnn-features", pca_key, arch_text, repr(train_cfg), str(l_max), ",".join(train_ids),
-        *[f"{vid}:{desc_keys[vid]}" for vid in sorted(fold.train_ids + fold.test_ids)],
+        framed=b"".join(video_parts[vid] for vid in sorted(fold.train_ids + fold.test_ids)),
     )
     svm_key = _digest("svm-predictions", cnn_key,
                       json.dumps(_section(config, "svm"), sort_keys=True))
@@ -679,14 +603,14 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                 [label_index[manifest.entry(vid).label] for vid in train_ids], plan.train_cfg,
             )
             features = cnn.extract_features(spec, state, batch)
-            _write_arrays(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
+            arrays.write(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
             return features, losses
 
         def load_cnn():
-            arrays = _load_arrays(
-                cnn_out, features=("f", (len(fold_ids), None)), loss=("f", (config.epochs,))
+            stored = arrays.load(
+                cnn_out, features=("<f8", (len(fold_ids), None)), loss=("<f8", (config.epochs,))
             )
-            return arrays["features"], [float(x) for x in arrays["loss"]]
+            return stored["features"], [float(x) for x in stored["loss"]]
 
         features, loss_history = _cached(plan.cnn, load_cnn, fit_cnn)
 
@@ -706,11 +630,11 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                 [label_index[label] for label in svm.predict_batch(model, features[n_train:])],
                 dtype=np.int64,
             )
-            _write_arrays(svm_out, predicted=predicted)
+            arrays.write(svm_out, predicted=predicted)
             return predicted
 
         def load_svm():
-            predicted = _load_arrays(svm_out, predicted=("iu", (len(test_ids),)))["predicted"]
+            predicted = arrays.load(svm_out, predicted=("<i8", (len(test_ids),)))["predicted"]
             if np.any(predicted < 0) or np.any(predicted >= len(labels)):
                 raise DataFormatError(f"{svm_out}: predictions are not label indices")
             return predicted
@@ -741,9 +665,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         os.makedirs(config.output_dir, exist_ok=True)
 
         # every key is computed once, here; only the folds that miss may be forked
+        video_parts = {vid: _frame(f"{vid}:{key}") for vid, key in desc_keys.items()}
         tasks, misses = {}, {}
         for fold_index, fold in enumerate(plan.folds):
-            fold_plan = _plan_fold(config, fold_index, fold, sequences, desc_keys, arch_text)
+            fold_plan = _plan_fold(config, fold_index, fold, sequences, video_parts, arch_text)
             tasks[fold_index] = functools.partial(
                 _run_fold, config, fold_index, fold, manifest, sequences, arch_text, fold_plan
             )
@@ -777,8 +702,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 def _put(output_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(output_dir, name), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write a report, unless it holds ``text`` already, as after a warm rerun:
+    replacing a file costs more than reading it."""
+    path, data = os.path.join(output_dir, name), text.encode("utf-8")
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as fh:
+        if fh.read() == data:
+            return
+    arrays.write_file(path, data)
 
 
 def write_confusion(output_dir: str, confusion: ConfusionMatrix) -> None:

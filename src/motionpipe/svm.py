@@ -17,15 +17,12 @@ is the serial computation, so the model is the serial model bit for bit.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
+from . import arrays, workers
 from .errors import ConvergenceError, DataFormatError
-
-SVM_MAGIC = b"SVM1"
 
 DEFAULT_C_BOX = 10.0
 DEFAULT_TOL = 1e-3
@@ -427,85 +424,68 @@ def predict_batch(model: SvmModel, features) -> list:
 # ---------------------------------------------------------------------------
 
 def save_model(model: SvmModel, path) -> None:
-    """Write SVM1: header, then per class the supports, coefficients, bias."""
-    with open(path, "wb") as fh:
-        fh.write(SVM_MAGIC)
-        fh.write(struct.pack("<II", len(model.labels), model.feature_dim))
-        fh.write(struct.pack("<dd", model.params.gamma, model.params.epsilon_denominator))
-        for label, machine in zip(model.labels, model.machines):
-            encoded = str(label).encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            sv = model.features[machine.support_indices]
-            fh.write(struct.pack("<I", sv.shape[0]))
-            fh.write(np.ascontiguousarray(sv).astype("<f4").tobytes())
-            fh.write(machine.coefficients.astype("<f8").tobytes())
-            fh.write(struct.pack("<d", machine.bias))
+    """Write the model as arrays: ``labels`` (UTF-8, one a line), ``kernel`` (gamma,
+    epsilon), ``vectors`` (each distinct support vector once, as float32), and per
+    machine in label order its support ``counts``, ``support`` rows of ``vectors``,
+    ``coefficients`` and ``biases``."""
+    labels = [str(label) for label in model.labels]
+    if any("\n" in label for label in labels):
+        raise ValueError("class labels must not contain a line break")
+    single = model.features.astype(np.float32)
+    rows: dict = {}  # float32 bytes of each distinct support vector -> (its row, a feature row)
+    support = [rows.setdefault(single[i].tobytes(), (len(rows), i))[0]
+               for machine in model.machines for i in machine.support_indices]
+    arrays.write(
+        path, labels="\n".join(labels).encode("utf-8"),
+        kernel=np.array([model.params.gamma, model.params.epsilon_denominator]),
+        vectors=single[[i for _, i in rows.values()]],
+        counts=np.array([m.support_indices.size for m in model.machines], dtype=np.int64),
+        support=np.array(support, dtype=np.int64),
+        coefficients=np.concatenate([m.coefficients for m in model.machines]),
+        biases=np.array([m.bias for m in model.machines]),
+    )
 
 
 def load_model(path) -> SvmModel:
-    """Read SVM1; support vectors shared by several machines are stored once."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != SVM_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 28:
-        raise DataFormatError(f"{path}: truncated header")
-    n_classes, dim = struct.unpack_from("<II", blob, 4)
-    if n_classes < 2:
-        raise DataFormatError(f"{path}: need at least 2 classes, got {n_classes}")
-    if dim < 1:
-        raise DataFormatError(f"{path}: feature dimension must be at least 1, got {dim}")
-    gamma, eps = struct.unpack_from("<dd", blob, 12)
+    """Read a model; a support vector shared by several machines is stored once."""
+    stored = arrays.load(
+        path, labels=("|u1", (None,)), kernel=("<f8", (2,)), vectors=("<f4", (None, None)),
+        counts=("<i8", (None,)), support=("<i8", (None,)), coefficients=("<f8", (None,)),
+        biases=("<f8", (None,)),
+    )
     try:
-        params = KernelParams(gamma=gamma, epsilon_denominator=eps)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    off = 28
-    labels = []
-    rows: dict = {}  # float32 bytes of each distinct support vector -> its row
-    machines = []
-    for _ in range(n_classes):
-        if len(blob) < off + 4:
-            raise DataFormatError(f"{path}: truncated class block")
-        (label_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if len(blob) < off + label_len + 4:
-            raise DataFormatError(f"{path}: truncated class block")
-        try:
-            labels.append(blob[off : off + label_len].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: class label is not UTF-8") from exc
-        off += label_len
-        (n_sv,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        need = 4 * n_sv * dim + 8 * n_sv + 8
-        if len(blob) < off + need:
-            raise DataFormatError(f"{path}: truncated class block")
-        width = 4 * dim
-        support = np.array(
-            [rows.setdefault(blob[off + r * width : off + (r + 1) * width], len(rows))
-             for r in range(n_sv)],
-            dtype=np.int64,
-        )
-        off += n_sv * width
-        coeffs = np.frombuffer(blob, dtype="<f8", count=n_sv, offset=off).copy()
-        off += 8 * n_sv
-        (bias,) = struct.unpack_from("<d", blob, off)
-        off += 8
-        if not (np.isfinite(coeffs).all() and np.isfinite(bias)):
-            raise DataFormatError(f"{path}: coefficients and bias must be finite")
-        machines.append(BinarySvm(support_indices=support, coefficients=coeffs, bias=bias))
-    if off != len(blob):
-        raise DataFormatError(f"{path}: trailing bytes")
+        labels = stored["labels"].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: class labels are not UTF-8") from exc
+    if len(labels) < 2:
+        raise DataFormatError(f"{path}: need at least 2 classes, got {len(labels)}")
     if len(set(labels)) != len(labels):
         raise DataFormatError(f"{path}: duplicate class labels")
-    features = np.frombuffer(b"".join(rows), dtype="<f4")
-    if not np.all(np.isfinite(features)) or np.any(features < 0):
+    vectors = stored["vectors"]
+    if vectors.shape[1] < 1:
+        raise DataFormatError(f"{path}: feature dimension must be at least 1")
+    try:
+        params = KernelParams(*(float(x) for x in stored["kernel"]))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    counts, biases = stored["counts"], stored["biases"]
+    # copies, so that the machines do not hold on to the file's bytes
+    support, coeffs = stored["support"].copy(), stored["coefficients"].copy()
+    if (counts.size != len(labels) or biases.size != len(labels) or np.any(counts < 0)
+            or np.any(counts > support.size) or counts.sum() != support.size
+            or coeffs.size != support.size):
+        raise DataFormatError(f"{path}: machine sizes do not match {len(labels)} classes "
+                              f"and {support.size} support entries")
+    if np.any(support < 0) or np.any(support >= vectors.shape[0]):
+        raise DataFormatError(f"{path}: support indices must be rows of the support vectors")
+    if not (np.isfinite(coeffs).all() and np.isfinite(biases).all()):
+        raise DataFormatError(f"{path}: coefficients and bias must be finite")
+    if not np.all(np.isfinite(vectors)) or np.any(vectors < 0):
         raise DataFormatError(f"{path}: support vectors must be finite and nonnegative")
-    return SvmModel(
-        labels=tuple(labels),
-        machines=tuple(machines),
-        features=features.astype(np.float64).reshape(len(rows), dim),
-        params=params,
+    ends = np.cumsum(counts)[:-1]
+    machines = tuple(
+        BinarySvm(support_indices=indices, coefficients=c, bias=float(b))
+        for indices, c, b in zip(np.split(support, ends), np.split(coeffs, ends), biases)
     )
+    return SvmModel(labels=tuple(labels), machines=machines,
+                    features=vectors.astype(np.float64), params=params)

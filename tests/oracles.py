@@ -4,6 +4,9 @@ Everything here is deliberately naive: explicit loops, textbook methods,
 no shared code with the package under test.
 """
 
+import hashlib
+import json
+
 import numpy as np
 
 
@@ -373,3 +376,37 @@ def align_to_length(data, length):
     keep = min(length, data.shape[1])
     out[:, :keep] = data[:, :keep]
     return out
+
+
+def digest_parts(*parts):
+    """SHA-256 of each part's byte length (8 bytes, little-endian) and bytes, a
+    str as UTF-8, hashed one update at a time."""
+    h = hashlib.sha256()
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def fold_stage_keys(descriptors, train_ids, test_ids, pov_threshold, arch_text,
+                    train_settings, svm_settings, container=b"ARR1"):
+    """The (PCA, CNN, SVM) cache keys of one fold whose videos are ``.fds`` sources.
+
+    ``descriptors`` maps each video id to its float32 T x n descriptors,
+    ``train_settings`` is the CNN training settings' repr and ``svm_settings``
+    the svm config section.  ``container=None`` gives the keys from before
+    the PCA key named its model's container.
+    """
+    def video(vid):
+        data = descriptors[vid]
+        return f"{vid}:{digest_parts('fds', str(data.shape), data.tobytes())}"
+
+    train = sorted(train_ids)
+    pca = digest_parts("pca", *([container] if container else []), repr(pov_threshold),
+                       *map(video, train))
+    l_max = max(descriptors[vid].shape[0] for vid in train)
+    cnn = digest_parts("cnn-features", pca, arch_text, train_settings, str(l_max),
+                       ",".join(train), *map(video, sorted(list(train_ids) + list(test_ids))))
+    svm = digest_parts("svm-predictions", cnn, json.dumps(svm_settings, sort_keys=True))
+    return pca, cnn, svm

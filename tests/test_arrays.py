@@ -1,0 +1,115 @@
+import ast
+import errno
+import os
+import pathlib
+
+import numpy as np
+import pytest
+
+from motionpipe import arrays, pipeline
+from motionpipe.errors import DataFormatError
+
+
+def test_float32_and_byte_arrays_keep_their_kind(tmp_path):
+    path = tmp_path / "kinds.arrays"
+    arrays.write(path, params=np.array([1.5, -2.0], dtype=np.float32), spec=b"fc 2\n")
+    assert path.read_bytes() == (
+        b"ARR1" b"\x02\x00\x00\x00"
+        b"\x06\x00\x00\x00" b"params" b"<f4" b"\x01\x00\x00\x00" b"\x02\x00\x00\x00"
+        b"\x00\x00\xc0\x3f" b"\x00\x00\x00\xc0"  # 1.5, -2.0
+        b"\x04\x00\x00\x00" b"spec" b"|u1" b"\x01\x00\x00\x00" b"\x05\x00\x00\x00"
+        b"fc 2\n"
+    )
+    stored = arrays.load(path, params=("<f4", (2,)), spec=("|u1", (None,)))
+    assert stored["params"].dtype == np.float32 and stored["params"].tolist() == [1.5, -2.0]
+    assert stored["spec"].tobytes() == b"fc 2\n"
+    with pytest.raises(DataFormatError, match=r"array 'params' is <f4 \(2,\), expected <f8"):
+        arrays.load(path, params=("<f8", (2,)))
+
+
+def test_an_empty_array_too_large_for_numpy_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.arrays"
+    arrays.write(path, empty=np.zeros((0, 1, 1, 1)))
+    blob = bytearray(path.read_bytes())
+    blob[-12:] = np.array([2**31] * 3, dtype="<u4").tobytes()  # (0, 2**31, 2**31, 2**31)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="too large"):
+        arrays.load(path)
+
+
+class _FullDisk:
+    """A file that takes the first bytes it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:3])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+_WRITES = {
+    "arrays.write": lambda path: arrays.write(path, loss=np.arange(5.0)),
+    "pipeline._put": lambda path: pipeline._put(str(path.parent), path.name, "fold,accuracy\n"),
+}
+
+
+@pytest.mark.parametrize("write", _WRITES.values(), ids=_WRITES.keys())
+def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, write):
+    path = tmp_path / "target"
+    path.write_bytes(b"previous bytes")
+    real_open = open
+    monkeypatch.setattr(arrays, "open", lambda *args: _FullDisk(real_open(*args)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    assert path.read_bytes() == b"previous bytes"
+    assert os.listdir(tmp_path) == ["target"]
+
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() != b"previous bytes"
+    assert os.listdir(tmp_path) == ["target"]
+
+
+def test_a_report_that_holds_its_text_already_is_left_as_it_is(tmp_path):
+    pipeline._put(str(tmp_path), "accuracy.csv", "fold,accuracy\n")
+    inode = os.stat(tmp_path / "accuracy.csv").st_ino
+    pipeline._put(str(tmp_path), "accuracy.csv", "fold,accuracy\n")
+    assert os.stat(tmp_path / "accuracy.csv").st_ino == inode
+    pipeline._put(str(tmp_path), "accuracy.csv", "overall,1.0\n")
+    assert (tmp_path / "accuracy.csv").read_bytes() == b"overall,1.0\n"
+
+
+# The readers that may parse file bytes themselves: every other reader goes through arrays.load.
+_BYTE_READERS = {("arrays", None), ("flow", "read_pgm"), ("corpus", "read_sequence")}
+
+
+def _byte_parsing_calls(tree):
+    """(top-level definition or None, call) of each np.frombuffer or struct.unpack_from
+    call in ``tree`` that reads a buffer other than anonymous memory, ``mmap.mmap(-1, ...)``."""
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("frombuffer", "unpack_from")):
+                continue
+            buffer = call.args[0] if call.args else None
+            if (isinstance(buffer, ast.Call) and ast.unparse(buffer.func) == "mmap.mmap"
+                    and buffer.args and ast.unparse(buffer.args[0]) == "-1"):
+                continue
+            yield owner, ast.unparse(call)
+
+
+def test_only_the_listed_readers_parse_file_bytes():
+    found = []
+    for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py")):
+        for owner, call in _byte_parsing_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.stem, None) not in _BYTE_READERS and (path.stem, owner) not in _BYTE_READERS:
+                found.append(f"{path.stem}.{owner}: {call}")
+    assert found == []

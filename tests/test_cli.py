@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
+from motionpipe import arrays, cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
@@ -236,6 +236,47 @@ def test_an_overflowing_projection_exits_2_with_one_error_line(tmp_path, capsys)
         assert not out_path.exists()
 
 
+def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, capsys):
+    """PCA1, CNN1 and SVM1 files, the formats before ARR1 model files, are bad magic."""
+    manifest_path = _synth(capsys, tmp_path / "corpus")
+    fds_path = str(tmp_path / "corpus" / corpus.load_manifest(manifest_path).entries[0].path)
+    pca_path, cnn_path = str(tmp_path / "model.pca"), str(tmp_path / "model.cnn")
+    model = pca.PcaModel(mean=np.zeros(3), eigenvalues=np.array([2.0, 1.0, 0.0]),
+                         components=np.eye(3)[:1], pov_achieved=2 / 3)
+    pca.save_model(model, pca_path)
+    spec_text = "input 1 20\n" + MINI_ARCH
+    spec = cnn.NetworkSpec(input_channels=1, input_length=20,
+                           layers=cnn.parse_architecture(MINI_ARCH))
+    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+    features_path = str(tmp_path / "features.csv")
+    cli.write_features_csv(features_path, [("a", "x", [1.0]), ("b", "y", [2.0])])
+    old = {
+        "PCA1": np.array([3, 1], "<u4").tobytes() + model.mean.tobytes()
+        + model.eigenvalues.tobytes() + model.components.tobytes(),
+        "CNN1": np.array([len(spec_text)], "<u4").tobytes() + spec_text.encode()
+        + arrays.load(cnn_path)["params"].tobytes(),
+        "SVM1": np.array([2, 1], "<u4").tobytes() + np.array([0.5, 1e-12]).tobytes()
+        + b"".join(np.array([1], "<u4").tobytes() + label + np.array([0], "<u4").tobytes()
+                   + np.array([0.0]).tobytes() for label in (b"x", b"y")),
+    }
+    for magic, body in old.items():
+        (tmp_path / magic).write_bytes(magic.encode() + body)
+    calls = {
+        "PCA1": [["project", "--model", "{}", "--input", fds_path],
+                 ["extract", "--manifest", manifest_path, "--pca", "{}", "--cnn", cnn_path]],
+        "CNN1": [["extract", "--manifest", manifest_path, "--pca", pca_path, "--cnn", "{}"]],
+        "SVM1": [["predict", "--model", "{}", "--features", features_path]],
+    }
+    for magic, argvs in calls.items():
+        old_path = str(tmp_path / magic)
+        for argv in argvs:
+            out_path = tmp_path / f"{argv[0]}.out"
+            code, out, err = _run(capsys, *[old_path if a == "{}" else a for a in argv],
+                                  "--out", str(out_path))
+            assert (code, out, err) == (2, "", f"error: {old_path}: bad magic {magic.encode()!r}\n")
+            assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # Full protocol
 # ---------------------------------------------------------------------------
@@ -424,7 +465,7 @@ def test_stage_commands_write_what_run_writes(tmp_path, capsys):
             assert code == 0, err
             assert pca_path.read_bytes() == (fold_dir / "model.pca").read_bytes()
 
-            features = pipeline._load_arrays(fold_dir / "model.cnn.arrays")["features"]
+            features = arrays.load(fold_dir / "model.cnn.arrays")["features"]
             features = features[: len(fold.train_ids)]
             features_path = tmp_path / f"{name}{fold_index}.csv"
             cli.write_features_csv(str(features_path), [

@@ -1,11 +1,10 @@
-import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from motionpipe import cnn
+from motionpipe import arrays, cnn
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 import oracles
@@ -508,8 +507,8 @@ def test_model_round_trip_through_f32(tmp_path):
 
 def test_load_model_errors(tmp_path):
     bad = tmp_path / "bad.cnn"
-    bad.write_bytes(b"XXXX" + bytes(8))
-    with pytest.raises(DataFormatError, match="magic"):
+    bad.write_bytes(b"CNN1" + np.array([5], dtype="<u4").tobytes() + b"hello")
+    with pytest.raises(DataFormatError, match="bad magic b'CNN1'"):
         cnn.load_model(bad)
 
     spec = _spec([cnn.FullyConnected(2), cnn.SoftmaxOutput(2)], channels=1, length=3)
@@ -517,10 +516,13 @@ def test_load_model_errors(tmp_path):
     good = tmp_path / "good.cnn"
     cnn.save_model(spec, state, good)
     blob = good.read_bytes()
+    stored = arrays.load(good)
+    assert list(stored) == ["spec", "params"]
+    assert stored["spec"].tobytes() == b"input 1 3\nfc 2\nsoftmax 2\n"
 
     trunc = tmp_path / "trunc.cnn"
     trunc.write_bytes(blob[:-4])
-    with pytest.raises(DataFormatError, match="truncated parameters"):
+    with pytest.raises(DataFormatError, match="truncated"):
         cnn.load_model(trunc)
 
     extra = tmp_path / "extra.cnn"
@@ -528,26 +530,35 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(DataFormatError, match="trailing"):
         cnn.load_model(extra)
 
-    nospec = tmp_path / "nospec.cnn"
-    nospec.write_bytes(b"CNN1" + np.array([5], dtype="<u4").tobytes() + b"hello")
-    with pytest.raises(DataFormatError, match="input line"):
-        cnn.load_model(nospec)
+    for params, message in ((stored["params"][:-1], "13 parameters, the spec needs 14"),
+                            (np.zeros(15, np.float32), "15 parameters, the spec needs 14"),
+                            (stored["params"].astype(np.float64), "array 'params' is <f8")):
+        arrays.write(bad, spec=stored["spec"], params=params)
+        with pytest.raises(DataFormatError, match=message):
+            cnn.load_model(bad)
+
+    for text in (b"hello", b""):
+        arrays.write(bad, spec=text, params=stored["params"])
+        with pytest.raises(DataFormatError, match="input line"):
+            cnn.load_model(bad)
+    arrays.write(bad, spec=b"input 1 3\nfc 2\n", params=stored["params"])
+    with pytest.raises(DataFormatError, match="malformed spec block"):
+        cnn.load_model(bad)
 
 
 def test_load_model_rejects_undecodable_spec_and_nonfinite_parameters(tmp_path):
     spec = _spec([cnn.FullyConnected(2), cnn.SoftmaxOutput(2)], channels=1, length=3)
     good = tmp_path / "good.cnn"
     cnn.save_model(spec, cnn.init_state(spec, 0), good)
-    blob = good.read_bytes()
-    (text_len,) = struct.unpack_from("<I", blob, 4)
+    stored = arrays.load(good)
     cases = [
-        ("not UTF-8", blob[:8] + b"\xff" + blob[9:]),
-        ("must be finite", blob[:-4] + struct.pack("<f", np.nan)),
-        ("must be finite", blob[: 8 + text_len] + struct.pack("<f", np.inf) + blob[12 + text_len :]),
+        ("not UTF-8", {"spec": b"\xff" + stored["spec"].tobytes()[1:]}),
+        ("must be finite", {"params": np.append(stored["params"][:-1], np.float32(np.nan))}),
+        ("must be finite", {"params": np.append(np.float32(np.inf), stored["params"][1:])}),
     ]
-    for message, bad_blob in cases:
+    for message, changes in cases:
         bad = tmp_path / "bad.cnn"
-        bad.write_bytes(bad_blob)
+        arrays.write(bad, **{**stored, **changes})
         with pytest.raises(DataFormatError, match=message):
             cnn.load_model(bad)
 
@@ -555,15 +566,21 @@ def test_load_model_rejects_undecodable_spec_and_nonfinite_parameters(tmp_path):
 def test_load_model_checks_size_before_allocating(tmp_path):
     # a few hundred bytes declaring a 4096 x 4096 fc layer: 64 MB of f32
     spec_text = b"input 1 4096\nfc 4096\nrelu\nsoftmax 2\n"
-    path = tmp_path / "huge.cnn"
-    path.write_bytes(b"CNN1" + np.array([len(spec_text)], dtype="<u4").tobytes()
-                     + spec_text + bytes(256))
-    assert path.stat().st_size < 512
-    tracemalloc.start()
-    try:
-        with pytest.raises(DataFormatError, match="truncated parameters"):
-            cnn.load_model(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak} bytes"
+    declared = tmp_path / "declared.cnn"  # the params array declares the 64 MB
+    arrays.write(declared, spec=spec_text, params=np.zeros(64, np.float32))
+    blob = bytearray(declared.read_bytes())
+    shape_at = len(blob) - 4 * 64 - 4
+    blob[shape_at : shape_at + 4] = np.array([2**24], "<u4").tobytes()
+    declared.write_bytes(bytes(blob))
+    small = tmp_path / "small.cnn"  # the params array is small; the spec needs 64 MB
+    arrays.write(small, spec=spec_text, params=np.zeros(64, np.float32))
+    for path, message in ((declared, "truncated"), (small, "64 parameters, the spec needs")):
+        assert path.stat().st_size < 512
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=message):
+                cnn.load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak} bytes"

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motionpipe import pca
+from motionpipe import arrays, pca
 from motionpipe.errors import ConvergenceError, DataFormatError
 
 
@@ -132,7 +132,7 @@ def test_transform_overflow_is_an_error_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
-# PCA1 persistence
+# Model file
 # ---------------------------------------------------------------------------
 
 def test_model_round_trip_is_lossless(tmp_path):
@@ -145,25 +145,37 @@ def test_model_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.eigenvalues, model.eigenvalues)
     assert np.array_equal(back.components, model.components)
     assert abs(back.pov_achieved - model.pov_achieved) < 1e-12
+    assert list(arrays.load(path)) == ["mean", "eigenvalues", "components"]
+
+
+def _write_model(path, mean=(0.0, 0.0), eigenvalues=(2.0, 1.0), components=((1.0, 0.0),)):
+    arrays.write(path, mean=np.array(mean), eigenvalues=np.array(eigenvalues),
+                 components=np.array(components))
 
 
 def test_load_model_errors(tmp_path):
     bad = tmp_path / "bad.pca"
-    bad.write_bytes(b"XXXX" + bytes(20))
-    with pytest.raises(DataFormatError, match="magic"):
+    bad.write_bytes(b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + bytes(48))
+    with pytest.raises(DataFormatError, match="bad magic b'PCA1'"):
         pca.load_model(bad)
+    good = tmp_path / "good.pca"
+    _write_model(good)
     short = tmp_path / "short.pca"
-    short.write_bytes(b"PCA1\x01\x00")
+    short.write_bytes(good.read_bytes()[:-1])
     with pytest.raises(DataFormatError, match="truncated"):
         pca.load_model(short)
-    dims = tmp_path / "dims.pca"
-    dims.write_bytes(b"PCA1" + np.array([2, 5], dtype="<u4").tobytes() + bytes(160))
-    with pytest.raises(DataFormatError, match="invalid dimensions"):
-        pca.load_model(dims)
-    sized = tmp_path / "sized.pca"
-    sized.write_bytes(b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + bytes(8))
-    with pytest.raises(DataFormatError, match="bytes"):
-        pca.load_model(sized)
+    for fields in ({"components": np.zeros((3, 2))}, {"components": np.zeros((1, 3))},
+                   {"components": np.zeros((0, 2))}, {"eigenvalues": [2.0]},
+                   {"mean": [], "eigenvalues": [], "components": np.zeros((1, 0))}):
+        _write_model(bad, **fields)
+        with pytest.raises(DataFormatError, match="invalid dimensions"):
+            pca.load_model(bad)
+    arrays.write(bad, **{**arrays.load(good), "mean": np.zeros(2, np.float32)})
+    with pytest.raises(DataFormatError, match="array 'mean' is <f4"):
+        pca.load_model(bad)
+    arrays.write(bad, mean=np.zeros(2), eigenvalues=np.ones(2))
+    with pytest.raises(DataFormatError, match="no array 'components'"):
+        pca.load_model(bad)
 
 
 @pytest.mark.parametrize("eigenvalues,message", [
@@ -175,17 +187,14 @@ def test_load_model_errors(tmp_path):
 ])
 def test_load_model_rejects_bad_eigenvalues(tmp_path, eigenvalues, message):
     path = tmp_path / "eig.pca"
-    values = np.concatenate([[0.0, 0.0], eigenvalues, [1.0, 0.0]])
-    path.write_bytes(b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + values.astype("<f8").tobytes())
+    _write_model(path, eigenvalues=eigenvalues)
     with pytest.raises(DataFormatError, match=message):
         pca.load_model(path)
 
 
 def test_load_model_rejects_non_finite_mean_and_components(tmp_path):
-    for values in ([np.nan, 0.0, 2.0, 1.0, 1.0, 0.0], [0.0, 0.0, 2.0, 1.0, np.inf, 0.0]):
+    for fields in ({"mean": [np.nan, 0.0]}, {"components": [[np.inf, 0.0]]}):
         path = tmp_path / "values.pca"
-        path.write_bytes(
-            b"PCA1" + np.array([2, 1], dtype="<u4").tobytes() + np.array(values, "<f8").tobytes()
-        )
+        _write_model(path, **fields)
         with pytest.raises(DataFormatError, match="finite"):
             pca.load_model(path)

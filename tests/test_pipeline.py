@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm, workers
+from motionpipe import arrays, cli, cnn, corpus, flow, pca, pipeline, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
 import oracles
@@ -452,6 +452,59 @@ def test_warm_run_reads_no_npz_archive(mini_run, tmp_path, monkeypatch, capsys):
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
+def _reference_keys(mini_run, container=b"ARR1"):
+    """{fold index: (PCA, CNN, SVM) key} of ``mini_run``, from ``oracles.fold_stage_keys``."""
+    config = mini_run.config
+    base = os.path.dirname(config.manifest)
+    descriptors = {e.video_id: corpus.read_sequence(os.path.join(base, e.path)).data
+                   for e in mini_run.manifest.entries}
+    return {
+        fold_index: oracles.fold_stage_keys(
+            descriptors, fold.train_ids, fold.test_ids, config.pov_threshold, MINI_ARCH,
+            repr(pipeline.train_config(config, config.seed ^ fold_index)),
+            {"c_box": config.c_box, "gamma": config.gamma, "tol": config.tol}, container,
+        )
+        for fold_index, fold in enumerate(corpus.make_loocv(mini_run.manifest).folds)
+    }
+
+
+def _stored_keys(out_dir, fold_index):
+    fold_dir = os.path.join(out_dir, f"fold_{fold_index:03d}")
+    return tuple(open(os.path.join(fold_dir, f"model.{stage}.key")).read().strip()
+                 for stage in ("pca", "cnn", "svm"))
+
+
+def test_fold_keys_match_a_part_by_part_reference(mini_run):
+    for fold_index, keys in _reference_keys(mini_run).items():
+        assert _stored_keys(mini_run.config.output_dir, fold_index) == keys
+
+
+def test_output_directory_with_models_from_before_arr1_refits_every_stage(mini_run, tmp_path,
+                                                                          audit_log, capsys):
+    """A directory whose keys predate ARR1 models and whose model.pca is PCA1 refits it all."""
+    config = _copy_run(mini_run, tmp_path)
+    old_keys = _reference_keys(mini_run, container=None)
+    for fold_index, keys in old_keys.items():
+        fold_dir = tmp_path / "out" / f"fold_{fold_index:03d}"
+        model = pca.load_model(fold_dir / "model.pca")
+        (fold_dir / "model.pca").write_bytes(
+            b"PCA1" + np.array([model.input_dim, model.channels], "<u4").tobytes()
+            + model.mean.tobytes() + model.eigenvalues.tobytes() + model.components.tobytes()
+        )
+        for stage, key in zip(("pca", "cnn", "svm"), keys):
+            (fold_dir / f"model.{stage}.key").write_text(key + "\n")
+    audit_log.clear()
+    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
+        capsys.readouterr().err
+    assert sorted((stage, fold) for stage, fold, _ in audit_log) == sorted(
+        (stage, fold) for fold in old_keys for stage in ("pca", "cnn", "gamma", "svm")
+    )
+    assert _read_reports(config.output_dir) == mini_run.reports
+    for fold_index in old_keys:
+        assert _stored_keys(config.output_dir, fold_index) == _stored_keys(
+            mini_run.config.output_dir, fold_index)
+
+
 def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp_path,
                                                                   audit_log, capsys):
     """An output directory from before ARR1 reruns: its CNN and SVM stages miss, PCA hits."""
@@ -460,7 +513,7 @@ def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp
     for fold_dir in folds:
         for stage in ("cnn", "svm"):
             current = fold_dir / f"model.{stage}.arrays"
-            np.savez(fold_dir / f"model.{stage}.npz", **pipeline._load_arrays(current))
+            np.savez(fold_dir / f"model.{stage}.npz", **arrays.load(current))
             current.unlink()
     audit_log.clear()
     assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
@@ -570,8 +623,7 @@ def test_held_out_length_does_not_shape_training(tmp_path):
         manifest_path = corpus.save_corpus(manifest, lengthened, tmp_path / f"corpus{extra}")
         config = _mini_config(manifest_path, tmp_path / f"out{extra}", arch_path)
         pipeline.run_pipeline(config)
-        data = pipeline._load_arrays(os.path.join(config.output_dir, "fold_000",
-                                                  "model.cnn.arrays"))
+        data = arrays.load(os.path.join(config.output_dir, "fold_000", "model.cnn.arrays"))
         outputs.append((data["loss"], data["features"][:-1]))
     (loss, train_rows), (loss_long, train_rows_long) = outputs
     assert np.array_equal(loss, loss_long)
@@ -905,7 +957,7 @@ def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arr
     if callable(arrays):
         path.write_bytes(arrays(path.read_bytes()))
     else:
-        pipeline._write_arrays(path, **arrays)
+        pipeline.arrays.write(path, **arrays)  # the parameter hides the module
     with pytest.raises(StageError) as info:
         pipeline.run_pipeline(config)
     assert (info.value.stage, info.value.fold) == (name.split(".")[1], 0)
@@ -918,7 +970,7 @@ def test_stage_outputs_are_checked_on_read(mini_run, tmp_path, capsys, name, arr
 
 def test_stage_output_layout_is_pinned(tmp_path):
     path = tmp_path / "tiny.arrays"
-    pipeline._write_arrays(path, loss=np.array([1.5]), predicted=np.array([[2], [-1]]))
+    arrays.write(path, loss=np.array([1.5]), predicted=np.array([[2], [-1]]))
     assert path.read_bytes() == (
         b"ARR1" b"\x02\x00\x00\x00"  # magic, array count
         b"\x04\x00\x00\x00" b"loss" b"<f8"  # name length, name, kind
@@ -928,24 +980,24 @@ def test_stage_output_layout_is_pinned(tmp_path):
         b"\x02\x00\x00\x00" b"\x02\x00\x00\x00" b"\x01\x00\x00\x00"
         b"\x02\x00\x00\x00\x00\x00\x00\x00" b"\xff\xff\xff\xff\xff\xff\xff\xff"  # 2, -1
     )
-    arrays = pipeline._load_arrays(path)
-    assert list(arrays) == ["loss", "predicted"]
-    assert arrays["loss"].dtype == np.float64 and arrays["loss"].tolist() == [1.5]
-    assert arrays["predicted"].dtype == np.int64 and arrays["predicted"].tolist() == [[2], [-1]]
+    stored = arrays.load(path)
+    assert list(stored) == ["loss", "predicted"]
+    assert stored["loss"].dtype == np.float64 and stored["loss"].tolist() == [1.5]
+    assert stored["predicted"].dtype == np.int64 and stored["predicted"].tolist() == [[2], [-1]]
 
 
 def _crash_after_svm_writes(config, monkeypatch):
     """Run with other SVM settings, every stage-output write raising after it wrote."""
-    real_write = pipeline._write_arrays
+    real_write = arrays.write
 
     def write_then_crash(*args, **kwargs):
         real_write(*args, **kwargs)
         raise OSError("interrupted after the write")
 
-    monkeypatch.setattr(pipeline, "_write_arrays", write_then_crash)
+    monkeypatch.setattr(arrays, "write", write_then_crash)
     with pytest.raises(StageError, match="fold 0, stage svm"):
         pipeline.run_pipeline(dataclasses.replace(config, c_box=0.01, gamma=50.0))
-    monkeypatch.setattr(pipeline, "_write_arrays", real_write)
+    monkeypatch.setattr(arrays, "write", real_write)
 
 
 def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):

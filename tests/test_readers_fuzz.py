@@ -1,10 +1,12 @@
 """Fuzzed file readers: any bytes either load or raise DataFormatError.
 
-Covers PGM, PCA1, SVM1, CNN1, FDS1, the ARR1 stage outputs, the JSON
-manifest and the features CSV.
+Covers PGM, FDS1, the ARR1 container (the stage outputs) and the PCA,
+SVM and CNN model files written in it, the JSON manifest and the
+features CSV.  Every strict prefix of a valid ARR1 file is rejected.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motionpipe import cli, cnn, corpus, flow, pca, pipeline, svm
+from motionpipe import arrays, cli, cnn, corpus, flow, pca, svm
 from motionpipe.errors import DataFormatError
 
 FUZZ = settings(
@@ -44,8 +46,8 @@ def valid_files(tmp_path_factory):
         corpus.ManifestEntry("a", "walk", "a.fds", 0),
         corpus.ManifestEntry("b", "run", "b.fds", 1),
     )), root / "manifest.json")
-    pipeline._write_arrays(root / "out.arrays", features=rng.uniform(0, 1, size=(3, 4)),
-                           loss=rng.uniform(0, 1, size=2), predicted=np.array([1, 0, 2]))
+    arrays.write(root / "out.arrays", features=rng.uniform(0, 1, size=(3, 4)),
+                 loss=rng.uniform(0, 1, size=2), predicted=np.array([1, 0, 2]))
     cli.write_features_csv(root / "features.csv", [
         ("a", "walk", rng.uniform(0, 2, size=3)), ("b", "", rng.uniform(0, 2, size=3)),
     ])
@@ -88,6 +90,27 @@ def _with_magic(magic):
     return st.binary(max_size=96).map(lambda tail: magic + tail)
 
 
+def _containers(*names):
+    """ARR1 files of arrays named from ``names``, of random kinds, small shapes and bytes."""
+    array = st.tuples(st.sampled_from(names), st.sampled_from(["<f8", "<f4", "<i8", "|u1"]),
+                      st.lists(st.integers(0, 3), max_size=2), st.binary(max_size=32))
+
+    def encode(stored):
+        parts = [arrays.MAGIC, struct.pack("<I", len(stored))]
+        for name, kind, shape, fill in stored:
+            size = np.dtype(kind).itemsize * math.prod(shape)
+            parts += [struct.pack("<I", len(name)), name.encode(), kind.encode(),
+                      struct.pack(f"<{1 + len(shape)}I", len(shape), *shape),
+                      (fill * size)[:size].ljust(size, b"\0")]
+        return b"".join(parts)
+
+    return st.lists(array, max_size=len(names) + 1).map(encode)
+
+
+def _model_bytes(*names):
+    return st.one_of(st.binary(max_size=96), _with_magic(arrays.MAGIC), _containers(*names))
+
+
 def _check_pgm(frame):
     if frame is not None:
         assert 0.0 <= frame.intensity.min() and frame.intensity.max() <= 1.0
@@ -116,7 +139,7 @@ def test_pgm_reader_on_mutated_files(tmp_path, valid_files, data):
 
 
 @FUZZ
-@given(blob=st.one_of(st.binary(max_size=96), _with_magic(pca.PCA_MAGIC)))
+@given(blob=_model_bytes("mean", "eigenvalues", "components"))
 def test_pca1_reader_on_arbitrary_bytes(tmp_path, blob):
     _loads_or_format_error(pca.load_model, tmp_path / "fuzz.pca", blob)
 
@@ -137,7 +160,8 @@ def _check_svm(model):
 
 
 @FUZZ
-@given(blob=st.one_of(st.binary(max_size=96), _with_magic(svm.SVM_MAGIC)))
+@given(blob=_model_bytes("labels", "kernel", "vectors", "counts", "support", "coefficients",
+                         "biases"))
 def test_svm1_reader_on_arbitrary_bytes(tmp_path, blob):
     _check_svm(_loads_or_format_error(svm.load_model, tmp_path / "fuzz.svm", blob))
 
@@ -151,7 +175,7 @@ def test_svm1_reader_on_mutated_files(tmp_path, valid_files, data):
 
 
 @FUZZ
-@given(blob=st.one_of(st.binary(max_size=96), _with_magic(cnn.CNN_MAGIC)))
+@given(blob=_model_bytes("spec", "params"))
 def test_cnn1_reader_on_arbitrary_bytes(tmp_path, blob):
     _loads_or_format_error(cnn.load_model, tmp_path / "fuzz.cnn", blob)
 
@@ -185,25 +209,25 @@ def test_fds1_reader_on_mutated_files(tmp_path, valid_files, data):
 
 def _check_arrays(tmp_path, blob):
     """Load ``blob`` as a stage output; what loads is no larger than the file."""
-    arrays = _loads_or_format_error(pipeline._load_arrays, tmp_path / "fuzz.arrays", blob)
-    if arrays is not None:
-        assert all(a.dtype in (np.float64, np.int64) for a in arrays.values())
-        assert sum(a.nbytes for a in arrays.values()) <= len(blob)
+    stored = _loads_or_format_error(arrays.load, tmp_path / "fuzz.arrays", blob)
+    if stored is not None:
+        assert all(a.dtype.str in ("<f8", "<f4", "<i8", "|u1") for a in stored.values())
+        assert sum(a.nbytes for a in stored.values()) <= len(blob)
 
 
 @FUZZ
-@given(blob=st.one_of(st.binary(max_size=96), _with_magic(pipeline._ARRAYS_MAGIC)))
+@given(blob=st.one_of(st.binary(max_size=96), _with_magic(arrays.MAGIC)))
 def test_stage_output_reader_on_arbitrary_bytes(tmp_path, blob):
     _check_arrays(tmp_path, blob)
 
 
 @FUZZ
 @given(count=st.integers(0, 3), name=st.binary(max_size=3),
-       kind=st.sampled_from([b"<f8", b"<i8", b"<f4", b"\x00\x00\x00"]),
+       kind=st.sampled_from([b"<f8", b"<i8", b"<f4", b"|u1", b"<u1", b"\x00\x00\x00"]),
        shape=st.lists(st.integers(0, 4) | st.integers(0, 2**32 - 1), max_size=40),
        payload=st.binary(max_size=64))
 def test_stage_output_reader_on_arbitrary_headers(tmp_path, count, name, kind, shape, payload):
-    header = (pipeline._ARRAYS_MAGIC + struct.pack("<II", count, len(name)) + name + kind
+    header = (arrays.MAGIC + struct.pack("<II", count, len(name)) + name + kind
               + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape))
     _check_arrays(tmp_path, header + payload)
 
@@ -212,6 +236,21 @@ def test_stage_output_reader_on_arbitrary_headers(tmp_path, count, name, kind, s
 @given(data=st.data())
 def test_stage_output_reader_on_mutated_files(tmp_path, valid_files, data):
     _check_arrays(tmp_path, _mutate(valid_files["arrays"], data))
+
+
+@pytest.mark.parametrize("kind, load", [
+    ("pca", pca.load_model), ("cnn", cnn.load_model), ("svm", svm.load_model),
+    ("arrays", arrays.load),
+])
+def test_every_strict_prefix_of_a_valid_file_is_rejected(tmp_path, valid_files, kind, load):
+    blob = valid_files[kind]
+    path = tmp_path / "prefix"
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(DataFormatError):
+            load(path)
+    path.write_bytes(blob)
+    load(path)
 
 
 def _check_manifest(manifest):

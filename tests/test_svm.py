@@ -1,13 +1,12 @@
 import functools
 import os
 import signal
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from motionpipe import svm, workers
+from motionpipe import arrays, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, WorkerError
 
 import oracles
@@ -427,8 +426,8 @@ def test_model_round_trip_preserves_predictions(tmp_path):
 
 def test_load_model_errors(tmp_path):
     bad = tmp_path / "bad.svm"
-    bad.write_bytes(b"XXXX" + bytes(24))
-    with pytest.raises(DataFormatError, match="magic"):
+    bad.write_bytes(b"SVM1" + bytes(24))
+    with pytest.raises(DataFormatError, match="bad magic b'SVM1'"):
         svm.load_model(bad)
 
     rng = np.random.default_rng(12)
@@ -437,10 +436,13 @@ def test_load_model_errors(tmp_path):
     good = tmp_path / "good.svm"
     svm.save_model(model, good)
     blob = good.read_bytes()
+    stored = arrays.load(good)
+    assert list(stored) == ["labels", "kernel", "vectors", "counts", "support",
+                            "coefficients", "biases"]
 
     trunc = tmp_path / "trunc.svm"
     trunc.write_bytes(blob[:-6])
-    with pytest.raises(DataFormatError, match="truncated class block"):
+    with pytest.raises(DataFormatError, match="truncated"):
         svm.load_model(trunc)
 
     extra = tmp_path / "extra.svm"
@@ -448,18 +450,30 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(DataFormatError, match="trailing"):
         svm.load_model(extra)
 
-    # the last machine ends with its last coefficient, then its bias
+    counts = stored["counts"]
     cases = [
-        ("at least 2 classes", blob[:4] + struct.pack("<I", 0) + blob[8:28]),
-        ("at least 2 classes", blob[:4] + struct.pack("<I", 1) + blob[8:]),
-        ("feature dimension must be at least 1", blob[:8] + struct.pack("<I", 0) + blob[12:]),
-        ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", np.nan)),
-        ("coefficients and bias must be finite", blob[:-8] + struct.pack("<d", -np.inf)),
+        ("at least 2 classes", {"labels": b"class0"}),
+        ("at least 2 classes", {"labels": b""}),
+        ("duplicate class labels", {"labels": b"class0\nclass0"}),
+        ("feature dimension must be at least 1", {"vectors": np.zeros((3, 0), np.float32)}),
+        ("coefficients and bias must be finite", {"biases": np.array([0.0, np.nan])}),
+        ("coefficients and bias must be finite", {"biases": np.array([-np.inf, 0.0])}),
         ("coefficients and bias must be finite",
-         blob[:-16] + struct.pack("<d", np.inf) + blob[-8:]),
+         {"coefficients": np.append(stored["coefficients"][:-1], np.inf)}),
+        ("machine sizes", {"counts": counts[:1]}),
+        ("machine sizes", {"biases": stored["biases"][:1]}),
+        ("machine sizes", {"counts": counts + [1, 0]}),
+        ("machine sizes", {"counts": counts - [counts[0], 0]}),
+        ("machine sizes", {"counts": np.array([-2**62, 2**62 + stored["support"].size])}),
+        ("machine sizes", {"coefficients": stored["coefficients"][1:]}),
+        ("rows of the support vectors", {"support": stored["support"] - 1}),
+        ("rows of the support vectors",
+         {"support": np.append(stored["support"][:-1], len(stored["vectors"]))}),
+        ("array 'support' is <f8", {"support": stored["support"].astype(np.float64)}),
+        ("array 'kernel' is <f8 \\(3,\\)", {"kernel": np.ones(3)}),
     ]
-    for message, bad_blob in cases:
-        bad.write_bytes(bad_blob)
+    for message, changes in cases:
+        arrays.write(bad, **{**stored, **changes})
         with pytest.raises(DataFormatError, match=message):
             svm.load_model(bad)
 
@@ -504,23 +518,32 @@ def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
     feats, labels = _clusters(rng, per_class=3)
     good = tmp_path / "good.svm"
     svm.save_model(svm.fit(feats, labels), good)
-    blob = good.read_bytes()
-    label_at = 28 + 4  # first label, after the header and its length
-    assert blob[label_at : label_at + 6] == b"class0"
-    sv_at = label_at + 6 + 4  # first support vector, after the label and its count
+    stored = arrays.load(good)
+    assert stored["labels"].tobytes() == b"class0\nclass1"
+    eps = stored["kernel"][1]
+    vectors = stored["vectors"]
     cases = [
-        ("UTF-8", blob[:label_at] + b"\xff" + blob[label_at + 1 :]),
-        ("gamma must be positive", blob[:12] + struct.pack("<d", 0.0) + blob[20:]),
-        ("gamma must be positive", blob[:12] + struct.pack("<d", np.nan) + blob[20:]),
-        ("epsilon_denominator", blob[:20] + struct.pack("<d", -1.0) + blob[28:]),
-        ("finite and nonnegative", blob[:sv_at] + struct.pack("<f", np.nan) + blob[sv_at + 4 :]),
-        ("finite and nonnegative", blob[:sv_at] + struct.pack("<f", -1.0) + blob[sv_at + 4 :]),
+        ("UTF-8", {"labels": b"\xff" + stored["labels"].tobytes()[1:]}),
+        ("gamma must be positive", {"kernel": np.array([0.0, eps])}),
+        ("gamma must be positive", {"kernel": np.array([np.nan, eps])}),
+        ("epsilon_denominator", {"kernel": np.array([1.0, -1.0])}),
+        ("finite and nonnegative", {"vectors": np.where(vectors == vectors[0, 0], np.nan, vectors)}),
+        ("finite and nonnegative", {"vectors": np.where(vectors == vectors[0, 0], -1.0, vectors)}),
     ]
-    for message, bad_blob in cases:
+    for message, changes in cases:
         bad = tmp_path / "bad.svm"
-        bad.write_bytes(bad_blob)
+        arrays.write(bad, **{**stored, **changes})
         with pytest.raises(DataFormatError, match=message):
             svm.load_model(bad)
+
+
+def test_save_model_rejects_a_label_with_a_line_break(tmp_path):
+    rng = np.random.default_rng(15)
+    feats, _ = _clusters(rng, per_class=3)
+    model = svm.fit(feats, ["a\nb"] * 3 + ["c"] * 3)
+    with pytest.raises(ValueError, match="line break"):
+        svm.save_model(model, tmp_path / "model.svm")
+    assert not (tmp_path / "model.svm").exists()
 
 
 def test_smo_step_cap_raises(monkeypatch):
