@@ -1,15 +1,16 @@
 """ARR1: the one container for every file of arrays the pipeline writes.
 
-The PCA, CNN and SVM model files and the fold stage outputs are all ARR1
-files, each a set of named arrays; each model's loader checks what its
-arrays mean.  All little-endian: the magic ``ARR1``, a u32 array count,
+The descriptor files, the PCA, CNN and SVM model files and the fold stage
+outputs are all ARR1 files, each a set of named arrays; each reader
+(``corpus.read_sequence``, each model's loader) checks what its arrays
+mean.  All little-endian: the magic ``ARR1``, a u32 array count,
 then per array a u32 name length, the UTF-8 name, its kind (``<f8``,
 ``<f4``, ``<i8`` or ``|u1``), a u32 ndim, a u32 per dimension and the
 payload.  ``load`` checks every declared size against the bytes left
 before it builds any array, so a bad file raises ``DataFormatError``
-having allocated no more than itself.  ``write``, like the reports,
-goes through ``write_file``, which renames a finished temporary file
-into place.
+having allocated no more than itself.  ``write``, like the reports, the
+feature and prediction tables and the manifest, goes through
+``write_file``, which renames a finished temporary file into place.
 """
 
 from __future__ import annotations

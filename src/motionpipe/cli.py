@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from . import cnn, corpus, pca, pipeline, svm, workers
+from . import arrays, cnn, corpus, pca, pipeline, svm, workers
 from .errors import ConvergenceError, DataFormatError, StageError, WorkerError
 
 
@@ -154,8 +154,7 @@ def write_features_csv(path, rows) -> None:
         if len(vec) != dim:
             raise ValueError(f"feature length mismatch for {vid!r}")
         lines.append(f"{vid},{label}," + ",".join(repr(float(v)) for v in vec))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    arrays.write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _table_lines(path, name: str) -> list:
@@ -306,8 +305,7 @@ def _cmd_predict(args) -> int:
     lines = ["video_id,true_label,predicted_label"]
     for vid, true, pred in zip(ids, labels, predicted):
         lines.append(f"{vid},{true},{pred}")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    arrays.write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 

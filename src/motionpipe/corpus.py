@@ -1,24 +1,24 @@
 """On-disk corpus model: descriptor sequences, manifests, split plans.
 
-A video is stored as one FDS1 file holding its T x n descriptor matrix
-(row t = descriptor of the flow between frames t and t+1).  A JSON
-manifest lists videos, labels and file paths.  Split plans implement
-leave-one-out and fixed train/test splits.  A synthetic-corpus generator
-produces classes that differ only in the temporal order of shared pulse
-motifs, for end-to-end validation.
+A video is stored as one ARR1 file (see ``arrays``) holding its T x n
+descriptor matrix as the float32 array ``descriptors`` (row t =
+descriptor of the flow between frames t and t+1).  A JSON manifest lists
+videos, labels and file paths.  Split plans implement leave-one-out and
+fixed train/test splits.  A synthetic-corpus generator produces classes
+that differ only in the temporal order of shared pulse motifs, for
+end-to-end validation.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arrays
 from .errors import DataFormatError
 
-FDS_MAGIC = b"FDS1"
 MAX_ELEMENTS = 2**31  # cap on T * n when reading
 
 
@@ -26,7 +26,7 @@ MAX_ELEMENTS = 2**31  # cap on T * n when reading
 class DescriptorSequence:
     """One video as a time-major T x n matrix of frame descriptors.
 
-    Data is kept in float32, the storage precision of the FDS1 format,
+    Data is kept in float32, the precision of a descriptor file,
     so write/read round-trips are bitwise lossless.
     """
 
@@ -100,38 +100,22 @@ class SplitPlan:
 
 
 # ---------------------------------------------------------------------------
-# FDS1 serialization
+# Descriptor files
 # ---------------------------------------------------------------------------
 
 def write_sequence(seq: DescriptorSequence, path) -> None:
-    """Write a sequence as FDS1: magic, u32 T, u32 n, T*n float32 LE."""
-    t, n = seq.data.shape
-    with open(path, "wb") as fh:
-        fh.write(FDS_MAGIC)
-        fh.write(struct.pack("<II", t, n))
-        fh.write(seq.data.astype("<f4", copy=False).tobytes())
+    """Write a sequence as an ARR1 file holding its ``descriptors``."""
+    arrays.write(path, descriptors=seq.data)
 
 
 def read_sequence(path, video_id: str | None = None) -> DescriptorSequence:
-    """Read an FDS1 file; ``video_id`` defaults to the file stem."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FDS_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise DataFormatError(f"{path}: truncated header")
-    t, n = struct.unpack_from("<II", blob, 4)
+    """Read a descriptor file; ``video_id`` defaults to the file stem."""
+    data = arrays.load(path, descriptors=("<f4", (None, None)))["descriptors"]
+    t, n = data.shape
     if t < 1 or n < 1:
         raise DataFormatError(f"{path}: zero dimension (T={t}, n={n})")
     if t * n > MAX_ELEMENTS:
         raise DataFormatError(f"{path}: dimension overflow (T={t}, n={n})")
-    payload = blob[12:]
-    expected = t * n * 4
-    if len(payload) < expected:
-        raise DataFormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-    if len(payload) > expected:
-        raise DataFormatError(f"{path}: trailing bytes after payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, n)
     if video_id is None:
         video_id = _stem(path)
     try:
@@ -188,9 +172,7 @@ def save_manifest(manifest: Manifest, path) -> None:
         if e.split_id is not None:
             row["split_id"] = e.split_id
         rows.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
+    arrays.write_file(path, (json.dumps(rows, indent=2) + "\n").encode("utf-8"))
 
 
 def load_manifest(path) -> Manifest:

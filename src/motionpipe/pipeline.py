@@ -447,7 +447,7 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
         elif desc_dir is None:
             tasks[vid] = functools.partial(frames_to_sequence, path, video_id=vid, **flow_params)
         else:
-            planned = _plan(_digest("desc", flow_cfg, _source_digest(path)),
+            planned = _plan(_digest("desc", arrays.MAGIC, flow_cfg, _source_digest(path)),
                             os.path.join(desc_dir, f"{vid}.fds"))
             keys[vid] = planned.key
             if planned.hit:

@@ -87,7 +87,7 @@ def test_a_report_that_holds_its_text_already_is_left_as_it_is(tmp_path):
 
 
 # The readers that may parse file bytes themselves: every other reader goes through arrays.load.
-_BYTE_READERS = {("arrays", None), ("flow", "read_pgm"), ("corpus", "read_sequence")}
+_BYTE_READERS = {("arrays", None), ("flow", "read_pgm")}
 
 
 def _byte_parsing_calls(tree):

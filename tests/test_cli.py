@@ -237,7 +237,7 @@ def test_an_overflowing_projection_exits_2_with_one_error_line(tmp_path, capsys)
 
 
 def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, capsys):
-    """PCA1, CNN1 and SVM1 files, the formats before ARR1 model files, are bad magic."""
+    """PCA1, CNN1, SVM1 and FDS1 files, the formats before ARR1 files, are bad magic."""
     manifest_path = _synth(capsys, tmp_path / "corpus")
     fds_path = str(tmp_path / "corpus" / corpus.load_manifest(manifest_path).entries[0].path)
     pca_path, cnn_path = str(tmp_path / "model.pca"), str(tmp_path / "model.cnn")
@@ -250,6 +250,10 @@ def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, c
     cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
     features_path = str(tmp_path / "features.csv")
     cli.write_features_csv(features_path, [("a", "x", [1.0]), ("b", "y", [2.0])])
+    descriptors = corpus.read_sequence(fds_path).data
+    fds1_manifest = str(tmp_path / "fds1.json")
+    corpus.save_manifest(corpus.Manifest((corpus.ManifestEntry("a", "x", fds_path),
+                                          corpus.ManifestEntry("b", "y", "FDS1"))), fds1_manifest)
     old = {
         "PCA1": np.array([3, 1], "<u4").tobytes() + model.mean.tobytes()
         + model.eigenvalues.tobytes() + model.components.tobytes(),
@@ -258,6 +262,7 @@ def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, c
         "SVM1": np.array([2, 1], "<u4").tobytes() + np.array([0.5, 1e-12]).tobytes()
         + b"".join(np.array([1], "<u4").tobytes() + label + np.array([0], "<u4").tobytes()
                    + np.array([0.0]).tobytes() for label in (b"x", b"y")),
+        "FDS1": np.array(descriptors.shape, "<u4").tobytes() + descriptors.tobytes(),
     }
     for magic, body in old.items():
         (tmp_path / magic).write_bytes(magic.encode() + body)
@@ -266,6 +271,8 @@ def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, c
                  ["extract", "--manifest", manifest_path, "--pca", "{}", "--cnn", cnn_path]],
         "CNN1": [["extract", "--manifest", manifest_path, "--pca", pca_path, "--cnn", "{}"]],
         "SVM1": [["predict", "--model", "{}", "--features", features_path]],
+        "FDS1": [["project", "--model", pca_path, "--input", "{}"],
+                 ["pca-fit", "--manifest", fds1_manifest]],
     }
     for magic, argvs in calls.items():
         old_path = str(tmp_path / magic)

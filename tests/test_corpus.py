@@ -1,10 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from motionpipe import corpus
+from motionpipe import arrays, corpus
 from motionpipe.errors import DataFormatError
 
 import oracles
@@ -15,7 +16,7 @@ def _seq(video_id, data):
 
 
 # ---------------------------------------------------------------------------
-# FDS1 serialization
+# Descriptor files
 # ---------------------------------------------------------------------------
 
 def test_sequence_round_trip_is_bitwise(tmp_path):
@@ -23,6 +24,7 @@ def test_sequence_round_trip_is_bitwise(tmp_path):
     data = rng.normal(size=(17, 11)).astype(np.float32)
     path = tmp_path / "vid.fds"
     corpus.write_sequence(_seq("vid", data), path)
+    assert list(arrays.load(path, descriptors=("<f4", (17, 11)))) == ["descriptors"]
     back = corpus.read_sequence(path)
     assert back.video_id == "vid"
     assert back.data.dtype == np.float32
@@ -36,45 +38,71 @@ def test_read_sequence_takes_id_from_stem(tmp_path):
     assert corpus.read_sequence(path, video_id="other").video_id == "other"
 
 
+def _descriptor_bytes(tmp_path, data):
+    """The bytes of a descriptor file holding ``data``, written by ``arrays.write``."""
+    path = tmp_path / "written.fds"
+    arrays.write(path, descriptors=data)
+    return path.read_bytes()
+
+
 def test_read_sequence_rejects_bad_magic(tmp_path):
+    """FDS1, the format before ARR1 descriptor files, is one bad magic among others."""
     path = tmp_path / "bad.fds"
-    path.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + b"\x00" * 4)
-    with pytest.raises(DataFormatError, match="magic"):
+    path.write_bytes(b"NOPE" + _descriptor_bytes(tmp_path, np.zeros((1, 1), np.float32))[4:])
+    with pytest.raises(DataFormatError, match="bad magic b'NOPE'"):
+        corpus.read_sequence(path)
+    path.write_bytes(b"FDS1" + struct.pack("<II", 1, 1) + b"\x00" * 4)  # T = n = 1
+    with pytest.raises(DataFormatError, match="bad magic b'FDS1'"):
         corpus.read_sequence(path)
 
 
 def test_read_sequence_rejects_truncated_header(tmp_path):
     path = tmp_path / "short.fds"
-    path.write_bytes(b"FDS1\x01\x00")
-    with pytest.raises(DataFormatError, match="header"):
+    path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((1, 1), np.float32))[:10])
+    with pytest.raises(DataFormatError, match="truncated"):
         corpus.read_sequence(path)
 
 
 def test_read_sequence_rejects_zero_dimension(tmp_path):
     path = tmp_path / "zero.fds"
-    path.write_bytes(b"FDS1" + struct.pack("<II", 0, 5))
+    path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((0, 5), np.float32)))
     with pytest.raises(DataFormatError, match="zero dimension"):
         corpus.read_sequence(path)
 
 
-def test_read_sequence_rejects_dimension_overflow(tmp_path):
-    # header claims 2^32 elements; must be rejected before any allocation
-    path = tmp_path / "huge.fds"
-    path.write_bytes(b"FDS1" + struct.pack("<II", 2**16, 2**16))
-    with pytest.raises(DataFormatError, match="overflow"):
+def test_read_sequence_rejects_float64_descriptors(tmp_path):
+    path = tmp_path / "wide.fds"
+    path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((2, 3))))
+    with pytest.raises(DataFormatError, match=r"is <f8 \(2, 3\), expected <f4"):
         corpus.read_sequence(path)
+
+
+def test_read_sequence_rejects_dimension_overflow(tmp_path):
+    """A header that claims 2^32 elements is rejected before any allocation."""
+    path = tmp_path / "huge.fds"
+    name = b"descriptors"
+    path.write_bytes(arrays.MAGIC + struct.pack("<II", 1, len(name)) + name + b"<f4"
+                     + struct.pack("<III", 2, 2**16, 2**16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="truncated"):
+            corpus.read_sequence(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
 
 
 def test_read_sequence_rejects_truncated_payload(tmp_path):
     path = tmp_path / "trunc.fds"
-    path.write_bytes(b"FDS1" + struct.pack("<II", 4, 4) + b"\x00" * 10)
-    with pytest.raises(DataFormatError, match="truncated payload"):
+    path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((4, 4), np.float32))[:-6])
+    with pytest.raises(DataFormatError, match="truncated"):
         corpus.read_sequence(path)
 
 
 def test_read_sequence_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "extra.fds"
-    path.write_bytes(b"FDS1" + struct.pack("<II", 2, 2) + b"\x00" * 17)
+    path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((2, 2), np.float32)) + b"\x00")
     with pytest.raises(DataFormatError, match="trailing"):
         corpus.read_sequence(path)
 

@@ -606,6 +606,27 @@ def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
     assert all(fresh[n] != stamps[n] for n in cached)
 
 
+def test_descriptor_cache_from_before_arr1_is_described_again(tmp_path):
+    """FDS1 descriptors under the keys that named no container are replaced, not read."""
+    config = _frame_dir_config(tmp_path)
+    fresh = dataclasses.replace(config, output_dir=str(tmp_path / "fresh"))
+    pipeline.run_pipeline(fresh)
+    base = os.path.dirname(config.manifest)
+    flow_cfg = json.dumps(pipeline._section(config, "flow"), sort_keys=True)
+    desc_dir = tmp_path / "out" / "descriptors"
+    os.makedirs(desc_dir)
+    for entry in corpus.load_manifest(config.manifest).entries:
+        data = corpus.read_sequence(os.path.join(fresh.output_dir, "descriptors",
+                                                 f"{entry.video_id}.fds")).data
+        (desc_dir / f"{entry.video_id}.fds").write_bytes(
+            b"FDS1" + np.array(data.shape, "<u4").tobytes() + data.tobytes())
+        key = pipeline._digest("desc", flow_cfg,
+                               pipeline._source_digest(os.path.join(base, entry.path)))
+        (desc_dir / f"{entry.video_id}.fds.key").write_text(key + "\n")
+    pipeline.run_pipeline(config)
+    assert _tree(config.output_dir) == _tree(fresh.output_dir)
+
+
 def test_held_out_length_does_not_shape_training(tmp_path):
     manifest, sequences, _ = corpus.generate_synthetic_corpus(
         classes=2, per_class=2, channels=3, min_len=16, max_len=20, seed=5

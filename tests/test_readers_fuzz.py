@@ -1,8 +1,9 @@
 """Fuzzed file readers: any bytes either load or raise DataFormatError.
 
-Covers PGM, FDS1, the ARR1 container (the stage outputs) and the PCA,
-SVM and CNN model files written in it, the JSON manifest and the
-features CSV.  Every strict prefix of a valid ARR1 file is rejected.
+Covers PGM, the ARR1 container (the stage outputs) and the descriptor
+files and PCA, SVM and CNN model files written in it, the JSON manifest
+and the features CSV.  Every strict prefix of a valid ARR1 file is
+rejected.
 """
 
 import json
@@ -190,18 +191,19 @@ def test_cnn1_reader_on_mutated_files(tmp_path, valid_files, data):
 
 def _check_sequence(seq):
     if seq is not None:
-        assert seq.data.ndim == 2 and np.isfinite(seq.data).all()
+        assert seq.data.dtype == np.float32 and seq.frames >= 1 and seq.dim >= 1
+        assert np.isfinite(seq.data).all()
 
 
 @FUZZ
-@given(blob=st.one_of(st.binary(max_size=96), _with_magic(corpus.FDS_MAGIC)))
-def test_fds1_reader_on_arbitrary_bytes(tmp_path, blob):
+@given(blob=_model_bytes("descriptors"))
+def test_descriptor_reader_on_arbitrary_bytes(tmp_path, blob):
     _check_sequence(_loads_or_format_error(corpus.read_sequence, tmp_path / "fuzz.fds", blob))
 
 
 @FUZZ
 @given(data=st.data())
-def test_fds1_reader_on_mutated_files(tmp_path, valid_files, data):
+def test_descriptor_reader_on_mutated_files(tmp_path, valid_files, data):
     _check_sequence(_loads_or_format_error(
         corpus.read_sequence, tmp_path / "fuzz.fds", _mutate(valid_files["fds"], data)
     ))
@@ -240,7 +242,7 @@ def test_stage_output_reader_on_mutated_files(tmp_path, valid_files, data):
 
 @pytest.mark.parametrize("kind, load", [
     ("pca", pca.load_model), ("cnn", cnn.load_model), ("svm", svm.load_model),
-    ("arrays", arrays.load),
+    ("arrays", arrays.load), ("fds", corpus.read_sequence),
 ])
 def test_every_strict_prefix_of_a_valid_file_is_rejected(tmp_path, valid_files, kind, load):
     blob = valid_files[kind]
