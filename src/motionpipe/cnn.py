@@ -232,29 +232,12 @@ def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
 
 
 # ---------------------------------------------------------------------------
-# Single-layer operators (single sample)
+# Layer operators on channels-last (N, L, C) batches
 # ---------------------------------------------------------------------------
 
-def conv1d_forward(x: np.ndarray, weights: np.ndarray, biases: np.ndarray, stride: int) -> np.ndarray:
-    """Valid 1-D cross-correlation of a C_in x L input.
-
-    out[o, t] = b[o] + sum_c sum_k W[o, c, k] * x[c, t*stride + k]
-    """
-    out, _ = _conv_forward(x.T[None], weights, biases, stride)
-    return out[0].T
-
-
-def max1d_forward(x: np.ndarray, window: int, stride: int):
-    """Max pooling of a C x L input; returns (output, argmax offsets).
-
-    Ties take the lowest offset; a window holding NaN takes its first NaN.
-    """
-    out, src = _max_forward(x.T[None], window, stride)  # src = (t*stride + offset)*C + c
-    return out[0].T, (src[0] // x.shape[0]).T - stride * np.arange(out.shape[1])
-
-
 def _conv_forward(x, weights, biases, stride):
-    """Valid cross-correlation of a channels-last (N, L, C) batch as one GEMM.
+    """Valid cross-correlation of a channels-last (N, L, C) batch as one GEMM:
+    out[n, t, o] = b[o] + sum_c sum_k W[o, c, k] * x[n, t*stride + k, c].
 
     Returns the (N, L_out, O) output and the (N*L_out, C*X) im2col patch
     matrix, filled one tap at a time: row n*L_out + t holds
@@ -347,12 +330,6 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
                 act = softmax(act)
                 cache[-1]["probs"] = act
     return act, cache
-
-
-def forward(spec: NetworkSpec, state: NetworkState, x: np.ndarray):
-    """Class probabilities for one m x L input; also returns the cache."""
-    probs, cache = _forward_batch(spec, state, np.asarray(x, dtype=np.float64)[None])
-    return probs[0], cache
 
 
 def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.ndarray, grads):

@@ -19,8 +19,6 @@ import numpy as np
 from . import arrays
 from .errors import DataFormatError
 
-MAX_ELEMENTS = 2**31  # cap on T * n when reading
-
 
 @dataclass(frozen=True)
 class DescriptorSequence:
@@ -114,8 +112,6 @@ def read_sequence(path, video_id: str | None = None) -> DescriptorSequence:
     t, n = data.shape
     if t < 1 or n < 1:
         raise DataFormatError(f"{path}: zero dimension (T={t}, n={n})")
-    if t * n > MAX_ELEMENTS:
-        raise DataFormatError(f"{path}: dimension overflow (T={t}, n={n})")
     if video_id is None:
         video_id = _stem(path)
     try:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arrays
 from .errors import DataFormatError
 
 # Weighted 8-neighbour average used by the Horn-Schunck update.
@@ -140,8 +141,7 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
     uv_out[...] = fields[..., 1:-1, 1:-1]
 
 
-def estimate_flows(frames: list[Frame], alpha: float = 1.0,
-                   iterations: int = 100) -> np.ndarray:
+def estimate_flows(frames: list[Frame], alpha: float, iterations: int) -> np.ndarray:
     """Horn-Schunck flow for every consecutive pair of ``frames``, in order.
 
     Returns the (2, T, H, W) stack: u and v of pair t are [0, t] and [1, t].
@@ -191,7 +191,7 @@ def orientation_bin(theta, bins: int):
     return np.clip(idx, 0, bins - 1)
 
 
-def describe_flows(u, v, grid: int = 4, bins: int = 8) -> np.ndarray:
+def describe_flows(u, v, grid: int, bins: int) -> np.ndarray:
     """Pool a (T, H, W) stack of flow fields into the (T, G*G*(3+B)) descriptor matrix.
 
     Per cell: the mean positive and mean negative rectified parts of each
@@ -292,6 +292,4 @@ def write_pgm(frame: Frame, path) -> None:
     """Write a frame as a binary (P5) 8-bit PGM file."""
     arr = np.clip(np.rint(frame.intensity * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.tobytes())
+    arrays.write_file(path, header + arr.tobytes())

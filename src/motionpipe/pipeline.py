@@ -73,9 +73,9 @@ class PipelineConfig:
     epochs: int = cnn.TrainConfig.epochs
     batch_size: int = cnn.TrainConfig.batch_size
     weight_decay: float = cnn.TrainConfig.weight_decay
-    c_box: float = svm.DEFAULT_C_BOX
+    c_box: float = 10.0
     gamma: object = "auto"
-    tol: float = svm.DEFAULT_TOL
+    tol: float = 1e-3
     split: str = "loocv"
     seed: int = 0
 

@@ -24,8 +24,6 @@ import numpy as np
 from . import arrays, workers
 from .errors import ConvergenceError, DataFormatError
 
-DEFAULT_C_BOX = 10.0
-DEFAULT_TOL = 1e-3
 MAX_SMO_STEPS = 10**6
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
@@ -330,12 +328,8 @@ def _smo_step(gram, y, alpha, errors, i, j, c_box) -> bool:
 # Multi-class fit / predict
 # ---------------------------------------------------------------------------
 
-def fit(features, labels, c_box: float = DEFAULT_C_BOX,
-        params: KernelParams | None = None, tol: float = DEFAULT_TOL) -> SvmModel:
+def fit(features, labels, c_box: float, params: KernelParams, tol: float) -> SvmModel:
     """Train one-vs-rest chi-squared SVMs over nonnegative feature vectors.
-
-    When ``params`` is omitted, gamma defaults to the inverse mean
-    pairwise chi-squared distance of the training set.
 
     The Gram and the machines are one ``workers.fork_map`` call of two
     phases.  From _FORK_TERMS pair-dimension terms of the Gram's blocks on,
@@ -359,8 +353,6 @@ def fit(features, labels, c_box: float = DEFAULT_C_BOX,
     class_labels = sorted(set(labels))
     if len(class_labels) < 2:
         raise ValueError("training data must contain at least 2 classes")
-    if params is None:
-        params = KernelParams(gamma=default_gamma(x))
 
     label_arr = np.array(labels)
     ys = [np.where(label_arr == cls, 1.0, -1.0) for cls in class_labels]

@@ -15,6 +15,7 @@ import pytest
 from motionpipe import cnn, corpus, pca, pipeline, svm
 
 import oracles
+from test_cnn import one_layer_conv, one_layer_pool
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
 
@@ -109,7 +110,7 @@ def test_criterion_2_conv_and_pool_match_naive_oracles():
         x = rng.normal(size=(c_in, length))
         w = rng.normal(size=(c_out, c_in, width))
         b = rng.normal(size=c_out)
-        got = cnn.conv1d_forward(x, w, b, stride)
+        got = one_layer_conv(x, w, b, stride)
         want = oracles.naive_conv1d(x, w, b, stride)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -121,7 +122,7 @@ def test_criterion_2_conv_and_pool_match_naive_oracles():
         x = rng.normal(size=(c, length))
         if rng.uniform() < 0.2:
             x = np.round(x)  # coarse values force ties
-        got, got_arg = cnn.max1d_forward(x, window, stride)
+        got, got_arg = one_layer_pool(x, window, stride)
         want, want_arg = oracles.naive_max1d(x, window, stride)
         assert np.array_equal(got, want)
         assert np.array_equal(got_arg, want_arg)  # tie goes to the first offset
@@ -167,8 +168,8 @@ def test_criterion_3_gradients_match_finite_differences():
         analytic = [a for g in grads if g is not None for a in g]
 
         def loss_fn():
-            probs, _ = cnn.forward(spec, state, x)
-            return -float(np.log(probs[label]))
+            probs, _ = cnn._forward_batch(spec, state, x[None])
+            return -float(np.log(probs[0, label]))
 
         numeric = oracles.finite_difference_gradients(loss_fn, arrays, step=1e-5)
         for a, fd in zip(analytic, numeric):

@@ -1,12 +1,14 @@
 import ast
+import collections
 import errno
 import os
 import pathlib
+import signal
 
 import numpy as np
 import pytest
 
-from motionpipe import arrays, pipeline
+from motionpipe import arrays, flow, pipeline
 from motionpipe.errors import DataFormatError
 
 
@@ -57,6 +59,7 @@ class _FullDisk:
 _WRITES = {
     "arrays.write": lambda path: arrays.write(path, loss=np.arange(5.0)),
     "pipeline._put": lambda path: pipeline._put(str(path.parent), path.name, "fold,accuracy\n"),
+    "flow.write_pgm": lambda path: flow.write_pgm(flow.Frame(np.zeros((8, 8))), path),
 }
 
 
@@ -75,6 +78,26 @@ def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monk
     write(path)
     assert path.read_bytes() != b"previous bytes"
     assert os.listdir(tmp_path) == ["target"]
+
+
+def test_a_report_write_killed_before_its_rename_leaves_the_previous_report(tmp_path):
+    path = tmp_path / "accuracy.csv"
+    path.write_bytes(b"previous bytes")
+    pid = os.fork()
+    if pid == 0:  # the child dies by SIGKILL once the temporary is written, before the rename
+        try:
+            os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+            pipeline._put(str(tmp_path), "accuracy.csv", "fold,accuracy\n")
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert path.read_bytes() == b"previous bytes"
+    assert (tmp_path / "accuracy.csv.tmp").read_bytes() == b"fold,accuracy\n"
+
+    pipeline._put(str(tmp_path), "accuracy.csv", "fold,accuracy\n")
+    assert path.read_bytes() == b"fold,accuracy\n"
+    assert os.listdir(tmp_path) == ["accuracy.csv"]
 
 
 def test_a_report_that_holds_its_text_already_is_left_as_it_is(tmp_path):
@@ -113,3 +136,27 @@ def test_only_the_listed_readers_parse_file_bytes():
             if (path.stem, None) not in _BYTE_READERS and (path.stem, owner) not in _BYTE_READERS:
                 found.append(f"{path.stem}.{owner}: {call}")
     assert found == []
+
+
+# Public functions that nothing in src uses, each with its reason.
+_UNUSED_PUBLIC = {
+    "cli.main": "the console entry point, which pyproject.toml names",
+    "flow.write_pgm": "the frame writer of the benchmark's inputs and the tests' fixtures",
+}
+
+
+def _name_counts(node):
+    """How often each name and attribute name occurs under ``node``."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_is_used_in_src():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py"))]
+    counts = sum((_name_counts(tree) for _, tree in trees), collections.Counter())
+    unused = [f"{module}.{node.name}" for module, tree in trees for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and counts[node.name] == _name_counts(node)[node.name]]
+    stray = [name for name in unused if name not in _UNUSED_PUBLIC]
+    assert not stray, f"public functions that nothing in src uses: {', '.join(stray)}"

@@ -27,6 +27,26 @@ def _small_spec():
     )
 
 
+def _first_layer(layer, x, params):
+    """``layer`` on one C x L input as a network's first layer, through the batched
+    forward pass on a batch of one: (C_out x L_out output, the layer's cache entry)."""
+    spec = _spec([layer, cnn.FullyConnected(1), cnn.SoftmaxOutput(1)], *x.shape)
+    out, cache = cnn._forward_batch(spec, cnn.NetworkState([params, None, None]), x[None], stop=1)
+    return out[0].T, cache[0]
+
+
+def one_layer_conv(x, w, b, stride):
+    """Valid cross-correlation of a C x L input by a network's first layer."""
+    return _first_layer(cnn.Conv1D(w.shape[2], w.shape[0], stride), x, (w, b))[0]
+
+
+def one_layer_pool(x, window, stride):
+    """Max pooling of a C x L input by a network's first layer: (output, each window's
+    argmax offset), the offsets read from the layer's flat source indices."""
+    out, cache = _first_layer(cnn.Max1D(window, stride), x, None)
+    return out, (cache["src"][0] // x.shape[0]).T - stride * np.arange(out.shape[1])
+
+
 # ---------------------------------------------------------------------------
 # Layer operators vs naive oracles
 # ---------------------------------------------------------------------------
@@ -42,7 +62,7 @@ def test_conv_matches_naive_oracle():
         x = rng.normal(size=(c_in, length))
         w = rng.normal(size=(c_out, c_in, filt))
         b = rng.normal(size=c_out)
-        got = cnn.conv1d_forward(x, w, b, stride)
+        got = one_layer_conv(x, w, b, stride)
         want = oracles.naive_conv1d(x, w, b, stride)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
@@ -56,7 +76,7 @@ def test_max_pool_matches_naive_oracle():
         window = int(rng.integers(1, min(length, 5) + 1))
         stride = int(rng.integers(1, 4))
         x = rng.normal(size=(channels, length))
-        got, got_arg = cnn.max1d_forward(x, window, stride)
+        got, got_arg = one_layer_pool(x, window, stride)
         want, want_arg = oracles.naive_max1d(x, window, stride)
         assert np.array_equal(got, want)
         assert np.array_equal(got_arg, want_arg)
@@ -64,7 +84,7 @@ def test_max_pool_matches_naive_oracle():
 
 def test_max_pool_ties_take_first_offset():
     x = np.array([[2.0, 2.0, 1.0, 1.0, 3.0, 3.0]])
-    out, arg = cnn.max1d_forward(x, window=2, stride=2)
+    out, arg = one_layer_pool(x, window=2, stride=2)
     assert np.array_equal(out, [[2.0, 1.0, 3.0]])
     assert np.array_equal(arg, [[0, 0, 0]])
 
@@ -73,7 +93,7 @@ def test_max_pool_nan_routes_like_argmax():
     x = np.array([[1.0, np.nan, 3.0, 2.0, np.nan, np.nan, 0.0, 5.0, np.nan]])
     for window, stride in ((2, 2), (3, 1), (2, 3)):
         windows = np.lib.stride_tricks.sliding_window_view(x, window, axis=1)[:, ::stride]
-        out, arg = cnn.max1d_forward(x, window, stride)
+        out, arg = one_layer_pool(x, window, stride)
         assert np.array_equal(arg, windows.argmax(axis=2))
         assert np.array_equal(out, windows.max(axis=2), equal_nan=True)
 
@@ -106,7 +126,7 @@ def test_conv_hand_example():
     x = np.array([[1.0, 2.0, 3.0, 4.0]])
     w = np.array([[[1.0, 2.0]]])
     b = np.array([10.0])
-    out = cnn.conv1d_forward(x, w, b, stride=2)
+    out = one_layer_conv(x, w, b, stride=2)
     assert np.array_equal(out, [[15.0, 21.0]])
 
 
@@ -138,7 +158,8 @@ def test_layer_shapes_match_forward():
     spec = _small_spec()
     assert spec.layer_shapes() == ((4, 7), (4, 7), (4, 3), (5,), (5,), (3,))
     state = cnn.init_state(spec, 0)
-    probs, cache = cnn.forward(spec, state, np.random.default_rng(0).normal(size=(2, 16)))
+    x = np.random.default_rng(0).normal(size=(2, 16))
+    probs = cnn._forward_batch(spec, state, x[None])[0][0]
     assert probs.shape == (3,)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert spec.feature_cutoff() == 4  # the ReLU after the last FC
@@ -179,9 +200,10 @@ def _gradcheck(spec, seed, atol=1e-6, batch=1):
     analytic = [a for pair in analytic for a in pair]
 
     def loss_fn():
-        # mean cross-entropy, one single-sample forward per row
+        # mean cross-entropy, one forward on a batch of one per row
         return -float(np.mean([
-            np.log(cnn.forward(spec, state, xi)[0][label]) for xi, label in zip(x, labels)
+            np.log(cnn._forward_batch(spec, state, xi[None])[0][0, label])
+            for xi, label in zip(x, labels)
         ]))
 
     numeric = oracles.finite_difference_gradients(loss_fn, arrays)
@@ -329,7 +351,7 @@ def test_train_is_deterministic_and_learns():
         assert np.array_equal(p1[1], p2[1])
     assert losses1[-1] < 0.1 * losses1[0]
     for x, label in zip(samples, labels):
-        probs, _ = cnn.forward(spec, state1, x)
+        probs = cnn._forward_batch(spec, state1, x[None])[0][0]
         assert int(np.argmax(probs)) == label
 
 
@@ -422,7 +444,7 @@ def test_extract_features_cutoff_and_sign():
     assert feats.shape == (1, 5)
     assert feats.min() >= 0.0  # trailing ReLU keeps features nonnegative
     # equals the forward activations just before the softmax layer
-    probs, _ = cnn.forward(spec, state, x)
+    probs = cnn._forward_batch(spec, state, x[None])[0][0]
     w, b = state.params[-1]
     assert np.allclose(cnn.softmax(feats @ w.T + b)[0], probs, atol=1e-12)
 

@@ -13,14 +13,14 @@ def _frame(arr):
     return flow.Frame(intensity=np.asarray(arr, dtype=np.float64))
 
 
-def _pair_flow(prev, curr, **kwargs):
+def _pair_flow(prev, curr, alpha, iterations):
     """u and v of the one pair prev -> curr."""
-    return flow.estimate_flows([prev, curr], **kwargs)[:, 0]
+    return flow.estimate_flows([prev, curr], alpha, iterations)[:, 0]
 
 
-def _field_descriptor(u, v, **kwargs):
+def _field_descriptor(u, v, grid, bins):
     """The descriptor row of one (H, W) flow field."""
-    return flow.describe_flows(u[None], v[None], **kwargs)[0]
+    return flow.describe_flows(u[None], v[None], grid, bins)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ def _field_descriptor(u, v, **kwargs):
 def test_identical_frames_give_zero_flow():
     rng = np.random.default_rng(0)
     img = rng.uniform(0.0, 1.0, size=(16, 20))
-    u, v = _pair_flow(_frame(img), _frame(img))
+    u, v = _pair_flow(_frame(img), _frame(img), alpha=1.0, iterations=100)
     assert np.abs(u).max() < 1e-9
     assert np.abs(v).max() < 1e-9
 
@@ -38,7 +38,7 @@ def test_identical_frames_give_zero_flow():
 def test_constant_frames_give_zero_flow():
     a = _frame(np.full((12, 12), 0.5))
     b = _frame(np.full((12, 12), 0.5))
-    u, v = _pair_flow(a, b)
+    u, v = _pair_flow(a, b, alpha=1.0, iterations=100)
     assert np.abs(u).max() == 0.0
     assert np.abs(v).max() == 0.0
 
@@ -71,11 +71,11 @@ def test_estimate_flow_rejects_bad_arguments():
     a = _frame(np.zeros((10, 10)))
     b = _frame(np.zeros((10, 12)))
     with pytest.raises(ValueError, match="dimensions differ"):
-        _pair_flow(a, b)
+        _pair_flow(a, b, alpha=1.0, iterations=100)
     with pytest.raises(ValueError, match="alpha"):
-        _pair_flow(a, a, alpha=0.0)
+        _pair_flow(a, a, alpha=0.0, iterations=100)
     with pytest.raises(ValueError, match="iterations"):
-        _pair_flow(a, a, iterations=0)
+        _pair_flow(a, a, alpha=1.0, iterations=0)
 
 
 def _random_video(seed, pairs, height, width):
@@ -149,9 +149,9 @@ def test_step_frames_raise_no_floating_point_error(monkeypatch, height, width):
 def test_estimate_flows_rejects_bad_arguments():
     frames = _random_video(0, 2, 10, 10)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        flow.estimate_flows(frames[:1])
+        flow.estimate_flows(frames[:1], alpha=1.0, iterations=100)
     with pytest.raises(ValueError, match="dimensions differ"):
-        flow.estimate_flows(frames + [_frame(np.zeros((10, 12)))])
+        flow.estimate_flows(frames + [_frame(np.zeros((10, 12)))], alpha=1.0, iterations=100)
 
 
 def test_frame_rejects_non_finite_and_out_of_range():
@@ -234,23 +234,23 @@ def test_rotating_vectors_rolls_histogram():
 def test_describe_flow_validation():
     u = v = np.zeros((8, 8))
     with pytest.raises(ValueError, match="grid"):
-        _field_descriptor(u, v, grid=0)
+        _field_descriptor(u, v, grid=0, bins=8)
     with pytest.raises(ValueError, match="bins"):
-        _field_descriptor(u, v, bins=1)
+        _field_descriptor(u, v, grid=4, bins=1)
     with pytest.raises(ValueError, match="too small"):
-        _field_descriptor(u, v, grid=9)
+        _field_descriptor(u, v, grid=9, bins=8)
 
 
 def test_describe_flows_rejects_bad_stacks():
     zeros = np.zeros((2, 8, 8))
     with pytest.raises(ValueError, match="equal-shaped"):
-        flow.describe_flows(zeros, np.zeros((2, 8, 9)))
+        flow.describe_flows(zeros, np.zeros((2, 8, 9)), grid=4, bins=8)
     with pytest.raises(ValueError, match="equal-shaped"):
-        flow.describe_flows(zeros[0], zeros[0])
+        flow.describe_flows(zeros[0], zeros[0], grid=4, bins=8)
     bad = zeros.copy()
     bad[1, 2, 3] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        flow.describe_flows(zeros, bad)
+        flow.describe_flows(zeros, bad, grid=4, bins=8)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 7])

@@ -30,7 +30,7 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
     model = svm.fit(rng.uniform(0, 2, size=(9, 3)), ["a", "b", "c"] * 3,
-                    params=svm.KernelParams(gamma=0.5))
+                    c_box=10.0, params=svm.KernelParams(gamma=0.5), tol=1e-3)
     svm.save_model(model, root / "model.svm")
     spec = cnn.NetworkSpec(
         input_channels=2, input_length=6,

@@ -25,6 +25,13 @@ def _clusters(rng, per_class=20, dim=6, classes=2, spread=0.05):
     return np.array(feats), labels
 
 
+def _fit_auto(feats, labels, c_box=10.0):
+    """``svm.fit`` with gamma "auto" (``default_gamma``, seed 0) and tol 1e-3, as ``run``'s
+    defaults give."""
+    params = svm.KernelParams(gamma=svm.default_gamma(feats))
+    return svm.fit(feats, labels, c_box=c_box, params=params, tol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Kernel
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def test_default_gamma_rejects_degenerate_input():
 
 def test_two_point_problem():
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = svm.fit(feats, ["a", "b"], params=svm.KernelParams(gamma=0.5))
+    model = svm.fit(feats, ["a", "b"], c_box=10.0, params=svm.KernelParams(gamma=0.5), tol=1e-3)
     assert model.labels == ("a", "b")
     for machine in model.machines:
         assert len(machine.support_indices) == 2  # both points support the margin
@@ -245,7 +252,7 @@ def _smo_problem(case):
     rng = np.random.default_rng(21 if case == "small-c-box" else 5)
     if case == "two-point":
         x, y = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0])
-        return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], svm.DEFAULT_C_BOX, 1e-3
+        return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 10.0, 1e-3
     if case == "relu-4-class":
         rows, dim, classes = 960, 64, 4
         centres = np.kron(np.eye(classes), np.full(dim // classes, 0.8))
@@ -253,7 +260,7 @@ def _smo_problem(case):
         x = np.maximum(centres[cls] + rng.normal(size=(rows, dim)) - 0.1, 0.0)
         gram = svm.chi2_gram(x, x, svm.KernelParams(gamma=svm.default_gamma(x)))
         ys = [np.where(cls == k, 1.0, -1.0) for k in range(classes)]  # one vs rest
-        return gram, ys, svm.DEFAULT_C_BOX, svm.DEFAULT_TOL
+        return gram, ys, 10.0, 1e-3
     if case == "small-c-box":
         x = rng.uniform(0, 2, size=(40, 5))
         y = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
@@ -304,7 +311,7 @@ def test_noisy_labels_still_converge():
     labels = [("x" if rng.uniform() < 0.5 else "y") for _ in range(30)]
     if len(set(labels)) < 2:
         labels[0] = "x" if labels[1] == "y" else "y"
-    model = svm.fit(feats, labels, c_box=2.0)
+    model = _fit_auto(feats, labels, c_box=2.0)
     values = svm.decision_values(model, feats)
     assert np.all(np.isfinite(values))
 
@@ -313,8 +320,9 @@ def test_duplicated_dataset_predicts_identically():
     rng = np.random.default_rng(8)
     feats, labels = _clusters(rng, per_class=10)
     params = svm.KernelParams(gamma=svm.default_gamma(feats))
-    m1 = svm.fit(feats, labels, params=params)
-    m2 = svm.fit(np.vstack([feats, feats]), labels + labels, params=params)
+    m1 = svm.fit(feats, labels, c_box=10.0, params=params, tol=1e-3)
+    m2 = svm.fit(np.vstack([feats, feats]), labels + labels, c_box=10.0, params=params,
+                 tol=1e-3)
     probe = rng.uniform(0, 3, size=(40, feats.shape[1]))
     assert svm.predict_batch(m1, probe) == svm.predict_batch(m2, probe)
 
@@ -322,7 +330,7 @@ def test_duplicated_dataset_predicts_identically():
 def test_three_class_one_vs_rest():
     rng = np.random.default_rng(9)
     feats, labels = _clusters(rng, per_class=12, classes=3)
-    model = svm.fit(feats, labels)
+    model = _fit_auto(feats, labels)
     assert model.labels == ("class0", "class1", "class2")
     assert svm.predict_batch(model, feats) == labels
     assert svm.predict_batch(model, feats[:1]) == ["class0"]
@@ -353,7 +361,7 @@ def test_decision_values_do_not_depend_on_the_row_count(seed, tmp_path):
     rows, dim, classes = int(rng.integers(12, 90)), int(rng.integers(2, 40)), int(rng.integers(2, 6))
     feats = rng.uniform(0.0, 2.0, size=(rows, dim))
     labels = [f"c{k}" for k in rng.permutation(np.arange(rows) % classes)]
-    model = svm.fit(feats, labels, c_box=float(rng.choice([0.5, 10.0])))
+    model = _fit_auto(feats, labels, c_box=float(rng.choice([0.5, 10.0])))
     if seed >= 18:
         svm.save_model(model, tmp_path / "model.svm")
         model = svm.load_model(tmp_path / "model.svm")
@@ -381,25 +389,26 @@ def test_prediction_ties_take_first_sorted_label():
 
 def test_fit_validation():
     feats = np.ones((4, 3))
+    fit = functools.partial(svm.fit, c_box=10.0, params=svm.KernelParams(gamma=1.0), tol=1e-3)
     with pytest.raises(ValueError, match="at least 2 classes"):
-        svm.fit(feats, ["a", "a", "a", "a"])
+        fit(feats, ["a", "a", "a", "a"])
     with pytest.raises(ValueError, match="labels must match"):
-        svm.fit(feats, ["a", "b"])
+        fit(feats, ["a", "b"])
     with pytest.raises(ValueError, match="c_box"):
-        svm.fit(feats, ["a", "a", "b", "b"], c_box=0.0)
+        fit(feats, ["a", "a", "b", "b"], c_box=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="c_box"):
-            svm.fit(feats, ["a", "a", "b", "b"], c_box=bad)
+            fit(feats, ["a", "a", "b", "b"], c_box=bad)
         with pytest.raises(ValueError, match="tol"):
-            svm.fit(feats, ["a", "a", "b", "b"], tol=bad)
+            fit(feats, ["a", "a", "b", "b"], tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
-        svm.fit(-feats, ["a", "a", "b", "b"])
+        fit(-feats, ["a", "a", "b", "b"])
 
 
 def test_predict_rejects_wrong_dimension():
     rng = np.random.default_rng(10)
     feats, labels = _clusters(rng, per_class=5)
-    model = svm.fit(feats, labels)
+    model = _fit_auto(feats, labels)
     with pytest.raises(ValueError, match="does not match model dimension"):
         svm.predict_batch(model, [np.ones(feats.shape[1] + 1)])
 
@@ -411,7 +420,7 @@ def test_predict_rejects_wrong_dimension():
 def test_model_round_trip_preserves_predictions(tmp_path):
     rng = np.random.default_rng(11)
     feats, labels = _clusters(rng, per_class=8, classes=3)
-    model = svm.fit(feats, labels)
+    model = _fit_auto(feats, labels)
     path = tmp_path / "model.svm"
     svm.save_model(model, path)
     back = svm.load_model(path)
@@ -432,7 +441,7 @@ def test_load_model_errors(tmp_path):
 
     rng = np.random.default_rng(12)
     feats, labels = _clusters(rng, per_class=4)
-    model = svm.fit(feats, labels)
+    model = _fit_auto(feats, labels)
     good = tmp_path / "good.svm"
     svm.save_model(model, good)
     blob = good.read_bytes()
@@ -481,7 +490,7 @@ def test_load_model_errors(tmp_path):
 def test_loaded_model_shares_support_vectors_across_machines(tmp_path):
     rng = np.random.default_rng(14)
     feats, labels = _clusters(rng, per_class=8, classes=3, spread=0.4)
-    model = svm.fit(feats, labels)
+    model = _fit_auto(feats, labels)
     path = tmp_path / "model.svm"
     svm.save_model(model, path)
     back = svm.load_model(path)
@@ -517,7 +526,7 @@ def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
     rng = np.random.default_rng(15)
     feats, labels = _clusters(rng, per_class=3)
     good = tmp_path / "good.svm"
-    svm.save_model(svm.fit(feats, labels), good)
+    svm.save_model(_fit_auto(feats, labels), good)
     stored = arrays.load(good)
     assert stored["labels"].tobytes() == b"class0\nclass1"
     eps = stored["kernel"][1]
@@ -540,7 +549,7 @@ def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
 def test_save_model_rejects_a_label_with_a_line_break(tmp_path):
     rng = np.random.default_rng(15)
     feats, _ = _clusters(rng, per_class=3)
-    model = svm.fit(feats, ["a\nb"] * 3 + ["c"] * 3)
+    model = _fit_auto(feats, ["a\nb"] * 3 + ["c"] * 3)
     with pytest.raises(ValueError, match="line break"):
         svm.save_model(model, tmp_path / "model.svm")
     assert not (tmp_path / "model.svm").exists()
@@ -551,7 +560,7 @@ def test_smo_step_cap_raises(monkeypatch):
     rng = np.random.default_rng(13)
     feats, labels = _clusters(rng, per_class=10)
     with pytest.raises(ConvergenceError, match="not converged"):
-        svm.fit(feats, labels)
+        _fit_auto(feats, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +649,10 @@ def test_forked_fit_is_the_serial_fit(monkeypatch, tmp_path, classes):
     feats, labels = _clusters(np.random.default_rng(classes), per_class=15, dim=64,
                               classes=classes, spread=0.6)
     params = svm.KernelParams(gamma=0.4)
-    expected = _serial(monkeypatch, svm.fit, feats, labels, params=params)
+    expected = _serial(monkeypatch, svm.fit, feats, labels, c_box=10.0, params=params, tol=1e-3)
     _fork_at_any_size(monkeypatch)
     forks = record_forks(monkeypatch, tmp_path / "forks")
-    _assert_same_machines(svm.fit(feats, labels, params=params), expected)
+    _assert_same_machines(svm.fit(feats, labels, c_box=10.0, params=params, tol=1e-3), expected)
     assert forks() == [os.getpid()]  # one fork: the kernel, then the machines
 
 
@@ -661,7 +670,7 @@ def test_a_killed_kernel_task_trains_no_machine(monkeypatch, tmp_path):
     monkeypatch.setattr(svm, "_distance_blocks", blocks)
     monkeypatch.setattr(svm, "_smo", lambda *args: trained.touch())
     with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)"):
-        svm.fit(feats, labels, params=svm.KernelParams(gamma=0.5))
+        svm.fit(feats, labels, c_box=10.0, params=svm.KernelParams(gamma=0.5), tol=1e-3)
     assert not trained.exists()
 
 
@@ -670,7 +679,8 @@ def test_loocv_sized_fit_does_not_fork(monkeypatch):
     _forbid_forks(monkeypatch)
     rng = np.random.default_rng(4)
     feats = np.maximum(rng.normal(size=(59, 64)), 0.0)
-    svm.fit(feats, [f"k{i % 3}" for i in range(59)], params=svm.KernelParams(gamma=0.1))
+    svm.fit(feats, [f"k{i % 3}" for i in range(59)], c_box=10.0,
+            params=svm.KernelParams(gamma=0.1), tol=1e-3)
 
 
 @pytest.mark.parametrize("name", ["fit", "chi2_gram"])
@@ -680,18 +690,18 @@ def test_no_fork_while_a_fit_function_is_wrapped(monkeypatch, name):
     _forbid_forks(monkeypatch)
     real = getattr(svm, name)
     monkeypatch.setattr(svm, name, functools.wraps(real)(lambda *a, **k: real(*a, **k)))
-    svm.fit(feats, labels, params=svm.KernelParams(gamma=0.5))
+    svm.fit(feats, labels, c_box=10.0, params=svm.KernelParams(gamma=0.5), tol=1e-3)
 
 
 @pytest.mark.parametrize("fits", [2, 3], ids=["light", "pool"])
 def test_no_fit_forks_inside_a_worker_or_while_a_task_runs_here(monkeypatch, tmp_path, fits):
     feats, labels = _clusters(np.random.default_rng(8), classes=4, spread=0.6)
     params = svm.KernelParams(gamma=0.4)
-    expected = _serial(monkeypatch, svm.fit, feats, labels, params=params)
+    expected = _serial(monkeypatch, svm.fit, feats, labels, c_box=10.0, params=params, tol=1e-3)
     _fork_at_any_size(monkeypatch)
     forks = record_forks(monkeypatch, tmp_path / "forks")
-    outcomes = workers.fork_map({k: lambda: svm.fit(feats, labels, params=params)
-                                 for k in range(fits)})
+    fit = functools.partial(svm.fit, feats, labels, c_box=10.0, params=params, tol=1e-3)
+    outcomes = workers.fork_map({k: fit for k in range(fits)})
     for outcome in outcomes.values():
         _assert_same_machines(workers.take(outcome), expected)
     assert forks() == [os.getpid()]  # the fits' own splits stayed in their processes
