@@ -10,7 +10,11 @@ class ConvergenceError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A forked worker ended without sending back its task's outcome."""
+    """A forked worker ended without sending back the outcome of its task, named ``task``."""
+
+    def __init__(self, message: str, task):
+        super().__init__(message)
+        self.task = task
 
 
 class StageError(RuntimeError):

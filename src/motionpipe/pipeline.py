@@ -11,16 +11,19 @@ so it reproduces a cold run bit for bit.  Stage caching is
 keyed by content hashes that chain upstream, so changing any input
 invalidates everything below it.
 
-A run plans every key and whether it hits once, up front.  Folds whose
-stages all hit, and so a fully warm run, stay in this process; the frame
-directories and folds that miss go to ``workers.fork_map``, which runs
-them on up to two forked workers, each handed the next task while it is
-idle (see there for when nothing forks).  A worker that dies fails its
-own fold, as ``fold K, stage worker``.  The run holds OpenBLAS at one
+A run plans every key and whether it hits once, up front.  The frame
+directories that miss go to ``workers.fork_map``, which runs them on up
+to two forked workers, each handed the next task while it is idle (see
+there for when nothing forks).  A fully warm run reads its folds in this
+process; in any other run every fold is a ``fork_map`` task, the hit
+ones too, so the lowest failed fold is the one raised and no fold starts
+after a failure.  A worker that dies fails its own fold, as ``fold K,
+stage worker``, or names its video.  The run holds OpenBLAS at one
 thread in this process, so the workers inherit one thread and start
 none.  Workers write only their own fold's directory or video's
-descriptors, and their results and fit-audit calls come back in order,
-so the outputs are the same bytes as a serial run's.
+descriptors, and ``fork_map`` returns their results and replays their
+fit-audit calls in task order, so the outputs are the same bytes as a
+serial run's.
 
 One function, ``read_corpus``, gives every command its descriptors, with
 the descriptor cache for ``run`` only.  Every command reads the files it
@@ -273,9 +276,7 @@ def evaluate(predictions, labels) -> tuple[float, ConfusionMatrix]:
 # Frame directories and corpora
 # ---------------------------------------------------------------------------
 
-def frames_to_sequence(frame_dir, alpha: float = PipelineConfig.alpha,
-                       iterations: int = PipelineConfig.iterations,
-                       grid: int = PipelineConfig.grid, bins: int = PipelineConfig.bins,
+def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int, bins: int,
                        video_id: str | None = None) -> corpus.DescriptorSequence:
     """Flow descriptors for consecutive PGM frames, sorted by filename."""
     names = sorted(n for n in os.listdir(frame_dir) if n.lower().endswith(".pgm"))
@@ -429,7 +430,8 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
     """Each video's descriptor sequence and cache key, by video id, in manifest order.
 
     Every source must exist before any is read.  ``.fds`` sources are read
-    as they are, and the frame directories go to ``workers.fork_map``.
+    as they are, and the frame directories go to ``workers.fork_map``; a
+    describe worker that dies raises a WorkerError that names its video.
     With ``desc_dir``, which only ``run`` passes, their descriptors are
     cached there: each source is hashed once, in this process, and only
     the directories that miss are described.  Without it nothing is hashed
@@ -456,9 +458,10 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
                 tasks[vid] = functools.partial(_describe, path, vid, planned, flow_params)
     if tasks and desc_dir is not None:
         os.makedirs(desc_dir, exist_ok=True)
-    outcomes = workers.fork_map(tasks)
-    for vid in tasks:
-        sequences[vid] = workers.take(outcomes[vid])
+    try:
+        sequences.update(workers.fork_map(tasks))
+    except WorkerError as exc:  # the video's worker died, so nothing named the video
+        raise WorkerError(f"video {exc.task}: {exc}", exc.task) from exc
     dims = {seq.dim for seq in sequences.values()}
     if len(dims) > 1:
         raise ValueError(f"descriptor dimensions differ across videos: {sorted(dims)}")
@@ -664,27 +667,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                                            os.path.join(config.output_dir, "descriptors"))
         os.makedirs(config.output_dir, exist_ok=True)
 
-        # every key is computed once, here; only the folds that miss may be forked
+        # every key is computed once, here: a fully warm run reads its folds in this
+        # process, and any other run makes every fold a task, so a failure in a
+        # lower fold is raised, and starts no later fold, however the folds hit
         video_parts = {vid: _frame(f"{vid}:{key}") for vid, key in desc_keys.items()}
-        tasks, misses = {}, {}
+        tasks, warm = {}, True
         for fold_index, fold in enumerate(plan.folds):
             fold_plan = _plan_fold(config, fold_index, fold, sequences, video_parts, arch_text)
+            warm = warm and fold_plan.hit
             tasks[fold_index] = functools.partial(
                 _run_fold, config, fold_index, fold, manifest, sequences, arch_text, fold_plan
             )
-            if not fold_plan.hit:
-                misses[fold_index] = tasks[fold_index]
-        outcomes = workers.fork_map(misses)
-        fold_results = []
-        loss_histories = []
-        for fold_index, task in tasks.items():
-            try:
-                result, losses = (workers.take(outcomes[fold_index]) if fold_index in misses
-                                  else task())
-            except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
-                raise StageError("worker", fold_index, str(exc)) from exc
-            fold_results.append(result)
-            loss_histories.append(tuple(losses))
+        try:
+            outcomes = ({k: task() for k, task in tasks.items()} if warm
+                        else workers.fork_map(tasks))
+        except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
+            raise StageError("worker", exc.task, str(exc)) from exc
+        fold_results = [result for result, _ in outcomes.values()]
+        loss_histories = [tuple(losses) for _, losses in outcomes.values()]
 
         predictions = [(t, p) for r in fold_results for _, t, p in r.records]
         accuracy, confusion = evaluate(predictions, manifest.labels())

@@ -10,8 +10,10 @@ distances, so a Gram of S x T rows costs one S x T float64 matrix.  A
 large fit (from _FORK_TERMS pair-dimension terms) runs on both CPUs in
 one ``workers.fork_map`` call, which also says when nothing forks: the
 same two forked workers compute the Gram's row blocks into a shared
-mmap, then train the one-vs-rest machines.  Each block and each machine
-is the serial computation, so the model is the serial model bit for bit.
+mmap, then train the one-vs-rest machines, and ``fork_map`` returns the
+machines or raises the first failed task's exception.  Each block and
+each machine is the serial computation, so the model is the serial
+model bit for bit.
 """
 
 from __future__ import annotations
@@ -89,16 +91,14 @@ def _check_nonneg(x: np.ndarray) -> None:
 def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     """Pairwise chi-squared distances between rows of x and rows of y."""
     out, tasks = _kernel_tasks(x, y, eps, None)
-    for outcome in workers.fork_map(tasks).values():
-        workers.take(outcome)
+    workers.fork_map(tasks)
     return out
 
 
 def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
     """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps)) for every row pair."""
     out, tasks = _kernel_tasks(x, y, params.epsilon_denominator, params.gamma)
-    for outcome in workers.fork_map(tasks).values():
-        workers.take(outcome)
+    workers.fork_map(tasks)
     return out
 
 
@@ -173,7 +173,7 @@ def _distance_blocks(x, y, eps, symmetric, rows, starts, out, gamma) -> None:
             out[stop:, start:stop] = out[start:stop, stop:].T
 
 
-def default_gamma(features, seed: int = 0) -> float:
+def default_gamma(features, seed: int) -> float:
     """1 / mean pairwise chi-squared distance of the training features.
 
     All pairs when S <= 200; 1000 seeded random pairs otherwise.
@@ -362,11 +362,9 @@ def fit(features, labels, c_box: float, params: KernelParams, tol: float) -> Svm
         ("machines", k): functools.partial(_machines, gram, ys[k::ways], c_box, tol)
         for k in range(ways)
     })
-    for name in kernel:
-        workers.take(outcomes[name])
     solved = [None] * len(ys)
     for k in range(ways):
-        solved[k::ways] = workers.take(outcomes["machines", k])
+        solved[k::ways] = outcomes["machines", k]
     machines = []
     for y, (alpha, bias) in zip(ys, solved):
         support = np.flatnonzero(alpha > _SUPPORT_EPS)

@@ -1,8 +1,9 @@
 """Forked workers: the one way this package runs work on a second CPU.
 
 ``fork_map`` runs dicts of tasks, phase after phase, on the same
-persistent forked workers and hands their outcomes back in order; its
-docstring says when nothing forks.
+persistent forked workers and returns their values in task order, or
+raises the first failed task's exception; its docstring says when
+nothing forks.
 """
 
 from __future__ import annotations
@@ -100,16 +101,8 @@ def _worker_count(pending: int) -> int:
     return min(_MAX_WORKERS, len(os.sched_getaffinity(0)), pending)
 
 
-def _outcome(task):
-    """(value, None) of calling ``task``, or (None, the exception it raised)."""
-    try:
-        return task(), None
-    except Exception as exc:
-        return None, exc
-
-
-def _worker_error(status: int) -> WorkerError:
-    """The error of a task whose worker ended, with wait status ``status``, without its outcome."""
+def _worker_error(task, status: int) -> WorkerError:
+    """The error of ``task``, whose worker ended, with wait status ``status``, without its outcome."""
     import signal
 
     code = os.waitstatus_to_exitcode(status)
@@ -119,7 +112,7 @@ def _worker_error(status: int) -> WorkerError:
             how = f" (killed by {signal.Signals(-code).name})"
         except ValueError:  # a signal without a name
             how = f" (killed by signal {-code})"
-    return WorkerError(f"a worker process ended without a result{how}")
+    return WorkerError(f"a worker process ended without a result{how}", task)
 
 
 def _serve(commands: int, results: int):
@@ -141,10 +134,13 @@ def _serve(commands: int, results: int):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with os.fdopen(commands, "rb") as tasks, os.fdopen(results, "wb") as out:
             while index := tasks.read(4):  # until the parent closes the command pipe
-                calls = []
+                calls, error, value = [], None, None
                 pipeline.fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
-                data = pickle.dumps((*_outcome(_forked_tasks[int.from_bytes(index, "little")]),
-                                     calls))
+                try:
+                    value = _forked_tasks[int.from_bytes(index, "little")]()
+                except Exception as exc:
+                    error = exc
+                data = pickle.dumps((value, error, calls))
                 out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
         code = 0
@@ -183,7 +179,7 @@ def _sigint_held():
             handler(*caught[0])
 
 
-def _run_on_workers(count: int, waits: list) -> dict:
+def _run_on_workers(count: int, names: list, waits: list) -> dict:
     """Every task on ``count`` forked workers: {index: (value, exception, fit audit calls)}.
 
     Task ``i`` may start once ``waits[i]`` tasks have finished: the tasks
@@ -191,10 +187,10 @@ def _run_on_workers(count: int, waits: list) -> dict:
     index over its command pipe once that task may start and while no task
     has failed, and sends each outcome back over its result pipe.  This
     process only forks, waits, reads and reaps.  A worker that ends without
-    its task's full outcome fails that task with a WorkerError; the other
-    running tasks finish.  One that ends while it waits for a phase fails
-    nothing: a worker that runs an earlier task takes the rest.  No worker
-    outlives the call.
+    its task's full outcome fails that task with a WorkerError that names
+    it by its entry in ``names``; the other running tasks finish.  One that
+    ends while it waits for a phase fails nothing: a worker that runs an
+    earlier task takes the rest.  No worker outlives the call.
     """
     import select
     import signal
@@ -258,7 +254,7 @@ def _run_on_workers(count: int, waits: list) -> dict:
                     status = os.waitpid(worker[0], 0)[1]
                     del running[results]
                     if worker[2] is not None:
-                        done[worker[2]] = None, _worker_error(status), ()
+                        done[worker[2]] = None, _worker_error(names[worker[2]], status), ()
                 feed()
         return done
     finally:
@@ -270,21 +266,22 @@ def _run_on_workers(count: int, waits: list) -> dict:
 
 
 def fork_map(*phases: dict) -> dict:
-    """Run each phase's tasks, {name: callable}: {name: (value, exception)} for those that ran.
+    """Run each phase's tasks, {name: callable}: {name: value}, in task order.
 
     The phases run in order on the same workers: a task of a later phase
     starts only once every task of the earlier phases has finished, so it
     sees their effects on shared memory.  Names are distinct across phases.
     This process forks its workers once per call and hands each idle
     worker the next task; it runs no task itself.  Tasks start in order and
-    none starts once one has failed, so a caller that takes the outcomes in
-    order meets the first failure before any task that never ran.  A worker
+    none starts once one has failed; the running tasks finish, and then the
+    exception of the first failed task, in task order, is raised.  A worker
     that ends without its task's outcome (killed by the OOM killer, say)
-    fails that task, its own, with a WorkerError that gives its exit signal.
-    The running tasks finish after a failure, and the fit audit calls of
-    every finished task are replayed here, in order.
+    fails that task, its own, with a WorkerError that names the task and
+    gives its exit signal.  The fit audit calls of every finished task,
+    failed ones included, are replayed here, in order, before any raise.
 
-    Everything runs in this process, phase by phase, in order, when:
+    Everything runs in this process, phase by phase, in order, up to the
+    first failure, which is raised, when:
     - no phase has two tasks, or there is one usable CPU;
     - numpy's OpenBLAS thread-count functions are missing, or this process
       does not hold OpenBLAS at one thread (see one_blas_thread);
@@ -302,12 +299,7 @@ def fork_map(*phases: dict) -> dict:
     tasks = [task for phase in phases for task in phase.values()]
     workers = 1 if _forked_tasks else _worker_count(max(map(len, phases), default=0))
     if workers < 2:
-        outcomes = {}
-        for name, task in zip(names, tasks):
-            outcomes[name] = _outcome(task)
-            if outcomes[name][1] is not None:
-                break
-        return outcomes
+        return {name: task() for name, task in zip(names, tasks)}
     from . import pipeline
 
     # task i waits for the tasks of the phases before its own
@@ -315,21 +307,13 @@ def fork_map(*phases: dict) -> dict:
                                            phases) for _ in phase]
     _forked_tasks = tasks
     try:
-        done = _run_on_workers(workers, waits)
+        done = _run_on_workers(workers, names, waits)
     finally:
         _forked_tasks = []
-    outcomes = {}
     for i in sorted(done):
-        value, error, calls = done[i]
-        for call in calls:
+        for call in done[i][2]:
             pipeline._audit(*call)
-        outcomes[names[i]] = value, error
-    return outcomes
-
-
-def take(outcome):
-    """The value of a (value, exception) outcome; raises the exception."""
-    value, error = outcome
-    if error is not None:
-        raise error
-    return value
+    for i in sorted(done):
+        if done[i][1] is not None:
+            raise done[i][1]
+    return {name: done[i][0] for i, name in enumerate(names)}

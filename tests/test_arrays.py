@@ -138,6 +138,35 @@ def test_only_the_listed_readers_parse_file_bytes():
     assert found == []
 
 
+# What starts a process or a thread; only workers, the one way to use the second CPU, may.
+_PROCESS_MODULES = ("multiprocessing", "concurrent", "subprocess", "threading")
+
+
+def _process_starters(tree):
+    """Each import of a _PROCESS_MODULES module and each use of os.fork in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.fork", "os.forkpty"):
+                yield ast.unparse(node)
+            continue
+        yield from (name for name in names if name.split(".")[0] in _PROCESS_MODULES)
+
+
+def test_only_workers_starts_processes_or_threads():
+    found = []
+    for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py")):
+        if path.stem != "workers":
+            found += [f"{path.stem}: {name}" for name in
+                      _process_starters(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    workers_tree = ast.parse(pathlib.Path(arrays.__file__).with_name("workers.py").read_text())
+    assert {"os.fork", "threading"} <= set(_process_starters(workers_tree))  # the check sees them
+
+
 # Public functions that nothing in src uses, each with its reason.
 _UNUSED_PUBLIC = {
     "cli.main": "the console entry point, which pyproject.toml names",

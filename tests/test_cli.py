@@ -819,8 +819,8 @@ def test_pca_fit_describes_frames_on_two_processes_and_writes_the_serial_bytes(
     assert models[0].read_bytes() == models[1].read_bytes()
 
 
-def test_a_killed_describe_worker_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
-    manifest_path = _frame_corpus(tmp_path / "frames")
+def _kill_describe_workers(monkeypatch):
+    """Kill every describe worker at its first Horn-Schunck iteration."""
     parent, real = os.getpid(), flow._horn_schunck
 
     def horn_schunck(*args):  # private, so that the fork still happens
@@ -830,12 +830,31 @@ def test_a_killed_describe_worker_exits_2_with_one_error_line(tmp_path, capsys, 
 
     monkeypatch.setattr(flow, "_horn_schunck", horn_schunck)
     usable_cpus(monkeypatch)
+
+
+def test_a_killed_describe_worker_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    manifest_path = _frame_corpus(tmp_path / "frames")
+    _kill_describe_workers(monkeypatch)
     code, _, err = _run(capsys, "pca-fit", "--manifest", manifest_path,
                         "--out", str(tmp_path / "m.pca"))
     assert code == 2
-    assert err == ("error: pca-fit: a worker process ended without a result "
+    # v0 and v1 start together and both workers die: the first video is named
+    assert err == ("error: pca-fit: video v0: a worker process ended without a result "
                    "(killed by SIGKILL)\n")
     assert not (tmp_path / "m.pca").exists()
+
+
+def test_a_killed_describe_worker_in_run_exits_2_with_one_error_line(tmp_path, capsys,
+                                                                      monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": _frame_corpus(tmp_path / "frames"),
+                                       "output_dir": str(tmp_path / "out")}))
+    _kill_describe_workers(monkeypatch)
+    code, _, err = _run(capsys, "run", "--config", str(config_path))
+    assert code == 2
+    assert err == ("error: run: video v0: a worker process ended without a result "
+                   "(killed by SIGKILL)\n")
+    assert not any((tmp_path / "out" / "descriptors").iterdir())
 
 
 def _in_the_child(monkeypatch, before):

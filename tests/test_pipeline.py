@@ -280,14 +280,16 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
 def test_frames_to_sequence_explicit_id(tmp_path):
     frame_dir = tmp_path / "clip"
     _write_square_frames(frame_dir, ["a.pgm", "b.pgm"])
-    assert pipeline.frames_to_sequence(frame_dir, video_id="v9").video_id == "v9"
+    seq = pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=100, grid=4, bins=8,
+                                      video_id="v9")
+    assert seq.video_id == "v9"
 
 
 def test_frames_to_sequence_needs_two_frames(tmp_path):
     frame_dir = tmp_path / "clip"
     _write_square_frames(frame_dir, ["only.pgm"])
     with pytest.raises(ValueError, match="at least 2 PGM frames"):
-        pipeline.frames_to_sequence(frame_dir)
+        pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=100, grid=4, bins=8)
 
 
 def test_frames_to_sequence_rejects_size_mismatch(tmp_path):
@@ -295,7 +297,7 @@ def test_frames_to_sequence_rejects_size_mismatch(tmp_path):
     _write_square_frames(frame_dir, ["a.pgm"], size=16)
     flow.write_pgm(flow.Frame(intensity=np.full((12, 12), 0.5)), frame_dir / "b.pgm")
     with pytest.raises(ValueError, match="expected"):
-        pipeline.frames_to_sequence(frame_dir)
+        pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=100, grid=4, bins=8)
 
 
 def test_project_videos_matches_per_video_transform():
@@ -704,6 +706,51 @@ def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
     assert forks() == [] and audit_log == []
 
 
+def test_a_partly_warm_run_forks_every_fold_and_refits_only_the_missing(
+        mini_run, tmp_path, monkeypatch, audit_log):
+    config = _copy_run(mini_run, tmp_path)
+    for fold in (1, 3):
+        shutil.rmtree(os.path.join(config.output_dir, f"fold_{fold:03d}"))
+    _use_workers(monkeypatch, 2)
+    forks = record_forks(monkeypatch, tmp_path / "forks")
+    ran, real_fold = tmp_path / "ran", pipeline._run_fold
+
+    def run_fold(config, fold_index, *args):
+        with open(ran, "a") as fh:
+            fh.write(f"{fold_index} {os.getpid()}\n")
+        return real_fold(config, fold_index, *args)
+
+    monkeypatch.setattr(pipeline, "_run_fold", run_fold)
+    pipeline.run_pipeline(config)
+    assert forks() == [os.getpid()]
+    folds = dict(line.split() for line in ran.read_text().splitlines())
+    assert sorted(folds) == ["0", "1", "2", "3"]  # the hit folds 0 and 2 are read in a worker too
+    assert str(os.getpid()) not in folds.values()
+    assert audit_log == [call for call in mini_run.audit if call[1] in (1, 3)]
+    assert _read_reports(config.output_dir) == mini_run.reports
+
+
+def test_a_partly_warm_run_raises_the_lowest_failed_fold(mini_run, tmp_path, monkeypatch,
+                                                         audit_log):
+    config = _copy_run(mini_run, tmp_path)
+    corrupt = os.path.join(config.output_dir, "fold_000", "model.svm.arrays")
+    with open(corrupt, "r+b") as fh:
+        fh.truncate(os.path.getsize(corrupt) - 1)
+    shutil.rmtree(os.path.join(config.output_dir, "fold_001"))
+
+    def explode(*args, **kwargs):
+        raise ValueError("fold 1 fails too")
+
+    _use_workers(monkeypatch, 2)
+    monkeypatch.setattr(pca, "fit", explode)  # fold 1's first fit, so it may fail first
+    with pytest.raises(StageError) as info:
+        pipeline.run_pipeline(config)
+    assert (info.value.stage, info.value.fold) == ("svm", 0)
+    assert str(info.value).startswith("fold 0, stage svm:") and "truncated" in str(info.value)
+    assert isinstance(info.value.__cause__, DataFormatError)
+    assert [(stage, fold) for stage, fold, _ in audit_log] == [("pca", 1)]  # fold 1 ran, failed
+
+
 def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
     usable_cpus(monkeypatch, 8)
     assert [workers._worker_count(n) for n in (1, 2, 60)] == [1, 2, 2]
@@ -754,8 +801,8 @@ def test_forked_workers_inherit_one_blas_thread_and_start_none(monkeypatch):
     _blas_threads_or_skip()
     _use_workers(monkeypatch, 2)
     with workers.one_blas_thread():
-        outcomes = workers.fork_map({task: _threads_after_blas_work for task in range(4)})
-    seen = [workers.take(outcomes[task]) for task in range(4)]
+        seen = list(workers.fork_map({task: _threads_after_blas_work
+                                      for task in range(4)}).values())
     assert os.getpid() not in {pid for pid, _, _ in seen}
     assert [(os_threads, blas) for _, os_threads, blas in seen] == [(1, 1)] * 4
 

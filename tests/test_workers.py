@@ -38,19 +38,24 @@ def record_forks(monkeypatch, path):
 @pytest.mark.parametrize("tasks", [2, 5])
 def test_every_task_runs_on_one_of_two_forked_workers(monkeypatch, tasks):
     usable_cpus(monkeypatch)
-    outcomes = workers.fork_map({name: os.getpid for name in "abcde"[:tasks]})
-    assert list(outcomes) == list("abcde"[:tasks])
-    pids = {workers.take(outcome) for outcome in outcomes.values()}
+    values = workers.fork_map({name: os.getpid for name in "abcde"[:tasks]})
+    assert list(values) == list("abcde"[:tasks])
+    pids = set(values.values())
     assert len(pids) == 2 and os.getpid() not in pids
 
 
-def test_light_path_returns_errors_in_order(monkeypatch):
-    def fail(message):
+def test_light_path_returns_errors_in_order(monkeypatch, tmp_path):
+    def fail(message, delay):
+        time.sleep(delay)
+        (tmp_path / message).touch()
         raise ValueError(message)
 
     usable_cpus(monkeypatch)
-    outcomes = workers.fork_map({0: lambda: fail("here"), 1: lambda: fail("child")})
-    assert [str(error) for _, error in outcomes.values()] == ["here", "child"]
+    # task 1 fails at once, task 0 only later: the error raised is the first task's
+    with pytest.raises(ValueError, match="^task 0$"):
+        workers.fork_map({0: functools.partial(fail, "task 0", 0.3),
+                          1: functools.partial(fail, "task 1", 0.0)})
+    assert sorted(os.listdir(tmp_path)) == ["task 0", "task 1"]  # both failed
 
 
 @pytest.mark.parametrize("tasks", [2, 3], ids=["light", "pool"])  # as many tasks as workers, more
@@ -59,11 +64,11 @@ def test_no_fork_inside_a_worker_or_while_a_task_runs_here(monkeypatch, tmp_path
     forks = record_forks(monkeypatch, tmp_path / "forks")
 
     def nested():
-        inner = workers.fork_map({0: os.getpid, 1: os.getpid})
-        return os.getpid(), [workers.take(outcome) for outcome in inner.values()]
+        return os.getpid(), list(workers.fork_map({0: os.getpid, 1: os.getpid}).values())
 
-    outcomes = workers.fork_map({k: nested for k in range(tasks)})
-    for pid, inner in (workers.take(outcome) for outcome in outcomes.values()):
+    values = workers.fork_map({k: nested for k in range(tasks)})
+    assert len(values) == tasks
+    for pid, inner in values.values():
         assert inner == [pid, pid]
     assert forks() == [os.getpid()]
 
@@ -87,8 +92,8 @@ def test_an_idle_worker_exits_while_another_still_runs(monkeypatch, tmp_path):
             time.sleep(0.01)
         return False
 
-    outcomes = workers.fork_map({0: record_pid, 1: wait_for_the_first_worker_to_end})
-    assert workers.take(outcomes[1]) is True
+    values = workers.fork_map({0: record_pid, 1: wait_for_the_first_worker_to_end})
+    assert values[1] is True
 
 
 def test_a_failed_fork_leaves_no_worker_and_no_pipe(monkeypatch):
@@ -113,17 +118,18 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_a_killed_light_child_fails_its_task(monkeypatch):
+def test_a_killed_light_child_fails_its_task(monkeypatch, tmp_path):
     usable_cpus(monkeypatch)
-    outcomes = workers.fork_map({0: lambda: "here", 1: _kill_self})
-    assert workers.take(outcomes[0]) == "here"
-    with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)"):
-        workers.take(outcomes[1])
+    finished = tmp_path / "finished"
+    with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)") as info:
+        workers.fork_map({0: functools.partial(finished.write_text, "here"), 1: _kill_self})
+    assert info.value.task == 1
+    assert finished.read_text() == "here"  # task 0 finished
 
 
 def test_a_killed_worker_fails_its_own_task_and_the_running_one_finishes(monkeypatch, tmp_path):
     usable_cpus(monkeypatch)
-    died = tmp_path / "died"
+    died, finished, started = tmp_path / "died", tmp_path / "finished", tmp_path / "started"
 
     def kill_self():
         died.touch()
@@ -134,15 +140,15 @@ def test_a_killed_worker_fails_its_own_task_and_the_running_one_finishes(monkeyp
         while not died.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.2)  # time for fork_map to see the other worker end
-        return "finished"
+        finished.write_text("finished")
 
     # task 0 is still running when task 1's worker dies; 2 and 3 never start
-    tasks = {0: finish_after_the_death, 1: kill_self, 2: os.getpid, 3: os.getpid}
-    outcomes = workers.fork_map(tasks)
-    assert list(outcomes) == [0, 1]
-    assert workers.take(outcomes[0]) == "finished"
-    with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)"):
-        workers.take(outcomes[1])
+    tasks = {0: finish_after_the_death, 1: kill_self, 2: started.touch, 3: started.touch}
+    with pytest.raises(WorkerError, match=r"ended without a result \(killed by SIGKILL\)") as info:
+        workers.fork_map(tasks)
+    assert info.value.task == 1
+    assert finished.read_text() == "finished"
+    assert not started.exists()
 
 
 def test_ctrl_c_kills_and_reaps_every_worker(monkeypatch):
@@ -204,23 +210,23 @@ def test_a_later_phase_sees_every_earlier_task(monkeypatch, tmp_path):
         slots[k] = k + 1
         return os.getpid()
 
-    outcomes = workers.fork_map({k: functools.partial(write, k, 0.3 if k == 0 else 0.0)
-                                 for k in range(3)},
-                                {name: lambda: (os.getpid(), slots.tolist())
-                                 for name in ("read0", "read1")})
-    assert list(outcomes) == [0, 1, 2, "read0", "read1"]
-    writers = {workers.take(outcomes[k]) for k in range(3)}
-    readers = {workers.take(outcomes[name])[0] for name in ("read0", "read1")}
+    values = workers.fork_map({k: functools.partial(write, k, 0.3 if k == 0 else 0.0)
+                               for k in range(3)},
+                              {name: lambda: (os.getpid(), slots.tolist())
+                               for name in ("read0", "read1")})
+    assert list(values) == [0, 1, 2, "read0", "read1"]
+    writers = {values[k] for k in range(3)}
+    readers = {values[name][0] for name in ("read0", "read1")}
     assert len(writers) == 2 and os.getpid() not in writers and readers <= writers
     for name in ("read0", "read1"):
-        assert workers.take(outcomes[name])[1] == [1.0, 2.0, 3.0]
+        assert values[name][1] == [1.0, 2.0, 3.0]
     assert forks() == [os.getpid()]  # one fork for both phases
 
 
 @pytest.mark.parametrize("how", ["raises", "killed"])
 def test_a_failed_phase_starts_no_later_task(monkeypatch, tmp_path, how):
     usable_cpus(monkeypatch)
-    started = tmp_path / "started"
+    started, finished = tmp_path / "started", tmp_path / "finished"
 
     def fail():
         time.sleep(0.2)  # the other task of the phase finishes first
@@ -228,12 +234,14 @@ def test_a_failed_phase_starts_no_later_task(monkeypatch, tmp_path, how):
             _kill_self()
         raise ValueError("phase 1")
 
-    outcomes = workers.fork_map({0: fail, 1: os.getpid},
-                                {k: started.touch for k in (2, 3)})
-    assert list(outcomes) == [0, 1]
-    assert workers.take(outcomes[1]) != os.getpid()
-    with pytest.raises(WorkerError if how == "killed" else ValueError):
-        workers.take(outcomes[0])
+    def finish():
+        finished.write_text(str(os.getpid()))
+
+    with pytest.raises(WorkerError if how == "killed" else ValueError) as info:
+        workers.fork_map({0: fail, 1: finish}, {k: started.touch for k in (2, 3)})
+    if how == "killed":
+        assert info.value.task == 0
+    assert int(finished.read_text()) != os.getpid()  # task 1 finished, in a worker
     assert not started.exists()
 
 
@@ -258,10 +266,9 @@ def test_a_worker_killed_while_it_waits_for_a_phase_leaves_the_tasks_to_the_othe
         time.sleep(0.3)  # time for fork_map to see that worker end
         return os.getpid()
 
-    outcomes = workers.fork_map({0: kill_the_waiting_worker}, {1: os.getpid, 2: os.getpid})
-    assert list(outcomes) == [0, 1, 2]
-    survivor = workers.take(outcomes[0])
-    assert {workers.take(outcomes[k]) for k in (1, 2)} == {survivor} != {os.getpid()}
+    values = workers.fork_map({0: kill_the_waiting_worker}, {1: os.getpid, 2: os.getpid})
+    assert list(values) == [0, 1, 2]
+    assert {values[1], values[2]} == {values[0]} != {os.getpid()}
 
 
 def test_phases_run_in_order_inside_a_worker(monkeypatch, tmp_path):
@@ -270,13 +277,13 @@ def test_phases_run_in_order_inside_a_worker(monkeypatch, tmp_path):
 
     def phased():
         order = []
-        outcomes = workers.fork_map({k: functools.partial(order.append, k) for k in "ab"},
-                                    {k: functools.partial(order.append, k) for k in "cd"})
-        return os.getpid(), list(outcomes), order
+        values = workers.fork_map({k: functools.partial(order.append, k) for k in "ab"},
+                                  {k: functools.partial(order.append, k) for k in "cd"})
+        return os.getpid(), list(values), order
 
-    outcomes = workers.fork_map({k: phased for k in range(2)})
-    for outcome in outcomes.values():
-        pid, names, order = workers.take(outcome)
+    values = workers.fork_map({k: phased for k in range(2)})
+    assert list(values) == [0, 1]
+    for pid, names, order in values.values():
         assert pid != os.getpid() and names == order == list("abcd")
     assert forks() == [os.getpid()]
 
@@ -289,8 +296,9 @@ def test_phases_run_in_order_here_and_stop_at_a_failure(monkeypatch):
         order.append("b")
         raise ValueError("b")
 
-    outcomes = workers.fork_map({"a": functools.partial(order.append, "a"), "b": fail},
-                                {"c": functools.partial(order.append, "c")})
-    assert order == ["a", "b"] and list(outcomes) == ["a", "b"]
+    with pytest.raises(ValueError, match="^b$"):
+        workers.fork_map({"a": functools.partial(order.append, "a"), "b": fail},
+                         {"c": functools.partial(order.append, "c")})
+    assert order == ["a", "b"]
     with pytest.raises(ValueError, match="repeat"):
         workers.fork_map({0: os.getpid}, {0: os.getpid})
