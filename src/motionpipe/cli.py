@@ -270,7 +270,7 @@ def _cmd_extract(args) -> int:
     config = _settings(args)
     manifest = corpus.load_manifest(config.manifest)
     pca_model = pca.load_model(args.pca)
-    spec, state = cnn.load_model(args.cnn)
+    spec, params = cnn.load_model(args.cnn)
     if pca_model.channels != spec.input_channels:
         raise ValueError(
             f"PCA retains {pca_model.channels} channels but the network "
@@ -279,7 +279,7 @@ def _cmd_extract(args) -> int:
     sequences, _ = pipeline.read_corpus(config, manifest)
     ids = manifest.video_ids()
     batch, _ = pipeline.project_videos(pca_model, sequences, ids, spec.input_length)
-    vectors = cnn.extract_features(spec, state, batch)
+    vectors = cnn.extract_features(spec, params, batch)
     rows = [(vid, manifest.entry(vid).label, vec) for vid, vec in zip(ids, vectors)]
     write_features_csv(args.out, rows)
     print(f"wrote {len(rows)} feature vectors of dimension {len(rows[0][2])} to {args.out}")

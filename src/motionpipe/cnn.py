@@ -7,9 +7,11 @@ connected layers over the channel-major flattened input, and a softmax
 output layer with its own linear map.  Inside a batch, activations are
 channels-last, (N, L, C), so each conv is one GEMM whose output needs no
 transpose; only the flatten before the first fully-connected layer
-transposes, to channel-major.  Training holds every weight and then
-every bias as views into one flat float64 vector, so the momentum update
-is a few whole-vector operations.  Everything trains in float64 so
+transposes, to channel-major.  A network's parameters are a list, one
+(W, b) pair per conv, fully connected or softmax layer and None for the
+other layers.  Training holds every weight and then every bias as views
+into one flat float64 vector, so the momentum update is a few
+whole-vector operations.  Everything trains in float64 so
 analytic gradients can be checked against finite differences tightly;
 model files store parameters as float32.
 """
@@ -161,13 +163,6 @@ def _flat_size(shape: tuple) -> int:
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NetworkState:
-    """Learned parameters: one (weights, biases) pair per parameterised layer."""
-
-    params: list  # entry i: (W, b) for conv/fc/softmax layers, None otherwise
-
-
 def _param_shapes(spec: NetworkSpec) -> list:
     """Per layer: (weight shape, bias shape) for conv/fc/softmax, None otherwise.
 
@@ -210,13 +205,12 @@ def _flat_params(spec: NetworkSpec, rows: int = 1):
     return block, views, n_w
 
 
-def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
-    """Glorot-uniform weights, zero biases, drawn in layer order."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+def init_state(spec: NetworkSpec, rng: np.random.Generator) -> list:
+    """Glorot-uniform weights, zero biases, drawn in layer order from ``rng``.
+
+    Returns the network's parameters: per layer a (W, b) pair for
+    conv/fc/softmax layers, None for the others.
+    """
     params = []
     for shapes in _param_shapes(spec):
         if shapes is None:
@@ -228,7 +222,7 @@ def init_state(spec: NetworkSpec, seed_or_rng) -> NetworkState:
         fan_out = w_shape[0] * _flat_size(w_shape[2:])
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         params.append((rng.uniform(-lim, lim, size=w_shape), np.zeros(b_shape)))
-    return NetworkState(params=params)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +287,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: int | None = None):
+def _forward_batch(spec: NetworkSpec, params: list, x: np.ndarray, stop: int | None = None):
     """Run a (N, m, L) batch through layers [0, stop); returns (activations, cache).
 
     With the default stop every layer runs and the activations are the
@@ -306,9 +300,9 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
         )
     act = x.transpose(0, 2, 1)  # channels-last (N, L, C) from here on
     cache = []
-    for layer, params in list(zip(spec.layers, state.params))[:stop]:
+    for layer, layer_params in list(zip(spec.layers, params))[:stop]:
         if isinstance(layer, Conv1D):
-            w, b = params
+            w, b = layer_params
             in_len = act.shape[1]
             act, patches = _conv_forward(act, w, b, layer.stride)
             cache.append({"patches": patches, "in_len": in_len})
@@ -323,7 +317,7 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
             if pre_flatten is not None:
                 act = act.transpose(0, 2, 1)  # channel-major flatten
             flat = act.reshape(act.shape[0], -1)
-            w, b = params
+            w, b = layer_params
             cache.append({"x": flat, "pre_flatten": pre_flatten})
             act = flat @ w.T + b
             if isinstance(layer, SoftmaxOutput):
@@ -332,10 +326,10 @@ def _forward_batch(spec: NetworkSpec, state: NetworkState, x: np.ndarray, stop: 
     return act, cache
 
 
-def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.ndarray, grads):
+def _backward_batch(spec: NetworkSpec, params: list, cache, labels: np.ndarray, grads):
     """Gradients of the mean cross-entropy loss over the batch.
 
-    ``grads`` is a list aligned with ``state.params``: (dW, db) arrays,
+    ``grads`` is a list aligned with ``params``: (dW, db) arrays,
     overwritten in place, or None for parameterless layers.  Labels are
     checked by cross_entropy, which runs first.
     """
@@ -349,7 +343,7 @@ def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.nd
         layer = spec.layers[i]
         entry = cache[i]
         if isinstance(layer, (SoftmaxOutput, FullyConnected)):
-            w, _ = state.params[i]
+            w, _ = params[i]
             dw, db = grads[i]
             np.matmul(grad.T, entry["x"], out=dw)
             np.sum(grad, axis=0, out=db)
@@ -362,7 +356,7 @@ def _backward_batch(spec: NetworkSpec, state: NetworkState, cache, labels: np.nd
         elif isinstance(layer, Max1D):
             grad = _max_backward(entry["src"], grad, entry["shape"])
         elif isinstance(layer, Conv1D):
-            w, _ = state.params[i]
+            w, _ = params[i]
             dw, db = grads[i]
             o, c, taps = w.shape
             g2 = grad.reshape(-1, o)
@@ -391,19 +385,19 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-def batch_gradients(spec: NetworkSpec, state: NetworkState, x: np.ndarray, labels: np.ndarray,
+def batch_gradients(spec: NetworkSpec, params: list, x: np.ndarray, labels: np.ndarray,
                     out=None):
     """Mean loss and parameter gradients for a (N, m, L) batch.
 
-    The gradients are a list aligned with ``state.params``: (dW, db)
+    The gradients are a list aligned with ``params``: (dW, db)
     pairs, or None for parameterless layers.  They are written into
     ``out``, a list of that layout, when given.
     """
-    probs, cache = _forward_batch(spec, state, x)
+    probs, cache = _forward_batch(spec, params, x)
     loss = cross_entropy(probs, labels)
     if out is None:
         _, (out,), _ = _flat_params(spec)
-    _backward_batch(spec, state, cache, labels, out)
+    _backward_batch(spec, params, cache, labels, out)
     return loss, out
 
 
@@ -438,7 +432,7 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
 
     ``samples`` is a sequence of m x L arrays, ``labels`` integer class
     indices.  Shuffling and initialisation derive from config.seed, so
-    the returned (state, per-epoch mean loss) is deterministic.  Weight
+    the returned (params, per-epoch mean loss) is deterministic.  Weight
     decay applies to weight matrices, not biases.  Raises
     ConvergenceError as soon as a batch loss is non-finite, or when an
     epoch ends with a non-finite parameter.
@@ -463,10 +457,9 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
     # and re-fault the heap top every batch (2M minor faults per LOOCV run)
     block, (params, grads, _, _), n_w = _flat_params(spec, rows=4)
     theta, grad, velocity, decay = block
-    for view, init in zip(params, init_state(spec, rng).params):
+    for view, init in zip(params, init_state(spec, rng)):
         if view is not None:
             view[0][...] = init[0]  # biases start at zero
-    state = NetworkState(params=params)
 
     n = x.shape[0]
     loss_history = []
@@ -477,7 +470,7 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
             epoch_loss = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                loss, _ = batch_gradients(spec, state, x[idx], y[idx], out=grads)
+                loss, _ = batch_gradients(spec, params, x[idx], y[idx], out=grads)
                 if not math.isfinite(loss):
                     raise ConvergenceError(
                         f"CNN training diverged in epoch {epoch + 1}: non-finite loss"
@@ -494,10 +487,10 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
                     f"CNN training diverged in epoch {epoch + 1}: non-finite parameters"
                 )
             loss_history.append(epoch_loss)
-    return state, loss_history
+    return params, loss_history
 
 
-def extract_features(spec: NetworkSpec, state: NetworkState, x: np.ndarray) -> np.ndarray:
+def extract_features(spec: NetworkSpec, params: list, x: np.ndarray) -> np.ndarray:
     """Feature-layer activations (last FC before the output) of a (N, m, L) batch.
 
     Returns an (N, F) array.  When a ReLU follows that layer the
@@ -505,7 +498,7 @@ def extract_features(spec: NetworkSpec, state: NetworkState, x: np.ndarray) -> n
     chi-squared kernel downstream.
     """
     x = np.asarray(x, dtype=np.float64)
-    features, _ = _forward_batch(spec, state, x, stop=spec.feature_cutoff() + 1)
+    features, _ = _forward_batch(spec, params, x, stop=spec.feature_cutoff() + 1)
     return features
 
 
@@ -568,16 +561,16 @@ def default_architecture(num_classes: int) -> tuple[LayerSpec, ...]:
 # Model file
 # ---------------------------------------------------------------------------
 
-def save_model(spec: NetworkSpec, state: NetworkState, path) -> None:
+def save_model(spec: NetworkSpec, params: list, path) -> None:
     """Write the arrays ``spec`` (its text, UTF-8) and ``params`` (each layer's W then b, f32)."""
     spec_text = f"input {spec.input_channels} {spec.input_length}\n" + format_architecture(spec.layers)
-    params = [np.ravel(a) for p in state.params if p is not None for a in p]
+    values = [np.ravel(a) for p in params if p is not None for a in p]
     arrays.write(path, spec=spec_text.encode("utf-8"),
-                 params=np.concatenate(params).astype(np.float32))
+                 params=np.concatenate(values).astype(np.float32))
 
 
 def load_model(path):
-    """Read a network file; returns (spec, state) with float64 parameters."""
+    """Read a network file; returns (spec, params) with float64 parameters."""
     stored = arrays.load(path, spec=("|u1", (None,)), params=("<f4", (None,)))
     try:
         lines = stored["spec"].tobytes().decode("utf-8").splitlines()
@@ -606,4 +599,4 @@ def load_model(path):
     # each layer's W then b, layer after layer
     views = iter(_views(values.astype(np.float64), shapes))
     params = [None if p is None else (next(views), next(views)) for p in layer_shapes]
-    return spec, NetworkState(params=params)
+    return spec, params

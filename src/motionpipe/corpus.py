@@ -1,12 +1,12 @@
-"""On-disk corpus model: descriptor sequences, manifests, split plans.
+"""On-disk corpus model: descriptor sequences, manifests, splits into folds.
 
 A video is stored as one ARR1 file (see ``arrays``) holding its T x n
 descriptor matrix as the float32 array ``descriptors`` (row t =
 descriptor of the flow between frames t and t+1).  A JSON manifest lists
-videos, labels and file paths.  Split plans implement leave-one-out and
-fixed train/test splits.  A synthetic-corpus generator produces classes
-that differ only in the temporal order of shared pulse motifs, for
-end-to-end validation.
+videos, labels and file paths.  ``make_loocv`` and ``make_fixed_splits``
+return the tuple of ``Fold``s of a leave-one-out or fixed train/test
+split.  A synthetic-corpus generator produces classes that differ only
+in the temporal order of shared pulse motifs, for end-to-end validation.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class Fold:
     test_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    folds: tuple[Fold, ...]
-
-
 # ---------------------------------------------------------------------------
 # Descriptor files
 # ---------------------------------------------------------------------------
@@ -126,10 +121,10 @@ def _stem(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Split plans
+# Splits
 # ---------------------------------------------------------------------------
 
-def make_loocv(manifest: Manifest) -> SplitPlan:
+def make_loocv(manifest: Manifest) -> tuple[Fold, ...]:
     """N folds for N videos: fold i tests video i, trains on the rest."""
     ids = manifest.video_ids()
     if len(ids) < 2:
@@ -138,10 +133,10 @@ def make_loocv(manifest: Manifest) -> SplitPlan:
     for i, test_id in enumerate(ids):
         train = tuple(v for j, v in enumerate(ids) if j != i)
         folds.append(Fold(train_ids=train, test_ids=(test_id,)))
-    return SplitPlan(folds=tuple(folds))
+    return tuple(folds)
 
 
-def make_fixed_splits(manifest: Manifest) -> SplitPlan:
+def make_fixed_splits(manifest: Manifest) -> tuple[Fold, ...]:
     """One fold per split_id: fold k tests entries with split_id k."""
     for e in manifest.entries:
         if e.split_id is None:
@@ -154,7 +149,7 @@ def make_fixed_splits(manifest: Manifest) -> SplitPlan:
         if not train:
             raise ValueError(f"empty train set for split {k}")
         folds.append(Fold(train_ids=train, test_ids=test))
-    return SplitPlan(folds=tuple(folds))
+    return tuple(folds)
 
 
 # ---------------------------------------------------------------------------

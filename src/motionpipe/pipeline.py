@@ -9,7 +9,8 @@ indices).  All of them are ``arrays`` (ARR1) files.  A cached rerun
 reads the stage outputs instead of rebuilding the network or the SVM,
 so it reproduces a cold run bit for bit.  Stage caching is
 keyed by content hashes that chain upstream, so changing any input
-invalidates everything below it.
+invalidates everything below it.  A frame directory's key hashes only
+its frames, the files the flow reads.
 
 A run plans every key and whether it hits once, up front.  The frame
 directories that miss go to ``workers.fork_map``, which runs them on up
@@ -40,7 +41,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -252,7 +253,7 @@ class PipelineResult:
     overall_accuracy: float
     confusion: ConfusionMatrix
     fold_results: tuple
-    loss_histories: tuple = field(default=())
+    loss_histories: tuple
 
 
 def evaluate(predictions, labels) -> tuple[float, ConfusionMatrix]:
@@ -276,10 +277,15 @@ def evaluate(predictions, labels) -> tuple[float, ConfusionMatrix]:
 # Frame directories and corpora
 # ---------------------------------------------------------------------------
 
+def _frame_names(frame_dir) -> list:
+    """The names of ``frame_dir``'s frames, its ``.pgm`` files in any case, sorted."""
+    return sorted(n for n in os.listdir(frame_dir) if n.lower().endswith(".pgm"))
+
+
 def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int, bins: int,
                        video_id: str | None = None) -> corpus.DescriptorSequence:
     """Flow descriptors for consecutive PGM frames, sorted by filename."""
-    names = sorted(n for n in os.listdir(frame_dir) if n.lower().endswith(".pgm"))
+    names = _frame_names(frame_dir)
     if len(names) < 2:
         raise ValueError(f"{frame_dir}: needs at least 2 PGM frames, found {len(names)}")
     frames = [flow.read_pgm(os.path.join(frame_dir, n)) for n in names]
@@ -341,13 +347,11 @@ def _digest(*parts, framed: bytes = b"") -> str:
 
 
 def _source_digest(path: str) -> str:
-    """Hash of a directory of frames."""
+    """Hash of the frames of a directory, the files ``frames_to_sequence`` reads."""
     parts: list = []
-    for name in sorted(os.listdir(path)):
-        full = os.path.join(path, name)
-        if os.path.isfile(full):
-            with open(full, "rb") as fh:
-                parts.extend([name, fh.read()])
+    for name in _frame_names(path):
+        with open(os.path.join(path, name), "rb") as fh:
+            parts.extend([name, fh.read()])
     return _digest("dir", *parts)
 
 
@@ -501,13 +505,13 @@ def fit_cnn_model(path: str, arch_text: str, samples: np.ndarray, labels,
     """The network ``arch_text`` describes, trained on the (N, m, L) ``samples``.
 
     ``labels`` are class indices.  Saves the network to ``path`` and returns
-    (spec, state, per-epoch losses).
+    (spec, params, per-epoch losses).
     """
     spec = cnn.NetworkSpec(input_channels=samples.shape[1], input_length=samples.shape[2],
                            layers=cnn.parse_architecture(arch_text))
-    state, losses = cnn.train(spec, samples, labels, train_cfg)
-    cnn.save_model(spec, state, path)
-    return spec, state, losses
+    params, losses = cnn.train(spec, samples, labels, train_cfg)
+    cnn.save_model(spec, params, path)
+    return spec, params, losses
 
 
 def fit_svm_model(path: str, features: np.ndarray, labels, config, seed: int) -> svm.SvmModel:
@@ -601,11 +605,11 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
                     pca_model = pca.load_model(pca_path)
             _audit("cnn", fold_index, train_ids)
             batch, _ = project_videos(pca_model, sequences, fold_ids, plan.l_max)
-            spec, state, losses = fit_cnn_model(
+            spec, params, losses = fit_cnn_model(
                 cnn_path, arch_text, batch[:n_train],
                 [label_index[manifest.entry(vid).label] for vid in train_ids], plan.train_cfg,
             )
-            features = cnn.extract_features(spec, state, batch)
+            features = cnn.extract_features(spec, params, batch)
             arrays.write(cnn_out, features=features, loss=np.asarray(losses, dtype=np.float64))
             return features, losses
 
@@ -657,8 +661,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # leaves no directory
         manifest = corpus.load_manifest(config.manifest)
         arch_text = architecture_text(config.architecture, len(manifest.labels()))
-        _source_paths(config, manifest)  # a missing source is named before a plan's error
-        plan = (
+        _source_paths(config, manifest)  # a missing source is named before a split's error
+        folds = (
             corpus.make_loocv(manifest)
             if config.split == "loocv"
             else corpus.make_fixed_splits(manifest)
@@ -672,7 +676,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # lower fold is raised, and starts no later fold, however the folds hit
         video_parts = {vid: _frame(f"{vid}:{key}") for vid, key in desc_keys.items()}
         tasks, warm = {}, True
-        for fold_index, fold in enumerate(plan.folds):
+        for fold_index, fold in enumerate(folds):
             fold_plan = _plan_fold(config, fold_index, fold, sequences, video_parts, arch_text)
             warm = warm and fold_plan.hit
             tasks[fold_index] = functools.partial(

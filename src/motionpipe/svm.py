@@ -1,9 +1,9 @@
 """Chi-squared-kernel SVM trained by SMO, one binary machine per class.
 
 Features must be nonnegative (the chi-squared distance divides by
-x_i + y_i).  The solver is a deterministic SMO: each step pairs the
-maximal KKT violator with the partner of greatest second-order gain,
-with ties broken towards the lowest index.
+x_i + y_i + CHI2_EPSILON).  The solver is a deterministic SMO: each step
+pairs the maximal KKT violator with the partner of greatest second-order
+gain, with ties broken towards the lowest index.
 
 The kernel's values are made in place, in the buffer that holds the
 distances, so a Gram of S x T rows costs one S x T float64 matrix.  A
@@ -27,6 +27,7 @@ from . import arrays, workers
 from .errors import ConvergenceError, DataFormatError
 
 MAX_SMO_STEPS = 10**6
+CHI2_EPSILON = 1e-12  # added to every chi-squared denominator x_i + y_i; model files store it
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
@@ -47,13 +48,10 @@ _FORK_TERMS = 2**24
 @dataclass(frozen=True)
 class KernelParams:
     gamma: float
-    epsilon_denominator: float = 1e-12
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValueError("gamma must be positive and finite")
-        if not np.isfinite(self.epsilon_denominator) or self.epsilon_denominator <= 0:
-            raise ValueError("epsilon_denominator must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,21 +86,21 @@ def _check_nonneg(x: np.ndarray) -> None:
         raise ValueError("chi-squared kernel requires nonnegative features")
 
 
-def chi2_distance_matrix(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+def chi2_distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise chi-squared distances between rows of x and rows of y."""
-    out, tasks = _kernel_tasks(x, y, eps, None)
+    out, tasks = _kernel_tasks(x, y, None)
     workers.fork_map(tasks)
     return out
 
 
 def chi2_gram(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
-    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + eps)) for every row pair."""
-    out, tasks = _kernel_tasks(x, y, params.epsilon_denominator, params.gamma)
+    """K(x, y) = exp(-gamma * sum_i (x_i - y_i)^2 / (x_i + y_i + CHI2_EPSILON)) per row pair."""
+    out, tasks = _kernel_tasks(x, y, params.gamma)
     workers.fork_map(tasks)
     return out
 
 
-def _kernel_tasks(x, y, eps, gamma):
+def _kernel_tasks(x, y, gamma):
     """(out, tasks): an empty x-row by y-row matrix, and the ``fork_map`` tasks that fill it.
 
     The tasks write chi-squared distances, or, with ``gamma``, the
@@ -144,12 +142,12 @@ def _kernel_tasks(x, y, eps, gamma):
         out = np.frombuffer(mmap.mmap(-1, 8 * n * m), dtype=np.float64).reshape(n, m)
         cut = np.abs(np.cumsum(pairs) - pairs.sum() / 2).argmin() + 1
         parts = np.split(starts, [min(cut, starts.size - 1)])
-    return out, {("kernel", k): functools.partial(_distance_blocks, x, y, eps, symmetric, rows,
+    return out, {("kernel", k): functools.partial(_distance_blocks, x, y, symmetric, rows,
                                                   part, out, gamma)
                  for k, part in enumerate(parts)}
 
 
-def _distance_blocks(x, y, eps, symmetric, rows, starts, out, gamma) -> None:
+def _distance_blocks(x, y, symmetric, rows, starts, out, gamma) -> None:
     """The chi-squared distances, or kernel values, of the row blocks at ``starts``, into ``out``."""
     buffers = np.empty((2, min(rows, x.shape[0]) * y.size))
     for start in starts:
@@ -161,7 +159,7 @@ def _distance_blocks(x, y, eps, symmetric, rows, starts, out, gamma) -> None:
         diff[...] = x[start:stop, None, :]
         np.add(diff, yb, out=denom)
         diff -= yb
-        denom += eps
+        denom += CHI2_EPSILON
         diff *= diff
         diff /= denom
         block = out[start:stop, first:]
@@ -186,7 +184,7 @@ def default_gamma(features, seed: int) -> float:
     _check_nonneg(x)
     s = x.shape[0]
     if s <= 200:
-        d = chi2_distance_matrix(x, x, 1e-12)
+        d = chi2_distance_matrix(x, x)
         mean = d[np.triu_indices(s, k=1)].mean()
     else:
         rng = np.random.default_rng(seed)
@@ -194,7 +192,7 @@ def default_gamma(features, seed: int) -> float:
         j = rng.integers(0, s - 1, size=1000)
         j = j + (j >= i)  # shift past i so pairs are always distinct
         diff = x[i] - x[j]
-        mean = float(np.sum(diff * diff / (x[i] + x[j] + 1e-12), axis=1).mean())
+        mean = float(np.sum(diff * diff / (x[i] + x[j] + CHI2_EPSILON), axis=1).mean())
     if mean <= 0:
         raise ValueError("all features identical: mean chi-squared distance is zero")
     return float(1.0 / mean)
@@ -356,7 +354,7 @@ def fit(features, labels, c_box: float, params: KernelParams, tol: float) -> Svm
 
     label_arr = np.array(labels)
     ys = [np.where(label_arr == cls, 1.0, -1.0) for cls in class_labels]
-    gram, kernel = _kernel_tasks(x, x, params.epsilon_denominator, params.gamma)
+    gram, kernel = _kernel_tasks(x, x, params.gamma)
     ways = len(kernel)  # the machines are split as the Gram's blocks are
     outcomes = workers.fork_map(kernel, {
         ("machines", k): functools.partial(_machines, gram, ys[k::ways], c_box, tol)
@@ -415,7 +413,7 @@ def predict_batch(model: SvmModel, features) -> list:
 
 def save_model(model: SvmModel, path) -> None:
     """Write the model as arrays: ``labels`` (UTF-8, one a line), ``kernel`` (gamma,
-    epsilon), ``vectors`` (each distinct support vector once, as float32), and per
+    CHI2_EPSILON), ``vectors`` (each distinct support vector once, as float32), and per
     machine in label order its support ``counts``, ``support`` rows of ``vectors``,
     ``coefficients`` and ``biases``."""
     labels = [str(label) for label in model.labels]
@@ -427,7 +425,7 @@ def save_model(model: SvmModel, path) -> None:
                for machine in model.machines for i in machine.support_indices]
     arrays.write(
         path, labels="\n".join(labels).encode("utf-8"),
-        kernel=np.array([model.params.gamma, model.params.epsilon_denominator]),
+        kernel=np.array([model.params.gamma, CHI2_EPSILON]),
         vectors=single[[i for _, i in rows.values()]],
         counts=np.array([m.support_indices.size for m in model.machines], dtype=np.int64),
         support=np.array(support, dtype=np.int64),
@@ -454,8 +452,12 @@ def load_model(path) -> SvmModel:
     vectors = stored["vectors"]
     if vectors.shape[1] < 1:
         raise DataFormatError(f"{path}: feature dimension must be at least 1")
+    gamma, epsilon = (float(x) for x in stored["kernel"])
+    if epsilon != CHI2_EPSILON:
+        raise DataFormatError(
+            f"{path}: chi-squared epsilon {epsilon!r}, expected {CHI2_EPSILON!r}")
     try:
-        params = KernelParams(*(float(x) for x in stored["kernel"]))
+        params = KernelParams(gamma)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     counts, biases = stored["counts"], stored["biases"]

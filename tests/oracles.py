@@ -340,10 +340,10 @@ def reference_train(spec, samples, labels, config):
     x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
     y = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
-    state = cnn.init_state(spec, rng)
+    params = cnn.init_state(spec, rng)
     velocity = [
         None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
-        for p in state.params
+        for p in params
     ]
     n = x.shape[0]
     losses = []
@@ -352,12 +352,12 @@ def reference_train(spec, samples, labels, config):
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = cnn.batch_gradients(spec, state, x[idx], y[idx])
+            loss, grads = cnn.batch_gradients(spec, params, x[idx], y[idx])
             epoch_loss += loss * idx.size
             for li, g in enumerate(grads):
                 if g is None:
                     continue
-                w, b = state.params[li]
+                w, b = params[li]
                 vw, vb = velocity[li]
                 dw = g[0] + config.weight_decay * w
                 vw *= config.momentum
@@ -367,7 +367,7 @@ def reference_train(spec, samples, labels, config):
                 w += vw
                 b += vb
         losses.append(epoch_loss / n)
-    return state, losses
+    return params, losses
 
 
 def align_to_length(data, length):

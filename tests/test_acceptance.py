@@ -159,16 +159,16 @@ def test_criterion_3_gradients_match_finite_differences():
             input_channels=channels, input_length=length, layers=tuple(layers)
         )
         rng = np.random.default_rng(seed)
-        state = cnn.init_state(spec, rng)
+        params = cnn.init_state(spec, rng)
         x = rng.normal(size=(channels, length))
         label = int(rng.integers(spec.num_classes()))
-        _, grads = cnn.batch_gradients(spec, state, x[None], np.array([label]))
+        _, grads = cnn.batch_gradients(spec, params, x[None], np.array([label]))
 
-        arrays = [a for p in state.params if p is not None for a in p]
+        arrays = [a for p in params if p is not None for a in p]
         analytic = [a for g in grads if g is not None for a in g]
 
         def loss_fn():
-            probs, _ = cnn._forward_batch(spec, state, x[None])
+            probs, _ = cnn._forward_batch(spec, params, x[None])
             return -float(np.log(probs[0, label]))
 
         numeric = oracles.finite_difference_gradients(loss_fn, arrays, step=1e-5)
@@ -186,16 +186,14 @@ def test_criterion_3_gradients_match_finite_differences():
         layers=(cnn.Conv1D(1, 1, 1), cnn.Max1D(2, 2), cnn.FullyConnected(2),
                 cnn.SoftmaxOutput(2)),
     )
-    state = cnn.NetworkState(
-        params=[
-            (np.zeros((1, 1, 1)), np.zeros(1)),
-            None,
-            (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2)),
-            (np.eye(2), np.zeros(2)),
-        ]
-    )
+    params = [
+        (np.zeros((1, 1, 1)), np.zeros(1)),
+        None,
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2)),
+        (np.eye(2), np.zeros(2)),
+    ]
     x = np.array([[10.0, 20.0, 30.0, 40.0]])
-    _, grads = cnn.batch_gradients(spec, state, x[None], np.array([0]))
+    _, grads = cnn.batch_gradients(spec, params, x[None], np.array([0]))
     assert abs(grads[0][0][0, 0, 0] - 40.0) < 1e-12  # reads x[0] and x[2]
     assert abs(grads[0][1][0] - 2.0) < 1e-12
     assert time.perf_counter() - started < 60.0
@@ -359,16 +357,15 @@ def test_criterion_7_same_seed_runs_are_byte_identical(protocol):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_no_fit_call_sees_test_videos(protocol):
-    plan = corpus.make_loocv(protocol.manifest)
-    folds = len(plan.folds)
+    folds = corpus.make_loocv(protocol.manifest)
     seen: dict[int, set] = {}
     for stage, fold, ids in protocol.audit:
-        held_out = set(plan.folds[fold].test_ids)
+        held_out = set(folds[fold].test_ids)
         assert held_out.isdisjoint(ids), (
             f"fold {fold} {stage} fit saw {sorted(held_out & set(ids))}"
         )
-        assert set(ids) == set(plan.folds[fold].train_ids)
+        assert set(ids) == set(folds[fold].train_ids)
         seen.setdefault(fold, set()).add(stage)
-    assert set(seen) == set(range(folds))  # the audit is not vacuous
+    assert set(seen) == set(range(len(folds)))  # the audit is not vacuous
     for stages in seen.values():
         assert stages == {"pca", "cnn", "gamma", "svm"}

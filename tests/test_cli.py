@@ -189,7 +189,7 @@ def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
     length = max(seq.frames for seq in sequences.values()) - 1
     spec = cnn.NetworkSpec(input_channels=model.channels, input_length=length,
                            layers=cnn.parse_architecture(MINI_ARCH))
-    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), cnn_path)
 
     with pytest.warns(UserWarning, match="truncated") as record:
         code, _, err = _run(capsys, "extract", "--manifest", manifest_path, "--pca", pca_path,
@@ -201,14 +201,14 @@ def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
         f"series {longer[0]!r} truncated from {length + 1} to {length} frames"
     ]
 
-    spec, state = cnn.load_model(cnn_path)
+    spec, params = cnn.load_model(cnn_path)
     ids = manifest.video_ids()
     per_video = np.stack([
         oracles.align_to_length(pca.transform(model, sequences[vid].data), length)
         for vid in ids
     ])
     _, _, features = cli.read_features_csv(features_path)
-    assert np.abs(features - cnn.extract_features(spec, state, per_video)).max() <= 1e-12
+    assert np.abs(features - cnn.extract_features(spec, params, per_video)).max() <= 1e-12
 
 
 def test_an_overflowing_projection_exits_2_with_one_error_line(tmp_path, capsys):
@@ -222,7 +222,7 @@ def test_an_overflowing_projection_exits_2_with_one_error_line(tmp_path, capsys)
                                 components=np.full((1, 3), 1e308), pov_achieved=1.0), pca_path)
     spec = cnn.NetworkSpec(input_channels=1, input_length=20,
                            layers=cnn.parse_architecture(MINI_ARCH))
-    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), cnn_path)
     calls = {
         "project": ["--model", pca_path, "--input", str(tmp_path / "corpus" / first.path)],
         "extract": ["--manifest", manifest_path, "--pca", pca_path, "--cnn", cnn_path],
@@ -247,7 +247,7 @@ def test_a_model_file_in_an_older_format_exits_2_with_one_error_line(tmp_path, c
     spec_text = "input 1 20\n" + MINI_ARCH
     spec = cnn.NetworkSpec(input_channels=1, input_length=20,
                            layers=cnn.parse_architecture(MINI_ARCH))
-    cnn.save_model(spec, cnn.init_state(spec, 0), cnn_path)
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), cnn_path)
     features_path = str(tmp_path / "features.csv")
     cli.write_features_csv(features_path, [("a", "x", [1.0]), ("b", "y", [2.0])])
     descriptors = corpus.read_sequence(fds_path).data
@@ -459,7 +459,7 @@ def test_stage_commands_write_what_run_writes(tmp_path, capsys):
         code, _, err = _run(capsys, "run", "--config", str(config_path))
         assert code == 0, err
 
-        for fold_index, fold in enumerate(corpus.make_fixed_splits(manifest).folds):
+        for fold_index, fold in enumerate(corpus.make_fixed_splits(manifest)):
             fold_dir = out_dir / f"fold_{fold_index:03d}"
             train_manifest = tmp_path / name / f"train{fold_index}.json"
             corpus.save_manifest(
@@ -672,6 +672,21 @@ def test_header_only_features_exit_2_in_svm_fit_and_predict(tmp_path, capsys):
                  ["predict", "--model", str(model), "--out", str(tmp_path / "p.csv")]):
         code, _, err = _run(capsys, *argv, "--features", str(empty))
         assert code == 2 and "feature table has no rows" in err
+
+
+def test_an_svm_model_with_another_epsilon_exits_2_with_one_error_line(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    cli.write_features_csv(str(features), [("a", "x", [1.0, 0.0]), ("b", "y", [0.0, 1.0])])
+    good, bad = tmp_path / "good.svm", tmp_path / "bad.svm"
+    assert _run(capsys, "svm-fit", "--features", str(features), "--out", str(good))[0] == 0
+    stored = arrays.load(good)
+    assert stored["kernel"][1] == svm.CHI2_EPSILON == 1e-12
+    arrays.write(bad, **{**stored, "kernel": np.array([stored["kernel"][0], 1e-6])})
+    out = tmp_path / "predictions.csv"
+    assert _run(capsys, "predict", "--model", str(bad), "--features", str(features),
+                "--out", str(out)) == (2, "", f"error: {bad}: chi-squared epsilon 1e-06, "
+                                              "expected 1e-12\n")
+    assert not out.exists()
 
 
 def test_commands_hold_one_blas_thread_and_restore_the_count(tmp_path, capsys, monkeypatch):
@@ -962,7 +977,7 @@ def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch
     pca.save_model(model, tmp_path / "m.pca")
     spec = cnn.NetworkSpec(input_channels=model.channels + 1, input_length=4,
                            layers=cnn.parse_architecture(MINI_ARCH))
-    cnn.save_model(spec, cnn.init_state(spec, 0), tmp_path / "wide.cnn")
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), tmp_path / "wide.cnn")
     (tmp_path / "bad.txt").write_text("conv 3 4 1\nbogus 2\n")
     (tmp_path / "config.json").write_text(json.dumps(
         {"manifest": manifest_path, "output_dir": "out"}))

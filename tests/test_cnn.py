@@ -31,7 +31,7 @@ def _first_layer(layer, x, params):
     """``layer`` on one C x L input as a network's first layer, through the batched
     forward pass on a batch of one: (C_out x L_out output, the layer's cache entry)."""
     spec = _spec([layer, cnn.FullyConnected(1), cnn.SoftmaxOutput(1)], *x.shape)
-    out, cache = cnn._forward_batch(spec, cnn.NetworkState([params, None, None]), x[None], stop=1)
+    out, cache = cnn._forward_batch(spec, [params, None, None], x[None], stop=1)
     return out[0].T, cache[0]
 
 
@@ -157,9 +157,9 @@ def test_cross_entropy_hand_value():
 def test_layer_shapes_match_forward():
     spec = _small_spec()
     assert spec.layer_shapes() == ((4, 7), (4, 7), (4, 3), (5,), (5,), (3,))
-    state = cnn.init_state(spec, 0)
+    params = cnn.init_state(spec, np.random.default_rng(0))
     x = np.random.default_rng(0).normal(size=(2, 16))
-    probs = cnn._forward_batch(spec, state, x[None])[0][0]
+    probs = cnn._forward_batch(spec, params, x[None])[0][0]
     assert probs.shape == (3,)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert spec.feature_cutoff() == 4  # the ReLU after the last FC
@@ -189,20 +189,20 @@ def test_spec_validation():
 
 def _gradcheck(spec, seed, atol=1e-6, batch=1):
     rng = np.random.default_rng(seed)
-    state = cnn.init_state(spec, rng)
+    params = cnn.init_state(spec, rng)
     x = rng.normal(size=(batch, spec.input_channels, spec.input_length))
     labels = rng.integers(spec.num_classes(), size=batch)
 
-    _, grads = cnn.batch_gradients(spec, state, x, labels)
+    _, grads = cnn.batch_gradients(spec, params, x, labels)
 
-    arrays = [a for p in state.params if p is not None for a in p]
+    arrays = [a for p in params if p is not None for a in p]
     analytic = [g for g in grads if g is not None]
     analytic = [a for pair in analytic for a in pair]
 
     def loss_fn():
         # mean cross-entropy, one forward on a batch of one per row
         return -float(np.mean([
-            np.log(cnn._forward_batch(spec, state, xi[None])[0][0, label])
+            np.log(cnn._forward_batch(spec, params, xi[None])[0][0, label])
             for xi, label in zip(x, labels)
         ]))
 
@@ -274,16 +274,14 @@ def test_tie_gradient_routes_to_first_position():
         channels=1,
         length=4,
     )
-    state = cnn.NetworkState(
-        params=[
-            (np.zeros((1, 1, 1)), np.zeros(1)),
-            None,
-            (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2)),
-            (np.eye(2), np.zeros(2)),
-        ]
-    )
+    params = [
+        (np.zeros((1, 1, 1)), np.zeros(1)),
+        None,
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2)),
+        (np.eye(2), np.zeros(2)),
+    ]
     x = np.array([[10.0, 20.0, 30.0, 40.0]])
-    _, grads = cnn.batch_gradients(spec, state, x[None], np.array([0]))
+    _, grads = cnn.batch_gradients(spec, params, x[None], np.array([0]))
     # pool grad is [1, 1]; first-offset routing reads x[0] and x[2]
     assert abs(grads[0][0][0, 0, 0] - 40.0) < 1e-12
     assert abs(grads[0][1][0] - 2.0) < 1e-12
@@ -292,12 +290,12 @@ def test_tie_gradient_routes_to_first_position():
 def test_batch_gradients_average_individual_gradients():
     spec = _small_spec()
     rng = np.random.default_rng(6)
-    state = cnn.init_state(spec, rng)
+    params = cnn.init_state(spec, rng)
     x1 = rng.normal(size=(2, 16))
     x2 = rng.normal(size=(2, 16))
-    loss_b, grads_b = cnn.batch_gradients(spec, state, np.stack([x1, x2]), np.array([0, 2]))
-    loss_1, grads_1 = cnn.batch_gradients(spec, state, x1[None], np.array([0]))
-    loss_2, grads_2 = cnn.batch_gradients(spec, state, x2[None], np.array([2]))
+    loss_b, grads_b = cnn.batch_gradients(spec, params, np.stack([x1, x2]), np.array([0, 2]))
+    loss_1, grads_1 = cnn.batch_gradients(spec, params, x1[None], np.array([0]))
+    loss_2, grads_2 = cnn.batch_gradients(spec, params, x2[None], np.array([2]))
     assert abs(loss_b - (loss_1 + loss_2) / 2) < 1e-12
     for gb, g1, g2 in zip(grads_b, grads_1, grads_2):
         if gb is None:
@@ -308,10 +306,10 @@ def test_batch_gradients_average_individual_gradients():
 
 def test_backward_rejects_bad_labels():
     spec = _small_spec()
-    state = cnn.init_state(spec, 0)
+    params = cnn.init_state(spec, np.random.default_rng(0))
     x = np.zeros((1, 2, 16))
     with pytest.raises(ValueError, match="label out of range"):
-        cnn.batch_gradients(spec, state, x, np.array([3]))
+        cnn.batch_gradients(spec, params, x, np.array([3]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +339,17 @@ def test_train_is_deterministic_and_learns():
     )
     samples, labels = _toy_problem()
     config = cnn.TrainConfig(learning_rate=0.05, epochs=40, batch_size=4, seed=7)
-    state1, losses1 = cnn.train(spec, samples, labels, config)
-    state2, losses2 = cnn.train(spec, samples, labels, config)
+    params1, losses1 = cnn.train(spec, samples, labels, config)
+    params2, losses2 = cnn.train(spec, samples, labels, config)
     assert losses1 == losses2
-    for p1, p2 in zip(state1.params, state2.params):
+    for p1, p2 in zip(params1, params2):
         if p1 is None:
             continue
         assert np.array_equal(p1[0], p2[0])
         assert np.array_equal(p1[1], p2[1])
     assert losses1[-1] < 0.1 * losses1[0]
     for x, label in zip(samples, labels):
-        probs = cnn._forward_batch(spec, state1, x[None])[0][0]
+        probs = cnn._forward_batch(spec, params1, x[None])[0][0]
         assert int(np.argmax(probs)) == label
 
 
@@ -376,10 +374,10 @@ def test_train_matches_per_layer_reference(net, weight_decay):
     samples = list(rng.normal(size=(n, channels, length)))
     labels = [i % spec.num_classes() for i in range(n)]
     config = cnn.TrainConfig(epochs=4, seed=3, weight_decay=weight_decay)
-    state, losses = cnn.train(spec, samples, labels, config)
-    want_state, want_losses = oracles.reference_train(spec, samples, labels, config)
+    params, losses = cnn.train(spec, samples, labels, config)
+    want_params, want_losses = oracles.reference_train(spec, samples, labels, config)
     assert losses == want_losses
-    for got, want in zip(state.params, want_state.params):
+    for got, want in zip(params, want_params):
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got[0], want[0])
@@ -438,24 +436,24 @@ def test_train_config_validation():
 
 def test_extract_features_cutoff_and_sign():
     spec = _small_spec()
-    state = cnn.init_state(spec, 8)
+    params = cnn.init_state(spec, np.random.default_rng(8))
     x = np.random.default_rng(8).normal(size=(2, 16))
-    feats = cnn.extract_features(spec, state, x[None])
+    feats = cnn.extract_features(spec, params, x[None])
     assert feats.shape == (1, 5)
     assert feats.min() >= 0.0  # trailing ReLU keeps features nonnegative
     # equals the forward activations just before the softmax layer
-    probs = cnn._forward_batch(spec, state, x[None])[0][0]
-    w, b = state.params[-1]
+    probs = cnn._forward_batch(spec, params, x[None])[0][0]
+    w, b = params[-1]
     assert np.allclose(cnn.softmax(feats @ w.T + b)[0], probs, atol=1e-12)
 
 
 def test_extract_features_without_trailing_relu():
     spec = _spec([cnn.FullyConnected(4), cnn.SoftmaxOutput(2)], channels=1, length=5)
-    state = cnn.init_state(spec, 9)
-    feats = cnn.extract_features(spec, state, np.ones((1, 1, 5)))
+    params = cnn.init_state(spec, np.random.default_rng(9))
+    feats = cnn.extract_features(spec, params, np.ones((1, 1, 5)))
     assert feats.shape == (1, 4)
     with pytest.raises(ValueError, match="does not match spec"):
-        cnn.extract_features(spec, state, np.ones((1, 2, 5)))
+        cnn.extract_features(spec, params, np.ones((1, 2, 5)))
 
 
 def test_extract_features_batch_matches_single_rows():
@@ -465,12 +463,12 @@ def test_extract_features_batch_matches_single_rows():
         channels=2,
         length=24,
     )
-    state = cnn.init_state(spec, 13)
+    params = cnn.init_state(spec, np.random.default_rng(13))
     x = np.random.default_rng(13).normal(size=(7, 2, 24))
-    batch = cnn.extract_features(spec, state, x)
+    batch = cnn.extract_features(spec, params, x)
     assert batch.shape == (7, 6)
     for row, xi in zip(batch, x):
-        single = cnn.extract_features(spec, state, xi[None])[0]
+        single = cnn.extract_features(spec, params, xi[None])[0]
         assert np.abs(row - single).max() <= 1e-12
 
 
@@ -514,12 +512,12 @@ def test_parse_architecture_errors_carry_line_numbers():
 
 def test_model_round_trip_through_f32(tmp_path):
     spec = _small_spec()
-    state = cnn.init_state(spec, 10)
+    params = cnn.init_state(spec, np.random.default_rng(10))
     path = tmp_path / "net.cnn"
-    cnn.save_model(spec, state, path)
-    back_spec, back_state = cnn.load_model(path)
+    cnn.save_model(spec, params, path)
+    back_spec, back_params = cnn.load_model(path)
     assert back_spec == spec
-    for orig, back in zip(state.params, back_state.params):
+    for orig, back in zip(params, back_params):
         if orig is None:
             assert back is None
             continue
@@ -534,9 +532,9 @@ def test_load_model_errors(tmp_path):
         cnn.load_model(bad)
 
     spec = _spec([cnn.FullyConnected(2), cnn.SoftmaxOutput(2)], channels=1, length=3)
-    state = cnn.init_state(spec, 0)
+    params = cnn.init_state(spec, np.random.default_rng(0))
     good = tmp_path / "good.cnn"
-    cnn.save_model(spec, state, good)
+    cnn.save_model(spec, params, good)
     blob = good.read_bytes()
     stored = arrays.load(good)
     assert list(stored) == ["spec", "params"]
@@ -571,7 +569,7 @@ def test_load_model_errors(tmp_path):
 def test_load_model_rejects_undecodable_spec_and_nonfinite_parameters(tmp_path):
     spec = _spec([cnn.FullyConnected(2), cnn.SoftmaxOutput(2)], channels=1, length=3)
     good = tmp_path / "good.cnn"
-    cnn.save_model(spec, cnn.init_state(spec, 0), good)
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), good)
     stored = arrays.load(good)
     cases = [
         ("not UTF-8", {"spec": b"\xff" + stored["spec"].tobytes()[1:]}),

@@ -132,10 +132,10 @@ def _manifest(n, with_splits=False):
 
 
 def test_loocv_folds():
-    plan = corpus.make_loocv(_manifest(5))
-    assert len(plan.folds) == 5
+    folds = corpus.make_loocv(_manifest(5))
+    assert len(folds) == 5
     all_ids = set(_manifest(5).video_ids())
-    for i, fold in enumerate(plan.folds):
+    for i, fold in enumerate(folds):
         assert fold.test_ids == (f"v{i}",)
         assert len(fold.train_ids) == 4
         assert set(fold.train_ids) | set(fold.test_ids) == all_ids
@@ -148,11 +148,11 @@ def test_loocv_needs_two_videos():
 
 
 def test_fixed_splits():
-    plan = corpus.make_fixed_splits(_manifest(6, with_splits=True))
-    assert len(plan.folds) == 2
-    assert plan.folds[0].test_ids == ("v0", "v2", "v4")
-    assert plan.folds[0].train_ids == ("v1", "v3", "v5")
-    assert plan.folds[1].test_ids == ("v1", "v3", "v5")
+    folds = corpus.make_fixed_splits(_manifest(6, with_splits=True))
+    assert len(folds) == 2
+    assert folds[0].test_ids == ("v0", "v2", "v4")
+    assert folds[0].train_ids == ("v1", "v3", "v5")
+    assert folds[1].test_ids == ("v1", "v3", "v5")
 
 
 def test_fixed_splits_requires_split_ids():

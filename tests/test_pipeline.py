@@ -392,13 +392,13 @@ def test_overall_accuracy_pools_loocv_records(mini_run):
 
 
 def test_audit_sees_only_training_videos(mini_run):
-    plan = corpus.make_loocv(mini_run.manifest)
+    folds = corpus.make_loocv(mini_run.manifest)
     assert mini_run.audit, "cold run must fit models"
     stages_by_fold: dict[int, set] = {}
     for stage, fold, ids in mini_run.audit:
-        held_out = set(plan.folds[fold].test_ids)
+        held_out = set(folds[fold].test_ids)
         assert held_out.isdisjoint(ids), f"{stage} fit saw test videos {held_out & set(ids)}"
-        assert set(ids) == set(plan.folds[fold].train_ids)
+        assert set(ids) == set(folds[fold].train_ids)
         stages_by_fold.setdefault(fold, set()).add(stage)
     for fold, stages in stages_by_fold.items():
         assert stages == {"pca", "cnn", "gamma", "svm"}
@@ -466,7 +466,7 @@ def _reference_keys(mini_run, container=b"ARR1"):
             repr(pipeline.train_config(config, config.seed ^ fold_index)),
             {"c_box": config.c_box, "gamma": config.gamma, "tol": config.tol}, container,
         )
-        for fold_index, fold in enumerate(corpus.make_loocv(mini_run.manifest).folds)
+        for fold_index, fold in enumerate(corpus.make_loocv(mini_run.manifest))
     }
 
 
@@ -606,6 +606,26 @@ def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
     assert {stage for stage, _, _ in audit_log} == {"pca", "cnn", "gamma", "svm"}
     fresh = {n: os.stat(os.path.join(desc_dir, n)).st_mtime_ns for n in cached}
     assert all(fresh[n] != stamps[n] for n in cached)
+
+
+def test_a_file_that_is_not_a_frame_leaves_a_rerun_warm(tmp_path, audit_log):
+    """The descriptor key hashes the frames the flow reads, and nothing else."""
+    config = _frame_dir_config(tmp_path)
+    pipeline.run_pipeline(config)
+    out = config.output_dir
+
+    def stamps():
+        return {name: os.stat(os.path.join(out, name)).st_mtime_ns for name in _tree(out)}
+
+    before, written = _tree(out), stamps()
+    frame_dir = tmp_path / "corpus" / "c0v0"
+    (frame_dir / "README").write_text("three frames of a moving square\n")
+    (frame_dir / "thumbnail.png").write_bytes(b"\x89PNG\r\n")
+    audit_log.clear()
+    pipeline.run_pipeline(config)
+    assert audit_log == []  # nothing refit
+    assert stamps() == written  # no descriptor, key, model or report rewritten
+    assert _tree(out) == before
 
 
 def test_descriptor_cache_from_before_arr1_is_described_again(tmp_path):

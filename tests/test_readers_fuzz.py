@@ -37,7 +37,7 @@ def valid_files(tmp_path_factory):
         layers=(cnn.Conv1D(3, 2, 1), cnn.ReLU(), cnn.Max1D(2, 2),
                 cnn.FullyConnected(3), cnn.SoftmaxOutput(2)),
     )
-    cnn.save_model(spec, cnn.init_state(spec, 0), root / "model.cnn")
+    cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), root / "model.cnn")
     flow.write_pgm(flow.Frame(rng.uniform(0, 1, size=(8, 9))), root / "frame.pgm")
     pca.save_model(pca.fit(rng.normal(size=(12, 3)), pov_threshold=0.8), root / "model.pca")
     corpus.write_sequence(

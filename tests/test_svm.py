@@ -108,9 +108,9 @@ def test_blocked_chi2_distances_match_broadcast_formula():
     x = rng.uniform(0, 2, size=(23, 64))
     rows = svm._BLOCK_ELEMENTS // y.size
     assert 1 < rows < x.shape[0] and x.shape[0] % rows != 0  # several blocks, last one short
-    assert np.array_equal(svm.chi2_distance_matrix(x, y, 1e-12), _broadcast_chi2(x, y, 1e-12))
+    assert np.array_equal(svm.chi2_distance_matrix(x, y), _broadcast_chi2(x, y, 1e-12))
     small = x[:3, :5]
-    assert np.array_equal(svm.chi2_distance_matrix(small, small, 1e-12),
+    assert np.array_equal(svm.chi2_distance_matrix(small, small),
                           _broadcast_chi2(small, small, 1e-12))
 
 
@@ -119,7 +119,7 @@ def test_chi2_distances_of_x_with_itself_mirror_exactly():
     x = np.maximum(rng.normal(size=(60, 64)), 0.0)  # about half exact zeros
     rows = svm._BLOCK_ELEMENTS // x.size
     assert 1 < rows < x.shape[0] and x.shape[0] % rows != 0  # several blocks, last one short
-    d = svm.chi2_distance_matrix(x, x, 1e-12)
+    d = svm.chi2_distance_matrix(x, x)
     assert np.array_equal(d, _broadcast_chi2(x, x, 1e-12))
     assert np.array_equal(d, d.T)
     assert np.array_equal(svm.chi2_gram(x, x, svm.KernelParams(gamma=0.2)),
@@ -140,7 +140,7 @@ def test_chi2_distances_edge_shapes_match_broadcast_formula(case):
         "one-row-x-symmetric": (wide[:1, :64], None),
     }[case]
     y = x if y is None else y  # `y is x` selects the mirrored path
-    d = svm.chi2_distance_matrix(x, y, 1e-12)
+    d = svm.chi2_distance_matrix(x, y)
     assert d.shape == (x.shape[0], y.shape[0])
     assert np.array_equal(d, _broadcast_chi2(x, y, 1e-12))
 
@@ -149,7 +149,7 @@ def test_chi2_distances_memory_stays_blocked():
     x = np.random.default_rng(4).uniform(0, 2, size=(960, 64))
     tracemalloc.start()
     try:
-        svm.chi2_distance_matrix(x, x, 1e-12)
+        svm.chi2_distance_matrix(x, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -191,7 +191,7 @@ def test_default_gamma_sampled_path_is_seeded():
 
 
 def chi2_mean(x):
-    d = svm.chi2_distance_matrix(x, x, 1e-12)
+    d = svm.chi2_distance_matrix(x, x)
     return d[np.triu_indices(x.shape[0], k=1)].mean()
 
 
@@ -535,7 +535,8 @@ def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
         ("UTF-8", {"labels": b"\xff" + stored["labels"].tobytes()[1:]}),
         ("gamma must be positive", {"kernel": np.array([0.0, eps])}),
         ("gamma must be positive", {"kernel": np.array([np.nan, eps])}),
-        ("epsilon_denominator", {"kernel": np.array([1.0, -1.0])}),
+        ("chi-squared epsilon", {"kernel": np.array([1.0, -1.0])}),
+        ("chi-squared epsilon", {"kernel": np.array([1.0, 1e-6])}),
         ("finite and nonnegative", {"vectors": np.where(vectors == vectors[0, 0], np.nan, vectors)}),
         ("finite and nonnegative", {"vectors": np.where(vectors == vectors[0, 0], -1.0, vectors)}),
     ]
@@ -596,17 +597,17 @@ def test_forked_distances_are_the_serial_bits(monkeypatch, tmp_path, rows, cols,
     rng = np.random.default_rng(rows + dim)
     x = np.maximum(rng.normal(size=(rows, dim)), 0.0)  # exact zeros too
     y = x if cols is None else np.maximum(rng.normal(size=(cols, dim)), 0.0)
-    expected = _serial(monkeypatch, svm.chi2_distance_matrix, x, y, 1e-12)
+    expected = _serial(monkeypatch, svm.chi2_distance_matrix, x, y)
     _fork_at_any_size(monkeypatch)
     real = svm._distance_blocks
 
     def recorded(*args):
         with open(tmp_path / "blocks", "a") as fh:
-            fh.write(f"{os.getpid()} {len(args[5])}\n")
+            fh.write(f"{os.getpid()} {len(args[4])}\n")
         return real(*args)
 
     monkeypatch.setattr(svm, "_distance_blocks", recorded)
-    got = svm.chi2_distance_matrix(x, x if cols is None else y, 1e-12)
+    got = svm.chi2_distance_matrix(x, x if cols is None else y)
     assert np.array_equal(got, expected)
     blocks = [tuple(map(int, line.split())) for line in open(tmp_path / "blocks")]
     assert len(blocks) == 2 and len({pid for pid, _ in blocks} - {os.getpid()}) == 2
@@ -625,7 +626,7 @@ def test_in_place_kernel_is_the_exp_of_the_scaled_distances(monkeypatch, tmp_pat
     x = np.maximum(rng.normal(size=(rows, dim)), 0.0)  # exact zeros too
     y = x if cols is None else np.maximum(rng.normal(size=(cols, dim)), 0.0)
     params = svm.KernelParams(gamma=0.37)
-    want = np.exp(-params.gamma * _serial(monkeypatch, svm.chi2_distance_matrix, x, y, 1e-12))
+    want = np.exp(-params.gamma * _serial(monkeypatch, svm.chi2_distance_matrix, x, y))
     if forked:
         _fork_at_any_size(monkeypatch)
     else:
@@ -663,7 +664,7 @@ def test_a_killed_kernel_task_trains_no_machine(monkeypatch, tmp_path):
     trained = tmp_path / "trained"
 
     def blocks(*args):
-        if os.getpid() != parent and args[5][0] == 0:  # the first kernel task
+        if os.getpid() != parent and args[4][0] == 0:  # the first kernel task
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 

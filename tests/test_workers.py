@@ -151,7 +151,16 @@ def test_a_killed_worker_fails_its_own_task_and_the_running_one_finishes(monkeyp
     assert not started.exists()
 
 
-def test_ctrl_c_kills_and_reaps_every_worker(monkeypatch):
+@pytest.fixture
+def ctrl_c_raises():
+    """SIGINT raises KeyboardInterrupt during the test, as in a foreground shell, even
+    when pytest inherited SIGINT ignored (a background job of a script starts so)."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+def test_ctrl_c_kills_and_reaps_every_worker(monkeypatch, ctrl_c_raises):
     usable_cpus(monkeypatch)
     here = os.getpid()
 
@@ -172,7 +181,7 @@ def test_ctrl_c_during_a_fork_is_not_lost():
     # where a KeyboardInterrupt is reported and dropped; an at-fork hook
     # cannot be unregistered, so the probe runs in a child interpreter
     probe = textwrap.dedent("""
-        import os, signal
+        import os, signal; signal.signal(signal.SIGINT, signal.default_int_handler)
         from motionpipe import workers
         workers._blas_threads = lambda: (lambda: 1, lambda threads: None)
         os.sched_getaffinity = lambda pid: {0, 1}
