@@ -242,7 +242,7 @@ def _cmd_project(args) -> int:
     model = pca.load_model(args.model)
     seq = corpus.read_sequence(args.input)
     series = pca.transform(model, seq.data)
-    corpus.write_sequence(corpus.DescriptorSequence(seq.video_id, series.T), args.out)
+    corpus.write_sequence(corpus.DescriptorSequence(series.T), args.out)
     print(f"projected to {series.shape[0]} channels x {series.shape[1]} frames in {args.out}")
     return 0
 

@@ -9,11 +9,13 @@ channels-last, (N, L, C), so each conv is one GEMM whose output needs no
 transpose; only the flatten before the first fully-connected layer
 transposes, to channel-major.  A network's parameters are a list, one
 (W, b) pair per conv, fully connected or softmax layer and None for the
-other layers.  Training holds every weight and then every bias as views
-into one flat float64 vector, so the momentum update is a few
-whole-vector operations.  Everything trains in float64 so
-analytic gradients can be checked against finite differences tightly;
-model files store parameters as float32.
+other layers; ``NetworkSpec`` records their shapes beside each layer's
+output shape, in its one walk over the layers.  ``TrainConfig`` has no
+defaults: ``pipeline.PipelineConfig`` holds them.  Training holds every
+weight and then every bias as views into one flat float64 vector, so the
+momentum update is a few whole-vector operations.  Everything trains in
+float64 so analytic gradients can be checked against finite differences
+tightly; model files store parameters as float32.
 """
 
 from __future__ import annotations
@@ -105,10 +107,14 @@ class NetworkSpec:
         object.__setattr__(self, "_shapes", tuple(self._check_shapes()))
 
     def _check_shapes(self):
-        """Propagate shapes through all layers; raises on any invalid size."""
+        """Propagate shapes through all layers; raises on any invalid size.
+
+        Yields per layer its output shape and its (W, b) shapes, or None
+        for a layer without parameters.
+        """
         shape: tuple = (self.input_channels, self.input_length)
-        shapes = []
         for i, layer in enumerate(self.layers):
+            params = None
             if isinstance(layer, Conv1D):
                 if len(shape) != 2:
                     raise ValueError(f"layer {i}: convolution after flattening")
@@ -117,6 +123,7 @@ class NetworkSpec:
                     raise ValueError(
                         f"layer {i}: input length {length} shorter than filter {layer.filter_size}"
                     )
+                params = ((layer.out_channels, c, layer.filter_size), (layer.out_channels,))
                 shape = (layer.out_channels, conv_output_length(length, layer.filter_size, layer.stride))
             elif isinstance(layer, Max1D):
                 if len(shape) != 2:
@@ -127,18 +134,15 @@ class NetworkSpec:
                         f"layer {i}: input length {length} shorter than window {layer.window}"
                     )
                 shape = (c, conv_output_length(length, layer.window, layer.stride))
-            elif isinstance(layer, ReLU):
-                pass
-            elif isinstance(layer, FullyConnected):
-                shape = (layer.units,)
-            elif isinstance(layer, SoftmaxOutput):
-                shape = (layer.classes,)
-            shapes.append(shape)
-        return shapes
+            elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
+                units = layer.units if isinstance(layer, FullyConnected) else layer.classes
+                params = ((units, _flat_size(shape)), (units,))
+                shape = (units,)
+            yield shape, params
 
     def layer_shapes(self) -> tuple[tuple, ...]:
         """Shape after each layer, (channels, length) or (units,)."""
-        return self._shapes
+        return tuple(shape for shape, _ in self._shapes)
 
     def feature_cutoff(self) -> int:
         """Index of the last layer contributing to extracted features.
@@ -163,25 +167,6 @@ def _flat_size(shape: tuple) -> int:
 # Parameters
 # ---------------------------------------------------------------------------
 
-def _param_shapes(spec: NetworkSpec) -> list:
-    """Per layer: (weight shape, bias shape) for conv/fc/softmax, None otherwise.
-
-    Computed from the spec alone, so callers can size parameters before
-    allocating any of them.
-    """
-    shapes = []
-    shape: tuple = (spec.input_channels, spec.input_length)
-    for layer, out_shape in zip(spec.layers, spec.layer_shapes()):
-        if isinstance(layer, Conv1D):
-            shapes.append(((layer.out_channels, shape[0], layer.filter_size), (layer.out_channels,)))
-        elif isinstance(layer, (FullyConnected, SoftmaxOutput)):
-            shapes.append(((out_shape[0], _flat_size(shape)), (out_shape[0],)))
-        else:
-            shapes.append(None)
-        shape = out_shape
-    return shapes
-
-
 def _views(vector: np.ndarray, shapes) -> list:
     """Consecutive views into a flat vector, one per shape."""
     ends = np.cumsum([_flat_size(s) for s in shapes])
@@ -194,7 +179,7 @@ def _flat_params(spec: NetworkSpec, rows: int = 1):
     Returns (block, per row the per-layer (W, b) views aligned with the
     layers, weight count): a row's first weight-count values are weights.
     """
-    shapes = _param_shapes(spec)
+    shapes = [params for _, params in spec._shapes]
     w_shapes, b_shapes = zip(*(p for p in shapes if p is not None))
     n_w = sum(_flat_size(s) for s in w_shapes)
     block = np.zeros((rows, n_w + sum(_flat_size(s) for s in b_shapes)))
@@ -212,7 +197,7 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> list:
     conv/fc/softmax layers, None for the others.
     """
     params = []
-    for shapes in _param_shapes(spec):
+    for _, shapes in spec._shapes:
         if shapes is None:
             params.append(None)
             continue
@@ -407,12 +392,12 @@ def batch_gradients(spec: NetworkSpec, params: list, x: np.ndarray, labels: np.n
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 30
-    batch_size: int = 16
-    seed: int = 0
-    weight_decay: float = 1e-4
+    learning_rate: float
+    momentum: float
+    epochs: int
+    batch_size: int
+    seed: int
+    weight_decay: float
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < math.inf:
@@ -588,7 +573,7 @@ def load_model(path):
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed spec block") from exc
 
-    layer_shapes = _param_shapes(spec)
+    layer_shapes = [params for _, params in spec._shapes]
     shapes = [shape for p in layer_shapes if p is not None for shape in p]
     values = stored["params"]
     need = sum(_flat_size(shape) for shape in shapes)

@@ -2,11 +2,13 @@
 
 A video is stored as one ARR1 file (see ``arrays``) holding its T x n
 descriptor matrix as the float32 array ``descriptors`` (row t =
-descriptor of the flow between frames t and t+1).  A JSON manifest lists
-videos, labels and file paths.  ``make_loocv`` and ``make_fixed_splits``
-return the tuple of ``Fold``s of a leave-one-out or fixed train/test
-split.  A synthetic-corpus generator produces classes that differ only
-in the temporal order of shared pulse motifs, for end-to-end validation.
+descriptor of the flow between frames t and t+1).  The file holds no
+id: a JSON manifest lists videos, labels and file paths, and a corpus is
+a ``{video_id: sequence}`` dict keyed by the manifest.  ``make_loocv``
+and ``make_fixed_splits`` return the tuple of ``Fold``s of a
+leave-one-out or fixed train/test split.  A synthetic-corpus generator
+produces classes that differ only in the temporal order of shared pulse
+motifs, for end-to-end validation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class DescriptorSequence:
     so write/read round-trips are bitwise lossless.
     """
 
-    video_id: str
     data: np.ndarray  # T x n, float32
 
     def __post_init__(self):
@@ -101,23 +102,16 @@ def write_sequence(seq: DescriptorSequence, path) -> None:
     arrays.write(path, descriptors=seq.data)
 
 
-def read_sequence(path, video_id: str | None = None) -> DescriptorSequence:
-    """Read a descriptor file; ``video_id`` defaults to the file stem."""
+def read_sequence(path) -> DescriptorSequence:
+    """Read a descriptor file."""
     data = arrays.load(path, descriptors=("<f4", (None, None)))["descriptors"]
     t, n = data.shape
     if t < 1 or n < 1:
         raise DataFormatError(f"{path}: zero dimension (T={t}, n={n})")
-    if video_id is None:
-        video_id = _stem(path)
     try:
-        return DescriptorSequence(video_id=video_id, data=data)
+        return DescriptorSequence(data)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def _stem(path) -> str:
-    name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
-    return name.rsplit(".", 1)[0] if "." in name else name
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +216,15 @@ def generate_synthetic_corpus(
     max_len: int,
     seed: int,
     noise_sigma: float = 0.05,
-) -> tuple[Manifest, list[DescriptorSequence], SynthInfo]:
+) -> tuple[Manifest, dict, SynthInfo]:
     """Generate a corpus whose classes differ only by motif order.
 
     Every video contains the same K = ``classes`` pulse motifs exactly
     once, injected at fixed slots within the first ``min_len`` frames;
     class c uses the cyclic order (j + c) mod K.  Motif envelopes are
     zero-mean, so per-channel marginal means and variances are identical
-    across classes and only temporal structure separates them.
+    across classes and only temporal structure separates them.  The
+    sequences are a ``{video_id: sequence}`` dict in manifest order.
     """
     if classes < 2:
         raise ValueError("classes must be at least 2")
@@ -251,7 +246,7 @@ def generate_synthetic_corpus(
     orders = tuple(tuple((j + c) % k for j in range(k)) for c in range(classes))
 
     entries = []
-    sequences = []
+    sequences = {}
     for c in range(classes):
         for v in range(per_class):
             video_id = f"c{c}v{v:03d}"
@@ -260,7 +255,7 @@ def generate_synthetic_corpus(
             for j, motif in enumerate(orders[c]):
                 start = j * slot_width
                 data[start : start + slot_width] += np.outer(envelope, patterns[motif])
-            sequences.append(DescriptorSequence(video_id=video_id, data=data))
+            sequences[video_id] = DescriptorSequence(data)
             entries.append(
                 ManifestEntry(video_id=video_id, label=f"class{c}", path=f"{video_id}.fds")
             )
@@ -274,14 +269,14 @@ def generate_synthetic_corpus(
     return Manifest(entries=tuple(entries)), sequences, info
 
 
-def save_corpus(manifest: Manifest, sequences: list[DescriptorSequence], out_dir) -> str:
-    """Write sequences and manifest.json under ``out_dir``; returns manifest path."""
+def save_corpus(manifest: Manifest, sequences: dict, out_dir) -> str:
+    """Write ``sequences[video_id]`` per entry and manifest.json under ``out_dir``;
+    returns the manifest path."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    by_id = {s.video_id: s for s in sequences}
     for e in manifest.entries:
-        write_sequence(by_id[e.video_id], os.path.join(out_dir, e.path))
+        write_sequence(sequences[e.video_id], os.path.join(out_dir, e.path))
     manifest_path = os.path.join(out_dir, "manifest.json")
     save_manifest(manifest, manifest_path)
     return manifest_path

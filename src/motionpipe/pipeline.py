@@ -72,11 +72,11 @@ class PipelineConfig:
     bins: int = 8
     pov_threshold: float = 0.8
     architecture: str | None = None
-    learning_rate: float = cnn.TrainConfig.learning_rate
-    momentum: float = cnn.TrainConfig.momentum
-    epochs: int = cnn.TrainConfig.epochs
-    batch_size: int = cnn.TrainConfig.batch_size
-    weight_decay: float = cnn.TrainConfig.weight_decay
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    epochs: int = 30
+    batch_size: int = 16
+    weight_decay: float = 1e-4
     c_box: float = 10.0
     gamma: object = "auto"
     tol: float = 1e-3
@@ -282,8 +282,8 @@ def _frame_names(frame_dir) -> list:
     return sorted(n for n in os.listdir(frame_dir) if n.lower().endswith(".pgm"))
 
 
-def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int, bins: int,
-                       video_id: str | None = None) -> corpus.DescriptorSequence:
+def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int,
+                       bins: int) -> corpus.DescriptorSequence:
     """Flow descriptors for consecutive PGM frames, sorted by filename."""
     names = _frame_names(frame_dir)
     if len(names) < 2:
@@ -296,10 +296,7 @@ def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int, bins
                 f"{frame_dir}: frame {name} has size {fr.intensity.shape}, expected {shape}"
             )
     u, v = flow.estimate_flows(frames, alpha=alpha, iterations=iterations)
-    return corpus.DescriptorSequence(
-        video_id=video_id if video_id is not None else os.path.basename(os.path.normpath(frame_dir)),
-        data=flow.describe_flows(u, v, grid=grid, bins=bins),
-    )
+    return corpus.DescriptorSequence(flow.describe_flows(u, v, grid=grid, bins=bins))
 
 
 def project_videos(model: pca.PcaModel, sequences, ids,
@@ -409,10 +406,10 @@ def _stage(stage: str, fold_index: int):
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def _describe(path: str, video_id: str, planned: _Planned, flow_params: dict):
+def _describe(path: str, planned: _Planned, flow_params: dict):
     """One frame directory's descriptors, written to the cache ``planned`` names."""
     def compute():
-        seq = frames_to_sequence(path, video_id=video_id, **flow_params)
+        seq = frames_to_sequence(path, **flow_params)
         corpus.write_sequence(seq, planned.artifacts[0])
         return seq
 
@@ -447,19 +444,19 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
     sequences, keys, tasks = {}, {}, {}
     for vid, path in paths.items():
         if not os.path.isdir(path):
-            sequences[vid] = seq = corpus.read_sequence(path, video_id=vid)
+            sequences[vid] = seq = corpus.read_sequence(path)
             if desc_dir is not None:
                 keys[vid] = _digest("fds", str(seq.data.shape), seq.data.tobytes())
         elif desc_dir is None:
-            tasks[vid] = functools.partial(frames_to_sequence, path, video_id=vid, **flow_params)
+            tasks[vid] = functools.partial(frames_to_sequence, path, **flow_params)
         else:
             planned = _plan(_digest("desc", arrays.MAGIC, flow_cfg, _source_digest(path)),
                             os.path.join(desc_dir, f"{vid}.fds"))
             keys[vid] = planned.key
             if planned.hit:
-                sequences[vid] = corpus.read_sequence(planned.artifacts[0], video_id=vid)
+                sequences[vid] = corpus.read_sequence(planned.artifacts[0])
             else:
-                tasks[vid] = functools.partial(_describe, path, vid, planned, flow_params)
+                tasks[vid] = functools.partial(_describe, path, planned, flow_params)
     if tasks and desc_dir is not None:
         os.makedirs(desc_dir, exist_ok=True)
     try:

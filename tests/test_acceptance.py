@@ -54,7 +54,7 @@ def protocol(tmp_path_factory):
     result_b, _, reports_b = run(root / "out_b")
     return SimpleNamespace(
         manifest=manifest,
-        sequences={s.video_id: s for s in sequences},
+        sequences=sequences,
         info=info,
         result=result_a,
         elapsed=elapsed_a,
@@ -320,10 +320,7 @@ def test_criterion_6_alignment_pads_with_exact_zeros():
         dim = int(rng.integers(1, 7))
         count = int(rng.integers(1, 9))
         sequences = {
-            f"v{i}": corpus.DescriptorSequence(
-                video_id=f"v{i}",
-                data=rng.normal(size=(int(rng.integers(1, 31)), dim)),
-            )
+            f"v{i}": corpus.DescriptorSequence(rng.normal(size=(int(rng.integers(1, 31)), dim)))
             for i in range(count)
         }
         ids = list(sequences)

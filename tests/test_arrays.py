@@ -189,3 +189,65 @@ def test_every_public_function_is_used_in_src():
               and counts[node.name] == _name_counts(node)[node.name]]
     stray = [name for name in unused if name not in _UNUSED_PUBLIC]
     assert not stray, f"public functions that nothing in src uses: {', '.join(stray)}"
+
+
+# Public functions with a parameter default that no src call relies on, each with its reason.
+_UNRELIED_DEFAULTS = {
+    "cnn.batch_gradients": "out: the tests' gradient checks call it without a buffer",
+    "corpus.generate_synthetic_corpus": "noise_sigma: the benchmark's input generator "
+                                        "relies on it",
+}
+
+
+def _calls_of(module, tree, functions):
+    """(``module.name`` key, call) of each call in ``tree`` of one of ``functions``;
+    ``functools.partial(f, ...)`` counts as a call of ``f``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func) == "functools.partial" and node.args:
+            node = ast.Call(node.args[0], node.args[1:], node.keywords)
+        if isinstance(node.func, ast.Name):
+            key = f"{module}.{node.func.id}"
+        elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            key = f"{node.func.value.id}.{node.func.attr}"
+        else:
+            continue
+        if key in functions:
+            yield key, node
+
+
+def _defaulted(fn) -> list:
+    """The names of ``fn``'s parameters that have a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    return ([a.arg for a in positional[len(positional) - len(fn.args.defaults):]]
+            + [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d])
+
+
+def _relied_on(fn, call) -> set:
+    """The defaulted parameters of ``fn`` that ``call`` leaves to their default:
+    all of them for a call with ``*`` or ``**``."""
+    defaulted = set(_defaulted(fn))
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return defaulted
+    positional = fn.args.posonlyargs + fn.args.args
+    return defaulted - {a.arg for a in positional[:len(call.args)]} - {k.arg for k in call.keywords}
+
+
+def test_every_parameter_default_is_relied_on_in_src():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py"))]
+    functions = {f"{module}.{node.name}": node for module, tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    relied = collections.defaultdict(set)
+    for module, tree in trees:
+        for key, call in _calls_of(module, tree, functions):
+            relied[key] |= _relied_on(functions[key], call)
+    unrelied = {key: [name for name in _defaulted(fn) if name not in relied[key]]
+                for key, fn in functions.items()}
+    unrelied = {key: names for key, names in unrelied.items() if names}
+    stray = [f"{key}({', '.join(names)})" for key, names in unrelied.items()
+             if key not in _UNRELIED_DEFAULTS]
+    assert not stray, f"parameter defaults that no src call relies on: {', '.join(stray)}"
+    assert set(unrelied) == set(_UNRELIED_DEFAULTS)  # no entry outlives its default

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -178,8 +177,7 @@ def test_extract_fits_videos_to_the_network_input(tmp_path, capsys):
     manifest_path = _synth(capsys, tmp_path / "corpus")  # 17 to 20 frames
     manifest = corpus.load_manifest(manifest_path)
     sequences = {
-        e.video_id: corpus.read_sequence(tmp_path / "corpus" / e.path, video_id=e.video_id)
-        for e in manifest.entries
+        e.video_id: corpus.read_sequence(tmp_path / "corpus" / e.path) for e in manifest.entries
     }
     pca_path = str(tmp_path / "model.pca")
     cnn_path = str(tmp_path / "model.cnn")
@@ -441,6 +439,47 @@ def test_readme_config_example_and_overrides_match_the_config_fields():
             pytest.fail(f"README command line does not parse: {line}")
 
 
+def test_reports_and_features_name_the_manifest_ids(tmp_path, capsys):
+    # no source is named after its video: an .fds stem or a directory name is never an id
+    frames = corpus.load_manifest(_frame_corpus(tmp_path / "frames"))
+    entries = []
+    for k, entry in enumerate(frames.entries):
+        source, path = str(tmp_path / "frames" / entry.path), str(tmp_path / f"clip{k}")
+        if k % 2:
+            path += ".fds"
+            assert _run(capsys, "flow", "--frames", source, "--out", path)[0] == 0
+        else:
+            os.rename(source, path)
+        entries.append(corpus.ManifestEntry(f"video-{k}", entry.label, path))
+    manifest = corpus.Manifest(entries=tuple(entries))
+    manifest_path = str(tmp_path / "manifest.json")
+    corpus.save_manifest(manifest, manifest_path)
+    arch_path = tmp_path / "arch.txt"
+    arch_path.write_text(MINI_ARCH)
+    cnn_settings = ["--cnn.architecture", str(arch_path), "--cnn.epochs", "2"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"manifest": manifest_path,
+                                       "output_dir": str(tmp_path / "out")}))
+
+    code, _, err = _run(capsys, "run", "--config", str(config_path), *cnn_settings)
+    assert code == 0, err
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "predictions.csv").read_text().splitlines()[1:]]
+    assert [vid for _, vid, _, _ in rows] == manifest.video_ids()  # LOOCV: fold k tests video k
+    assert all(true == manifest.entry(vid).label for _, vid, true, _ in rows)
+
+    paths = {name: str(tmp_path / name) for name in ("m.pca", "m.cnn", "features.csv")}
+    for argv in (["pca-fit", "--out", paths["m.pca"]],
+                 ["train", "--pca", paths["m.pca"], "--out", paths["m.cnn"], *cnn_settings],
+                 ["extract", "--pca", paths["m.pca"], "--cnn", paths["m.cnn"],
+                  "--out", paths["features.csv"]]):
+        code, _, err = _run(capsys, *argv, "--manifest", manifest_path)
+        assert code == 0, err
+    ids, labels, _ = cli.read_features_csv(paths["features.csv"])
+    assert ids == manifest.video_ids()
+    assert labels == [entry.label for entry in manifest.entries]
+
+
 def test_stage_commands_write_what_run_writes(tmp_path, capsys):
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text(MINI_ARCH)
@@ -527,12 +566,9 @@ def test_run_shows_a_truncated_series_as_one_stderr_line(tmp_path, capfd, monkey
         classes=2, per_class=2, channels=3, min_len=16, max_len=20, seed=5
     )
     held_out = manifest.video_ids()[0]  # LOOCV fold 0 tests the first video
-    sequences = [
-        dataclasses.replace(seq, data=np.concatenate([seq.data, seq.data[:12]]))
-        if seq.video_id == held_out else seq
-        for seq in sequences
-    ]
-    frames = {seq.video_id: seq.frames for seq in sequences}
+    seq = sequences[held_out]
+    sequences[held_out] = corpus.DescriptorSequence(np.concatenate([seq.data, seq.data[:12]]))
+    frames = {vid: seq.frames for vid, seq in sequences.items()}
     length = max(n for vid, n in frames.items() if vid != held_out)
     arch_path = tmp_path / "arch.txt"
     arch_path.write_text(MINI_ARCH)

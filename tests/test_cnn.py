@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -338,7 +339,8 @@ def test_train_is_deterministic_and_learns():
          cnn.ReLU(), cnn.SoftmaxOutput(2)]
     )
     samples, labels = _toy_problem()
-    config = cnn.TrainConfig(learning_rate=0.05, epochs=40, batch_size=4, seed=7)
+    config = cnn.TrainConfig(learning_rate=0.05, momentum=0.9, epochs=40, batch_size=4, seed=7,
+                             weight_decay=1e-4)
     params1, losses1 = cnn.train(spec, samples, labels, config)
     params2, losses2 = cnn.train(spec, samples, labels, config)
     assert losses1 == losses2
@@ -373,7 +375,8 @@ def test_train_matches_per_layer_reference(net, weight_decay):
     rng = np.random.default_rng(11)
     samples = list(rng.normal(size=(n, channels, length)))
     labels = [i % spec.num_classes() for i in range(n)]
-    config = cnn.TrainConfig(epochs=4, seed=3, weight_decay=weight_decay)
+    config = cnn.TrainConfig(learning_rate=0.01, momentum=0.9, epochs=4, batch_size=16, seed=3,
+                             weight_decay=weight_decay)
     params, losses = cnn.train(spec, samples, labels, config)
     want_params, want_losses = oracles.reference_train(spec, samples, labels, config)
     assert losses == want_losses
@@ -390,7 +393,8 @@ def test_train_raises_on_divergence():
          cnn.ReLU(), cnn.SoftmaxOutput(2)]
     )
     samples, labels = _toy_problem()
-    config = cnn.TrainConfig(learning_rate=1e6, epochs=10, batch_size=4, seed=7)
+    config = cnn.TrainConfig(learning_rate=1e6, momentum=0.9, epochs=10, batch_size=4, seed=7,
+                             weight_decay=1e-4)
     # training stops at the first non-finite batch loss, without numpy warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -401,7 +405,8 @@ def test_train_raises_on_divergence():
 def test_train_validation():
     spec = _small_spec()
     samples = [np.zeros((2, 16)), np.zeros((2, 16))]
-    config = cnn.TrainConfig(epochs=1)
+    config = cnn.TrainConfig(learning_rate=0.01, momentum=0.9, epochs=1, batch_size=16, seed=0,
+                             weight_decay=1e-4)
     with pytest.raises(ValueError, match="no training sample for class"):
         cnn.train(spec, samples, [0, 1], config)  # class 2 absent
     with pytest.raises(ValueError, match="label out of range"):
@@ -413,21 +418,23 @@ def test_train_validation():
 
 
 def test_train_config_validation():
+    valid = cnn.TrainConfig(learning_rate=0.01, momentum=0.9, epochs=30, batch_size=16, seed=0,
+                            weight_decay=1e-4)
     with pytest.raises(ValueError, match="learning_rate"):
-        cnn.TrainConfig(learning_rate=0.0)
+        dataclasses.replace(valid, learning_rate=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="learning_rate"):
-            cnn.TrainConfig(learning_rate=bad)
+            dataclasses.replace(valid, learning_rate=bad)
         with pytest.raises(ValueError, match="weight_decay"):
-            cnn.TrainConfig(weight_decay=bad)
+            dataclasses.replace(valid, weight_decay=bad)
     with pytest.raises(ValueError, match="momentum"):
-        cnn.TrainConfig(momentum=1.0)
+        dataclasses.replace(valid, momentum=1.0)
     with pytest.raises(ValueError, match="epochs"):
-        cnn.TrainConfig(epochs=0)
+        dataclasses.replace(valid, epochs=0)
     with pytest.raises(ValueError, match="weight_decay"):
-        cnn.TrainConfig(weight_decay=-1.0)
+        dataclasses.replace(valid, weight_decay=-1.0)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        cnn.TrainConfig(seed=-1)
+        dataclasses.replace(valid, seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,6 @@ from motionpipe.errors import DataFormatError
 import oracles
 
 
-def _seq(video_id, data):
-    return corpus.DescriptorSequence(video_id=video_id, data=np.asarray(data))
-
-
 # ---------------------------------------------------------------------------
 # Descriptor files
 # ---------------------------------------------------------------------------
@@ -23,19 +19,11 @@ def test_sequence_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(3)
     data = rng.normal(size=(17, 11)).astype(np.float32)
     path = tmp_path / "vid.fds"
-    corpus.write_sequence(_seq("vid", data), path)
+    corpus.write_sequence(corpus.DescriptorSequence(data), path)
     assert list(arrays.load(path, descriptors=("<f4", (17, 11)))) == ["descriptors"]
     back = corpus.read_sequence(path)
-    assert back.video_id == "vid"
     assert back.data.dtype == np.float32
     assert np.array_equal(back.data, data)
-
-
-def test_read_sequence_takes_id_from_stem(tmp_path):
-    path = tmp_path / "my_video.fds"
-    corpus.write_sequence(_seq("x", np.ones((2, 3))), path)
-    assert corpus.read_sequence(path).video_id == "my_video"
-    assert corpus.read_sequence(path, video_id="other").video_id == "other"
 
 
 def _descriptor_bytes(tmp_path, data):
@@ -109,9 +97,9 @@ def test_read_sequence_rejects_trailing_bytes(tmp_path):
 
 def test_sequence_validation():
     with pytest.raises(ValueError, match="finite"):
-        _seq("v", np.array([[np.inf, 0.0]]))
+        corpus.DescriptorSequence(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError, match="T x n"):
-        _seq("v", np.zeros(5))
+        corpus.DescriptorSequence(np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +228,8 @@ def test_synthetic_corpus_is_deterministic():
     assert m1 == m2
     assert info1.orders == info2.orders
     assert np.array_equal(info1.patterns, info2.patterns)
-    for a, b in zip(seqs1, seqs2):
-        assert a.video_id == b.video_id
+    assert list(seqs1) == list(seqs2) == m1.video_ids()
+    for a, b in zip(seqs1.values(), seqs2.values()):
         assert np.array_equal(a.data, b.data)
 
 
@@ -254,7 +242,7 @@ def test_synthetic_corpus_shape_and_balance():
     for e in manifest.entries:
         counts[e.label] = counts.get(e.label, 0) + 1
     assert set(counts.values()) == {5}
-    for s in seqs:
+    for s in seqs.values():
         assert 40 <= s.frames <= 80
         assert s.dim == 8
     assert info.slot_width == 40 // 3
@@ -266,10 +254,9 @@ def test_synthetic_corpus_shape_and_balance():
 
 def test_synthetic_classes_decode_by_motif_order():
     manifest, seqs, info = corpus.generate_synthetic_corpus(3, 6, 8, 40, 80, seed=1)
-    by_id = {s.video_id: s for s in seqs}
     for e in manifest.entries:
         c = int(e.label.removeprefix("class"))
-        decoded = oracles.decode_motif_order(by_id[e.video_id].data.astype(np.float64), info)
+        decoded = oracles.decode_motif_order(seqs[e.video_id].data.astype(np.float64), info)
         assert decoded == info.orders[c]
 
 
@@ -278,10 +265,9 @@ def test_synthetic_marginals_match_across_classes():
     # marginals (every frame of every video) stay within a tenth of the
     # pooled standard deviation of one another
     manifest, seqs, _ = corpus.generate_synthetic_corpus(3, 20, 8, 40, 80, seed=11)
-    by_id = {s.video_id: s for s in seqs}
     pooled = {}
     for e in manifest.entries:
-        pooled.setdefault(e.label, []).append(by_id[e.video_id].data.ravel())
+        pooled.setdefault(e.label, []).append(seqs[e.video_id].data.ravel())
     values = {lbl: np.concatenate(chunks) for lbl, chunks in pooled.items()}
     all_std = np.concatenate(list(values.values())).std()
     means = [v.mean() for v in values.values()]
@@ -306,7 +292,6 @@ def test_save_corpus_round_trip(tmp_path):
     manifest_path = corpus.save_corpus(manifest, seqs, tmp_path / "corpus")
     back = corpus.load_manifest(manifest_path)
     assert back == manifest
-    for s in seqs:
-        entry = back.entry(s.video_id)
-        stored = corpus.read_sequence(tmp_path / "corpus" / entry.path)
+    for vid, s in seqs.items():
+        stored = corpus.read_sequence(tmp_path / "corpus" / back.entry(vid).path)
         assert np.array_equal(stored.data, s.data)

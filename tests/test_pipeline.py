@@ -1,5 +1,9 @@
+import builtins
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -201,6 +205,15 @@ def test_config_from_dict_errors():
         pipeline.config_from_dict({"manifest": "m"})
 
 
+def test_default_cnn_settings_and_their_key_text():
+    config = pipeline.PipelineConfig(manifest="m", output_dir="o")
+    # the CNN cache key hashes this text: other bytes would refit every older output directory
+    assert repr(pipeline.train_config(config, 3)) == (
+        "TrainConfig(learning_rate=0.01, momentum=0.9, epochs=30, batch_size=16, seed=3, "
+        "weight_decay=0.0001)"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="pov_threshold"):
         pipeline.PipelineConfig(manifest="m", output_dir="o", pov_threshold=0.0)
@@ -267,7 +280,6 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
     (frame_dir / "notes.txt").write_text("ignored")
     seq = pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=30, grid=2, bins=4)
 
-    assert seq.video_id == "clip"
     assert seq.data.shape == (2, oracles.descriptor_width(2, 4))
     frames = [flow.read_pgm(frame_dir / f"f{i}.pgm") for i in (0, 2, 1)]
     frames.sort(key=lambda fr: fr.intensity[4, 3:].argmin())  # back to f0,f1,f2
@@ -275,14 +287,6 @@ def test_frames_to_sequence_matches_direct_flow(tmp_path):
         u, v = flow.estimate_flows([prev, curr], alpha=1.0, iterations=30)[:, 0]
         expected = flow.describe_flows(u[None], v[None], grid=2, bins=4)[0]
         assert np.array_equal(row, expected.astype(np.float32))
-
-
-def test_frames_to_sequence_explicit_id(tmp_path):
-    frame_dir = tmp_path / "clip"
-    _write_square_frames(frame_dir, ["a.pgm", "b.pgm"])
-    seq = pipeline.frames_to_sequence(frame_dir, alpha=1.0, iterations=100, grid=4, bins=8,
-                                      video_id="v9")
-    assert seq.video_id == "v9"
 
 
 def test_frames_to_sequence_needs_two_frames(tmp_path):
@@ -304,25 +308,24 @@ def test_project_videos_matches_per_video_transform():
     manifest, sequences, _ = corpus.generate_synthetic_corpus(
         classes=2, per_class=3, channels=5, min_len=16, max_len=30, seed=7
     )
-    by_id = {seq.video_id: seq for seq in sequences}
     ids = manifest.video_ids()[::-1]
-    model = pca.fit(np.vstack([seq.data for seq in sequences]).astype(np.float64), 0.9)
-    batch, l_max = pipeline.project_videos(model, by_id, ids)
+    model = pca.fit(np.vstack([seq.data for seq in sequences.values()]).astype(np.float64), 0.9)
+    batch, l_max = pipeline.project_videos(model, sequences, ids)
 
-    assert l_max == max(by_id[vid].frames for vid in ids)
+    assert l_max == max(sequences[vid].frames for vid in ids)
     assert batch.shape == (len(ids), model.channels, l_max)
     for row, vid in zip(batch, ids):
-        expected = oracles.align_to_length(pca.transform(model, by_id[vid].data), l_max)
+        expected = oracles.align_to_length(pca.transform(model, sequences[vid].data), l_max)
         assert np.abs(row - expected).max() <= 1e-12
-        assert not row[:, by_id[vid].frames :].any()  # padding stays exactly zero
+        assert not row[:, sequences[vid].frames :].any()  # padding stays exactly zero
 
 
 def test_project_videos_pads_with_trailing_zeros():
     # the identity basis projects exactly: a video's channels are its rows
     model = pca.PcaModel(mean=np.zeros(2), eigenvalues=np.array([1.0, 1.0]),
                          components=np.eye(2), pov_achieved=1.0)
-    a = corpus.DescriptorSequence("a", np.arange(6.0).reshape(3, 2))
-    b = corpus.DescriptorSequence("b", np.arange(10.0).reshape(5, 2))
+    a = corpus.DescriptorSequence(np.arange(6.0).reshape(3, 2))
+    b = corpus.DescriptorSequence(np.arange(10.0).reshape(5, 2))
     batch, l_max = pipeline.project_videos(model, {"a": a, "b": b}, ["a", "b"])
     assert l_max == 5
     assert batch.shape == (2, 2, 5)
@@ -344,7 +347,7 @@ def test_project_videos_pads_the_stacked_projection_with_zeros(dim, channels, le
     model = pca.PcaModel(mean=rng.normal(size=dim), eigenvalues=np.zeros(dim),
                          components=rng.normal(size=(channels, dim)), pov_achieved=1.0)
     ids = [f"v{i}" for i in range(len(lengths))]
-    sequences = {vid: corpus.DescriptorSequence(vid, rng.normal(size=(n, dim)))
+    sequences = {vid: corpus.DescriptorSequence(rng.normal(size=(n, dim)))
                  for vid, n in zip(ids, lengths)}
     batch, l_max = pipeline.project_videos(model, sequences, ids)
     assert l_max == max(lengths)
@@ -658,11 +661,9 @@ def test_held_out_length_does_not_shape_training(tmp_path):
     arch_path.write_text(MINI_ARCH)
     outputs = []
     for extra in (0, 12):  # 12 more frames make it longer than every training video
-        lengthened = [
-            dataclasses.replace(seq, data=np.concatenate([seq.data, seq.data[:extra]]))
-            if seq.video_id == held_out else seq
-            for seq in sequences
-        ]
+        seq = sequences[held_out]
+        lengthened = {**sequences, held_out: corpus.DescriptorSequence(
+            np.concatenate([seq.data, seq.data[:extra]]))}
         manifest_path = corpus.save_corpus(manifest, lengthened, tmp_path / f"corpus{extra}")
         config = _mini_config(manifest_path, tmp_path / f"out{extra}", arch_path)
         pipeline.run_pipeline(config)
@@ -857,14 +858,14 @@ def test_identical_videos_classify_perfectly(tmp_path):
     rows_b = np.zeros((12, 6), dtype=np.float32)
     rows_b[6:] = 5.0
     entries = []
-    sequences = []
+    sequences = {}
     for c, rows in enumerate((rows_a, rows_b)):
         for v in range(3):
             vid = f"c{c}v{v}"
             entries.append(
                 corpus.ManifestEntry(video_id=vid, label=f"class{c}", path=f"{vid}.fds")
             )
-            sequences.append(corpus.DescriptorSequence(video_id=vid, data=rows))
+            sequences[vid] = corpus.DescriptorSequence(rows)
     manifest_path = corpus.save_corpus(
         corpus.Manifest(entries=tuple(entries)), sequences, tmp_path / "corpus"
     )
@@ -1114,6 +1115,93 @@ def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkey
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
+def _killed_at_mutation(argv, k) -> bool:
+    """Run ``motionpipe argv`` in a forked child on one worker, SIGKILLed at its k-th
+    mutation point; returns whether the kill came, and a child that outlives it exits 0.
+
+    A mutation point lies just before and just after each write-mode ``open``,
+    ``os.replace`` and ``os.remove``.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            workers._MAX_WORKERS = 1
+            points = itertools.count()
+            sink = open(os.devnull, "w")
+
+            def point():
+                if next(points) == k:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            def counted(fn, mutates=lambda *args, **kwargs: True):
+                def call(*args, **kwargs):
+                    if not mutates(*args, **kwargs):
+                        return fn(*args, **kwargs)
+                    point()
+                    result = fn(*args, **kwargs)
+                    point()
+                    return result
+                return call
+
+            builtins.open = counted(builtins.open, lambda file, mode="r", *args, **kwargs:
+                                    bool(set(mode) & set("wax+")))
+            os.replace, os.remove = counted(os.replace), counted(os.remove)
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = cli.main(argv)
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        assert os.WTERMSIG(status) == signal.SIGKILL
+        return True
+    assert os.WEXITSTATUS(status) == 0
+    return False
+
+
+def _digests(out_dir):
+    return {path: hashlib.sha256(data).hexdigest() for path, data in _tree(out_dir).items()}
+
+
+def test_a_run_killed_at_any_mutation_point_resumes_to_the_same_bytes(tmp_path):
+    # 12 .fds videos and 2 frame directories, whose descriptors the run caches, in 2 folds
+    rng = np.random.default_rng(10)
+    entries = []
+    for v in range(14):
+        vid, path = f"v{v:02d}", tmp_path / "corpus" / f"v{v:02d}"
+        if v < 12:
+            path = path.with_suffix(".fds")
+            os.makedirs(path.parent, exist_ok=True)
+            data = rng.normal(size=(int(rng.integers(6, 9)), oracles.descriptor_width(2, 4)))
+            corpus.write_sequence(corpus.DescriptorSequence(data + v % 2), path)
+        else:
+            _write_square_frames(path, ["a.pgm", "b.pgm", "c.pgm"])
+        entries.append(corpus.ManifestEntry(vid, f"c{v % 2}", str(path), v // 2 % 2))
+    manifest_path = tmp_path / "corpus" / "manifest.json"
+    corpus.save_manifest(corpus.Manifest(entries=tuple(entries)), manifest_path)
+    (tmp_path / "arch.txt").write_text("conv 3 4 1\nrelu\nfc 4\nrelu\nsoftmax 2\n")
+    argv = {}
+    for name in ("clean", "out"):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps({
+            "manifest": str(manifest_path), "output_dir": str(tmp_path / name),
+            "split": "fixed", "flow": {"iterations": 5, "grid": 2, "bins": 4},
+            "cnn": {"architecture": str(tmp_path / "arch.txt"), "epochs": 1},
+        }))
+        argv[name] = ["run", "--config", str(config_path)]
+    assert cli.main(argv["clean"]) == 0
+    clean = _digests(tmp_path / "clean")
+
+    for k in itertools.count():
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        if not _killed_at_mutation(argv["out"], k):
+            break
+        assert cli.main(argv["out"]) == 0, k
+        assert _digests(tmp_path / "out") == clean, k  # no stray, missing or other file
+    assert _digests(tmp_path / "out") == clean
+    assert k > 2 * len(clean)  # a write and a rename per file, a point before and after each
+
+
 def test_missing_video_source_raises(tmp_path):
     manifest_path = tmp_path / "manifest.json"
     corpus.save_manifest(
@@ -1129,12 +1217,10 @@ def test_missing_video_source_raises(tmp_path):
 
 def test_mixed_descriptor_dims_rejected(tmp_path):
     entries = []
-    sequences = []
+    sequences = {}
     for vid, dim in (("a", 3), ("b", 4)):
         entries.append(corpus.ManifestEntry(video_id=vid, label="x", path=f"{vid}.fds"))
-        sequences.append(
-            corpus.DescriptorSequence(video_id=vid, data=np.ones((4, dim), dtype=np.float32))
-        )
+        sequences[vid] = corpus.DescriptorSequence(np.ones((4, dim), dtype=np.float32))
     manifest_path = corpus.save_corpus(
         corpus.Manifest(entries=tuple(entries)), sequences, tmp_path / "corpus"
     )

@@ -41,7 +41,7 @@ def valid_files(tmp_path_factory):
     flow.write_pgm(flow.Frame(rng.uniform(0, 1, size=(8, 9))), root / "frame.pgm")
     pca.save_model(pca.fit(rng.normal(size=(12, 3)), pov_threshold=0.8), root / "model.pca")
     corpus.write_sequence(
-        corpus.DescriptorSequence("v", rng.uniform(0, 1, size=(3, 4))), root / "v.fds"
+        corpus.DescriptorSequence(rng.uniform(0, 1, size=(3, 4))), root / "v.fds"
     )
     corpus.save_manifest(corpus.Manifest((
         corpus.ManifestEntry("a", "walk", "a.fds", 0),
