@@ -7,11 +7,13 @@ are stacked and iterated together, in cache-sized chunks, by one loop
 that returns the (2, T, H, W) u/v stack.  The loop runs over one flat
 range of the padded (T, H+2, W+2) layout, where each neighbour is a
 fixed offset, and scales u and v once per distinct kernel weight before
-summing the shifted products.  The stack is then pooled over
-a G x G grid into the (T, G*G*(3+B)) descriptor matrix, one nonnegative
-row per flow field: per-cell axis magnitudes, overall mean magnitude,
-and a magnitude-weighted orientation histogram.  Pooling visits each
-cell once for the whole stack.
+summing the shifted products.  Its arithmetic is float32 (FLOW_DTYPE):
+half the bytes of float64 per iteration, and the descriptors are stored
+in float32 anyway.  The stack is returned in float64, an exact upcast,
+and pooled in float64 over a G x G grid into the (T, G*G*(3+B))
+descriptor matrix, one nonnegative row per flow field: per-cell axis
+magnitudes, overall mean magnitude, and a magnitude-weighted orientation
+histogram.  Pooling visits each cell once for the whole stack.
 """
 
 from __future__ import annotations
@@ -23,17 +25,22 @@ import numpy as np
 from . import arrays
 from .errors import DataFormatError
 
+# The precision of Horn-Schunck's arithmetic; the descriptor cache key names it.
+FLOW_DTYPE = np.dtype(np.float32)
+_TINY, _HUGE = float(np.finfo(FLOW_DTYPE).tiny), float(np.finfo(FLOW_DTYPE).max)  # normal range
+
 # Weighted 8-neighbour average used by the Horn-Schunck update.
 _AVG_KERNEL = np.array(
     [
         [1.0 / 12, 1.0 / 6, 1.0 / 12],
         [1.0 / 6, 0.0, 1.0 / 6],
         [1.0 / 12, 1.0 / 6, 1.0 / 12],
-    ]
+    ],
+    dtype=FLOW_DTYPE,
 )
 
 MIN_FRAME_SIDE = 8
-_CHUNK_ELEMENTS = 2**14  # values per field in one Horn-Schunck chunk (128 KB of float64)
+_CHUNK_ELEMENTS = 2**15  # values per field in one Horn-Schunck chunk (128 KB of float32)
 
 
 @dataclass(frozen=True)
@@ -87,17 +94,19 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
     finite.  Each iteration scales u and v once per distinct kernel weight
     and sums the 8 shifted products onto zeros in row-major kernel order:
     every interior pixel gets the same products, added in the same order,
-    as an 8-neighbour average on its own would give.
+    as an 8-neighbour average on its own would give.  ``images`` and every
+    array here are FLOW_DTYPE, alpha * alpha included; only the copy into
+    ``uv_out`` widens.
     """
     _, n, h, w = uv_out.shape
     row = w + 2
     size = n * (h + 2) * row
     lo, hi = row + 1, size - row - 1  # the first interior value, one past the last
     prev, curr = images[:-1], images[1:]
-    pa = np.empty((n, h + 2, row))  # brightness average with a replicated border
+    pa = np.empty((n, h + 2, row), FLOW_DTYPE)  # brightness average with a replicated border
     np.multiply(prev + curr, 0.5, out=pa[:, 1:-1, 1:-1])
     _replicate_edges(pa)
-    grads = np.zeros((4, n, h + 2, row))
+    grads = np.zeros((4, n, h + 2, row), FLOW_DTYPE)
     grads[3] = 1.0
     ix, iy, it, denom = grads[..., 1:-1, 1:-1]
     np.subtract(pa[:, 1:-1, 2:], pa[:, 1:-1, :-2], out=ix)
@@ -105,13 +114,14 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
     np.subtract(pa[:, 2:, 1:-1], pa[:, :-2, 1:-1], out=iy)
     iy /= 2.0
     np.subtract(curr, prev, out=it)
-    denom[...] = alpha * alpha + ix * ix + iy * iy
+    denom[...] = FLOW_DTYPE.type(alpha * alpha) + ix * ix + iy * iy
     ix, iy, it, denom = grads.reshape(4, size)[:, lo:hi]
 
-    padded = np.zeros((2, size))  # u and v
+    padded = np.zeros((2, size), FLOW_DTYPE)  # u and v
     fields = padded.reshape(2, n, h + 2, row)  # the same values, field by field
     u, v = padded[:, lo:hi]
-    products = {weight: np.empty((2, size)) for weight in np.unique(_AVG_KERNEL) if weight != 0.0}
+    products = {weight: np.empty((2, size), FLOW_DTYPE)
+                for weight in np.unique(_AVG_KERNEL) if weight != 0.0}
     # the 8-neighbour terms as shifted views of those products, in row-major kernel order
     terms = [
         products[_AVG_KERNEL[dy + 1, dx + 1]][:, lo + dy * row + dx : hi + dy * row + dx]
@@ -119,9 +129,9 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
         for dx in (-1, 0, 1)
         if _AVG_KERNEL[dy + 1, dx + 1] != 0.0
     ]
-    bar = np.empty((2, hi - lo))
+    bar = np.empty((2, hi - lo), FLOW_DTYPE)
     u_bar, v_bar = bar
-    update, scratch = np.empty((2, hi - lo))
+    update, scratch = np.empty((2, hi - lo), FLOW_DTYPE)
     for _ in range(iterations):
         for weight, product in products.items():
             np.multiply(padded, weight, out=product)
@@ -141,16 +151,30 @@ def _horn_schunck(images: np.ndarray, alpha: float, iterations: int, uv_out: np.
     uv_out[...] = fields[..., 1:-1, 1:-1]
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha * alpha is a normal, finite FLOW_DTYPE value.
+
+    Below that range, a frame difference divided by denom in a flat
+    region can overflow; above it, alpha * alpha overflows when it is cast.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if not _TINY <= alpha * alpha <= _HUGE:
+        raise ValueError(f"alpha * alpha must be a normal {FLOW_DTYPE}, from {_TINY:.8g} to"
+                         f" {_HUGE:.8g}: alpha {alpha!r} gives {alpha * alpha!r}")
+
+
 def estimate_flows(frames: list[Frame], alpha: float, iterations: int) -> np.ndarray:
     """Horn-Schunck flow for every consecutive pair of ``frames``, in order.
 
     Returns the (2, T, H, W) stack: u and v of pair t are [0, t] and [1, t].
 
-    All pairs of a video are stacked into (T, H, W) arrays and updated
-    together, in chunks of about _CHUNK_ELEMENTS values per field so the
-    working set stays in cache.  Every pixel sees the same arithmetic,
-    in the same order, as it would in a pair on its own, so the result
-    does not depend on how many pairs share a chunk.
+    All pairs of a video are stacked into (T, H, W) FLOW_DTYPE arrays and
+    updated together, in chunks of about _CHUNK_ELEMENTS values per field
+    so the working set stays in cache.  Every pixel sees the same
+    arithmetic, in the same order, as it would in a pair on its own, so
+    the result does not depend on how many pairs share a chunk.  The
+    stack is returned in float64, which holds every float32 exactly.
     """
     if len(frames) < 2:
         raise ValueError(f"flow needs at least 2 frames, got {len(frames)}")
@@ -158,12 +182,11 @@ def estimate_flows(frames: list[Frame], alpha: float, iterations: int) -> np.nda
     for fr in frames[1:]:
         if fr.intensity.shape != shape:
             raise ValueError(f"frame dimensions differ: {shape} vs {fr.intensity.shape}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
 
-    images = np.stack([fr.intensity for fr in frames])
+    images = np.stack([fr.intensity for fr in frames], dtype=FLOW_DTYPE)
     pairs = len(frames) - 1
     uv = np.empty((2, pairs) + shape)
     step = max(1, _CHUNK_ELEMENTS // (shape[0] * shape[1]))

@@ -87,6 +87,7 @@ class PipelineConfig:
         for name in ("alpha", "c_box", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        flow.check_alpha(self.alpha)  # the flow's precision bounds it too
         # a grid larger than a frame shows only in the frames, at the descriptor stage
         for name, least in (("iterations", 1), ("grid", 1), ("bins", 2)):
             if getattr(self, name) < least:
@@ -450,7 +451,8 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
         elif desc_dir is None:
             tasks[vid] = functools.partial(frames_to_sequence, path, **flow_params)
         else:
-            planned = _plan(_digest("desc", arrays.MAGIC, flow_cfg, _source_digest(path)),
+            planned = _plan(_digest("desc", arrays.MAGIC, flow.FLOW_DTYPE.str, flow_cfg,
+                                    _source_digest(path)),
                             os.path.join(desc_dir, f"{vid}.fds"))
             keys[vid] = planned.key
             if planned.hit:

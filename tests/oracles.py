@@ -98,9 +98,11 @@ def horn_schunck_pair(prev, curr, alpha, iterations):
     """Textbook Horn-Schunck on one frame pair, re-padding every iteration.
 
     Borders replicate (np.pad edge mode); the 8-neighbour average adds
-    its weighted terms onto zeros in row-major kernel order.
+    its weighted terms onto zeros in row-major kernel order.  Every value,
+    the kernel's weights included, is in the inputs' dtype.
     """
-    kernel = np.array([[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]])
+    kernel = np.array([[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]],
+                      dtype=prev.dtype)
     height, width = prev.shape
 
     def average(x):

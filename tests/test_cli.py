@@ -402,6 +402,25 @@ def test_a_bad_stage_setting_exits_2_before_any_input_is_read(tmp_path, capsys, 
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["run", "flow"])
+def test_an_alpha_too_small_for_float32_flow_exits_2_before_any_output(tmp_path, capsys,
+                                                                       command):
+    # its square, 1e-40, is subnormal in float32: the flow would divide a frame
+    # difference by it and print numpy warnings before failing on a non-finite field
+    manifest_path = _frame_corpus(str(tmp_path / "corpus"), videos=4, frames=3)
+    out = tmp_path / "out"
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"manifest": manifest_path, "output_dir": str(out)}))
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = ["flow", "--frames", str(tmp_path / "corpus" / "v0"), "--out", str(out)]
+    code, stdout, err = _run(capsys, *argv, "--flow.alpha", "1e-20")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: alpha * alpha must be a normal float32") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_path_setting_takes_its_text_as_given(tmp_path, capsys, monkeypatch):
     manifest_path = _synth(capsys, tmp_path / "corpus")
     arch_path = tmp_path / "arch.txt"

@@ -89,7 +89,8 @@ def _random_video(seed, pairs, height, width):
 def test_estimate_flow_matches_textbook_oracle_bit_for_bit(height, width, iterations):
     prev, curr = _random_video(11, 1, height, width)
     got_u, got_v = _pair_flow(prev, curr, alpha=0.7, iterations=iterations)
-    u, v = oracles.horn_schunck_pair(prev.intensity, curr.intensity, 0.7, iterations)
+    u, v = oracles.horn_schunck_pair(np.float32(prev.intensity), np.float32(curr.intensity), 0.7,
+                                     iterations)
     assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
     assert np.array_equal(np.signbit(got_u), np.signbit(u))
     assert np.array_equal(np.signbit(got_v), np.signbit(v))
@@ -112,8 +113,8 @@ def test_stacked_flow_equals_per_pair_flow(monkeypatch, pairs, iterations, chunk
 def _assert_matches_oracle(uv, frames, alpha, iterations):
     """Each pair of the (2, T, H, W) stack equals the textbook oracle, sign bits included."""
     for u, v, prev, curr in zip(*uv, frames, frames[1:]):
-        want_u, want_v = oracles.horn_schunck_pair(prev.intensity, curr.intensity, alpha,
-                                                   iterations)
+        want_u, want_v = oracles.horn_schunck_pair(np.float32(prev.intensity),
+                                                   np.float32(curr.intensity), alpha, iterations)
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         assert np.array_equal(np.signbit(u), np.signbit(want_u))
         assert np.array_equal(np.signbit(v), np.signbit(want_v))
@@ -144,6 +145,52 @@ def test_step_frames_raise_no_floating_point_error(monkeypatch, height, width):
     with np.errstate(all="raise"):
         uv = flow.estimate_flows(frames, alpha=0.05, iterations=60)
     _assert_matches_oracle(uv, frames, 0.05, 60)
+
+
+def _flat_clip(pairs):
+    """A 10 x 120 clip: an exactly flat 8-bit background, one 3 x 3 block moving 3 px a frame."""
+    images = np.full((pairs + 1, 10, 120), 128 / 255)
+    for t, image in enumerate(images):
+        image[3:6, 2 + 3 * t : 5 + 3 * t] = 1.0
+    return [_frame(image) for image in images]
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 2, 100])
+def test_flat_background_flow_passes_through_subnormals_and_matches_the_oracle(monkeypatch,
+                                                                             chunk_pairs):
+    # far from the block the flow fades through float32's subnormal range, where a
+    # multiply-add runs slower and a flush to zero would change bits
+    monkeypatch.setattr(flow, "_CHUNK_ELEMENTS", chunk_pairs * 10 * 120)
+    frames = _flat_clip(5)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        flow.estimate_flows(frames, alpha=1.0, iterations=100)
+    uv = flow.estimate_flows(frames, alpha=1.0, iterations=100)
+    magnitude = np.abs(uv)
+    assert np.any((magnitude > 0.0) & (magnitude < np.finfo(np.float32).tiny))  # subnormal
+    _assert_matches_oracle(uv, frames, 1.0, 100)
+
+
+def alpha_bounds():
+    """The least and the greatest alpha whose square is a normal float32."""
+    huge = float(np.finfo(np.float32).max)
+    least = 2.0**-63  # its square is float32's smallest normal, 2**-126, exactly
+    greatest = float(np.sqrt(huge))
+    while greatest * greatest > huge:
+        greatest = float(np.nextafter(greatest, 0.0))
+    while float(np.nextafter(greatest, np.inf)) ** 2 <= huge:
+        greatest = float(np.nextafter(greatest, np.inf))
+    return least, greatest
+
+
+def test_alpha_whose_square_is_not_a_normal_float32_is_rejected():
+    least, greatest = alpha_bounds()
+    assert least * least == np.finfo(np.float32).tiny
+    frames = _random_video(3, 2, 8, 8)
+    for alpha in (least, greatest):
+        assert np.all(np.isfinite(flow.estimate_flows(frames, alpha=alpha, iterations=5)))
+    for alpha in (np.nextafter(least, 0.0), np.nextafter(greatest, np.inf), 1e-20, 1e-160, 1e200):
+        with pytest.raises(ValueError, match=r"alpha \* alpha must be a normal float32"):
+            flow.estimate_flows(frames, alpha=float(alpha), iterations=5)
 
 
 def test_estimate_flows_rejects_bad_arguments():

@@ -21,6 +21,7 @@ from motionpipe import arrays, cli, cnn, corpus, flow, pca, pipeline, svm, worke
 from motionpipe.errors import ConvergenceError, DataFormatError, StageError
 
 import oracles
+import test_flow
 from test_workers import record_forks, usable_cpus
 
 REPORTS = ("accuracy.csv", "predictions.csv", "confusion.csv", "confusion.txt", "loss.csv")
@@ -223,6 +224,15 @@ def test_config_validation():
         pipeline.PipelineConfig(manifest="m", output_dir="o", gamma=-1.0)
     config = pipeline.PipelineConfig(manifest="m", output_dir="o", gamma="2.5")
     assert config.gamma == 2.5
+
+
+def test_config_rejects_an_alpha_whose_square_is_not_a_normal_float32():
+    least, greatest = test_flow.alpha_bounds()
+    for alpha in (least, greatest):
+        assert pipeline.PipelineConfig(manifest="m", output_dir="o", alpha=alpha).alpha == alpha
+    for alpha in (np.nextafter(least, 0.0), np.nextafter(greatest, np.inf)):
+        with pytest.raises(ValueError, match=r"alpha \* alpha must be a normal float32"):
+            pipeline.PipelineConfig(manifest="m", output_dir="o", alpha=float(alpha))
 
 
 def test_config_fields_map_dotted_names():
@@ -649,6 +659,47 @@ def test_descriptor_cache_from_before_arr1_is_described_again(tmp_path):
                                pipeline._source_digest(os.path.join(base, entry.path)))
         (desc_dir / f"{entry.video_id}.fds.key").write_text(key + "\n")
     pipeline.run_pipeline(config)
+    assert _tree(config.output_dir) == _tree(fresh.output_dir)
+
+
+def test_descriptor_cache_from_float64_flow_is_described_again(tmp_path, monkeypatch, audit_log):
+    """An output directory keyed before the descriptor key named the flow's precision is
+    described again, and every fold refits through the chained keys, to a clean run's bytes."""
+    config = _frame_dir_config(tmp_path)
+    fresh = dataclasses.replace(config, output_dir=str(tmp_path / "fresh"))
+    pipeline.run_pipeline(fresh)
+    real_digest = pipeline._digest
+
+    def float64_digest(*parts, framed=b""):  # the descriptor key without its precision part
+        if parts[0] == "desc":
+            parts = tuple(part for part in parts if part != flow.FLOW_DTYPE.str)
+        return real_digest(*parts, framed=framed)
+
+    with monkeypatch.context() as patch:  # a cold run keyed as float64 flow keyed it
+        patch.setattr(pipeline, "_digest", float64_digest)
+        pipeline.run_pipeline(config)
+    base = os.path.dirname(config.manifest)
+    flow_cfg = json.dumps(pipeline._section(config, "flow"), sort_keys=True)
+    entries = corpus.load_manifest(config.manifest).entries
+    for entry in entries:
+        key_path = tmp_path / "out" / "descriptors" / f"{entry.video_id}.fds.key"
+        assert key_path.read_text() == pipeline._digest(
+            "desc", arrays.MAGIC, flow_cfg,
+            pipeline._source_digest(os.path.join(base, entry.path))) + "\n"
+    described = []
+    real_describe = pipeline.frames_to_sequence
+
+    @functools.wraps(real_describe)
+    def counted_describe(frame_dir, **flow_params):  # wrapped, so the run forks no worker
+        described.append(os.path.relpath(frame_dir, base))
+        return real_describe(frame_dir, **flow_params)
+
+    monkeypatch.setattr(pipeline, "frames_to_sequence", counted_describe)
+    audit_log.clear()
+    pipeline.run_pipeline(config)
+    assert sorted(described) == sorted(entry.path for entry in entries)
+    assert sorted({(stage, fold) for stage, fold, _ in audit_log}) == sorted(
+        (stage, fold) for stage in ("pca", "cnn", "gamma", "svm") for fold in range(len(entries)))
     assert _tree(config.output_dir) == _tree(fresh.output_dir)
 
 
