@@ -105,9 +105,6 @@ def write_sequence(seq: DescriptorSequence, path) -> None:
 def read_sequence(path) -> DescriptorSequence:
     """Read a descriptor file."""
     data = arrays.load(path, descriptors=("<f4", (None, None)))["descriptors"]
-    t, n = data.shape
-    if t < 1 or n < 1:
-        raise DataFormatError(f"{path}: zero dimension (T={t}, n={n})")
     try:
         return DescriptorSequence(data)
     except ValueError as exc:

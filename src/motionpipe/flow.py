@@ -157,8 +157,8 @@ def check_alpha(alpha: float) -> None:
     Below that range, a frame difference divided by denom in a flat
     region can overflow; above it, alpha * alpha overflows when it is cast.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     if not _TINY <= alpha * alpha <= _HUGE:
         raise ValueError(f"alpha * alpha must be a normal {FLOW_DTYPE}, from {_TINY:.8g} to"
                          f" {_HUGE:.8g}: alpha {alpha!r} gives {alpha * alpha!r}")
@@ -175,17 +175,10 @@ def estimate_flows(frames: list[Frame], alpha: float, iterations: int) -> np.nda
     arithmetic, in the same order, as it would in a pair on its own, so
     the result does not depend on how many pairs share a chunk.  The
     stack is returned in float64, which holds every float32 exactly.
+    The caller passes at least 2 equal-sized frames, iterations >= 1 and
+    an alpha that check_alpha accepts.
     """
-    if len(frames) < 2:
-        raise ValueError(f"flow needs at least 2 frames, got {len(frames)}")
     shape = frames[0].intensity.shape
-    for fr in frames[1:]:
-        if fr.intensity.shape != shape:
-            raise ValueError(f"frame dimensions differ: {shape} vs {fr.intensity.shape}")
-    check_alpha(alpha)
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-
     images = np.stack([fr.intensity for fr in frames], dtype=FLOW_DTYPE)
     pairs = len(frames) - 1
     uv = np.empty((2, pairs) + shape)
@@ -226,19 +219,14 @@ def describe_flows(u, v, grid: int, bins: int) -> np.ndarray:
 
     Each cell is reduced once for the whole stack.  Every reduction sums
     in the order it would for one field on its own, so a row does not
-    depend on the other fields in the stack.
+    depend on the other fields in the stack.  The caller passes bins >= 2
+    and a grid from 1 to the fields' smaller side.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 3 or u.shape != v.shape or u.shape[0] < 1:
         raise ValueError(f"u and v must be equal-shaped (T, H, W) stacks, not {u.shape}, {v.shape}")
-    if grid < 1:
-        raise ValueError("grid must be at least 1")
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
     n, height, width = u.shape
-    if height < grid or width < grid:
-        raise ValueError(f"flow field {height}x{width} too small for grid {grid}")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("flow components must be finite")
 

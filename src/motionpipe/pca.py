@@ -28,27 +28,15 @@ def _normalize_signs(components: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted PCA basis: mean, eigenvalues (all n, descending), top-m components."""
+    """Fitted PCA basis: mean, eigenvalues (all n, descending), top-m components.
 
-    mean: np.ndarray  # n
+    Built by ``fit``, or by ``load_model``, which checks a file's arrays.
+    """
+
+    mean: np.ndarray  # n, float64
     eigenvalues: np.ndarray  # n, descending, nonnegative
-    components: np.ndarray  # m x n, rows = unit eigenvectors
+    components: np.ndarray  # m x n, 1 <= m <= n, rows = unit eigenvectors
     pov_achieved: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        eig = np.asarray(self.eigenvalues, dtype=np.float64)
-        comp = np.asarray(self.components, dtype=np.float64)
-        n = mean.shape[0]
-        if eig.shape != (n,) or comp.ndim != 2 or comp.shape[1] != n:
-            raise ValueError("inconsistent model shapes")
-        if comp.shape[0] < 1 or comp.shape[0] > n:
-            raise ValueError("retained channel count out of range")
-        if np.any(eig < 0.0) or np.any(np.diff(eig) > 0.0):
-            raise ValueError("eigenvalues must be nonnegative and non-increasing")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "components", comp)
 
     @property
     def input_dim(self) -> int:
@@ -64,8 +52,9 @@ def fit(samples: np.ndarray, pov_threshold: float) -> PcaModel:
 
     ``samples`` is an S x n matrix with one descriptor per row.  The
     channel count m is the smallest k with cumulative eigenvalue ratio
-    >= ``pov_threshold``.  Eigenvector signs follow a fixed convention
-    (largest-magnitude entry positive) so refits reproduce bitwise.
+    >= ``pov_threshold``, which lies in (0, 1].  Eigenvector signs follow
+    a fixed convention (largest-magnitude entry positive) so refits
+    reproduce bitwise.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -75,8 +64,6 @@ def fit(samples: np.ndarray, pov_threshold: float) -> PcaModel:
         raise ValueError("need at least 2 samples to fit")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    if not 0.0 < pov_threshold <= 1.0:
-        raise ValueError("pov_threshold must be in (0, 1]")
 
     mean = x.mean(axis=0)
     centered = x - mean

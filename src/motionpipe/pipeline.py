@@ -84,11 +84,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "c_box", "tol"):
+        for name in ("c_box", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        flow.check_alpha(self.alpha)  # the flow's precision bounds it too
-        # a grid larger than a frame shows only in the frames, at the descriptor stage
+        flow.check_alpha(self.alpha)
+        # a grid larger than a frame shows only in the frames, before their flow
         for name, least in (("iterations", 1), ("grid", 1), ("bins", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
@@ -97,10 +97,7 @@ class PipelineConfig:
         if self.split not in ("loocv", "fixed"):
             raise ValueError(f"unknown split mode {self.split!r}")
         if self.gamma != "auto":
-            g = float(self.gamma)
-            if not np.isfinite(g) or g <= 0:
-                raise ValueError("gamma must be 'auto' or a positive number")
-            object.__setattr__(self, "gamma", g)
+            object.__setattr__(self, "gamma", svm.KernelParams(float(self.gamma)).gamma)
         train_config(self, self.seed)  # a bad setting fails before any fold starts
 
 
@@ -207,14 +204,7 @@ def apply_override(config: PipelineConfig, dotted: str, raw: str) -> PipelineCon
 @dataclass(frozen=True)
 class ConfusionMatrix:
     labels: tuple
-    counts: np.ndarray  # rows true, columns predicted
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        k = len(self.labels)
-        if counts.shape != (k, k) or np.any(counts < 0):
-            raise ValueError("counts must be a nonnegative KxK matrix")
-        object.__setattr__(self, "counts", counts)
+    counts: np.ndarray  # K x K int64, rows true, columns predicted
 
     @property
     def total(self) -> int:
@@ -285,7 +275,11 @@ def _frame_names(frame_dir) -> list:
 
 def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int,
                        bins: int) -> corpus.DescriptorSequence:
-    """Flow descriptors for consecutive PGM frames, sorted by filename."""
+    """Flow descriptors for consecutive PGM frames, sorted by filename.
+
+    The frames' count and sizes, and the grid against them, are checked
+    before any flow.
+    """
     names = _frame_names(frame_dir)
     if len(names) < 2:
         raise ValueError(f"{frame_dir}: needs at least 2 PGM frames, found {len(names)}")
@@ -296,6 +290,8 @@ def frames_to_sequence(frame_dir, alpha: float, iterations: int, grid: int,
             raise ValueError(
                 f"{frame_dir}: frame {name} has size {fr.intensity.shape}, expected {shape}"
             )
+    if min(shape) < grid:
+        raise ValueError(f"{frame_dir}: frames of size {shape} are too small for grid {grid}")
     u, v = flow.estimate_flows(frames, alpha=alpha, iterations=iterations)
     return corpus.DescriptorSequence(flow.describe_flows(u, v, grid=grid, bins=bins))
 

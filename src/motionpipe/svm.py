@@ -70,10 +70,6 @@ class SvmModel:
     features: np.ndarray   # shared rows the indices refer to
     params: KernelParams
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.machines):
-            raise ValueError("one binary machine per label required")
-
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
@@ -127,7 +123,8 @@ def _kernel_tasks(x, y, gamma):
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError("kernel arguments must be rows of equal length")
     _check_nonneg(x)
-    _check_nonneg(y)
+    if not symmetric:
+        _check_nonneg(y)
     n, m = x.shape[0], y.shape[0]
     rows = max(1, _BLOCK_ELEMENTS // max(1, y.size))
     starts = np.arange(0, n, rows)
@@ -174,19 +171,18 @@ def _distance_blocks(x, y, symmetric, rows, starts, out, gamma) -> None:
 def default_gamma(features, seed: int) -> float:
     """1 / mean pairwise chi-squared distance of the training features.
 
-    All pairs when S <= 200; 1000 seeded random pairs otherwise.
+    All pairs when S <= 200; 1000 pairs drawn with the nonnegative
+    ``seed`` otherwise.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     if x.shape[0] < 2:
         raise ValueError("default_gamma needs at least 2 features")
-    _check_nonneg(x)
     s = x.shape[0]
     if s <= 200:
-        d = chi2_distance_matrix(x, x)
+        d = chi2_distance_matrix(x, x)  # which checks x
         mean = d[np.triu_indices(s, k=1)].mean()
     else:
+        _check_nonneg(x)
         rng = np.random.default_rng(seed)
         i = rng.integers(0, s, size=1000)
         j = rng.integers(0, s - 1, size=1000)
@@ -337,17 +333,13 @@ def fit(features, labels, c_box: float, params: KernelParams, tol: float) -> Svm
     third, ... label, the other the rest, and the results are put back in
     label order.  Below, one task of each runs here.  A failed kernel task
     starts no machine; if both tasks of a phase fail, the first's failure
-    is raised.
+    is raised.  ``c_box`` and ``tol`` are positive and finite; the kernel
+    checks the features.
     """
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise ValueError("labels must match feature count")
-    _check_nonneg(x)
-    if not 0.0 < c_box < np.inf:
-        raise ValueError("c_box must be positive and finite")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
     class_labels = sorted(set(labels))
     if len(class_labels) < 2:
         raise ValueError("training data must contain at least 2 classes")

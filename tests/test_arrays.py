@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import errno
 import os
 import pathlib
@@ -251,3 +252,46 @@ def test_every_parameter_default_is_relied_on_in_src():
              if key not in _UNRELIED_DEFAULTS]
     assert not stray, f"parameter defaults that no src call relies on: {', '.join(stray)}"
     assert set(unrelied) == set(_UNRELIED_DEFAULTS)  # no entry outlives its default
+
+
+# Where a setting's range may be checked, each with its reason.  PipelineConfig is
+# the one gate: it makes or calls every such check, so no stage function repeats one.
+_SETTING_CHECKS = {
+    "pipeline.PipelineConfig": "the gate every setting passes, from a config file or an option",
+    "pipeline._field_value": "each value's type, as a config file or an option gives it",
+    "flow.check_alpha": "alpha's range, which the flow's float32 precision bounds; "
+                        "PipelineConfig calls it",
+    "cnn.TrainConfig": "the CNN settings and the seed; PipelineConfig builds one",
+    "svm.KernelParams": "gamma's range; PipelineConfig builds one, and so does svm.load_model "
+                        "from a file's gamma",
+}
+
+
+def _raised_messages(tree):
+    """(top-level definition, message) of each ``raise E(message, ...)`` in ``tree`` whose
+    message is a string; each formatted value of an f-string reads as ``{}``."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                yield top.name, message.value
+            elif isinstance(message, ast.JoinedStr):
+                yield top.name, "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                        for part in message.values)
+
+
+def test_only_the_config_checks_a_setting():
+    names = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)} | {"{}"}
+    found = collections.defaultdict(list)
+    for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py")):
+        for top, message in _raised_messages(ast.parse(path.read_text(encoding="utf-8"))):
+            head, must, _ = message.partition(" must")
+            if must and head in names:
+                found[f"{path.stem}.{top}"].append(message)
+    stray = [f"{place}: {message!r}" for place, messages in found.items()
+             if place not in _SETTING_CHECKS for message in messages]
+    assert not stray, f"settings checked outside PipelineConfig's checks: {'; '.join(stray)}"
+    assert set(found) == set(_SETTING_CHECKS)  # no entry outlives its check

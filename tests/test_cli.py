@@ -393,13 +393,38 @@ def test_an_old_spelling_or_a_prefix_is_a_usage_error(tmp_path, capsys, monkeypa
       "--flow.alpha", "0"], "alpha must be positive and finite"),
     (["svm-fit", "--features", "f.csv", "--svm.c_box", "-1"],
      "c_box must be positive and finite"),
-], ids=["flow", "pca-fit", "train-flow", "train-cnn", "extract", "svm-fit"])
+    (["svm-fit", "--features", "f.csv", "--seed", "-1"], "seed must be a nonnegative integer"),
+    (["flow", "--frames", "clip", "--flow.iterations", "0"], "iterations must be at least 1"),
+], ids=["flow", "pca-fit", "train-flow", "train-cnn", "extract", "svm-fit", "svm-fit-seed",
+        "flow-iterations"])
 def test_a_bad_stage_setting_exits_2_before_any_input_is_read(tmp_path, capsys, monkeypatch,
                                                               argv, message):
     monkeypatch.chdir(tmp_path)  # no input exists, so a late check reads "not found"
     code, _, err = _run(capsys, *argv, "--out", "out")
     assert code == 2 and message in err, err
     assert os.listdir(tmp_path) == []
+
+
+def test_a_grid_larger_than_the_frames_exits_2_before_any_flow(tmp_path, capsys, monkeypatch):
+    frame_dir = tmp_path / "clip"
+    os.makedirs(frame_dir)
+    rng = np.random.default_rng(4)
+    for k in range(3):
+        flow.write_pgm(flow.Frame(intensity=rng.uniform(size=(12, 16))), frame_dir / f"f{k}.pgm")
+    calls = []
+    real = flow.estimate_flows
+    monkeypatch.setattr(flow, "estimate_flows",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    out = tmp_path / "out.fds"
+    code, stdout, err = _run(capsys, "flow", "--frames", str(frame_dir), "--out", str(out),
+                             "--flow.grid", "13")
+    assert code == 2 and stdout == "" and calls == []
+    assert err == f"error: {frame_dir}: frames of size (12, 16) are too small for grid 13\n"
+    assert not out.exists()
+    # the frames' smaller side is the largest grid
+    assert _run(capsys, "flow", "--frames", str(frame_dir), "--out", str(out),
+                "--flow.grid", "12")[0] == 0
+    assert len(calls) == 1 and corpus.read_sequence(out).dim == oracles.descriptor_width(12, 8)
 
 
 @pytest.mark.parametrize("command", ["run", "flow"])

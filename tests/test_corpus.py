@@ -54,7 +54,7 @@ def test_read_sequence_rejects_truncated_header(tmp_path):
 def test_read_sequence_rejects_zero_dimension(tmp_path):
     path = tmp_path / "zero.fds"
     path.write_bytes(_descriptor_bytes(tmp_path, np.zeros((0, 5), np.float32)))
-    with pytest.raises(DataFormatError, match="zero dimension"):
+    with pytest.raises(DataFormatError, match=r"zero\.fds: sequence data must be T x n"):
         corpus.read_sequence(path)
 
 

@@ -67,17 +67,6 @@ def test_flow_is_deterministic():
     assert np.array_equal(v1, v2)
 
 
-def test_estimate_flow_rejects_bad_arguments():
-    a = _frame(np.zeros((10, 10)))
-    b = _frame(np.zeros((10, 12)))
-    with pytest.raises(ValueError, match="dimensions differ"):
-        _pair_flow(a, b, alpha=1.0, iterations=100)
-    with pytest.raises(ValueError, match="alpha"):
-        _pair_flow(a, a, alpha=0.0, iterations=100)
-    with pytest.raises(ValueError, match="iterations"):
-        _pair_flow(a, a, alpha=1.0, iterations=0)
-
-
 def _random_video(seed, pairs, height, width):
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(pairs + 1, height, width))
@@ -190,15 +179,7 @@ def test_alpha_whose_square_is_not_a_normal_float32_is_rejected():
         assert np.all(np.isfinite(flow.estimate_flows(frames, alpha=alpha, iterations=5)))
     for alpha in (np.nextafter(least, 0.0), np.nextafter(greatest, np.inf), 1e-20, 1e-160, 1e200):
         with pytest.raises(ValueError, match=r"alpha \* alpha must be a normal float32"):
-            flow.estimate_flows(frames, alpha=float(alpha), iterations=5)
-
-
-def test_estimate_flows_rejects_bad_arguments():
-    frames = _random_video(0, 2, 10, 10)
-    with pytest.raises(ValueError, match="at least 2 frames"):
-        flow.estimate_flows(frames[:1], alpha=1.0, iterations=100)
-    with pytest.raises(ValueError, match="dimensions differ"):
-        flow.estimate_flows(frames + [_frame(np.zeros((10, 12)))], alpha=1.0, iterations=100)
+            flow.check_alpha(float(alpha))
 
 
 def test_frame_rejects_non_finite_and_out_of_range():
@@ -276,16 +257,6 @@ def test_rotating_vectors_rolls_histogram():
         h1 = _field_descriptor(u1, v1, grid=1, bins=bins)[3:]
         h2 = _field_descriptor(u2, v2, grid=1, bins=bins)[3:]
         assert np.allclose(np.roll(h1, bins // 4), h2, atol=1e-12)
-
-
-def test_describe_flow_validation():
-    u = v = np.zeros((8, 8))
-    with pytest.raises(ValueError, match="grid"):
-        _field_descriptor(u, v, grid=0, bins=8)
-    with pytest.raises(ValueError, match="bins"):
-        _field_descriptor(u, v, grid=4, bins=1)
-    with pytest.raises(ValueError, match="too small"):
-        _field_descriptor(u, v, grid=9, bins=8)
 
 
 def test_describe_flows_rejects_bad_stacks():

@@ -88,8 +88,6 @@ def test_fit_validation():
         pca.fit(np.zeros((1, 5)), 0.9)
     with pytest.raises(ValueError, match="finite"):
         pca.fit(np.full((3, 2), np.nan), 0.9)
-    with pytest.raises(ValueError, match="pov_threshold"):
-        pca.fit(np.random.default_rng(0).normal(size=(10, 3)), 0.0)
     with pytest.raises(ValueError, match="zero total variance"):
         pca.fit(np.ones((10, 3)), 0.9)
 

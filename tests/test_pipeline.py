@@ -9,6 +9,8 @@ import os
 import pickle
 import shutil
 import signal
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -161,13 +163,6 @@ def test_confusion_matrix_formats():
     assert len(set(map(len, lines))) == 1  # columns padded to equal width
 
 
-def test_confusion_matrix_rejects_bad_counts():
-    with pytest.raises(ValueError, match="KxK"):
-        pipeline.ConfusionMatrix(labels=("a", "b"), counts=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        pipeline.ConfusionMatrix(labels=("a", "b"), counts=np.array([[1, -1], [0, 1]]))
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -216,8 +211,24 @@ def test_default_cnn_settings_and_their_key_text():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="pov_threshold"):
-        pipeline.PipelineConfig(manifest="m", output_dir="o", pov_threshold=0.0)
+    # the one check of each stage setting: the stage functions do not repeat it
+    for field, bad, message in [
+        ("alpha", 0.0, "alpha must be positive and finite"),
+        ("alpha", np.nan, "alpha must be positive and finite"),
+        ("c_box", 0.0, "c_box must be positive and finite"),
+        ("c_box", np.nan, "c_box must be positive and finite"),
+        ("c_box", np.inf, "c_box must be positive and finite"),
+        ("tol", np.nan, "tol must be positive and finite"),
+        ("tol", np.inf, "tol must be positive and finite"),
+        ("pov_threshold", 0.0, r"pov_threshold must be in \(0, 1\]"),
+        ("pov_threshold", 1.5, r"pov_threshold must be in \(0, 1\]"),
+        ("grid", 0, "grid must be at least 1"),
+        ("bins", 1, "bins must be at least 2"),
+        ("iterations", 0, "iterations must be at least 1"),
+        ("seed", -1, "seed must be a nonnegative integer"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pipeline.PipelineConfig(manifest="m", output_dir="o", **{field: bad})
     with pytest.raises(ValueError, match="unknown split mode"):
         pipeline.PipelineConfig(manifest="m", output_dir="o", split="kfold")
     with pytest.raises(ValueError, match="gamma"):
@@ -1251,6 +1262,79 @@ def test_a_run_killed_at_any_mutation_point_resumes_to_the_same_bytes(tmp_path):
         assert _digests(tmp_path / "out") == clean, k  # no stray, missing or other file
     assert _digests(tmp_path / "out") == clean
     assert k > 2 * len(clean)  # a write and a rename per file, a point before and after each
+
+
+# Runs motionpipe with its arguments on two forked workers, on any machine.
+_TWO_WORKERS = """
+import sys
+from motionpipe import cli, workers
+workers._blas_threads = lambda: (lambda: 1, lambda threads: None)
+workers.os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _live_members(group) -> list:
+    """The processes of process group ``group`` that have not ended, zombies aside."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):  # it ended meanwhile
+            with open(f"/proc/{pid}/stat") as fh:
+                state, _, pgrp = fh.read().rpartition(")")[2].split()[:3]
+            if int(pgrp) == group and state != "Z":
+                members.append(int(pid))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process groups from /proc")
+def test_a_run_killed_while_two_workers_run_resumes_to_the_same_bytes(tmp_path):
+    manifest, sequences, _ = corpus.generate_synthetic_corpus(
+        classes=2, per_class=5, channels=3, min_len=16, max_len=20, seed=5)
+    manifest_path = corpus.save_corpus(manifest, sequences, tmp_path / "corpus")
+    (tmp_path / "arch.txt").write_text(MINI_ARCH)
+    argv = {}
+    for name in ("clean", "out"):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps({
+            "manifest": str(manifest_path), "output_dir": str(tmp_path / name),
+            "pca": {"pov_threshold": 0.95},
+            "cnn": {"architecture": str(tmp_path / "arch.txt"), "epochs": 30, "batch_size": 4},
+        }))
+        argv[name] = ["run", "--config", str(config_path)]
+    assert cli.main(argv["clean"]) == 0
+    clean = _digests(tmp_path / "clean")
+
+    out = tmp_path / "out"
+
+    def completed():  # the folds whose last stage has its key
+        return sum(os.path.exists(out / f"fold_{k:03d}" / "model.svm.key")
+                   for k in range(len(manifest)))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-c", _TWO_WORKERS, *argv["out"]], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(out / "fold_001" / "model.pca.key"):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+        assert len(_live_members(child.pid)) == 3  # run and its two workers
+        os.kill(child.pid, signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
+        at_kill = completed()
+        while _live_members(child.pid):  # each worker ends after its running fold
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+    assert at_kill <= completed() <= at_kill + 2 < len(manifest)
+
+    assert cli.main(argv["out"]) == 0
+    assert _digests(out) == clean
 
 
 def test_missing_video_source_raises(tmp_path):

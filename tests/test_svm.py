@@ -202,8 +202,8 @@ def test_default_gamma_rejects_degenerate_input():
         svm.default_gamma(np.ones((5, 4)), seed=0)
     x = np.random.default_rng(5).uniform(0.1, 2, size=(250, 3))
     for rows in (2, 200, 201, 250):  # the all-pairs path and the sampled one
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            svm.default_gamma(x[:rows], seed=-1)
+        with pytest.raises(ValueError, match="nonnegative features"):
+            svm.default_gamma(-x[:rows], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +394,6 @@ def test_fit_validation():
         fit(feats, ["a", "a", "a", "a"])
     with pytest.raises(ValueError, match="labels must match"):
         fit(feats, ["a", "b"])
-    with pytest.raises(ValueError, match="c_box"):
-        fit(feats, ["a", "a", "b", "b"], c_box=0.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="c_box"):
-            fit(feats, ["a", "a", "b", "b"], c_box=bad)
-        with pytest.raises(ValueError, match="tol"):
-            fit(feats, ["a", "a", "b", "b"], tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         fit(-feats, ["a", "a", "b", "b"])
 
