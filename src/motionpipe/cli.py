@@ -374,8 +374,7 @@ def main(argv=None) -> int:
     except WorkerError as exc:  # killed by the OOM killer, say
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, NotADirectoryError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # DataFormatError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

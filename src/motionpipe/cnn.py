@@ -13,9 +13,12 @@ other layers; ``NetworkSpec`` records their shapes beside each layer's
 output shape, in its one walk over the layers.  ``TrainConfig`` has no
 defaults: ``pipeline.PipelineConfig`` holds them.  Training holds every
 weight and then every bias as views into one flat float64 vector, so the
-momentum update is a few whole-vector operations.  Everything trains in
-float64 so analytic gradients can be checked against finite differences
-tightly; model files store parameters as float32.
+momentum update is a few whole-vector operations.  ``train`` and
+``extract_features`` check their input once per call, so the batch step
+(``batch_gradients``: forward, loss, backward) checks nothing.
+Everything trains in float64 so analytic gradients can be checked
+against finite differences tightly; model files store parameters as
+float32.
 """
 
 from __future__ import annotations
@@ -139,10 +142,6 @@ class NetworkSpec:
                 params = ((units, _flat_size(shape)), (units,))
                 shape = (units,)
             yield shape, params
-
-    def layer_shapes(self) -> tuple[tuple, ...]:
-        """Shape after each layer, (channels, length) or (units,)."""
-        return tuple(shape for shape, _ in self._shapes)
 
     def feature_cutoff(self) -> int:
         """Index of the last layer contributing to extracted features.
@@ -276,13 +275,8 @@ def _forward_batch(spec: NetworkSpec, params: list, x: np.ndarray, stop: int | N
     """Run a (N, m, L) batch through layers [0, stop); returns (activations, cache).
 
     With the default stop every layer runs and the activations are the
-    class probabilities.
+    class probabilities.  The caller passes a batch that fits ``spec``.
     """
-    if x.ndim != 3 or x.shape[1] != spec.input_channels or x.shape[2] != spec.input_length:
-        raise ValueError(
-            f"input shape {x.shape[1:]} does not match spec "
-            f"({spec.input_channels}, {spec.input_length})"
-        )
     act = x.transpose(0, 2, 1)  # channels-last (N, L, C) from here on
     cache = []
     for layer, layer_params in list(zip(spec.layers, params))[:stop]:
@@ -315,8 +309,8 @@ def _backward_batch(spec: NetworkSpec, params: list, cache, labels: np.ndarray, 
     """Gradients of the mean cross-entropy loss over the batch.
 
     ``grads`` is a list aligned with ``params``: (dW, db) arrays,
-    overwritten in place, or None for parameterless layers.  Labels are
-    checked by cross_entropy, which runs first.
+    overwritten in place, or None for parameterless layers.  The caller
+    passes checked labels, as ``train`` does.
     """
     probs = cache[-1]["probs"]
     n = probs.shape[0]
@@ -361,12 +355,8 @@ def _backward_batch(spec: NetworkSpec, params: list, cache, labels: np.ndarray, 
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true labels."""
-    n, k = probs.shape
-    labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise ValueError("label out of range")
-    picked = probs[np.arange(n), labels]
+    """Mean negative log-likelihood of the true labels, each a class index of ``probs``."""
+    picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
@@ -376,7 +366,9 @@ def batch_gradients(spec: NetworkSpec, params: list, x: np.ndarray, labels: np.n
 
     The gradients are a list aligned with ``params``: (dW, db)
     pairs, or None for parameterless layers.  They are written into
-    ``out``, a list of that layout, when given.
+    ``out``, a list of that layout, when given.  The caller passes
+    checked data: a batch that fits ``spec`` and class-index labels, as
+    ``train`` checks them once per call.
     """
     probs, cache = _forward_batch(spec, params, x)
     loss = cross_entropy(probs, labels)
@@ -384,6 +376,19 @@ def batch_gradients(spec: NetworkSpec, params: list, x: np.ndarray, labels: np.n
         _, (out,), _ = _flat_params(spec)
     _backward_batch(spec, params, cache, labels, out)
     return loss, out
+
+
+def _checked_batch(spec: NetworkSpec, x) -> np.ndarray:
+    """``x`` as a float64 (N, m, L) batch; raises ValueError unless it fits ``spec``.
+
+    ``train`` and ``extract_features`` check their input here, once per
+    call, so the batch step checks nothing.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (spec.input_channels, spec.input_length):
+        raise ValueError(f"input shape {x.shape[1:]} does not match spec "
+                         f"({spec.input_channels}, {spec.input_length})")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +427,8 @@ def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
     ConvergenceError as soon as a batch loss is non-finite, or when an
     epoch ends with a non-finite parameter.
     """
-    x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
+    x = _checked_batch(spec, samples)
     y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 3 or x.shape[1] != spec.input_channels or x.shape[2] != spec.input_length:
-        raise ValueError(f"sample shape {x.shape[1:]} does not match spec")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must match sample count")
     k = spec.num_classes()
@@ -482,8 +485,8 @@ def extract_features(spec: NetworkSpec, params: list, x: np.ndarray) -> np.ndarr
     rectified values are returned, keeping features nonnegative for the
     chi-squared kernel downstream.
     """
-    x = np.asarray(x, dtype=np.float64)
-    features, _ = _forward_batch(spec, params, x, stop=spec.feature_cutoff() + 1)
+    features, _ = _forward_batch(spec, params, _checked_batch(spec, x),
+                                 stop=spec.feature_cutoff() + 1)
     return features
 
 

@@ -9,7 +9,10 @@ indices).  All of them are ``arrays`` (ARR1) files.  A cached rerun
 reads the stage outputs instead of rebuilding the network or the SVM,
 so it reproduces a cold run bit for bit.  Stage caching is
 keyed by content hashes that chain upstream, so changing any input
-invalidates everything below it.  A frame directory's key hashes only
+invalidates everything below it.  Each stage reads its own cache hit,
+and the PCA stage reads its model only when the CNN stage misses, the
+one stage that needs it; a fold returns one ``FoldResult``, its test
+predictions and its epoch losses.  A frame directory's key hashes only
 its frames, the files the flow reads.
 
 A run plans every key and whether it hits once, up front.  The frame
@@ -232,6 +235,7 @@ class ConfusionMatrix:
 class FoldResult:
     index: int
     records: tuple  # (video_id, true_label, predicted_label) per test video
+    losses: tuple  # the CNN's mean training loss per epoch
 
     @property
     def accuracy(self) -> float:
@@ -244,7 +248,6 @@ class PipelineResult:
     overall_accuracy: float
     confusion: ConfusionMatrix
     fold_results: tuple
-    loss_histories: tuple
 
 
 def evaluate(predictions, labels) -> tuple[float, ConfusionMatrix]:
@@ -393,8 +396,6 @@ def _stage(stage: str, fold_index: int):
     """Re-raise any failure in the block as a StageError naming stage and fold."""
     try:
         yield
-    except StageError:
-        raise  # already tagged by an inner stage
     except Exception as exc:
         raise StageError(stage, fold_index, str(exc)) from exc
 
@@ -586,18 +587,15 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
             _audit("pca", fold_index, train_ids)
             return fit_pca_model(pca_path, sequences, train_ids, config.pov_threshold)
 
-        # a hit is read only if the CNN stage misses too (fit_cnn below)
-        fitted_pca = _cached(plan.pca, lambda: None, fit_pca)
+        # a hit is read only if the CNN stage misses, the one stage that needs the model
+        pca_model = _cached(plan.pca, (lambda: None) if plan.cnn.hit
+                            else functools.partial(pca.load_model, pca_path), fit_pca)
 
     # 1D-CNN on training series only; its output is every fold video's features
     with _stage("cnn", fold_index):
         cnn_path, cnn_out = plan.cnn.artifacts
 
         def fit_cnn():
-            pca_model = fitted_pca
-            if pca_model is None:
-                with _stage("pca", fold_index):
-                    pca_model = pca.load_model(pca_path)
             _audit("cnn", fold_index, train_ids)
             batch, _ = project_videos(pca_model, sequences, fold_ids, plan.l_max)
             spec, params, losses = fit_cnn_model(
@@ -612,9 +610,9 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
             stored = arrays.load(
                 cnn_out, features=("<f8", (len(fold_ids), None)), loss=("<f8", (config.epochs,))
             )
-            return stored["features"], [float(x) for x in stored["loss"]]
+            return stored["features"], stored["loss"].tolist()
 
-        features, loss_history = _cached(plan.cnn, load_cnn, fit_cnn)
+        features, losses = _cached(plan.cnn, load_cnn, fit_cnn)
 
     # SVM on training features only; its output is the test predictions
     with _stage("svm", fold_index):
@@ -646,7 +644,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
     records = tuple(
         (vid, manifest.entry(vid).label, labels[k]) for vid, k in zip(test_ids, predicted)
     )
-    return FoldResult(index=fold_index, records=records), loss_history
+    return FoldResult(index=fold_index, records=records, losses=tuple(losses))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -682,20 +680,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                         else workers.fork_map(tasks))
         except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
             raise StageError("worker", exc.task, str(exc)) from exc
-        fold_results = [result for result, _ in outcomes.values()]
-        loss_histories = [tuple(losses) for _, losses in outcomes.values()]
-
+        fold_results = tuple(outcomes.values())
         predictions = [(t, p) for r in fold_results for _, t, p in r.records]
         accuracy, confusion = evaluate(predictions, manifest.labels())
         overall = (accuracy if config.split == "loocv"
                    else float(np.mean([r.accuracy for r in fold_results])))
 
-        result = PipelineResult(
-            overall_accuracy=overall,
-            confusion=confusion,
-            fold_results=tuple(fold_results),
-            loss_histories=tuple(loss_histories),
-        )
+        result = PipelineResult(overall_accuracy=overall, confusion=confusion,
+                                fold_results=fold_results)
         _write_reports(config.output_dir, result)
         return result
 
@@ -732,9 +724,9 @@ def _write_reports(output_dir: str, result: PipelineResult) -> None:
     write_confusion(output_dir, result.confusion)
 
     lines = ["fold,epoch,loss"]
-    for fold_index, losses in enumerate(result.loss_histories):
-        for epoch, loss in enumerate(losses):
-            lines.append(f"{fold_index},{epoch},{loss!r}")
+    for r in result.fold_results:
+        for epoch, loss in enumerate(r.losses):
+            lines.append(f"{r.index},{epoch},{loss!r}")
     _put(output_dir, "loss.csv", "\n".join(lines) + "\n")
 
 

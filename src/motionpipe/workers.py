@@ -122,8 +122,8 @@ def _serve(commands: int, results: int):
     8-byte length into ``results``.  The exception is sent, not raised, so
     that its cause, from which the CLI picks the exit code, and a failed
     task's audit calls reach the parent.  Ctrl-C is left to the parent,
-    which kills the workers.  Never returns: a worker never runs its
-    parent's code.
+    which kills the workers, and a worker whose parent is gone exits
+    quietly.  Never returns: a worker never runs its parent's code.
     """
     import signal
 
@@ -144,6 +144,8 @@ def _serve(commands: int, results: int):
                 out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
         code = 0
+    except BrokenPipeError:  # the result pipe has no reader: the parent is gone
+        pass
     except BaseException:  # the parent reports the running task as ended without a result
         import traceback
 

@@ -168,7 +168,7 @@ def test_only_workers_starts_processes_or_threads():
     assert {"os.fork", "threading"} <= set(_process_starters(workers_tree))  # the check sees them
 
 
-# Public functions that nothing in src uses, each with its reason.
+# Public functions and methods that nothing in src uses, each with its reason.
 _UNUSED_PUBLIC = {
     "cli.main": "the console entry point, which pyproject.toml names",
     "flow.write_pgm": "the frame writer of the benchmark's inputs and the tests' fixtures",
@@ -181,6 +181,11 @@ def _name_counts(node):
                                if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _attribute_counts(node):
+    """How often each attribute name occurs under ``node``, as in ``x.name``."""
+    return collections.Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def test_every_public_function_is_used_in_src():
     trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(pathlib.Path(arrays.__file__).parent.glob("*.py"))]
@@ -188,8 +193,15 @@ def test_every_public_function_is_used_in_src():
     unused = [f"{module}.{node.name}" for module, tree in trees for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and counts[node.name] == _name_counts(node)[node.name]]
+    # a method is reached as an attribute, so a local variable of its name does not count
+    counts = sum((_attribute_counts(tree) for _, tree in trees), collections.Counter())
+    unused += [f"{module}.{cls.name}.{node.name}" for module, tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and counts[node.name] == _attribute_counts(node)[node.name]]
     stray = [name for name in unused if name not in _UNUSED_PUBLIC]
-    assert not stray, f"public functions that nothing in src uses: {', '.join(stray)}"
+    assert not stray, f"public functions and methods that nothing in src uses: {', '.join(stray)}"
 
 
 # Public functions with a parameter default that no src call relies on, each with its reason.
@@ -295,3 +307,12 @@ def test_only_the_config_checks_a_setting():
              if place not in _SETTING_CHECKS for message in messages]
     assert not stray, f"settings checked outside PipelineConfig's checks: {'; '.join(stray)}"
     assert set(found) == set(_SETTING_CHECKS)  # no entry outlives its check
+
+
+def test_the_batch_step_checks_nothing():
+    # train and extract_features check their input once per call, not once per batch
+    tree = ast.parse(pathlib.Path(arrays.__file__).with_name("cnn.py").read_text(encoding="utf-8"))
+    step = {"_forward_batch", "_backward_batch", "cross_entropy", "batch_gradients"}
+    found = {node.name: any(isinstance(n, ast.Raise) for n in ast.walk(node))
+             for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in step}
+    assert found == dict.fromkeys(step, False)

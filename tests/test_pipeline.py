@@ -437,7 +437,8 @@ def test_warm_rerun_hits_cache_and_reproduces_reports(mini_run, audit_log):
     assert _read_reports(out) == mini_run.reports
     assert result.overall_accuracy == mini_run.result.overall_accuracy
     assert result.fold_results == mini_run.result.fold_results
-    assert result.loss_histories == mini_run.result.loss_histories
+    assert ([r.losses for r in result.fold_results]
+            == [r.losses for r in mini_run.result.fold_results])
 
 
 def _write_config(config, path):
@@ -1313,9 +1314,10 @@ def test_a_run_killed_while_two_workers_run_resumes_to_the_same_bytes(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen([sys.executable, "-c", _TWO_WORKERS, *argv["out"]], env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                             start_new_session=True)
+    stderr = tmp_path / "stderr.txt"  # the group's: run's and its workers'
+    with open(stderr, "wb") as err:
+        child = subprocess.Popen([sys.executable, "-c", _TWO_WORKERS, *argv["out"]], env=env,
+                                 stdout=subprocess.DEVNULL, stderr=err, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while not os.path.exists(out / "fold_001" / "model.pca.key"):
@@ -1328,6 +1330,7 @@ def test_a_run_killed_while_two_workers_run_resumes_to_the_same_bytes(tmp_path):
         while _live_members(child.pid):  # each worker ends after its running fold
             assert time.monotonic() < deadline
             time.sleep(0.01)
+        assert b"Traceback" not in stderr.read_bytes()  # an orphaned worker exits quietly
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(child.pid, signal.SIGKILL)
