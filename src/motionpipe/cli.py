@@ -365,18 +365,13 @@ def main(argv=None) -> int:
     try:
         with workers.one_blas_thread():  # a second thread burns CPU on these small products
             return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc.__cause__, ConvergenceError) else 2
-    except WorkerError as exc:  # killed by the OOM killer, say
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:  # DataFormatError, JSONDecodeError too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ConvergenceError, StageError, WorkerError, ValueError, KeyError, OSError) as exc:
+        # ValueError covers DataFormatError and JSONDecodeError; a WorkerError (killed
+        # by the OOM killer, say) names no stage, so the command comes first
+        command = f"{args.command}: " if isinstance(exc, WorkerError) else ""
+        print(f"error: {command}{exc}", file=sys.stderr)
+        failed = exc.__cause__ if isinstance(exc, StageError) else exc
+        return 3 if isinstance(failed, ConvergenceError) else 2
     finally:
         warnings.formatwarning = formatwarning
 

@@ -88,6 +88,19 @@ def conv_output_length(length: int, filter_size: int, stride: int) -> int:
     return (length - filter_size) // stride + 1
 
 
+def check_layers(layers) -> tuple[LayerSpec, ...]:
+    """``layers`` as a tuple; raises ValueError unless one softmax output ends
+    them, after a fully-connected feature layer.  ``NetworkSpec`` checks the sizes."""
+    layers = tuple(layers)
+    if not layers or not isinstance(layers[-1], SoftmaxOutput):
+        raise ValueError("network must end with a softmax output layer")
+    if any(isinstance(l, SoftmaxOutput) for l in layers[:-1]):
+        raise ValueError("softmax output must appear exactly once, last")
+    if not any(isinstance(l, FullyConnected) for l in layers[:-1]):
+        raise ValueError("a fully-connected feature layer must precede the softmax output")
+    return layers
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture plus input shape; every layer shape-checked upfront."""
@@ -99,14 +112,7 @@ class NetworkSpec:
     def __post_init__(self):
         if self.input_channels < 1 or self.input_length < 1:
             raise ValueError("input shape must be positive")
-        layers = tuple(self.layers)
-        if not layers or not isinstance(layers[-1], SoftmaxOutput):
-            raise ValueError("network must end with a softmax output layer")
-        if any(isinstance(l, SoftmaxOutput) for l in layers[:-1]):
-            raise ValueError("softmax output must appear exactly once, last")
-        if not any(isinstance(l, FullyConnected) for l in layers[:-1]):
-            raise ValueError("a fully-connected feature layer must precede the softmax output")
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", check_layers(self.layers))
         object.__setattr__(self, "_shapes", tuple(self._check_shapes()))
 
     def _check_shapes(self):
@@ -420,10 +426,10 @@ class TrainConfig:
 def train(spec: NetworkSpec, samples, labels, config: TrainConfig):
     """Mini-batch SGD with momentum on the mean batch cross-entropy.
 
-    ``samples`` is a sequence of m x L arrays, ``labels`` integer class
-    indices.  Shuffling and initialisation derive from config.seed, so
-    the returned (params, per-epoch mean loss) is deterministic.  Weight
-    decay applies to weight matrices, not biases.  Raises
+    ``samples`` is an (N, m, L) batch, checked by ``_checked_batch``, and
+    ``labels`` its N integer class indices.  Shuffling and initialisation
+    derive from config.seed, so the returned (params, per-epoch mean loss)
+    is deterministic.  Weight decay applies to weight matrices, not biases.  Raises
     ConvergenceError as soon as a batch loss is non-finite, or when an
     epoch ends with a non-finite parameter.
     """

@@ -167,12 +167,14 @@ def load_manifest(path) -> Manifest:
         raise DataFormatError(f"{path}: invalid JSON manifest: {exc}") from exc
     if not isinstance(rows, list):
         raise DataFormatError(f"{path}: manifest must be a JSON array")
+    if not rows:
+        raise DataFormatError(f"{path}: manifest has no entries")
     entries = []
     keys = ("video_id", "label", "path", "split_id")
     for row in rows:
         values = [row.get(key) for key in keys] if isinstance(row, dict) else []
-        # video_id, label and path are strings; split_id an integer or absent
-        if not (values and all(isinstance(v, str) for v in values[:3])
+        # video_id, label and path are non-empty strings; split_id an integer or absent
+        if not (values and all(isinstance(v, str) and v for v in values[:3])
                 and (values[3] is None or type(values[3]) is int)):
             raise DataFormatError(f"{path}: malformed manifest entry {row!r}")
         # ids and labels become CSV fields of the reports and feature tables

@@ -18,27 +18,16 @@ class WorkerError(RuntimeError):
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and fold index."""
+    """A pipeline stage failed; carries the stage name, fold index and, when given, the cause."""
 
-    def __init__(self, stage: str, fold: int, message: str):
+    def __init__(self, stage: str, fold: int, message: str, cause: BaseException | None = None):
         super().__init__(f"fold {fold}, stage {stage}: {message}")
         self.stage = stage
         self.fold = fold
         self.message = message
+        if cause is not None:
+            self.__cause__ = cause
 
     def __reduce__(self):
-        # Pickling drops __cause__, and the CLI picks its exit code from the
-        # cause's type, so the type and arguments travel with the error.
-        cause = self.__cause__
-        if cause is None:
-            return StageError, (self.stage, self.fold, self.message)
-        return _unpickle_stage_error, (self.stage, self.fold, self.message,
-                                       type(cause), cause.args)
-
-
-def _unpickle_stage_error(stage, fold, message, cause_type, cause_args):
-    error = StageError(stage, fold, message)
-    # __new__ skips the cause type's __init__, whose signature may differ from args
-    error.__cause__ = cause_type.__new__(cause_type, *cause_args)
-    error.__cause__.args = cause_args
-    return error
+        # pickling drops __cause__, and the CLI picks its exit code from the cause's type
+        return StageError, (self.stage, self.fold, self.message, self.__cause__)

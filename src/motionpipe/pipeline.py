@@ -473,17 +473,21 @@ def read_corpus(config: PipelineConfig, manifest: corpus.Manifest, desc_dir: str
 # ---------------------------------------------------------------------------
 
 def architecture_text(path: str | None, num_classes: int) -> str:
-    """The architecture file at ``path``, checked to parse, or the default's text for ``None``.
+    """The architecture file at ``path``, checked, or the default's text for ``None``.
 
-    Whether it fits the PCA width and the input length shows at the CNN stage.
+    It must form a network (``cnn.check_layers``) whose softmax has ``num_classes``
+    classes; whether it fits the PCA width and the input length shows at the CNN stage.
     """
     if path is None:
         return cnn.format_architecture(cnn.default_architecture(num_classes))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        cnn.parse_architecture(text)
-    except ValueError as exc:  # a parse or UTF-8 error, which does not name the file
+        classes = cnn.check_layers(cnn.parse_architecture(text))[-1].classes
+        if classes != num_classes:
+            raise ValueError(f"softmax has {classes} classes, "
+                             f"the manifest has {num_classes} labels")
+    except ValueError as exc:  # a parse, structure or UTF-8 error, which does not name the file
         raise ValueError(f"{path}: {exc}") from exc
     return text
 

@@ -669,6 +669,9 @@ def test_read_features_csv_errors(tmp_path):
     path.write_text("nope,label,f0\na,x,1.0\n")
     with pytest.raises(DataFormatError, match="header"):
         cli.read_features_csv(str(path))
+    path.write_text("video_id,label\na,x\n")
+    with pytest.raises(DataFormatError, match="header names no feature columns"):
+        cli.read_features_csv(str(path))
     path.write_text("video_id,label,f0\na,x,1.0,9.0\n")
     with pytest.raises(DataFormatError, match="line 2: expected 3 fields"):
         cli.read_features_csv(str(path))
@@ -1037,6 +1040,12 @@ def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):
     assert code == 2, err
     assert "walk,fast" in err
     assert not out_dir.exists()
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump([], fh)
+    code, _, err = _run(capsys, "run", "--config", str(config_path))
+    assert code == 2, err
+    assert "manifest has no entries" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -1048,9 +1057,19 @@ def test_bad_manifest_exits_2_without_creating_output_dir(tmp_path, capsys):
     (["extract", "--pca", "m.pca", "--cnn", "missing.cnn"], "missing.cnn"),
     (["extract", "--pca", "m.pca", "--cnn", "wide.cnn"], "but the network expects"),
     (["run", "--split", "fixed"], "entry 'v0' is missing split_id"),
+    # a parsed architecture that is no network, or not one for the manifest's labels
+    (["run", "--cnn.architecture", "classes.txt"],
+     "classes.txt: softmax has 5 classes, the manifest has 2 labels"),
+    (["run", "--cnn.architecture", "headless.txt"],
+     "headless.txt: network must end with a softmax output layer"),
+    (["train", "--pca", "m.pca", "--cnn.architecture", "classes.txt"],
+     "classes.txt: softmax has 5 classes, the manifest has 2 labels"),
+    (["train", "--pca", "m.pca", "--cnn.architecture", "headless.txt"],
+     "headless.txt: network must end with a softmax output layer"),
 ], ids=["run-missing-architecture", "run-malformed-architecture", "train-missing-pca",
         "train-malformed-architecture", "extract-missing-cnn", "extract-channel-mismatch",
-        "run-unplannable-split"])
+        "run-unplannable-split", "run-class-count-mismatch", "run-missing-softmax",
+        "train-class-count-mismatch", "train-missing-softmax"])
 def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch, argv, message):
     manifest_path = _frame_corpus(tmp_path / "frames")
     model = pca.fit(np.random.default_rng(0).normal(size=(40, 6)), 0.999)
@@ -1059,6 +1078,8 @@ def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch
                            layers=cnn.parse_architecture(MINI_ARCH))
     cnn.save_model(spec, cnn.init_state(spec, np.random.default_rng(0)), tmp_path / "wide.cnn")
     (tmp_path / "bad.txt").write_text("conv 3 4 1\nbogus 2\n")
+    (tmp_path / "classes.txt").write_text(MINI_ARCH.replace("softmax 2", "softmax 5"))
+    (tmp_path / "headless.txt").write_text("conv 3 4 1\nrelu\nfc 8\n")
     (tmp_path / "config.json").write_text(json.dumps(
         {"manifest": manifest_path, "output_dir": "out"}))
 

@@ -180,8 +180,16 @@ def test_spec_validation():
         _spec(
             [cnn.Conv1D(3, 4, 2), cnn.Max1D(9, 1), cnn.FullyConnected(4), cnn.SoftmaxOutput(2)]
         )
-    with pytest.raises(ValueError, match="after flattening"):
+    with pytest.raises(ValueError, match="convolution after flattening"):
         _spec([cnn.FullyConnected(4), cnn.Conv1D(3, 4, 1), cnn.SoftmaxOutput(2)])
+    with pytest.raises(ValueError, match="pooling after flattening"):
+        _spec([cnn.FullyConnected(4), cnn.Max1D(2, 2), cnn.FullyConnected(4), cnn.SoftmaxOutput(2)])
+    with pytest.raises(ValueError, match="input shape must be positive"):
+        _spec([cnn.FullyConnected(4), cnn.SoftmaxOutput(2)], channels=0)
+    with pytest.raises(ValueError, match="invalid max-pool layer"):
+        cnn.Max1D(2, 0)
+    with pytest.raises(ValueError, match="invalid fully-connected layer"):
+        cnn.FullyConnected(0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +400,12 @@ def test_train_raises_on_divergence():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="diverged in epoch"):
             cnn.train(spec, samples, labels, config)
+        # one batch an epoch: its loss is finite and the update that overflows
+        # is the epoch's last, so the end-of-epoch parameter check reports it
+        config = dataclasses.replace(config, learning_rate=1e308, batch_size=len(samples),
+                                     epochs=1)
+        with pytest.raises(ConvergenceError, match="epoch 1: non-finite parameters"):
+            cnn.train(spec, np.asarray(samples) * 1e6, labels, config)
 
 
 def test_train_validation():

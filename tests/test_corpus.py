@@ -209,6 +209,16 @@ def test_load_manifest_errors(tmp_path):
     missing.write_text(json.dumps([{"video_id": "v", "label": "a"}]))
     with pytest.raises(DataFormatError, match="malformed"):
         corpus.load_manifest(missing)
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    with pytest.raises(DataFormatError, match="empty.json: manifest has no entries"):
+        corpus.load_manifest(empty)
+    for key in ("video_id", "label", "path"):
+        row = {"video_id": "v1", "label": "walk", "path": "v1.fds", key: ""}
+        blank = tmp_path / "blank.json"
+        blank.write_text(json.dumps([row]))
+        with pytest.raises(DataFormatError, match="blank.json: malformed manifest entry"):
+            corpus.load_manifest(blank)
     # a comma or line break in an id or label would break the CSVs the program writes
     for key, text in [("label", "walk,fast"), ("video_id", "v\n1"), ("label", "a\rb")]:
         row = {"video_id": "v1", "label": "walk", "path": "v1.fds", key: text}

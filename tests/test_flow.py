@@ -189,6 +189,10 @@ def test_frame_rejects_non_finite_and_out_of_range():
         flow.Frame(intensity=bad)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         flow.Frame(intensity=np.full((10, 10), 1.5))
+    with pytest.raises(ValueError, match="must be 2-D"):
+        flow.Frame(intensity=np.zeros(10))
+    with pytest.raises(ValueError, match="frame must be at least"):
+        flow.Frame(intensity=np.zeros((flow.MIN_FRAME_SIDE - 1, 10)))
 
 
 # ---------------------------------------------------------------------------

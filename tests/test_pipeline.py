@@ -1071,12 +1071,25 @@ def test_a_dead_worker_fails_its_own_fold_while_the_running_one_finishes(
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
+def _raised(call):
+    """The exception ``call`` raises."""
+    try:
+        call()
+    except Exception as exc:
+        return exc
+    raise AssertionError(f"{call} raised nothing")
+
+
 @pytest.mark.parametrize("cause", [
     None,
     ConvergenceError("SMO not converged"),
     DataFormatError("bad magic"),
     FileNotFoundError(2, "No such file or directory"),
     UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    # numpy builds these from more than a message: a ufunc and its dtypes, a shape and
+    # a dtype (it raises the MemoryError before it allocates anything)
+    _raised(lambda: np.add(np.array(["a"]), 1)),
+    _raised(lambda: np.empty(10**16)),
 ], ids=lambda cause: type(cause).__name__)
 def test_stage_error_survives_pickling(cause):
     error = StageError("svm", 3, "x")

@@ -257,10 +257,12 @@ def test_every_strict_prefix_of_a_valid_file_is_rejected(tmp_path, valid_files, 
 
 def _check_manifest(manifest):
     if manifest is not None:
+        assert len(manifest) >= 1
         for e in manifest.entries:
             assert isinstance(e.video_id, str) and isinstance(e.label, str)
             assert not any(c in e.video_id + e.label for c in ",\r\n")
             assert isinstance(e.path, str)
+            assert e.video_id and e.label and e.path
             assert e.split_id is None or type(e.split_id) is int
 
 
