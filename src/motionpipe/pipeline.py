@@ -25,9 +25,9 @@ after a failure.  A worker that dies fails its own fold, as ``fold K,
 stage worker``, or names its video.  The run holds OpenBLAS at one
 thread in this process, so the workers inherit one thread and start
 none.  Workers write only their own fold's directory or video's
-descriptors, and ``fork_map`` returns their results and replays their
-fit-audit calls in task order, so the outputs are the same bytes as a
-serial run's.
+descriptors, and ``fork_map`` returns their results in task order, so the
+outputs are the same bytes as a serial run's.  A fold's record lists its
+fits, which the run hands to the fit audit once every fold has returned.
 
 One function, ``read_corpus``, gives every command its descriptors, with
 the descriptor cache for ``run`` only.  Every command reads the files it
@@ -44,21 +44,16 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import arrays, cnn, corpus, flow, pca, svm, workers
 from .errors import DataFormatError, StageError, WorkerError
 
-# Test hook: when set, called as fit_audit(stage, fold_index, video_ids)
-# for every model-fitting call with the ids whose data the fit saw.
+# Test hook: when set, a run that succeeds calls fit_audit(stage, fold_index,
+# video_ids) for every model fit, fold by fold, with the ids whose data it saw.
 fit_audit = None
-
-
-def _audit(stage: str, fold_index: int, video_ids) -> None:
-    if fit_audit is not None:
-        fit_audit(stage, fold_index, tuple(video_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +231,7 @@ class FoldResult:
     index: int
     records: tuple  # (video_id, true_label, predicted_label) per test video
     losses: tuple  # the CNN's mean training loss per epoch
+    fits: tuple = field(compare=False)  # (stage, train_ids) per fit: what it did, not its result
 
     @property
     def accuracy(self) -> float:
@@ -582,13 +578,14 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
     test_ids = list(fold.test_ids)
     fold_ids = train_ids + test_ids
     n_train = len(train_ids)
+    fits = []
 
     # PCA on training descriptors only
     with _stage("pca", fold_index):
         pca_path = plan.pca.artifacts[0]
 
         def fit_pca():
-            _audit("pca", fold_index, train_ids)
+            fits.append(("pca", tuple(train_ids)))
             return fit_pca_model(pca_path, sequences, train_ids, config.pov_threshold)
 
         # a hit is read only if the CNN stage misses, the one stage that needs the model
@@ -600,7 +597,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
         cnn_path, cnn_out = plan.cnn.artifacts
 
         def fit_cnn():
-            _audit("cnn", fold_index, train_ids)
+            fits.append(("cnn", tuple(train_ids)))
             batch, _ = project_videos(pca_model, sequences, fold_ids, plan.l_max)
             spec, params, losses = fit_cnn_model(
                 cnn_path, arch_text, batch[:n_train],
@@ -624,8 +621,8 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
 
         def fit_svm():
             if config.gamma == "auto":
-                _audit("gamma", fold_index, train_ids)
-            _audit("svm", fold_index, train_ids)
+                fits.append(("gamma", tuple(train_ids)))
+            fits.append(("svm", tuple(train_ids)))
             model = fit_svm_model(svm_path, features[:n_train],
                                   [manifest.entry(vid).label for vid in train_ids],
                                   config, plan.train_cfg.seed)
@@ -648,7 +645,7 @@ def _run_fold(config, fold_index, fold, manifest, sequences, arch_text, plan: _F
     records = tuple(
         (vid, manifest.entry(vid).label, labels[k]) for vid, k in zip(test_ids, predicted)
     )
-    return FoldResult(index=fold_index, records=records, losses=tuple(losses))
+    return FoldResult(index=fold_index, records=records, losses=tuple(losses), fits=tuple(fits))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -657,13 +654,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # every named input is read, and the folds planned, before any flow: a bad one
         # leaves no directory
         manifest = corpus.load_manifest(config.manifest)
-        arch_text = architecture_text(config.architecture, len(manifest.labels()))
+        labels = manifest.labels()
+        arch_text = architecture_text(config.architecture, len(labels))
         _source_paths(config, manifest)  # a missing source is named before a split's error
         folds = (
             corpus.make_loocv(manifest)
             if config.split == "loocv"
             else corpus.make_fixed_splits(manifest)
         )
+        if len(labels) < 2:
+            raise ValueError(f"{config.manifest}: every video is labelled {labels[0]!r}; "
+                             "training needs 2 labels")
+        for fold_index, fold in enumerate(folds):  # cnn.train needs every class
+            missing = set(labels).difference(manifest.entry(v).label for v in fold.train_ids)
+            if missing:
+                raise ValueError(f"{config.manifest}: fold {fold_index} has no training "
+                                 f"video labelled {min(missing)!r}")
         sequences, desc_keys = read_corpus(config, manifest,
                                            os.path.join(config.output_dir, "descriptors"))
         os.makedirs(config.output_dir, exist_ok=True)
@@ -685,8 +691,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
             raise StageError("worker", exc.task, str(exc)) from exc
         fold_results = tuple(outcomes.values())
+        if fit_audit is not None:
+            for r in fold_results:
+                for stage, ids in r.fits:
+                    fit_audit(stage, r.index, ids)
         predictions = [(t, p) for r in fold_results for _, t, p in r.records]
-        accuracy, confusion = evaluate(predictions, manifest.labels())
+        accuracy, confusion = evaluate(predictions, labels)
         overall = (accuracy if config.split == "loocv"
                    else float(np.mean([r.accuracy for r in fold_results])))
 

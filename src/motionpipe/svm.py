@@ -233,7 +233,7 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
             break
 
         diff = f_err - f_err[i]
-        cand = low & (diff > 0.0)
+        cand = low & (diff > 0.0)  # diff[i] is 0, so i is never its own partner j
         eta = np.maximum(gram[i, i] + diag - 2.0 * gram[i], 1e-12)
         score = np.where(cand, diff * diff / eta, -np.inf)
         moved = False
@@ -272,8 +272,6 @@ def _partners(score: np.ndarray, indices: np.ndarray):
 
 def _smo_step(gram, y, alpha, errors, i, j, c_box) -> bool:
     """Attempt a joint update of (alpha_i, alpha_j); True if it moved."""
-    if i == j:
-        return False
     a_i, a_j = alpha[i], alpha[j]
     s = y[i] * y[j]
     if s < 0:

@@ -118,29 +118,25 @@ def _worker_error(task, status: int) -> WorkerError:
 def _serve(commands: int, results: int):
     """In a forked worker: run each task index read from ``commands``, send back its outcome.
 
-    An outcome is (value, exception, fit audit calls), pickled behind its
-    8-byte length into ``results``.  The exception is sent, not raised, so
-    that its cause, from which the CLI picks the exit code, and a failed
-    task's audit calls reach the parent.  Ctrl-C is left to the parent,
-    which kills the workers, and a worker whose parent is gone exits
-    quietly.  Never returns: a worker never runs its parent's code.
+    An outcome is (value, exception), pickled behind its 8-byte length
+    into ``results``.  The exception is sent, not raised, so that its
+    cause, from which the CLI picks the exit code, reaches the parent.
+    Ctrl-C is left to the parent, which kills the workers, and a worker
+    whose parent is gone exits quietly.  Never returns: a worker never
+    runs its parent's code.
     """
     import signal
-
-    from . import pipeline
 
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with os.fdopen(commands, "rb") as tasks, os.fdopen(results, "wb") as out:
             while index := tasks.read(4):  # until the parent closes the command pipe
-                calls, error, value = [], None, None
-                pipeline.fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
                 try:
-                    value = _forked_tasks[int.from_bytes(index, "little")]()
+                    outcome = _forked_tasks[int.from_bytes(index, "little")](), None
                 except Exception as exc:
-                    error = exc
-                data = pickle.dumps((value, error, calls))
+                    outcome = None, exc
+                data = pickle.dumps(outcome)
                 out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
         code = 0
@@ -182,7 +178,7 @@ def _sigint_held():
 
 
 def _run_on_workers(count: int, names: list, waits: list) -> dict:
-    """Every task on ``count`` forked workers: {index: (value, exception, fit audit calls)}.
+    """Every task on ``count`` forked workers: {index: (value, exception)}.
 
     Task ``i`` may start once ``waits[i]`` tasks have finished: the tasks
     of the phases before its own.  Each idle worker is handed the next task
@@ -205,7 +201,7 @@ def _run_on_workers(count: int, names: list, waits: list) -> dict:
 
     def feed():  # hand out the tasks that may start; end the commands once none will
         nonlocal queue
-        failed = any(e is not None for _, e, _ in done.values())
+        failed = any(e is not None for _, e in done.values())
         for worker in running.values():
             if worker[2] is not None or worker[1].closed:
                 continue
@@ -256,7 +252,7 @@ def _run_on_workers(count: int, names: list, waits: list) -> dict:
                     status = os.waitpid(worker[0], 0)[1]
                     del running[results]
                     if worker[2] is not None:
-                        done[worker[2]] = None, _worker_error(names[worker[2]], status), ()
+                        done[worker[2]] = None, _worker_error(names[worker[2]], status)
                 feed()
         return done
     finally:
@@ -279,8 +275,7 @@ def fork_map(*phases: dict) -> dict:
     exception of the first failed task, in task order, is raised.  A worker
     that ends without its task's outcome (killed by the OOM killer, say)
     fails that task, its own, with a WorkerError that names the task and
-    gives its exit signal.  The fit audit calls of every finished task,
-    failed ones included, are replayed here, in order, before any raise.
+    gives its exit signal.
 
     Everything runs in this process, phase by phase, in order, up to the
     first failure, which is raised, when:
@@ -302,8 +297,6 @@ def fork_map(*phases: dict) -> dict:
     workers = 1 if _forked_tasks else _worker_count(max(map(len, phases), default=0))
     if workers < 2:
         return {name: task() for name, task in zip(names, tasks)}
-    from . import pipeline
-
     # task i waits for the tasks of the phases before its own
     waits = [start for start, phase in zip(itertools.accumulate(map(len, phases), initial=0),
                                            phases) for _ in phase]
@@ -312,9 +305,6 @@ def fork_map(*phases: dict) -> dict:
         done = _run_on_workers(workers, names, waits)
     finally:
         _forked_tasks = []
-    for i in sorted(done):
-        for call in done[i][2]:
-            pipeline._audit(*call)
     for i in sorted(done):
         if done[i][1] is not None:
             raise done[i][1]

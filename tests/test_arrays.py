@@ -168,6 +168,15 @@ def test_only_workers_starts_processes_or_threads():
     assert {"os.fork", "threading"} <= set(_process_starters(workers_tree))  # the check sees them
 
 
+def test_workers_names_pipeline_only_in_the_wrapped_function_rule():
+    # a fold's record carries its fits, so no second channel to pipeline runs through workers
+    tree = ast.parse(pathlib.Path(arrays.__file__).with_name("workers.py").read_text())
+    places = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+              if (isinstance(node, ast.Name) and node.id == "pipeline")
+              or (isinstance(node, ast.alias) and node.name == "pipeline")}
+    assert places == {"_stage_functions_replaced"}
+
+
 # Public functions and methods that nothing in src uses, each with its reason.
 _UNUSED_PUBLIC = {
     "cli.main": "the console entry point, which pyproject.toml names",

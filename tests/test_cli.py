@@ -1095,6 +1095,32 @@ def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()  # neither run's output_dir nor a stage's --out
 
 
+@pytest.mark.parametrize("labels,split,message", [
+    ({v: "c0" for v in range(8)}, "loocv", "every video is labelled 'c0'"),
+    ({7: "lonely"}, "loocv", "fold 7 has no training video labelled 'lonely'"),
+    # c1 is left only on split 1's videos, so fold 1 trains on c0 alone
+    ({1: "c0", 5: "c0"}, "fixed", "fold 1 has no training video labelled 'c1'"),
+], ids=["one-label", "one-video-label-loocv", "fixed-split-missing-label"])
+def test_a_fold_that_cannot_train_exits_2_before_any_flow(tmp_path, capsys, monkeypatch,
+                                                          labels, split, message):
+    manifest_path = _frame_corpus(tmp_path / "frames", splits=2)
+    entries = tuple(corpus.ManifestEntry(video_id=e.video_id, path=e.path, split_id=e.split_id,
+                                         label=labels.get(int(e.video_id[1:]), e.label))
+                    for e in corpus.load_manifest(manifest_path).entries)
+    corpus.save_manifest(corpus.Manifest(entries=entries), manifest_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"manifest": manifest_path, "output_dir": "out", "split": split}))
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flow computed for a fold that cannot train")
+
+    monkeypatch.setattr(flow, "estimate_flows", no_flow)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, "run", "--config", "config.json")
+    assert code == 2 and f"{manifest_path}: {message}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc,override,message", [
     ({"flow": {"alpha": None}}, (), "alpha must be a number"),
     ({"seed": [1]}, (), "seed must be an integer"),

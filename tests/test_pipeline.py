@@ -501,6 +501,11 @@ def _stored_keys(out_dir, fold_index):
                  for stage in ("pca", "cnn", "svm"))
 
 
+def _has_key(out_dir, fold_index, stage):
+    """Whether fold ``fold_index``'s ``stage`` wrote its cache key: the stage finished."""
+    return os.path.exists(os.path.join(out_dir, f"fold_{fold_index:03d}", f"model.{stage}.key"))
+
+
 def test_fold_keys_match_a_part_by_part_reference(mini_run):
     for fold_index, keys in _reference_keys(mini_run).items():
         assert _stored_keys(mini_run.config.output_dir, fold_index) == keys
@@ -551,17 +556,19 @@ def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
-def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, monkeypatch, audit_log):
+def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, monkeypatch):
     _use_workers(monkeypatch, 1)  # a second worker would refit fold 1 meanwhile
     config = _copy_run(mini_run, tmp_path, learning_rate=0.04)
-    with open(os.path.join(config.output_dir, "fold_000", "model.pca"), "r+b") as fh:
+    pca_path = os.path.join(config.output_dir, "fold_000", "model.pca")
+    with open(pca_path, "r+b") as fh:
         fh.write(b"XXXX")
+    corrupted = open(pca_path, "rb").read()
     with pytest.raises(StageError) as info:
         pipeline.run_pipeline(config)
     assert (info.value.stage, info.value.fold) == ("pca", 0)
     assert isinstance(info.value.__cause__, DataFormatError)
     assert "magic" in str(info.value)
-    assert audit_log == []  # the PCA stage hit; nothing was refit
+    assert open(pca_path, "rb").read() == corrupted  # the PCA stage hit; nothing refit it
 
 
 def test_changing_svm_config_refits_only_svm(mini_run, tmp_path, audit_log):
@@ -814,8 +821,7 @@ def test_a_partly_warm_run_forks_every_fold_and_refits_only_the_missing(
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
-def test_a_partly_warm_run_raises_the_lowest_failed_fold(mini_run, tmp_path, monkeypatch,
-                                                         audit_log):
+def test_a_partly_warm_run_raises_the_lowest_failed_fold(mini_run, tmp_path, monkeypatch):
     config = _copy_run(mini_run, tmp_path)
     corrupt = os.path.join(config.output_dir, "fold_000", "model.svm.arrays")
     with open(corrupt, "r+b") as fh:
@@ -832,7 +838,8 @@ def test_a_partly_warm_run_raises_the_lowest_failed_fold(mini_run, tmp_path, mon
     assert (info.value.stage, info.value.fold) == ("svm", 0)
     assert str(info.value).startswith("fold 0, stage svm:") and "truncated" in str(info.value)
     assert isinstance(info.value.__cause__, DataFormatError)
-    assert [(stage, fold) for stage, fold, _ in audit_log] == [("pca", 1)]  # fold 1 ran, failed
+    # fold 1 ran (its directory is made first) and failed in PCA, before writing anything
+    assert os.listdir(os.path.join(config.output_dir, "fold_001")) == []
 
 
 def test_worker_count_is_capped_and_one_while_a_stage_function_is_wrapped(monkeypatch):
@@ -894,9 +901,14 @@ def test_forked_workers_inherit_one_blas_thread_and_start_none(monkeypatch):
 def test_run_pipeline_holds_one_blas_thread_and_restores_the_count(mini_run, tmp_path,
                                                                   monkeypatch):
     get, set_threads = _blas_threads_or_skip()
-    _use_workers(monkeypatch, 1)  # fits run here, where the audit hook reads the count
-    counts = []
-    monkeypatch.setattr(pipeline, "fit_audit", lambda stage, fold, ids: counts.append(get()))
+    _use_workers(monkeypatch, 1)  # fits run here, where the wrapped fit reads the count
+    counts, real_fit = [], svm.fit
+
+    def counted_fit(*args, **kwargs):  # the SVM stage is the one that refits
+        counts.append(get())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(svm, "fit", counted_fit)
     original = get()
     set_threads(2)
     try:
@@ -979,7 +991,7 @@ def test_stage_error_tags_stage_and_fold(mini_run, tmp_path, monkeypatch):
 
 
 def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path, monkeypatch,
-                                                             audit_log, capsys):
+                                                             capsys):
     def explode(*args, **kwargs):
         raise ConvergenceError("SMO not converged")
 
@@ -990,9 +1002,11 @@ def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path,
         pipeline.run_pipeline(config)
     assert (info.value.stage, info.value.fold) == ("svm", 0)
     assert isinstance(info.value.__cause__, ConvergenceError)
-    # folds 0 and 1 started together; once one failed, folds 2 and 3 never started
-    assert {fold for _, fold, _ in audit_log} == {0, 1}
-    assert [stage for stage, fold, _ in audit_log if fold == 1] == ["pca", "cnn", "gamma", "svm"]
+    # folds 0 and 1 started together; once one failed, folds 2 and 3 never started (a fold
+    # makes its directory first), and fold 1 ran on to its own SVM failure
+    assert sorted(os.listdir(config.output_dir)) == ["fold_000", "fold_001"]
+    assert [_has_key(config.output_dir, 1, stage) for stage in ("pca", "cnn", "svm")] == [
+        True, True, False]
 
     assert cli.main(["run", "--config", _write_config(config, tmp_path / "c.json")]) == 3
     assert "fold 0, stage svm: SMO not converged" in capsys.readouterr().err
@@ -1180,7 +1194,8 @@ def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkey
     _use_workers(monkeypatch, 2)
     config = _copy_run(mini_run, tmp_path)
     _crash_after_svm_writes(config, monkeypatch)
-    crashed = {fold for _, fold, _ in audit_log}
+    crashed = {fold for fold in range(len(mini_run.result.fold_results))
+               if not _has_key(config.output_dir, fold, "svm")}
     assert crashed == {0, 1}  # both workers' folds wrote, then crashed
 
     audit_log.clear()
@@ -1369,8 +1384,9 @@ def test_missing_video_source_raises(tmp_path):
 def test_mixed_descriptor_dims_rejected(tmp_path):
     entries = []
     sequences = {}
-    for vid, dim in (("a", 3), ("b", 4)):
-        entries.append(corpus.ManifestEntry(video_id=vid, label="x", path=f"{vid}.fds"))
+    # two labels, each on two videos, so every LOOCV fold can train
+    for vid, label, dim in (("a", "x", 3), ("b", "y", 3), ("c", "x", 4), ("d", "y", 4)):
+        entries.append(corpus.ManifestEntry(video_id=vid, label=label, path=f"{vid}.fds"))
         sequences[vid] = corpus.DescriptorSequence(np.ones((4, dim), dtype=np.float32))
     manifest_path = corpus.save_corpus(
         corpus.Manifest(entries=tuple(entries)), sequences, tmp_path / "corpus"

@@ -265,13 +265,20 @@ def _smo_problem(case):
         x = rng.uniform(0, 2, size=(40, 5))
         y = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
         return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 0.05, 1e-3
+    if case == "opposite-duplicates":
+        x = rng.uniform(0, 2, size=(10, 4))
+        y = np.where(rng.uniform(size=10) < 0.5, 1.0, -1.0)
+        # rows 10-13 repeat rows 0-3 with the other label: each such pair has eta == 0 exactly
+        x, y = np.vstack([x, x[:4]]), np.concatenate([y, -y[:4]])
+        return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 1.0, 1e-5
     x = rng.uniform(0, 2, size=(12, 4))
     y = np.where(rng.uniform(size=12) < 0.5, 1.0, -1.0)
     x, y = np.vstack([x, x, x]), np.concatenate([y, y, y])  # every row three times
     return svm.chi2_gram(x, x, svm.KernelParams(gamma=0.5)), [y], 1.0, 1e-9
 
 
-@pytest.mark.parametrize("case", ["small-c-box", "duplicated-rows", "relu-4-class", "two-point"])
+@pytest.mark.parametrize("case", ["small-c-box", "duplicated-rows", "relu-4-class", "two-point",
+                                  "opposite-duplicates"])
 def test_smo_matches_reference_rebuilding_kkt_sets(case, monkeypatch):
     gram, ys, c_box, tol = _smo_problem(case)
     step = svm._smo_step
@@ -281,7 +288,7 @@ def test_smo_matches_reference_rebuilding_kkt_sets(case, monkeypatch):
 
         def recording(gram, y, alpha, errors, i, j, c_box):
             moved = step(gram, y, alpha, errors, i, j, c_box)
-            calls.append((i, moved))
+            calls.append((i, j, moved))
             return moved
 
         monkeypatch.setattr(svm, "_smo_step", recording)
@@ -291,6 +298,8 @@ def test_smo_matches_reference_rebuilding_kkt_sets(case, monkeypatch):
         assert np.array_equal(alpha, want_alpha)
         assert bias == want_bias
         steps.append(len(calls))
+        # a partner j needs f_err[j] - f_err[i] > 0, so it is never i itself
+        assert all(i != j for i, j, _ in calls)
     assert min(steps) > 0
     if case == "relu-4-class":
         assert min(steps) > 500  # hundreds of set updates per machine
@@ -299,10 +308,17 @@ def test_smo_matches_reference_rebuilding_kkt_sets(case, monkeypatch):
         assert np.count_nonzero((alpha > 0) & (alpha < c_box)) > 0
     if case == "duplicated-rows":
         # each rejected step is followed by the next partner for the same i
-        fallbacks = [a[0] == b[0] for a, b in zip(calls, calls[1:]) if not a[1]]
+        fallbacks = [a[0] == b[0] for a, b in zip(calls, calls[1:]) if not a[2]]
         assert fallbacks and all(fallbacks)
     if case == "two-point":
         assert np.all(alpha > 0)
+    if case == "opposite-duplicates":
+        # the flat-direction branch of _smo_step moved alphas, and the dual is criterion 5's
+        assert any(moved for i, j, moved in calls
+                   if gram[i, i] + gram[j, j] - 2.0 * gram[i, j] <= 0.0)
+        reference = oracles.projected_gradient_qp(gram, y, c_box=c_box)
+        dual, best = (oracles.qp_objective(gram, y, a) for a in (alpha, reference))
+        assert dual >= best - 1e-4
 
 
 def test_noisy_labels_still_converge():
