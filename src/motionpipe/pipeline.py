@@ -27,7 +27,7 @@ thread in this process, so the workers inherit one thread and start
 none.  Workers write only their own fold's directory or video's
 descriptors, and ``fork_map`` returns their results in task order, so the
 outputs are the same bytes as a serial run's.  A fold's record lists its
-fits, which the run hands to the fit audit once every fold has returned.
+fits, each fit's stage and training ids, for the leakage audit.
 
 One function, ``read_corpus``, gives every command its descriptors, with
 the descriptor cache for ``run`` only.  Every command reads the files it
@@ -50,11 +50,6 @@ import numpy as np
 
 from . import arrays, cnn, corpus, flow, pca, svm, workers
 from .errors import DataFormatError, StageError, WorkerError
-
-# Test hook: when set, a run that succeeds calls fit_audit(stage, fold_index,
-# video_ids) for every model fit, fold by fold, with the ids whose data it saw.
-fit_audit = None
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -85,6 +80,8 @@ class PipelineConfig:
         for name in ("c_box", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.c_box <= svm.BOUND_EPS:  # every alpha would sit on both bounds: no SMO step
+            raise ValueError(f"c_box must be greater than svm.BOUND_EPS ({svm.BOUND_EPS})")
         flow.check_alpha(self.alpha)
         # a grid larger than a frame shows only in the frames, before their flow
         for name, least in (("iterations", 1), ("grid", 1), ("bins", 2)):
@@ -691,10 +688,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         except WorkerError as exc:  # the fold's worker died, so nothing tagged the error
             raise StageError("worker", exc.task, str(exc)) from exc
         fold_results = tuple(outcomes.values())
-        if fit_audit is not None:
-            for r in fold_results:
-                for stage, ids in r.fits:
-                    fit_audit(stage, r.index, ids)
         predictions = [(t, p) for r in fold_results for _, t, p in r.records]
         accuracy, confusion = evaluate(predictions, labels)
         overall = (accuracy if config.split == "loocv"

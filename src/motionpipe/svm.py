@@ -3,7 +3,9 @@
 Features must be nonnegative (the chi-squared distance divides by
 x_i + y_i + CHI2_EPSILON).  The solver is a deterministic SMO: each step
 pairs the maximal KKT violator with the partner of greatest second-order
-gain, with ties broken towards the lowest index.
+gain, with ties broken towards the lowest index.  A step that no
+partner can take raises ConvergenceError; ``c_box`` must exceed
+BOUND_EPS.
 
 The kernel's values are made in place, in the buffer that holds the
 distances, so a Gram of S x T rows costs one S x T float64 matrix.  A
@@ -28,6 +30,7 @@ from .errors import ConvergenceError, DataFormatError
 
 MAX_SMO_STEPS = 10**6
 CHI2_EPSILON = 1e-12  # added to every chi-squared denominator x_i + y_i; model files store it
+BOUND_EPS = 1e-8  # alphas this close to a box bound count as on it; c_box must exceed it
 
 _SUPPORT_EPS = 1e-10  # alphas at or below this are not support vectors
 _BLOCK_ELEMENTS = 2**15  # values per chi-squared temporary (256 KB of float64)
@@ -198,9 +201,6 @@ def default_gamma(features, seed: int) -> float:
 # SMO solver
 # ---------------------------------------------------------------------------
 
-_BOUND_EPS = 1e-8  # alphas this close to a box bound count as on it
-
-
 def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     """Solve the binary SVM dual; returns (alpha, bias).
 
@@ -212,7 +212,8 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     over the "low" set, ties to the lowest index; a step recomputes the
     sets only at the two alphas it moved.  Converged when the up/low gap
     closes to 2*tol; the bias is the centre of the final KKT interval,
-    so every per-index violation is at most tol.
+    so every per-index violation is at most tol.  At a ``c_box`` at or
+    below BOUND_EPS every alpha sits on both bounds, so no step starts.
     """
     s = y.size
     alpha = np.zeros(s)
@@ -221,7 +222,7 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
     indices = np.arange(s)
     steps = 0
     pos = y > 0
-    below_c, above_zero = ~(alpha >= c_box - _BOUND_EPS), ~(alpha <= _BOUND_EPS)
+    below_c, above_zero = ~(alpha >= c_box - BOUND_EPS), ~(alpha <= BOUND_EPS)
     up, low = np.where(pos, below_c, above_zero), np.where(pos, above_zero, below_c)
 
     while True:
@@ -236,27 +237,18 @@ def _smo(gram: np.ndarray, y: np.ndarray, c_box: float, tol: float):
         cand = low & (diff > 0.0)  # diff[i] is 0, so i is never its own partner j
         eta = np.maximum(gram[i, i] + diag - 2.0 * gram[i], 1e-12)
         score = np.where(cand, diff * diff / eta, -np.inf)
-        moved = False
+        # i is never a candidate, so a scan reaches a non-candidate once every candidate failed
         for j in _partners(score, indices):
-            if not cand[j]:
-                break
             steps += 1
-            if steps > MAX_SMO_STEPS:
+            if not cand[j] or steps > MAX_SMO_STEPS:
                 raise ConvergenceError("SMO not converged")
             if _smo_step(gram, y, alpha, f_err, i, j, c_box):
-                moved = True
                 for t in (i, j):  # only alpha_i and alpha_j moved
                     a = alpha.item(t)
-                    below_c, above_zero = not a >= c_box - _BOUND_EPS, not a <= _BOUND_EPS
+                    below_c, above_zero = not a >= c_box - BOUND_EPS, not a <= BOUND_EPS
                     up[t], low[t] = (below_c, above_zero) if pos[t] else (above_zero, below_c)
                 break
-        if not moved:
-            raise ConvergenceError("SMO not converged")
 
-    if not np.isfinite(b_up):
-        b_up = b_low if np.isfinite(b_low) else 0.0
-    if not np.isfinite(b_low):
-        b_low = b_up
     return alpha, -0.5 * (b_up + b_low)
 
 
@@ -295,17 +287,17 @@ def _smo_step(gram, y, alpha, errors, i, j, c_box) -> bool:
         if max(obj_low, obj_high) <= 1e-12:
             return False
         a_j_new = low if obj_low >= obj_high else high
-    if a_j_new < _BOUND_EPS:
+    if a_j_new < BOUND_EPS:
         a_j_new = 0.0
-    elif a_j_new > c_box - _BOUND_EPS:
+    elif a_j_new > c_box - BOUND_EPS:
         a_j_new = c_box
     # reject insignificant moves, or pair scans stall on nano-steps
     if abs(a_j_new - a_j) < 1e-8 * (a_j_new + a_j + 1e-8):
         return False
     a_i_new = a_i + s * (a_j - a_j_new)
-    if a_i_new < _BOUND_EPS:
+    if a_i_new < BOUND_EPS:
         a_i_new = 0.0
-    elif a_i_new > c_box - _BOUND_EPS:
+    elif a_i_new > c_box - BOUND_EPS:
         a_i_new = c_box
     alpha[i] = a_i_new
     alpha[j] = a_j_new
@@ -331,8 +323,8 @@ def fit(features, labels, c_box: float, params: KernelParams, tol: float) -> Svm
     third, ... label, the other the rest, and the results are put back in
     label order.  Below, one task of each runs here.  A failed kernel task
     starts no machine; if both tasks of a phase fail, the first's failure
-    is raised.  ``c_box`` and ``tol`` are positive and finite; the kernel
-    checks the features.
+    is raised.  ``c_box`` is finite and above BOUND_EPS, ``tol`` positive
+    and finite; the kernel checks the features.
     """
     x = np.stack([np.asarray(f, dtype=np.float64) for f in features])
     labels = list(labels)
@@ -439,6 +431,9 @@ def load_model(path) -> SvmModel:
         raise DataFormatError(f"{path}: need at least 2 classes, got {len(labels)}")
     if len(set(labels)) != len(labels):
         raise DataFormatError(f"{path}: duplicate class labels")
+    for label in labels:  # predict writes each as a CSV field
+        if not label or "," in label or "\r" in label:
+            raise DataFormatError(f"{path}: class label {label!r} is empty or holds ',' or '\\r'")
     vectors = stored["vectors"]
     if vectors.shape[1] < 1:
         raise DataFormatError(f"{path}: feature dimension must be at least 1")

@@ -243,8 +243,8 @@ def reference_smo(gram, y, c_box, tol):
     steps = 0
     pos = y > 0
     while True:
-        at_c = alpha >= c_box - svm._BOUND_EPS
-        at_zero = alpha <= svm._BOUND_EPS
+        at_c = alpha >= c_box - svm.BOUND_EPS
+        at_zero = alpha <= svm.BOUND_EPS
         up = (pos & ~at_c) | (~pos & ~at_zero)
         low = (~pos & ~at_c) | (pos & ~at_zero)
         f_up = np.where(up, f_err, np.inf)
@@ -276,6 +276,12 @@ def reference_smo(gram, y, c_box, tol):
     return alpha, -0.5 * (b_up + b_low)
 
 
+def fit_calls(result):
+    """(stage, fold index, training ids) of every fit of a pipeline run, fold by fold in
+    fit order, from each fold's record."""
+    return [(stage, r.index, ids) for r in result.fold_results for stage, ids in r.fits]
+
+
 def qp_objective(gram, y, alpha):
     q = gram * np.outer(y, y)
     return float(alpha.sum() - 0.5 * alpha @ q @ alpha)
@@ -284,13 +290,13 @@ def qp_objective(gram, y, alpha):
 def kkt_violation(alpha, y, errors, c_box, tol):
     """Per-sample KKT violation magnitude; convergence means all <= tol.
 
-    An alpha within svm._BOUND_EPS of a box bound counts as on it, as in the solver.
+    An alpha within svm.BOUND_EPS of a box bound counts as on it, as in the solver.
     """
     from motionpipe import svm
 
     ye = y * errors
-    low = np.where(alpha < c_box - svm._BOUND_EPS, np.maximum(0.0, -ye), 0.0)
-    high = np.where(alpha > svm._BOUND_EPS, np.maximum(0.0, ye), 0.0)
+    low = np.where(alpha < c_box - svm.BOUND_EPS, np.maximum(0.0, -ye), 0.0)
+    high = np.where(alpha > svm.BOUND_EPS, np.maximum(0.0, ye), 0.0)
     return np.maximum(low, high)
 
 

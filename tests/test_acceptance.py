@@ -33,24 +33,15 @@ def protocol(tmp_path_factory):
     )
     manifest_path = corpus.save_corpus(manifest, sequences, root / "corpus")
 
-    def run(out_dir, audit=None):
+    def run(out_dir):
         config = pipeline.PipelineConfig(manifest=manifest_path, output_dir=str(out_dir))
-        pipeline.fit_audit = audit
-        try:
-            started = time.perf_counter()
-            result = pipeline.run_pipeline(config)
-            elapsed = time.perf_counter() - started
-        finally:
-            pipeline.fit_audit = None
+        started = time.perf_counter()
+        result = pipeline.run_pipeline(config)
+        elapsed = time.perf_counter() - started
         reports = {name: (out_dir / name).read_bytes() for name in REPORTS}
         return result, elapsed, reports
 
-    audit_calls: list = []
-
-    def recorder(stage, fold, ids):
-        audit_calls.append((stage, fold, ids))
-
-    result_a, elapsed_a, reports_a = run(root / "out_a", audit=recorder)
+    result_a, elapsed_a, reports_a = run(root / "out_a")
     result_b, _, reports_b = run(root / "out_b")
     return SimpleNamespace(
         manifest=manifest,
@@ -61,7 +52,7 @@ def protocol(tmp_path_factory):
         reports_a=reports_a,
         result_b=result_b,
         reports_b=reports_b,
-        audit=tuple(audit_calls),
+        audit=tuple(oracles.fit_calls(result_a)),
     )
 
 

@@ -1095,6 +1095,29 @@ def test_a_bad_named_input_exits_2_before_any_flow(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()  # neither run's output_dir nor a stage's --out
 
 
+@pytest.mark.parametrize("c_box", ["1e-8", "1e-9"])
+@pytest.mark.parametrize("command", ["svm-fit", "run"])
+def test_a_c_box_at_the_bound_tolerance_exits_2_before_any_read(tmp_path, capsys, monkeypatch,
+                                                                 command, c_box):
+    """At or below svm.BOUND_EPS every alpha sits on both bounds, so SMO could take no step."""
+    manifest_path = _frame_corpus(tmp_path / "frames")
+    _kfold_table(tmp_path / "f.csv", rows=8, dim=4)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"manifest": manifest_path, "output_dir": "out"}))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("input read before the settings were checked")
+
+    monkeypatch.setattr(flow, "estimate_flows", no_read)
+    monkeypatch.setattr(cli, "read_features_csv", no_read)
+    monkeypatch.chdir(tmp_path)
+    inputs = (["--config", "config.json"] if command == "run"
+              else ["--features", "f.csv", "--out", "out"])
+    code, _, err = _run(capsys, command, *inputs, "--svm.c_box", c_box)
+    assert code == 2 and err == "error: c_box must be greater than svm.BOUND_EPS (1e-08)\n", err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("labels,split,message", [
     ({v: "c0" for v in range(8)}, "loocv", "every video is labelled 'c0'"),
     ({7: "lonely"}, "loocv", "fold 7 has no training video labelled 'lonely'"),

@@ -84,15 +84,6 @@ def _use_workers(monkeypatch, count):
     monkeypatch.setattr(workers, "_worker_count", lambda pending: min(count, pending))
 
 
-@pytest.fixture()
-def audit_log(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        pipeline, "fit_audit", lambda stage, fold, ids: calls.append((stage, fold, ids))
-    )
-    return calls
-
-
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     """One cold pipeline run over a four-video corpus, with fit auditing."""
@@ -101,18 +92,13 @@ def mini_run(tmp_path_factory):
     arch_path = root / "arch.txt"
     arch_path.write_text(MINI_ARCH)
     config = _mini_config(manifest_path, root / "out", arch_path)
-    calls = []
-    pipeline.fit_audit = lambda stage, fold, ids: calls.append((stage, fold, ids))
-    try:
-        result = pipeline.run_pipeline(config)
-    finally:
-        pipeline.fit_audit = None
+    result = pipeline.run_pipeline(config)
     return SimpleNamespace(
         root=root,
         config=config,
         result=result,
         reports=_read_reports(config.output_dir),
-        audit=tuple(calls),
+        audit=tuple(oracles.fit_calls(result)),
         manifest=corpus.load_manifest(manifest_path),
         arch_path=arch_path,
     )
@@ -218,6 +204,8 @@ def test_config_validation():
         ("c_box", 0.0, "c_box must be positive and finite"),
         ("c_box", np.nan, "c_box must be positive and finite"),
         ("c_box", np.inf, "c_box must be positive and finite"),
+        ("c_box", 1e-8, r"c_box must be greater than svm.BOUND_EPS \(1e-08\)"),
+        ("c_box", 1e-9, r"c_box must be greater than svm.BOUND_EPS \(1e-08\)"),
         ("tol", np.nan, "tol must be positive and finite"),
         ("tol", np.inf, "tol must be positive and finite"),
         ("pov_threshold", 0.0, r"pov_threshold must be in \(0, 1\]"),
@@ -235,6 +223,12 @@ def test_config_validation():
         pipeline.PipelineConfig(manifest="m", output_dir="o", gamma=-1.0)
     config = pipeline.PipelineConfig(manifest="m", output_dir="o", gamma="2.5")
     assert config.gamma == 2.5
+    for bad in (0.0, np.nan, np.inf, -1.0):  # the range's message, not the bound's
+        with pytest.raises(ValueError) as info:
+            pipeline.PipelineConfig(manifest="m", output_dir="o", c_box=bad)
+        assert str(info.value) == "c_box must be positive and finite"
+    above = float(np.nextafter(svm.BOUND_EPS, np.inf))
+    assert pipeline.PipelineConfig(manifest="m", output_dir="o", c_box=above).c_box == above
 
 
 def test_config_rejects_an_alpha_whose_square_is_not_a_normal_float32():
@@ -428,11 +422,11 @@ def test_audit_sees_only_training_videos(mini_run):
         assert stages == {"pca", "cnn", "gamma", "svm"}
 
 
-def test_warm_rerun_hits_cache_and_reproduces_reports(mini_run, audit_log):
+def test_warm_rerun_hits_cache_and_reproduces_reports(mini_run):
     out = mini_run.config.output_dir
     before = _model_mtimes(out)
     result = pipeline.run_pipeline(mini_run.config)
-    assert audit_log == []  # nothing refit
+    assert oracles.fit_calls(result) == []  # nothing refit
     assert _model_mtimes(out) == before
     assert _read_reports(out) == mini_run.reports
     assert result.overall_accuracy == mini_run.result.overall_accuracy
@@ -511,8 +505,7 @@ def test_fold_keys_match_a_part_by_part_reference(mini_run):
         assert _stored_keys(mini_run.config.output_dir, fold_index) == keys
 
 
-def test_output_directory_with_models_from_before_arr1_refits_every_stage(mini_run, tmp_path,
-                                                                          audit_log, capsys):
+def test_output_directory_with_models_from_before_arr1_refits_every_stage(mini_run, tmp_path):
     """A directory whose keys predate ARR1 models and whose model.pca is PCA1 refits it all."""
     config = _copy_run(mini_run, tmp_path)
     old_keys = _reference_keys(mini_run, container=None)
@@ -525,9 +518,7 @@ def test_output_directory_with_models_from_before_arr1_refits_every_stage(mini_r
         )
         for stage, key in zip(("pca", "cnn", "svm"), keys):
             (fold_dir / f"model.{stage}.key").write_text(key + "\n")
-    audit_log.clear()
-    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
-        capsys.readouterr().err
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert sorted((stage, fold) for stage, fold, _ in audit_log) == sorted(
         (stage, fold) for fold in old_keys for stage in ("pca", "cnn", "gamma", "svm")
     )
@@ -537,8 +528,7 @@ def test_output_directory_with_models_from_before_arr1_refits_every_stage(mini_r
             mini_run.config.output_dir, fold_index)
 
 
-def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp_path,
-                                                                  audit_log, capsys):
+def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp_path):
     """An output directory from before ARR1 reruns: its CNN and SVM stages miss, PCA hits."""
     config = _copy_run(mini_run, tmp_path)
     folds = sorted((tmp_path / "out").glob("fold_*"))
@@ -547,9 +537,7 @@ def test_npz_stage_outputs_under_their_old_names_refit_cnn_and_svm(mini_run, tmp
             current = fold_dir / f"model.{stage}.arrays"
             np.savez(fold_dir / f"model.{stage}.npz", **arrays.load(current))
             current.unlink()
-    audit_log.clear()
-    assert cli.main(["run", "--config", _write_config(config, tmp_path / "config.json")]) == 0, \
-        capsys.readouterr().err
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert sorted((stage, fold) for stage, fold, _ in audit_log) == sorted(
         (stage, fold) for fold in range(len(folds)) for stage in ("cnn", "gamma", "svm")
     )
@@ -571,10 +559,10 @@ def test_cnn_refit_reads_cached_pca_model_at_stage_pca(mini_run, tmp_path, monke
     assert open(pca_path, "rb").read() == corrupted  # the PCA stage hit; nothing refit it
 
 
-def test_changing_svm_config_refits_only_svm(mini_run, tmp_path, audit_log):
+def test_changing_svm_config_refits_only_svm(mini_run, tmp_path):
     config = _copy_run(mini_run, tmp_path, c_box=5.0)
     before = _model_mtimes(config.output_dir)
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     after = _model_mtimes(config.output_dir)
     assert {stage for stage, _, _ in audit_log} == {"gamma", "svm"}
     for name, stamp in before.items():
@@ -584,10 +572,10 @@ def test_changing_svm_config_refits_only_svm(mini_run, tmp_path, audit_log):
             assert after[name] == stamp, name
 
 
-def test_changing_pov_refits_every_stage(mini_run, tmp_path, audit_log):
+def test_changing_pov_refits_every_stage(mini_run, tmp_path):
     config = _copy_run(mini_run, tmp_path, pov_threshold=1.0)
     before = _model_mtimes(config.output_dir)
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     after = _model_mtimes(config.output_dir)
     assert {stage for stage, _, _ in audit_log} == {"pca", "cnn", "gamma", "svm"}
     assert all(after[name] != stamp for name, stamp in before.items())
@@ -619,7 +607,7 @@ def _frame_dir_config(tmp_path):
     )
 
 
-def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
+def test_frame_dir_corpus_caches_descriptors(tmp_path):
     config = _frame_dir_config(tmp_path)
     entries = corpus.load_manifest(config.manifest).entries
     pipeline.run_pipeline(config)
@@ -628,19 +616,17 @@ def test_frame_dir_corpus_caches_descriptors(tmp_path, audit_log):
     assert set(cached) == {f"{e.video_id}.fds{ext}" for e in entries for ext in ("", ".key")}
     stamps = {n: os.stat(os.path.join(desc_dir, n)).st_mtime_ns for n in cached}
 
-    audit_log.clear()
-    pipeline.run_pipeline(config)  # warm: descriptors and models reused
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))  # warm: nothing refit
     assert audit_log == []
     assert {n: os.stat(os.path.join(desc_dir, n)).st_mtime_ns for n in cached} == stamps
 
-    audit_log.clear()
-    pipeline.run_pipeline(dataclasses.replace(config, alpha=0.5))
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(dataclasses.replace(config, alpha=0.5)))
     assert {stage for stage, _, _ in audit_log} == {"pca", "cnn", "gamma", "svm"}
     fresh = {n: os.stat(os.path.join(desc_dir, n)).st_mtime_ns for n in cached}
     assert all(fresh[n] != stamps[n] for n in cached)
 
 
-def test_a_file_that_is_not_a_frame_leaves_a_rerun_warm(tmp_path, audit_log):
+def test_a_file_that_is_not_a_frame_leaves_a_rerun_warm(tmp_path):
     """The descriptor key hashes the frames the flow reads, and nothing else."""
     config = _frame_dir_config(tmp_path)
     pipeline.run_pipeline(config)
@@ -653,8 +639,7 @@ def test_a_file_that_is_not_a_frame_leaves_a_rerun_warm(tmp_path, audit_log):
     frame_dir = tmp_path / "corpus" / "c0v0"
     (frame_dir / "README").write_text("three frames of a moving square\n")
     (frame_dir / "thumbnail.png").write_bytes(b"\x89PNG\r\n")
-    audit_log.clear()
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert audit_log == []  # nothing refit
     assert stamps() == written  # no descriptor, key, model or report rewritten
     assert _tree(out) == before
@@ -681,7 +666,7 @@ def test_descriptor_cache_from_before_arr1_is_described_again(tmp_path):
     assert _tree(config.output_dir) == _tree(fresh.output_dir)
 
 
-def test_descriptor_cache_from_float64_flow_is_described_again(tmp_path, monkeypatch, audit_log):
+def test_descriptor_cache_from_float64_flow_is_described_again(tmp_path, monkeypatch):
     """An output directory keyed before the descriptor key named the flow's precision is
     described again, and every fold refits through the chained keys, to a clean run's bytes."""
     config = _frame_dir_config(tmp_path)
@@ -714,8 +699,7 @@ def test_descriptor_cache_from_float64_flow_is_described_again(tmp_path, monkeyp
         return real_describe(frame_dir, **flow_params)
 
     monkeypatch.setattr(pipeline, "frames_to_sequence", counted_describe)
-    audit_log.clear()
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert sorted(described) == sorted(entry.path for entry in entries)
     assert sorted({(stage, fold) for stage, fold, _ in audit_log}) == sorted(
         (stage, fold) for stage in ("pca", "cnn", "gamma", "svm") for fold in range(len(entries)))
@@ -748,15 +732,14 @@ def test_held_out_length_does_not_shape_training(tmp_path):
 # Forked workers
 # ---------------------------------------------------------------------------
 
-def test_two_workers_write_what_one_writes(tmp_path, monkeypatch, audit_log):
+def test_two_workers_write_what_one_writes(tmp_path, monkeypatch):
     config = _frame_dir_config(tmp_path)
     runs = []
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
         out = dataclasses.replace(config, output_dir=str(tmp_path / f"out{workers}"))
-        audit_log.clear()
-        pipeline.run_pipeline(out)
-        runs.append((list(audit_log), _tree(out.output_dir)))
+        audit_log = oracles.fit_calls(pipeline.run_pipeline(out))
+        runs.append((audit_log, _tree(out.output_dir)))
     (audit_one, files_one), (audit_two, files_two) = runs
     assert audit_one and audit_two == audit_one
     assert len(files_one) == 4 * 2 + 4 * 8 + 5  # descriptors, fold artifacts, reports
@@ -764,8 +747,7 @@ def test_two_workers_write_what_one_writes(tmp_path, monkeypatch, audit_log):
 
 
 @pytest.mark.filterwarnings("ignore:series .* truncated")  # a test video longer than training's
-def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monkeypatch,
-                                                                  audit_log):
+def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monkeypatch):
     manifest_path = _mini_corpus(tmp_path / "corpus")
     manifest = corpus.load_manifest(manifest_path)
     entries = tuple(dataclasses.replace(e, split_id=int(e.video_id[-1])) for e in manifest.entries)
@@ -776,29 +758,27 @@ def test_two_folds_on_the_light_path_write_what_one_worker_writes(tmp_path, monk
     runs = []
     for count in (1, 2):
         _use_workers(monkeypatch, count)
-        audit_log.clear()
         out = tmp_path / f"out{count}"
-        pipeline.run_pipeline(_mini_config(manifest_path, out, arch_path, split="fixed"))
-        runs.append((list(audit_log), _tree(out)))
+        result = pipeline.run_pipeline(_mini_config(manifest_path, out, arch_path, split="fixed"))
+        runs.append((oracles.fit_calls(result), _tree(out)))
     (audit_one, files_one), (audit_two, files_two) = runs
     assert [fold for _, fold, _ in audit_two] == [0] * 4 + [1] * 4
     assert audit_two == audit_one and files_two == files_one
 
 
-def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch, audit_log):
+def test_warm_rerun_starts_no_worker(tmp_path, monkeypatch):
     config = _frame_dir_config(tmp_path)
     _use_workers(monkeypatch, 2)
     forks = record_forks(monkeypatch, tmp_path / "forks")
     pipeline.run_pipeline(config)
     assert forks() == [os.getpid()] * 2  # the descriptors, then the folds
     os.remove(tmp_path / "forks")
-    audit_log.clear()
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert forks() == [] and audit_log == []
 
 
 def test_a_partly_warm_run_forks_every_fold_and_refits_only_the_missing(
-        mini_run, tmp_path, monkeypatch, audit_log):
+        mini_run, tmp_path, monkeypatch):
     config = _copy_run(mini_run, tmp_path)
     for fold in (1, 3):
         shutil.rmtree(os.path.join(config.output_dir, f"fold_{fold:03d}"))
@@ -812,7 +792,7 @@ def test_a_partly_warm_run_forks_every_fold_and_refits_only_the_missing(
         return real_fold(config, fold_index, *args)
 
     monkeypatch.setattr(pipeline, "_run_fold", run_fold)
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert forks() == [os.getpid()]
     folds = dict(line.split() for line in ran.read_text().splitlines())
     assert sorted(folds) == ["0", "1", "2", "3"]  # the hit folds 0 and 2 are read in a worker too
@@ -1013,7 +993,7 @@ def test_forked_failure_raises_fold_0_and_starts_no_new_fold(mini_run, tmp_path,
 
 
 def test_a_killed_fold_worker_fails_its_fold_and_a_rerun_fits_what_is_missing(
-        mini_run, tmp_path, monkeypatch, audit_log, capsys):
+        mini_run, tmp_path, monkeypatch, capsys):
     config = dataclasses.replace(mini_run.config, output_dir=str(tmp_path / "out"))
     config_path = _write_config(config, tmp_path / "c.json")
     usable_cpus(monkeypatch, 2)
@@ -1035,15 +1015,14 @@ def test_a_killed_fold_worker_fails_its_fold_and_a_rerun_fits_what_is_missing(
                                                   f"model.{stage}.key"))}
     assert ("pca", 0) not in missing and ("cnn", 0) in missing  # fold 0 died in its CNN stage
 
-    audit_log.clear()
-    assert cli.main(["run", "--config", config_path]) == 0
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     refit = {("svm" if stage == "gamma" else stage, fold) for stage, fold, _ in audit_log}
     assert refit == missing
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
 def test_a_dead_worker_fails_its_own_fold_while_the_running_one_finishes(
-        mini_run, tmp_path, monkeypatch, audit_log, capsys):
+        mini_run, tmp_path, monkeypatch, capsys):
     config = dataclasses.replace(mini_run.config, output_dir=str(tmp_path / "out"))
     config_path = _write_config(config, tmp_path / "c.json")
     usable_cpus(monkeypatch, 2)
@@ -1078,8 +1057,7 @@ def test_a_dead_worker_fails_its_own_fold_while_the_running_one_finishes(
     assert all(fold != 0 for _, fold in missing)  # fold 0 finished
     assert ("pca", 1) not in missing and ("cnn", 1) in missing
 
-    audit_log.clear()
-    assert cli.main(["run", "--config", config_path]) == 0
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     refit = {("svm" if stage == "gamma" else stage, fold) for stage, fold, _ in audit_log}
     assert refit == missing
     assert _read_reports(config.output_dir) == mini_run.reports
@@ -1179,18 +1157,17 @@ def _crash_after_svm_writes(config, monkeypatch):
     monkeypatch.setattr(arrays, "write", real_write)
 
 
-def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch, audit_log):
+def test_interrupted_write_is_not_a_cache_hit(mini_run, tmp_path, monkeypatch):
     _use_workers(monkeypatch, 1)
     config = _copy_run(mini_run, tmp_path)
     _crash_after_svm_writes(config, monkeypatch)
 
-    audit_log.clear()
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert {(stage, fold) for stage, fold, _ in audit_log} == {("gamma", 0), ("svm", 0)}
     assert _read_reports(config.output_dir) == mini_run.reports
 
 
-def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkeypatch, audit_log):
+def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkeypatch):
     _use_workers(monkeypatch, 2)
     config = _copy_run(mini_run, tmp_path)
     _crash_after_svm_writes(config, monkeypatch)
@@ -1198,8 +1175,7 @@ def test_interrupted_forked_writes_are_not_cache_hits(mini_run, tmp_path, monkey
                if not _has_key(config.output_dir, fold, "svm")}
     assert crashed == {0, 1}  # both workers' folds wrote, then crashed
 
-    audit_log.clear()
-    pipeline.run_pipeline(config)
+    audit_log = oracles.fit_calls(pipeline.run_pipeline(config))
     assert {(stage, fold) for stage, fold, _ in audit_log} == {
         (stage, fold) for fold in crashed for stage in ("gamma", "svm")
     }

@@ -1,10 +1,13 @@
 import functools
 import os
+import re
 import signal
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionpipe import arrays, svm, workers
 from motionpipe.errors import ConvergenceError, DataFormatError, WorkerError
@@ -542,6 +545,10 @@ def test_load_model_rejects_bad_labels_and_kernel(tmp_path):
     vectors = stored["vectors"]
     cases = [
         ("UTF-8", {"labels": b"\xff" + stored["labels"].tobytes()[1:]}),
+        # labels that predict could not write as one CSV field
+        (re.escape("'x,y' is empty or holds"), {"labels": b"x,y\nclass1"}),
+        (re.escape("'a\\rz' is empty or holds"), {"labels": b"a\rz\nclass1"}),
+        (re.escape("'' is empty or holds"), {"labels": b"a\n"}),
         ("gamma must be positive", {"kernel": np.array([0.0, eps])}),
         ("gamma must be positive", {"kernel": np.array([np.nan, eps])}),
         ("chi-squared epsilon", {"kernel": np.array([1.0, -1.0])}),
@@ -571,6 +578,70 @@ def test_smo_step_cap_raises(monkeypatch):
     feats, labels = _clusters(rng, per_class=10)
     with pytest.raises(ConvergenceError, match="not converged"):
         _fit_auto(feats, labels)
+
+
+def test_smo_raises_when_no_partner_can_move(monkeypatch):
+    x = np.random.default_rng(0).random((12, 3))
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    gram = svm.chi2_gram(x, x, svm.KernelParams(gamma=1.0))
+    step, calls = svm._smo_step, []
+
+    def recording(gram, y, alpha, errors, i, j, c_box):
+        calls.append((i, step(gram, y, alpha, errors, i, j, c_box)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(svm, "_smo_step", recording)
+    with pytest.raises(ConvergenceError, match="SMO not converged"):
+        svm._smo(gram, y, 10.0, 1e-300)  # a gap no pair can close to 2e-300
+    # every partner of the last scan failed to move, far below the step cap
+    assert 0 < len(calls) < svm.MAX_SMO_STEPS // 1000 and calls[-1][1] is False
+
+
+def test_smo_step_leaves_a_pair_with_an_empty_interval_unchanged():
+    # From just above c_box = 2**27 on, c_box - BOUND_EPS == c_box, so an alpha one ulp
+    # below c_box is in the up set.  Paired with an alpha at c_box of its label, the sum
+    # rounds to 2 * c_box and the pair's interval is [c_box, c_box]: low >= high.  Random
+    # fits reached this with d = 1, c_box 2.2e8 and 1.4e9 and tol <= 1e-59.
+    c_box = 2.0**28
+    alpha, y = np.array([np.nextafter(c_box, 0.0), c_box]), np.array([1.0, 1.0])
+    assert c_box - svm.BOUND_EPS == c_box and alpha[0] + alpha[1] == 2 * c_box
+    gram, errors = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([-1.0, 0.5])
+    before = alpha.copy(), errors.copy()
+    assert svm._smo_step(gram, y, alpha, errors, 0, 1, c_box) is False
+    assert np.array_equal(alpha, before[0]) and np.array_equal(errors, before[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(2, 16),
+    repeats=st.integers(0, 4),
+    exponent=st.floats(-8.0, 6.0),
+    tol=st.sampled_from([1e-1, 1e-3, 1e-6, 1e-9]),
+)
+def test_smo_ends_with_both_kkt_sets_non_empty(seed, rows, repeats, exponent, tol):
+    """From just above BOUND_EPS, up and low never empty, so b_up, b_low and the bias are
+    finite."""
+    c_box = max(10.0**exponent, float(np.nextafter(svm.BOUND_EPS, np.inf)))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 2, size=(rows, 3))
+    y = np.where(rng.uniform(size=rows + repeats) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    x = np.vstack([x, x[rng.integers(0, rows, size=repeats)]])  # repeated rows, any label
+    gram = svm.chi2_gram(x, x, svm.KernelParams(gamma=svm.default_gamma(x, seed=0)))
+    # a converged fit of these sizes took at most 638 steps in 2651 random problems, while
+    # a c_box near BOUND_EPS at tol 1e-9 can take all 10**6
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm, "MAX_SMO_STEPS", 5000)
+        try:
+            alpha, bias = svm._smo(gram, y, c_box, tol)
+        except ConvergenceError:
+            return
+    assert np.isfinite(bias)
+    above_zero, below_c = alpha > svm.BOUND_EPS, alpha < c_box - svm.BOUND_EPS
+    pos = y > 0
+    assert np.any(np.where(pos, below_c, above_zero))  # up
+    assert np.any(np.where(pos, above_zero, below_c))  # low
 
 
 # ---------------------------------------------------------------------------
